@@ -10,7 +10,9 @@ against independent references, and prints as its last line one JSON object
 with ``correct``, ``attempted``, ``failed`` and ``metrics``.  With
 ``--trace 0`` the metrics are the end-to-end ones; with ``--trace 1`` rounds
 alternate between untraced and traced, and the metrics are per layer.
-See README.md in this directory.
+Reported times are scaled to a reference host speed by a calibration loop
+timed before each operation (calibration.py).  See README.md in this
+directory.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ import statistics
 import sys
 import time
 import traceback
+
+import calibration
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -96,11 +100,12 @@ def timed(op, span) -> tuple[float, bool]:
 
 
 def run_round(wl, tracer) -> dict:
-    """One round: the setup repeats, then the fit repeats."""
+    """One round: the setup repeats, then the fit repeats, each operation
+    preceded by one calibration sample."""
     wl.tracer = tracer
     if tracer:
         tracer.install()
-    out = {"setup": [], "fit": [], "failed": 0}
+    out = {"setup": [], "fit": [], "cal": [], "failed": 0}
     try:
         for phase, repeats, op in (
             ("setup", wl.setup_repeats, wl.setup),
@@ -109,6 +114,7 @@ def run_round(wl, tracer) -> dict:
             for _ in range(repeats):
                 if phase == "setup":
                     wl.before_setup()
+                out["cal"].append(calibration.sample())
                 dt, ok = timed(op, wl.span(f"phase.{phase}"))
                 out[phase].append(dt)
                 out["failed"] += not ok
@@ -202,7 +208,7 @@ def main(argv=None) -> int:
 
 
 def measure(wl, args, tracing) -> dict:
-    setup_t, fit_t, traced_times, plain_times, tracers = [], [], [], [], []
+    setup_t, fit_t, cal_t, traced_times, plain_times, tracers = [], [], [], [], [], []
     attempted = failed = 0
     min_rounds = 4 if args.trace else 3
     start = time.perf_counter()
@@ -214,6 +220,7 @@ def measure(wl, args, tracing) -> dict:
         round_s = time.perf_counter() - t0
         attempted += len(r["setup"]) + len(r["fit"])
         failed += r["failed"]
+        cal_t += r["cal"]
         rounds += 1
         if t is None:
             setup_t += r["setup"]
@@ -232,7 +239,15 @@ def measure(wl, args, tracing) -> dict:
     except Exception:  # an exception inside a check is a failed check
         fails, digits = [traceback.format_exc()], 0.0
     print(getattr(wl, "summary", ""))
+    # Every reported time is scaled to the reference host speed
+    # (calibration.py); the raw figures are printed beside it.
+    cal_s = statistics.median(py + np_ for py, np_ in cal_t)
+    scale = calibration.REFERENCE_S / cal_s
     print(f"{rounds} rounds, {len(setup_t)} untraced setup and {len(fit_t)} fit samples")
+    print(f"raw medians: setup {statistics.median(setup_t):.4f} s, fit operation "
+          f"{statistics.median(fit_t):.4f} s; calibration {cal_s:.5f} s over {len(cal_t)} "
+          f"samples (python half {statistics.median(c[0] for c in cal_t):.5f} s, numpy half "
+          f"{statistics.median(c[1] for c in cal_t):.5f} s), so times are scaled by {scale:.4f}")
     for msg in fails:
         print(f"CHECK FAILED: {msg}")
     print(f"checks: {'all passed' if not fails else f'{len(fails)} failed'}")
@@ -240,6 +255,9 @@ def measure(wl, args, tracing) -> dict:
     if args.trace:
         self_times = [t.self_times() for t in tracers]
         metrics, idle = layer_metrics(self_times, tracers, traced_times, plain_times)
+        for m in metrics.values():
+            if m["unit"] in ("s", "ms"):
+                m["value"] *= scale
         for line in accounting(self_times):
             print(line)
         missing = sorted({m for t in tracers for m in t.missing})
@@ -251,8 +269,8 @@ def measure(wl, args, tracing) -> dict:
             json.dump([t.spans for t in tracers], f)
     else:
         metrics = {
-            "setup_s": statistics.median(setup_t),
-            "fit_s": statistics.median(fit_t),
+            "setup_s": statistics.median(setup_t) * scale,
+            "fit_s": wl.fit_s(fit_t) * scale,
             "peak_rss_mb": peak_rss_mb,
             "accuracy_digits": digits,
         }

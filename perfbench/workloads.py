@@ -18,6 +18,8 @@ import json
 import math
 import os
 import shutil
+import statistics
+import time
 
 import conjlogit
 import conjlogit.cli
@@ -64,6 +66,10 @@ class Workload:
 
     def before_setup(self) -> None:
         pass
+
+    def fit_s(self, fit_times: list[float]) -> float:
+        """The reported ``fit_s``: the median untraced fit operation."""
+        return statistics.median(fit_times)
 
     # --- helpers shared by the checks -------------------------------------
 
@@ -283,6 +289,8 @@ class MgfFamilies(Workload):
         panels.write_csv(self.panel, self.csv)
         self.total_obs = self.panel.n_obs
         self.prep = None
+        # untraced evaluation times per sweep point: (family, index) -> [s]
+        self.point_times: dict[tuple[str, int], list[float]] = {}
 
     def setup(self) -> bool:
         d = conjlogit.data_model.load_dataset(self.csv)
@@ -296,9 +304,21 @@ class MgfFamilies(Workload):
     def fit(self) -> bool:
         self.values = {}
         for family, specs in self.sweeps.items():
-            vals = [conjlogit.series.log_marginal_prepared(self.prep, s).value for s in specs]
+            vals = []
+            for k, spec in enumerate(specs):
+                t0 = time.perf_counter()
+                vals.append(conjlogit.series.log_marginal_prepared(self.prep, spec).value)
+                if self.tracer is None:
+                    self.point_times.setdefault((family, k), []).append(time.perf_counter() - t0)
             self.values[family] = vals
         return True
+
+    def fit_s(self, fit_times: list[float]) -> float:
+        """One sweep's time as the sum, over its points, of each point's
+        median evaluation time.  A slow spell of the host shorter than a
+        sweep then spoils a sample of one or two points, which their medians
+        discard, rather than a sample of the whole sweep."""
+        return math.fsum(statistics.median(v) for v in self.point_times.values())
 
     def check(self):
         d = self.dataset()
