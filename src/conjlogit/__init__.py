@@ -44,6 +44,7 @@ from .diophantine import (
 from .gamma_kernels import (
     DomainError,
     exp_vs_gamma,
+    log_mgf,
     mgf_bivariate_named,
     mgf_gmv_gamma,
     mixture_factor,
@@ -66,6 +67,7 @@ from .series import (
     h_grouped,
     h_mgf,
     h_naive,
+    h_series,
     log_marginal,
     prepare_dataset,
 )
@@ -109,10 +111,12 @@ __all__ = [
     "h_grouped",
     "h_mgf",
     "h_naive",
+    "h_series",
     "load_cache",
     "load_dataset",
     "load_spec",
     "log_marginal",
+    "log_mgf",
     "mc_h",
     "mgf_bivariate_named",
     "mgf_gmv_gamma",

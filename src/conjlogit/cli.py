@@ -59,7 +59,7 @@ from .series import (
     HouseholdSums,
     SeriesConfig,
     TruncationFailure,
-    h_grouped,
+    h_series,
     log_marginal,
     log_marginal_prepared,
     prepare_dataset,
@@ -277,8 +277,7 @@ def cmd_oracle_check(args) -> int:
     rows = []
     all_ok = True
     for sums, mult in prep.groups[: args.max_households]:
-        cache = prep.caches[sums.x_vectors]
-        series = h_grouped(sums, cache, spec, d.x_scale).value
+        series = h_series(sums, prep.caches[sums.x_vectors], spec, d.x_scale)
         h = next(
             hh for hh in d.households
             if HouseholdSums.from_household(hh, d.P) == sums

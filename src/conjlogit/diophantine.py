@@ -96,28 +96,31 @@ class DioCache:
         return fnv1a_x_vectors(self.x_vectors)
 
     def sorted_items(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(self.entries.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        return [(r, self.entries[r]) for r in map(tuple, self.r_array.tolist())]
 
     @property
     def r_array(self) -> np.ndarray:
-        arr = self.__dict__.get("_r_array")
-        if arr is None:
-            items = self.sorted_items()
-            arr = np.array([r for r, _ in items], dtype=np.int64).reshape(len(items), self.P)
-            self.__dict__["_r_array"] = arr
-        return arr
+        return self._arrays()[0]
 
     @property
     def count_array(self) -> np.ndarray:
-        arr = self.__dict__.get("_count_array")
+        return self._arrays()[1]
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        # memoised on the instance; load_cache primes them from the file
+        arr = self.__dict__.get("_r_array")
         if arr is None:
+            n = len(self.entries)
+            r = np.array(list(self.entries), dtype=np.int64).reshape(n, self.P)
+            raw = np.fromiter(self.entries.values(), dtype=np.float64, count=n)
             shell = self.final_shell
-            arr = np.array(
-                [c - 0.5 * shell.get(r, 0) for r, c in self.sorted_items()],
-                dtype=np.float64,
+            last = np.fromiter(
+                (shell.get(k, 0) for k in self.entries), dtype=np.float64, count=n
             )
-            self.__dict__["_count_array"] = arr
-        return arr
+            order = np.lexsort((*r[:, ::-1].T, r.sum(axis=1)))
+            self.__dict__["_r_array"] = arr = r[order]
+            self.__dict__["_count_array"] = (raw - 0.5 * last)[order]
+        return arr, self.__dict__["_count_array"]
 
 
 def _check_x_vectors(x_vectors) -> tuple[tuple[int, ...], ...]:
@@ -173,9 +176,9 @@ def build_cache_pair(
     P = len(xv)
     entries: dict[tuple[int, ...], int] = {}
     shell: dict[tuple[int, ...], int] = {}  # contribution from k.1 == R exactly
-    below: set[tuple[int, ...]] = set()     # r-cells reachable with k.1 < R
-    sub_shell: dict[tuple[int, ...], int] = {}  # k.1 == R-1, only with want_sub
-    sub_total = R - 1 if want_sub else -1
+    # only with want_sub: r-cells reachable with k.1 < R, and the k.1 == R-1 shell
+    below: set[tuple[int, ...]] = set()
+    sub_shell: dict[tuple[int, ...], int] = {}
 
     def recurse(m: int, spent: int, r: tuple[int, ...], parity: int) -> None:
         # lexicographic recursion over k coordinates with running budget
@@ -188,9 +191,9 @@ def build_cache_pair(
                 entries[key] = entries.get(key, 0) + sign
                 if spent + km == R:
                     shell[key] = shell.get(key, 0) + sign
-                else:
+                elif want_sub:
                     below.add(key)
-                    if spent + km == sub_total:
+                    if spent + km == R - 1:
                         sub_shell[key] = sub_shell.get(key, 0) + sign
                 for p in range(P):
                     rr[p] += col[p]
@@ -344,10 +347,12 @@ def save_cache(cache: DioCache, path: str) -> None:
         len(cache.entries),
     )
     xdata = struct.pack(f"<{cache.P * cache.M}q", *(v for vec in cache.x_vectors for v in vec))
-    body = bytearray()
-    for r, c in cache.sorted_items():
-        body += struct.pack(f"<{cache.P}qqq", *r, c, shell.get(r, 0))
-    body = bytes(body)
+    rows = cache.sorted_items()
+    rec = np.empty((len(rows), cache.P + 2), dtype="<i8")
+    rec[:, :cache.P] = cache.r_array
+    rec[:, cache.P] = [c for _, c in rows]
+    rec[:, cache.P + 1] = [shell.get(r, 0) for r, _ in rows]
+    body = rec.tobytes()
     with open(path, "wb") as f:
         f.write(header)
         f.write(xdata)
@@ -385,11 +390,14 @@ def load_cache(path: str, expect_x_vectors=None) -> DioCache:
     (crc,) = struct.unpack("<I", raw[-4:])
     if zlib.crc32(body) != crc:
         raise CacheFileError(f"{path}: checksum failure")
-    entries: dict[tuple[int, ...], int] = {}
-    final_shell: dict[tuple[int, ...], int] = {}
-    for i in range(n_rec):
-        rec = struct.unpack(f"<{P}qqq", body[i * rec_size:(i + 1) * rec_size])
-        entries[rec[:P]] = rec[P]
-        if rec[P + 1]:
-            final_shell[rec[:P]] = rec[P + 1]
-    return DioCache(xv, R, entries, admitted, final_shell)
+    # Records are stored sorted by (total, tuple), the order of r_array.
+    rec = np.frombuffer(body, dtype="<i8").reshape(n_rec, P + 2)
+    r = rec[:, :P].astype(np.int64)
+    keys = list(zip(*r.T.tolist()))
+    entries = dict(zip(keys, rec[:, P].tolist()))
+    shell = np.flatnonzero(rec[:, P + 1])
+    final_shell = {keys[i]: c for i, c in zip(shell.tolist(), rec[shell, P + 1].tolist())}
+    cache = DioCache(xv, R, entries, admitted, final_shell)
+    cache.__dict__["_r_array"] = r
+    cache.__dict__["_count_array"] = rec[:, P] - 0.5 * rec[:, P + 1]
+    return cache

@@ -1,9 +1,12 @@
 """Closed-form integral and MGF primitives.
 
 Everything here is a pure function of its arguments.  The workhorse is
-:func:`exp_vs_gamma`: the integral of exp(-d*z) against a Gamma(b, n)
-density equals (1 + b*d)^(-n).  Powers are evaluated as
-exp(-n * log1p(b*d)) so large shapes do not overflow.
+:func:`log_mgf`, the one vectorized implementation of every prior family's
+moment generating function: the series evaluates it at t = -K for all of a
+dataset's distinct K at once, and the scalar MGFs check their domain and
+call it on one row.  The scalar factors build on :func:`exp_vs_gamma`: the
+integral of exp(-d*z) against a Gamma(b, n) density equals (1 + b*d)^(-n).
+Powers are evaluated as exp(-n * log1p(b*d)) so large shapes do not overflow.
 """
 
 from __future__ import annotations
@@ -17,7 +20,10 @@ from .data_model import (
     BivariateNamed,
     CheriyanRamabhadran,
     Freund,
+    GammaMixture,
     GeneralizedMVGamma,
+    IndependentGamma,
+    PointMassGamma,
     SpecError,
 )
 
@@ -76,21 +82,17 @@ def mgf_gmv_gamma(t, params: GeneralizedMVGamma) -> float:
     t = np.asarray(t, dtype=float)
     if t.shape != (params.P,):
         raise DomainError(f"t must have length P={params.P}")
-    log_val = 0.0
-    load = np.asarray(params.loadings, dtype=float)  # P x M
-    for m in range(params.M):
-        s = float(load[:, m] @ t)
+    shared = t @ np.asarray(params.loadings, dtype=float)
+    for m, s in enumerate(shared):
         if s >= 1.0:
             raise DomainError(
                 f"MGF existence violated: sum_p loadings[p][{m}]*t_p = {s} >= 1"
             )
-        log_val += -params.theta0[m] * math.log1p(-s)
     for p in range(params.P):
         s = params.lam[p] * t[p]
         if s >= 1.0:
             raise DomainError(f"MGF existence violated: lam[{p}]*t[{p}] = {s} >= 1")
-        log_val += -params.theta[p] * math.log1p(-s)
-    return math.exp(log_val)
+    return math.exp(log_mgf(params, t[None, :])[0])
 
 
 def gmv_gamma_covariance(params: GeneralizedMVGamma) -> np.ndarray:
@@ -155,9 +157,82 @@ def expint_ei(z: float) -> float:
     return -math.exp(-x) * h
 
 
-def _e1(x: float) -> float:
-    """E1(x) = -Ei(-x) for x > 0."""
-    return -expint_ei(-x)
+def log_scaled_e1(a) -> np.ndarray:
+    """log(exp(a) * E1(a)) for a > 0, elementwise.
+
+    exp(a) * E1(a) falls like 1/a, so it stays finite where exp(a) overflows
+    and E1(a) underflows.  Uses the power series of E1 for a < 2 (at most two
+    digits lost to cancellation) and the continued fraction
+    1/(a+1- 1/(a+3- 4/(a+5- ...))), evaluated backwards from a fixed depth
+    of 60, for a >= 2; both are within a few ulps of the exact value.
+    """
+    a = np.asarray(a, dtype=float)
+    out = np.empty(a.shape)
+    small = a < 2.0
+    x = a[small]
+    term = np.ones_like(x)
+    s = np.zeros_like(x)
+    for k in range(1, 41):
+        term *= -x / k
+        s += term / k
+    out[small] = np.log(-_EULER_GAMMA - np.log(x) - s) + x
+    x = a[~small]
+    f = x + 121.0
+    for k in range(60, 0, -1):
+        f = x + (2 * k - 1) - (k * k) / f
+    out[~small] = -np.log(f)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Moment generating functions
+# ---------------------------------------------------------------------------
+
+def log_mgf(spec, T) -> np.ndarray:
+    """log M(t) of a heterogeneity distribution at every row t of ``T``.
+
+    ``T`` has shape (n, P); the result has shape (n,).  This is the single
+    implementation of every family's MGF; it does no domain checks (each
+    formula is finite on the non-positive orthant, where the series needs
+    it).  The point-mass family's MGF is w + (1 - w) * M_inner(t).
+    """
+    T = np.asarray(T, dtype=float)
+    if isinstance(spec, IndependentGamma):
+        log_base = T * -np.asarray(spec.b)
+        np.log1p(log_base, out=log_base)
+        return T @ np.full(T.shape[1], spec.eps) - log_base @ np.asarray(spec.n)
+    if isinstance(spec, GammaMixture):
+        out = np.zeros(T.shape[0])
+        for p, (w, b, n) in enumerate(zip(spec.weights, spec.b, spec.n)):
+            t = T[:, p:p + 1]
+            comp = np.exp(spec.eps * t - np.log1p(-t * np.asarray(b)) * np.asarray(n))
+            out += np.log(comp @ np.asarray(w))
+        return out
+    if isinstance(spec, PointMassGamma):
+        return np.log(spec.w + (1.0 - spec.w) * np.exp(log_mgf(spec.inner, T)))
+    if isinstance(spec, GeneralizedMVGamma):
+        shared = np.log1p(-(T @ np.asarray(spec.loadings, dtype=float)))
+        own = np.log1p(-T * np.asarray(spec.lam))
+        return -(shared @ np.asarray(spec.theta0)) - own @ np.asarray(spec.theta)
+    t1, t2 = T[:, 0], T[:, 1]
+    if isinstance(spec, CheriyanRamabhadran):
+        return (
+            -spec.theta0 * np.log1p(-(t1 + t2))
+            - spec.theta1 * np.log1p(-t1)
+            - spec.theta2 * np.log1p(-t2)
+        )
+    if isinstance(spec, Freund):
+        a1, a2, a1p, a2p = spec.alpha1, spec.alpha2, spec.alpha1p, spec.alpha2p
+        return np.log(a1p * a2 / (a1p - t1) + a1 * a2p / (a2p - t2)) - np.log(
+            a1 + a2 - t1 - t2
+        )
+    if isinstance(spec, ArnoldStrauss):
+        # M(0, 0) = 1 pins the normalization, so the MGF is the ratio of
+        # exp(a) E1(a) at a(t) = (lam1 - t1)(lam2 - t2)/lam12 and at a(0).
+        a_t = (spec.lam1 - t1) * (spec.lam2 - t2) / spec.lam12
+        a_0 = spec.lam1 * spec.lam2 / spec.lam12
+        return log_scaled_e1(a_t) - log_scaled_e1(a_0)[()]
+    raise SpecError(f"no MGF for {type(spec).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -170,36 +245,20 @@ def mgf_bivariate_named(t, spec: BivariateNamed) -> float:
     if isinstance(spec, CheriyanRamabhadran):
         if t1 + t2 >= 1.0 or t1 >= 1.0 or t2 >= 1.0:
             raise DomainError("Cheriyan-Ramabhadran MGF needs t1+t2 < 1 and t_i < 1")
-        return math.exp(
-            -spec.theta0 * math.log1p(-(t1 + t2))
-            - spec.theta1 * math.log1p(-t1)
-            - spec.theta2 * math.log1p(-t2)
-        )
-    if isinstance(spec, Freund):
+    elif isinstance(spec, Freund):
         if t1 >= spec.alpha1p or t2 >= spec.alpha2p:
             raise DomainError("Freund MGF needs t_p < alpha_p'")
         if t1 + t2 >= spec.alpha1 + spec.alpha2:
             raise DomainError("Freund MGF needs t1+t2 < alpha1+alpha2")
-        return (
-            1.0
-            / (spec.alpha1 + spec.alpha2 - t1 - t2)
-            * (
-                spec.alpha1p * spec.alpha2 / (spec.alpha1p - t1)
-                + spec.alpha1 * spec.alpha2p / (spec.alpha2p - t2)
-            )
-        )
-    if isinstance(spec, ArnoldStrauss):
+    elif isinstance(spec, ArnoldStrauss):
         if t1 >= spec.lam1 or t2 >= spec.lam2:
             raise DomainError("Arnold-Strauss MGF needs t_p < lam_p")
-        # Normalization is pinned by M(0,0) = 1, so the MGF is the ratio of
-        # exp(a) E1(a) at a(t) and at a(0).
-        a_t = (spec.lam1 - t1) * (spec.lam2 - t2) / spec.lam12
-        a_0 = spec.lam1 * spec.lam2 / spec.lam12
-        return math.exp(a_t - a_0) * _e1(a_t) / _e1(a_0)
-    raise SpecError(f"unsupported bivariate family {type(spec).__name__}")
+    else:
+        raise SpecError(f"unsupported bivariate family {type(spec).__name__}")
+    return math.exp(log_mgf(spec, [[t1, t2]])[0])
 
 
 def arnold_strauss_norm(spec: ArnoldStrauss) -> float:
     """Normalization constant of the Arnold-Strauss density."""
     a_0 = spec.lam1 * spec.lam2 / spec.lam12
-    return spec.lam12 / (math.exp(a_0) * _e1(a_0))
+    return spec.lam12 / math.exp(log_scaled_e1(a_0)[()])

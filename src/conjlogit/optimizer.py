@@ -18,6 +18,7 @@ import numpy as np
 
 from .data_model import Dataset, IndependentGamma, SpecError
 from .diophantine import DioCache
+from .gamma_kernels import log_mgf
 from .series import (
     HouseholdSums,
     PreparedDataset,
@@ -156,6 +157,48 @@ def grid_fit(
 # Analytic derivatives of the grouped series (independent-Gamma family)
 # ---------------------------------------------------------------------------
 
+def _weight_columns(K: np.ndarray, spec: IndependentGamma) -> np.ndarray:
+    """Each r-tuple's kernel weight w and its parameter derivatives, as columns.
+
+    ``K`` holds scaled K tuples, one per row.  With log w = f(theta) and D
+    the gradient of f in (b_1, n_1, ..., b_P, n_P), the columns are w,
+    w * D_i and w * (D_i D_j + d2f/di dj) for i <= j: summed against the
+    signed counts they give H_i, its gradient and its Hessian.  f is
+    -eps*sum(K) - sum_p n_p log1p(b_p K_p), so D is (-n_p A_p, -L_p) with
+    A = K / (1 + b K) and L = log1p(b K), and the only non-zero second
+    derivatives of f are n_p A_p^2 (b_p twice) and -A_p (b_p with n_p).  The
+    translation factor exp(-K*eps) is parameter-free and simply rides along.
+    """
+    P = spec.P
+    b = np.asarray(spec.b)
+    n = np.asarray(spec.n)
+    A = K / (1.0 + b * K)
+    D = np.empty((K.shape[0], 2 * P))
+    D[:, 0::2] = -n * A
+    D[:, 1::2] = -np.log1p(b * K)
+    i, j = np.triu_indices(2 * P)
+    second = D[:, i] * D[:, j]
+    column = {pair: k for k, pair in enumerate(zip(i.tolist(), j.tolist()))}
+    for p in range(P):
+        second[:, column[2 * p, 2 * p]] += n[p] * A[:, p] ** 2
+        second[:, column[2 * p, 2 * p + 1]] -= A[:, p]
+    w = np.exp(log_mgf(spec, -K))
+    return w[:, None] * np.hstack([np.ones((K.shape[0], 1)), D, second])
+
+
+def _unpack(S: np.ndarray, P: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # rows of summed weight columns -> H (g,), gradient (g, 2P), upper triangle
+    return S[:, 0], S[:, 1:2 * P + 1], S[:, 2 * P + 1:]
+
+
+def _symmetric(tri: np.ndarray, P: int) -> np.ndarray:
+    out = np.empty((2 * P, 2 * P))
+    i, j = np.triu_indices(2 * P)
+    out[i, j] = tri
+    out[j, i] = tri
+    return out
+
+
 def derivatives(
     sums: HouseholdSums,
     cache: DioCache,
@@ -164,59 +207,31 @@ def derivatives(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """H_i with its gradient and Hessian in (b_1, n_1, ..., b_P, n_P).
 
-    All six partial-derivative series reuse the cache's signed counts; the
-    translation factor exp(-K*eps) is parameter-free and simply rides along.
+    All the partial-derivative series reuse the cache's signed counts.
     """
     if cache.x_vectors != sums.x_vectors:
         raise SpecError("cache/household x_vectors mismatch")
-    P = spec.P
-    K = x_scale * (cache.r_array + np.asarray(sums.Y, dtype=np.int64))  # (n, P)
-    b = np.asarray(spec.b)
-    n = np.asarray(spec.n)
-    logs = -spec.eps * K.sum(axis=1) - (np.log1p(b * K) @ n)
-    w = cache.count_array * np.exp(logs)  # signed weights, one per r-tuple
-
-    A = K / (1.0 + b * K)        # (n, P): dlog-factor / db_p  (up to -n_p)
-    L = np.log1p(b * K)          # (n, P): -dlog-factor / dn_p
-
-    H = float(np.sum(w))
-    grad = np.empty(2 * P)
-    hess = np.empty((2 * P, 2 * P))
-    for p in range(P):
-        grad[2 * p] = -np.sum(w * A[:, p]) * n[p]
-        grad[2 * p + 1] = -np.sum(w * L[:, p])
-    for p in range(P):
-        ib, in_ = 2 * p, 2 * p + 1
-        hess[ib, ib] = n[p] * (n[p] + 1.0) * np.sum(w * A[:, p] ** 2)
-        hess[in_, in_] = np.sum(w * L[:, p] ** 2)
-        cross = np.sum(w * (n[p] * A[:, p] * L[:, p] - A[:, p]))
-        hess[ib, in_] = hess[in_, ib] = cross
-        for q in range(p + 1, P):
-            jb, jn = 2 * q, 2 * q + 1
-            hess[ib, jb] = hess[jb, ib] = n[p] * n[q] * np.sum(w * A[:, p] * A[:, q])
-            hess[in_, jn] = hess[jn, in_] = np.sum(w * L[:, p] * L[:, q])
-            hess[ib, jn] = hess[jn, ib] = n[p] * np.sum(w * A[:, p] * L[:, q])
-            hess[in_, jb] = hess[jb, in_] = n[q] * np.sum(w * A[:, q] * L[:, p])
-    return H, grad, hess
+    K = x_scale * (cache.r_array + np.asarray(sums.Y, dtype=np.int64))
+    H, grad, tri = _unpack((cache.count_array @ _weight_columns(K, spec))[None, :], spec.P)
+    return float(H[0]), grad[0], _symmetric(tri[0], spec.P)
 
 
 def loglik_grad_hess(
     prep: PreparedDataset, spec: IndependentGamma
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Log marginal likelihood with gradient and Hessian over all households."""
-    P = spec.P
-    ll = 0.0
-    g = np.zeros(2 * P)
-    Hm = np.zeros((2 * P, 2 * P))
-    for sums, mult in prep.groups:
-        cache = prep.caches[sums.x_vectors]
-        h, gh, hh = derivatives(sums, cache, spec, prep.x_scale)
-        if h <= 0 or not math.isfinite(h):
-            raise TruncationFailure(f"x={sums.x_vectors} Y={sums.Y}", h, None)
-        ll += mult * math.log(h)
-        g += mult * gh / h
-        Hm += mult * (hh / h - np.outer(gh, gh) / h**2)
-    return ll, g, Hm
+    """Log marginal likelihood with gradient and Hessian over all households.
+
+    One sparse product of the prepared count matrix with the weight columns
+    of the distinct K tuples gives every group's H_i and its derivatives.
+    """
+    counts = prep.counts
+    H, grad, tri = _unpack(counts.C @ _weight_columns(-counts.T, spec), spec.P)
+    prep.raise_on_truncation(H)
+    g = grad / H[:, None]  # gradient of log H_i
+    i, j = np.triu_indices(2 * spec.P)
+    ll = float(counts.mult @ np.log(H))
+    hess = counts.mult @ (tri / H[:, None] - g[:, i] * g[:, j])
+    return ll, counts.mult @ g, _symmetric(hess, spec.P)
 
 
 POSITIVITY_FLOOR = 1e-6

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from .data_model import (
     BivariateNamed,
@@ -33,8 +35,8 @@ from .data_model import (
     PointMassGamma,
     SpecError,
 )
-from .diophantine import DioCache, build_cache
-from .gamma_kernels import mgf_bivariate_named, mgf_gmv_gamma
+from .diophantine import DioCache, build_cache, build_cache_pair
+from .gamma_kernels import log_mgf
 
 
 class TruncationFailure(RuntimeError):
@@ -97,61 +99,9 @@ class Evaluation:
         }
 
 
-def _rel_spread(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b), 1e-300)
-
-
-# ---------------------------------------------------------------------------
-# Per-attribute kernel factors, vectorized over r-tuples
-# ---------------------------------------------------------------------------
-
-def _log_factor_gamma(K: np.ndarray, b: float, n: float, eps: float) -> np.ndarray:
-    return -K * eps - n * np.log1p(b * K)
-
-
-def _gamma_terms(
-    K: np.ndarray, spec: IndependentGamma | GammaMixture
-) -> np.ndarray:
-    """Product over p of per-attribute kernel factors; K has shape (n, P)."""
-    if isinstance(spec, IndependentGamma):
-        logs = np.zeros(K.shape[0])
-        for p in range(K.shape[1]):
-            logs += _log_factor_gamma(K[:, p], spec.b[p], spec.n[p], spec.eps)
-        return np.exp(logs)
-    # mixture: per-p weighted sums, multiplied across p
-    out = np.ones(K.shape[0])
-    for p in range(K.shape[1]):
-        acc = np.zeros(K.shape[0])
-        for w, b, n in zip(spec.weights[p], spec.b[p], spec.n[p]):
-            acc += w * np.exp(_log_factor_gamma(K[:, p], b, n, spec.eps))
-        out *= acc
-    return out
-
-
-def _mgf_terms(K: np.ndarray, spec) -> np.ndarray:
-    if isinstance(spec, GeneralizedMVGamma):
-        load = np.asarray(spec.loadings, dtype=float)  # P x M
-        th0 = np.asarray(spec.theta0, dtype=float)
-        lam = np.asarray(spec.lam, dtype=float)
-        th = np.asarray(spec.theta, dtype=float)
-        logs = -(np.log1p(K @ load) @ th0)  # shared factors at t = -K
-        logs -= np.log1p(K * lam) @ th
-        return np.exp(logs)
-    if isinstance(spec, BivariateNamed):
-        return np.array([mgf_bivariate_named((-k[0], -k[1]), spec) for k in K])
-    raise SpecError(f"no MGF route for {type(spec).__name__}")
-
-
-def _kahan_sum(values: np.ndarray) -> float:
-    # compensated accumulation in the given (increasing r-total) order
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        y = v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+def _rel_spread(a, b):
+    """|a - b| / max(|a|, |b|), elementwise for arrays."""
+    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +167,8 @@ def h_naive(
     if cfg.parity_check:
         at_R = euler_mean(cfg.R)
         at_R1 = euler_mean(R)
-        return Evaluation(at_R, sum(1 for s in totals if s <= cfg.R), _rel_spread(at_R, at_R1))
+        spread = float(_rel_spread(at_R, at_R1))
+        return Evaluation(at_R, sum(1 for s in totals if s <= cfg.R), spread)
     return Evaluation(euler_mean(R), len(terms))
 
 
@@ -226,6 +177,34 @@ def _check_cache(sums: HouseholdSums, cache: DioCache) -> None:
         raise SpecError(
             "cache was built for different x_vectors than this household"
         )
+
+
+def _h_sum(sums: HouseholdSums, cache: DioCache, spec, x_scale: float) -> float:
+    # sum over r of c(r) * M(-x_scale * (r + Y)): the one per-group evaluation
+    _check_cache(sums, cache)
+    K = cache.r_array + np.asarray(sums.Y, dtype=np.int64)
+    return float(cache.count_array @ np.exp(log_mgf(spec, -x_scale * K)))
+
+
+def h_series(sums: HouseholdSums, cache: DioCache, spec, x_scale: float = 1.0) -> float:
+    """Series value of H_i for one group under any prior family.
+
+    For the point-mass family the mass at beta = 0 contributes its exact
+    factor 2^(-n_obs), as in :func:`log_marginal_prepared`; only the inner
+    prior goes through the series.
+    """
+    if isinstance(spec, PointMassGamma):
+        inner = _h_sum(sums, cache, spec.inner, x_scale)
+        return spec.w * 2.0 ** -sums.n_obs + (1.0 - spec.w) * inner
+    return _h_sum(sums, cache, spec, x_scale)
+
+
+def _evaluate(sums, cache, spec, x_scale, sub_cache) -> Evaluation:
+    value = _h_sum(sums, cache, spec, x_scale)
+    spread = None
+    if sub_cache is not None:
+        spread = float(_rel_spread(value, _h_sum(sums, sub_cache, spec, x_scale)))
+    return Evaluation(value, len(cache.count_array), spread)
 
 
 def h_grouped(
@@ -242,15 +221,9 @@ def h_grouped(
     ``sub_cache`` (budget R-1 from the same enumeration) to get the
     consecutive-budget parity spread as a diagnostic.
     """
-    _check_cache(sums, cache)
-    K = x_scale * (cache.r_array + np.asarray(sums.Y, dtype=np.int64))
-    vals = cache.count_array * _gamma_terms(K, spec)
-    value = _kahan_sum(vals)
-    spread = None
-    if sub_cache is not None:
-        sub = h_grouped(sums, sub_cache, spec, x_scale)
-        spread = _rel_spread(value, sub.value)
-    return Evaluation(value, len(vals), spread)
+    if not isinstance(spec, (IndependentGamma, GammaMixture)):
+        raise SpecError(f"no Gamma-factor route for {type(spec).__name__}; use h_mgf")
+    return _evaluate(sums, cache, spec, x_scale, sub_cache)
 
 
 def h_mgf(
@@ -261,15 +234,9 @@ def h_mgf(
     sub_cache: DioCache | None = None,
 ) -> Evaluation:
     """Grouped evaluation through the prior's moment generating function."""
-    _check_cache(sums, cache)
-    K = x_scale * (cache.r_array + np.asarray(sums.Y, dtype=np.int64))
-    vals = cache.count_array * _mgf_terms(K, spec)
-    value = _kahan_sum(vals)
-    spread = None
-    if sub_cache is not None:
-        sub = h_mgf(sums, sub_cache, spec, x_scale)
-        spread = _rel_spread(value, sub.value)
-    return Evaluation(value, len(vals), spread)
+    if not isinstance(spec, (GeneralizedMVGamma, BivariateNamed)):
+        raise SpecError(f"no MGF route for {type(spec).__name__}")
+    return _evaluate(sums, cache, spec, x_scale, sub_cache)
 
 
 def moment_expansion_h(
@@ -307,7 +274,7 @@ def moment_expansion_h(
             if lp:
                 mono *= (-K[:, p]) ** lp
         vals += c * mono
-    total = _kahan_sum(cache.count_array * vals)
+    total = math.fsum(cache.count_array * vals)
     return Evaluation(total, len(vals) * len(idxs))
 
 
@@ -344,6 +311,86 @@ def gamma_moments(spec: IndependentGamma):
 # Dataset-level log marginal likelihood
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class CountMatrix:
+    """Every group's signed counts over the dataset's distinct K = r + Y.
+
+    Row g of the sparse matrix ``C`` holds group g's ``count_array`` in the
+    columns of its K tuples, and row j of ``T`` is the MGF argument
+    t = -x_scale * K of column j.  Neither depends on the prior, so one
+    evaluation of all the groups' H_i is a single mat-vec,
+    H = C @ exp(log_mgf(spec, T)), over far fewer columns than there are
+    (group, r) rows.
+    """
+
+    C: sparse.csr_matrix  # groups x distinct K
+    T: np.ndarray         # -x_scale * K, one row per distinct K
+    mult: np.ndarray      # households per group
+    terms: int            # sum over groups of mult * stored r-tuples
+
+    # Above this many cells per stored row, the bounding box of K is too
+    # sparse for a lookup table and the columns come from np.unique.
+    MAX_BOX_PER_ROW = 16
+
+    @classmethod
+    def build(
+        cls, groups: list[tuple[HouseholdSums, int]], caches: dict, x_scale: float
+    ) -> "CountMatrix":
+        if not groups:
+            return cls(sparse.csr_matrix((0, 0)), np.zeros((0, 0)), np.zeros(0), 0)
+        blocks = [(caches[sums.x_vectors], np.asarray(sums.Y, dtype=np.int64))
+                  for sums, _ in groups]
+        mult = np.array([m for _, m in groups], dtype=np.float64)
+        terms = sum(m * len(c.entries) for (c, _), (_, m) in zip(blocks, groups))
+        data = np.concatenate([c.count_array for c, _ in blocks])
+        indptr = np.zeros(len(blocks) + 1, dtype=np.int64)
+        np.cumsum([len(c.count_array) for c, _ in blocks], out=indptr[1:])
+        # Bounding box of K over all groups; K tuples are keyed by their
+        # raveled index in it.
+        lo = np.min([c.r_array.min(axis=0) + Y for c, Y in blocks], axis=0)
+        dims = np.max([c.r_array.max(axis=0) + Y for c, Y in blocks], axis=0) - lo + 1
+        box = math.prod(int(v) for v in dims)
+        if box >= 2**63:  # raveled keys would overflow: deduplicate whole rows
+            rows = np.concatenate([c.r_array + Y for c, Y in blocks])
+            K, indices = np.unique(rows, axis=0, return_inverse=True)
+        else:
+            strides = np.ones(len(dims), dtype=np.int64)
+            strides[:-1] = np.cumprod(dims[:0:-1])[::-1]
+
+            def keys(g):
+                c, Y = blocks[g]
+                return (c.r_array + (Y - lo)) @ strides
+
+            if box <= max(cls.MAX_BOX_PER_ROW * len(data), 1024):
+                # lookup table over the box: mark the cells present, number
+                # them in order, and write each row's number straight in
+                present = np.zeros(box, dtype=bool)
+                for g in range(len(blocks)):
+                    present[keys(g)] = True
+                column = np.cumsum(present, dtype=np.int32) - 1
+                indices = np.empty(len(data), dtype=np.int32)
+                for g in range(len(blocks)):
+                    indices[indptr[g]:indptr[g + 1]] = column[keys(g)]
+                distinct = np.flatnonzero(present)
+            else:
+                distinct, indices = np.unique(
+                    np.concatenate([keys(g) for g in range(len(blocks))]), return_inverse=True
+                )
+            K = np.stack(np.unravel_index(distinct, tuple(dims)), axis=1) + lo
+        C = sparse.csr_matrix(
+            (data, indices.astype(np.int32, copy=False).ravel(), indptr),
+            shape=(len(blocks), len(K)),
+        )
+        return cls(C, -x_scale * K, mult, terms)
+
+    def h(self, spec) -> np.ndarray:
+        """H_i of every group under ``spec``, in group order."""
+        if self.C.shape[0] == 0:
+            return np.zeros(0)
+        v = log_mgf(spec, self.T)
+        return self.C @ np.exp(v, out=v)
+
+
 @dataclass
 class PreparedDataset:
     """Parameter-independent startup work for repeated evaluations.
@@ -351,7 +398,9 @@ class PreparedDataset:
     Holds one cache per distinct covariate signature plus the households
     grouped by (signature, Y); every grid point or optimizer step then costs
     only the cheap r-sums.  This is the amortization that makes grid search
-    over the prior parameters practical.
+    over the prior parameters practical.  The groups' counts are gathered
+    into one :class:`CountMatrix` on first use (``counts``, and
+    ``sub_counts`` for the budget-(R+1) parity companions).
     """
 
     groups: list[tuple[HouseholdSums, int]]  # distinct sums with multiplicity
@@ -361,6 +410,28 @@ class PreparedDataset:
     x_scale: float
     R: int
 
+    @cached_property
+    def counts(self) -> CountMatrix:
+        return CountMatrix.build(self.groups, self.caches, self.x_scale)
+
+    @cached_property
+    def sub_counts(self) -> CountMatrix | None:
+        if self.sub_caches is None:
+            return None
+        return CountMatrix.build(self.groups, self.sub_caches, self.x_scale)
+
+    def raise_on_truncation(self, H: np.ndarray, spread: np.ndarray | None = None) -> None:
+        """Raise :class:`TruncationFailure` for the first group whose H is
+        not a positive finite number."""
+        bad = np.flatnonzero(~(np.isfinite(H) & (H > 0.0)))
+        if bad.size:
+            g = int(bad[0])
+            raise TruncationFailure(
+                _group_label(self.groups[g][0]),
+                float(H[g]),
+                None if spread is None else float(spread[g]),
+            )
+
 
 def prepare_dataset(
     d: Dataset,
@@ -368,7 +439,12 @@ def prepare_dataset(
     caches: dict | None = None,
     sub_caches: dict | None = None,
 ) -> PreparedDataset:
-    """Group households by (x signature, Y) and build any missing caches."""
+    """Group households by (x signature, Y) and build any missing caches.
+
+    With ``parity_check`` every signature also gets its budget-(R+1)
+    companion in ``sub_caches``, including signatures whose budget-R cache
+    was passed in.
+    """
     groups: dict[tuple, tuple[HouseholdSums, int]] = {}
     total_obs = 0
     for h in d.households:
@@ -381,52 +457,39 @@ def prepare_dataset(
             groups[key] = (sums, 1)
     caches = dict(caches) if caches else {}
     if cfg.mode == "grouped":
+        if cfg.parity_check:
+            sub_caches = dict(sub_caches) if sub_caches else {}
         for sums, _ in groups.values():
-            if sums.x_vectors not in caches:
-                if cfg.parity_check:
-                    from .diophantine import build_cache_pair
-
-                    full, sub = build_cache_pair(sums.x_vectors, cfg.R + 1)
-                    caches[sums.x_vectors] = sub  # budget R
-                    if sub_caches is None:
-                        sub_caches = {}
-                    sub_caches[sums.x_vectors] = full  # budget R+1
-                else:
-                    caches[sums.x_vectors] = build_cache(sums.x_vectors, cfg.R)
+            xv = sums.x_vectors
+            if cfg.parity_check and xv not in sub_caches:
+                full, sub = build_cache_pair(xv, cfg.R + 1)
+                sub_caches[xv] = full  # budget R+1
+                caches.setdefault(xv, sub)  # budget R
+            elif xv not in caches:
+                caches[xv] = build_cache(xv, cfg.R)
     return PreparedDataset(
         list(groups.values()), caches, sub_caches, total_obs, d.x_scale, cfg.R
     )
 
 
-def _h_for_spec(sums: HouseholdSums, cache: DioCache, spec, x_scale: float) -> float:
-    if isinstance(spec, (IndependentGamma, GammaMixture)):
-        return h_grouped(sums, cache, spec, x_scale).value
-    if isinstance(spec, (GeneralizedMVGamma, BivariateNamed)):
-        return h_mgf(sums, cache, spec, x_scale).value
-    raise SpecError(f"unsupported spec {type(spec).__name__}")
-
-
 def log_marginal_prepared(prep: PreparedDataset, spec) -> Evaluation:
-    """Log marginal likelihood from a prepared dataset (grouped mode)."""
+    """Log marginal likelihood from a prepared dataset (grouped mode).
+
+    Every group's H_i comes from one sparse mat-vec (:class:`CountMatrix`);
+    a group whose H_i is not positive raises :class:`TruncationFailure`.
+    """
     inner = spec.inner if isinstance(spec, PointMassGamma) else spec
-    total = 0.0
-    terms = 0
-    worst_spread = None
-    for sums, mult in prep.groups:
-        cache = prep.caches[sums.x_vectors]
-        hv = _h_for_spec(sums, cache, inner, prep.x_scale)
-        spread = None
-        if prep.sub_caches is not None:
-            alt = _h_for_spec(sums, prep.sub_caches[sums.x_vectors], inner, prep.x_scale)
-            spread = _rel_spread(hv, alt)
-            worst_spread = spread if worst_spread is None else max(worst_spread, spread)
-        if hv <= 0.0 or not math.isfinite(hv):
-            raise TruncationFailure(_group_label(sums), hv, spread)
-        total += mult * math.log(hv)
-        terms += mult * len(cache.entries)
+    counts = prep.counts
+    H = counts.h(inner)
+    spread = None
+    if prep.sub_caches is not None:
+        spread = _rel_spread(H, prep.sub_counts.h(inner))
+    prep.raise_on_truncation(H, spread)
+    total = float(counts.mult @ np.log(H))
     if isinstance(spec, PointMassGamma):
         total = _point_mass_combine(spec.w, total, prep.total_obs)
-    return Evaluation(total, terms, worst_spread)
+    worst = None if spread is None else float(spread.max(initial=0.0))
+    return Evaluation(total, counts.terms, worst)
 
 
 def _group_label(sums: HouseholdSums) -> str:

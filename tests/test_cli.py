@@ -7,9 +7,11 @@ from conjlogit import __version__
 from conjlogit.cli import main
 from conjlogit.data_model import (
     Dataset,
+    GeneralizedMVGamma,
     Household,
     IndependentGamma,
     Observation,
+    PointMassGamma,
     save_dataset,
     save_spec,
 )
@@ -256,3 +258,56 @@ def test_oracle_check_log2_household(tmp_path, capsys):
     )
     assert code == 0
     assert "ok" in out
+
+
+def test_oracle_check_generalized_mv_gamma(tmp_path, capsys):
+    h = Household("a", (Observation(1, (1, 2)), Observation(0, (2, 1))))
+    p = tmp_path / "d.csv"
+    save_dataset(Dataset((h,), P=2, x_scale=0.1), str(p))
+    spec_p = tmp_path / "spec.json"
+    save_spec(GeneralizedMVGamma(((1.0,), (1.0,)), (2.0, 2.0), (2.0,), (3.0, 3.0)), str(spec_p))
+    code, out, _ = run(
+        ["oracle-check", "--data", str(p), "--spec", str(spec_p), "--R", "60",
+         "--mc-draws", "20000"],
+        capsys,
+    )
+    assert code == 0
+    assert out.splitlines()[1].split()[-1] == "ok"
+
+
+def test_oracle_check_without_sampler_exits_2(tmp_path, capsys):
+    h = Household("a", (Observation(1, (1,)),))
+    p = tmp_path / "d.csv"
+    save_dataset(Dataset((h,), P=1), str(p))
+    spec_p = tmp_path / "spec.json"
+    save_spec(PointMassGamma(0.3, IndependentGamma((1.0,), (1.0,))), str(spec_p))
+    code, _, err = run(
+        ["oracle-check", "--data", str(p), "--spec", str(spec_p), "--R", "40"],
+        capsys,
+    )
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "SpecError"
+
+
+@pytest.mark.parametrize("precomputed", ["some", "all"])
+def test_fit_parity_check_over_precomputed_caches(tmp_path, capsys, precomputed):
+    hs = tuple(
+        Household(f"h{i}", tuple(Observation(y, x) for y, x in obs))
+        for i, obs in enumerate(
+            [((1, (1,)), (0, (2,))), ((0, (1,)), (0, (2,))), ((1, (3,)),), ((0, (2,)),)]
+        )
+    )
+    data = tmp_path / "d.csv"
+    save_dataset(Dataset(hs, P=1, x_scale=0.1), str(data))
+    part = tmp_path / "part.csv"
+    save_dataset(Dataset(hs if precomputed == "all" else hs[:2], P=1, x_scale=0.1), str(part))
+    cdir = tmp_path / "c"
+    assert main(["precompute", "--data", str(part), "--R", "30", "--cache-dir", str(cdir)]) == 0
+    fit = ["fit", "--data", str(data), "--grid", "3x3", "--spacing", "0.5",
+           "--center", "5,14", "--R", "30", "--parity-check"]
+    code, _, err = run(fit + ["--cache-dir", str(cdir), "-o", str(tmp_path / "a.json")], capsys)
+    assert code == 0, err
+    code, _, _ = run(fit + ["--cache-dir", str(tmp_path / "empty"),
+                            "-o", str(tmp_path / "b.json")], capsys)
+    assert code == 0
+    assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()

@@ -10,7 +10,10 @@ from conjlogit.data_model import (
     ArnoldStrauss,
     CheriyanRamabhadran,
     Freund,
+    GammaMixture,
     GeneralizedMVGamma,
+    IndependentGamma,
+    PointMassGamma,
     SpecError,
 )
 from conjlogit.gamma_kernels import (
@@ -20,6 +23,8 @@ from conjlogit.gamma_kernels import (
     expint_ei,
     gmv_gamma_correlation,
     gmv_gamma_covariance,
+    log_mgf,
+    log_scaled_e1,
     mgf_bivariate_named,
     mgf_gmv_gamma,
     mixture_factor,
@@ -209,3 +214,71 @@ class TestBivariateMgfs:
             epsabs=1e-12,
         )
         assert mgf_bivariate_named(t, ast) == pytest.approx(val, rel=1e-6)
+
+
+class TestLogScaledE1:
+    def test_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        a = np.logspace(-3, 4, 300)
+        ref = np.array([float(mpmath.e1(x) * mpmath.exp(x)) for x in a])
+        got = np.exp(log_scaled_e1(a))
+        assert np.max(np.abs(got / ref - 1.0)) < 1e-13
+
+    def test_arnold_strauss_mgf_finite_at_large_argument(self):
+        # a(t) = (0.52 * 0.515) / 1e-4 ~ 2678: exp(a) alone overflows
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        ast = ArnoldStrauss(0.02, 0.015, 1e-4)
+        a_t = mpmath.mpf(0.52) * mpmath.mpf(0.515) / mpmath.mpf(1e-4)
+        a_0 = mpmath.mpf(0.02) * mpmath.mpf(0.015) / mpmath.mpf(1e-4)
+        want = float(mpmath.exp(a_t - a_0) * mpmath.e1(a_t) / mpmath.e1(a_0))
+        assert mgf_bivariate_named((-0.5, -0.5), ast) == pytest.approx(want, rel=1e-12)
+        assert math.isfinite(arnold_strauss_norm(ArnoldStrauss(1.0, 1.0, 1e-6)))
+
+
+class TestLogMgf:
+    T = np.array([[0.0, 0.0], [-0.3, -0.7], [-2.0, -0.1], [-15.0, -40.0]])
+
+    def test_gamma_families_match_scalar_factors(self):
+        ig = IndependentGamma((2.0, 0.5), (3.0, 1.5), eps=0.02)
+        want = [
+            translated_factor(-t1, 2.0, 3.0, 0.02) * translated_factor(-t2, 0.5, 1.5, 0.02)
+            for t1, t2 in self.T
+        ]
+        assert np.exp(log_mgf(ig, self.T)) == pytest.approx(want, rel=1e-13)
+        mix = GammaMixture(((0.3, 0.7), (1.0,)), ((1.0, 4.0), (2.0,)), ((2.0, 1.0), (3.0,)), 0.01)
+        want = [
+            mixture_factor(-t1, [(0.3, 1.0, 2.0), (0.7, 4.0, 1.0)], 0.01)
+            * mixture_factor(-t2, [(1.0, 2.0, 3.0)], 0.01)
+            for t1, t2 in self.T
+        ]
+        assert np.exp(log_mgf(mix, self.T)) == pytest.approx(want, rel=1e-13)
+        pm = PointMassGamma(0.25, ig)
+        want = 0.25 + 0.75 * np.exp(log_mgf(ig, self.T))
+        assert np.exp(log_mgf(pm, self.T)) == pytest.approx(want, rel=1e-14)
+
+    def test_bivariate_families_match_closed_forms(self):
+        cr = CheriyanRamabhadran(1.0, 2.0, 0.5)
+        fr = Freund(1.0, 2.0, 1.5, 0.8)
+        for (t1, t2), v_cr, v_fr in zip(self.T, np.exp(log_mgf(cr, self.T)),
+                                        np.exp(log_mgf(fr, self.T))):
+            assert v_cr == pytest.approx(
+                (1 - t1 - t2) ** -1.0 * (1 - t1) ** -2.0 * (1 - t2) ** -0.5, rel=1e-13
+            )
+            assert v_fr == pytest.approx(
+                (1.5 * 2.0 / (1.5 - t1) + 1.0 * 0.8 / (0.8 - t2)) / (3.0 - t1 - t2), rel=1e-13
+            )
+
+    def test_every_family_normalizes(self):
+        ig = IndependentGamma((2.0, 0.5), (3.0, 1.5))
+        for spec in (
+            ig,
+            GammaMixture(((0.5, 0.5),) * 2, ((1.0, 2.0),) * 2, ((1.0, 3.0),) * 2),
+            PointMassGamma(0.4, ig),
+            GeneralizedMVGamma(((1.0,), (0.5,)), (2.0, 2.0), (1.5,), (2.0, 3.0)),
+            CheriyanRamabhadran(1.0, 2.0, 0.5),
+            Freund(1.0, 2.0, 1.5, 0.8),
+            ArnoldStrauss(1.0, 1.5, 0.8),
+        ):
+            assert log_mgf(spec, np.zeros((1, 2)))[0] == pytest.approx(0.0, abs=1e-14)

@@ -186,6 +186,30 @@ class TestDerivatives:
         _, g, _ = loglik_grad_hess(prep, params_to_spec(theta, 2, eps))
         assert np.allclose(g, fd_gradient(f, theta), rtol=1e-6)
 
+    def test_matches_per_group_derivatives(self):
+        hs = tuple(
+            Household(f"h{i}", tuple(Observation(y, x) for y, x in obs))
+            for i, obs in enumerate([
+                ((1, (1, 2)), (0, (2, 1))),
+                ((0, (1, 2)), (1, (2, 1))),
+                ((1, (1, 2)), (0, (2, 1))),
+                ((1, (3, 3)),),
+                ((0, (1, 1)), (0, (2, 3)), (1, (1, 1))),
+            ])
+        )
+        prep = prepare_dataset(Dataset(hs, P=2, x_scale=0.05), SeriesConfig(R=20))
+        spec = IndependentGamma((1.2, 0.7), (2.0, 1.5), eps=0.01)
+        ll_ref, g_ref, H_ref = 0.0, np.zeros(4), np.zeros((4, 4))
+        for sums, mult in prep.groups:
+            h, gh, hh = derivatives(sums, prep.caches[sums.x_vectors], spec, prep.x_scale)
+            ll_ref += mult * math.log(h)
+            g_ref += mult * gh / h
+            H_ref += mult * (hh / h - np.outer(gh, gh) / h**2)
+        ll, g, H = loglik_grad_hess(prep, spec)
+        assert ll == pytest.approx(ll_ref, rel=1e-12)
+        assert np.allclose(g, g_ref, rtol=1e-10, atol=0)
+        assert np.allclose(H, H_ref, rtol=1e-10, atol=1e-14 * np.max(np.abs(H_ref)))
+
     def test_household_level_h_matches_series(self):
         prep = self.make_prep()
         spec = params_to_spec([1.2, 2.0, 0.7, 1.5], 2, 0.0)

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conjlogit.data_model import (
+    ArnoldStrauss,
     CheriyanRamabhadran,
     Dataset,
+    Freund,
     GammaMixture,
     GeneralizedMVGamma,
     Household,
@@ -16,13 +18,13 @@ from conjlogit.data_model import (
     SpecError,
 )
 from conjlogit.diophantine import build_cache, build_cache_pair
-from conjlogit.gamma_kernels import mgf_bivariate_named
+from conjlogit.gamma_kernels import log_mgf, mgf_bivariate_named
 from conjlogit.series import (
+    CountMatrix,
     Evaluation,
     HouseholdSums,
     SeriesConfig,
     TruncationFailure,
-    _kahan_sum,
     gamma_moments,
     h_grouped,
     h_mgf,
@@ -278,18 +280,125 @@ class TestLogMarginal:
             log_marginal(d, mix, SeriesConfig(R=5, mode="naive"))
 
 
+def two_attribute_dataset():
+    rows = [
+        ((1, (1, 2)), (0, (2, 1))),
+        ((0, (1, 2)), (1, (2, 1))),
+        ((1, (1, 2)), (0, (2, 1))),  # same group as the first
+        ((1, (3, 3)),),
+        ((0, (1, 1)), (0, (2, 3)), (1, (1, 1))),
+    ]
+    hs = tuple(
+        Household(f"h{i}", tuple(Observation(y, x) for y, x in obs))
+        for i, obs in enumerate(rows)
+    )
+    return Dataset(hs, P=2, x_scale=0.1)
+
+
+IG2 = IndependentGamma((2.0, 1.5), (3.0, 4.0), eps=0.01)
+SEVEN_FAMILIES = [
+    IG2,
+    GammaMixture(((0.4, 0.6),) * 2, ((1.0, 3.0),) * 2, ((2.0, 4.0),) * 2),
+    PointMassGamma(0.3, IG2),
+    GeneralizedMVGamma(((1.0,), (0.5,)), (2.0, 1.0), (1.5,), (2.0, 3.0)),
+    CheriyanRamabhadran(1.0, 2.0, 3.0),
+    Freund(1.0, 2.0, 1.5, 0.8),
+    ArnoldStrauss(1.0, 1.5, 0.8),
+]
+
+
+class TestCountMatrixKernel:
+    @pytest.mark.parametrize("spec", SEVEN_FAMILIES, ids=lambda s: type(s).__name__)
+    def test_matches_per_group_sum(self, spec):
+        d = two_attribute_dataset()
+        prep = prepare_dataset(d, SeriesConfig(R=12))
+        inner = spec.inner if isinstance(spec, PointMassGamma) else spec
+        route = h_grouped if isinstance(inner, (IndependentGamma, GammaMixture)) else h_mgf
+        per_group = [
+            mult * math.log(route(sums, prep.caches[sums.x_vectors], inner, d.x_scale).value)
+            for sums, mult in prep.groups
+        ]
+        expected = math.fsum(per_group)
+        if isinstance(spec, PointMassGamma):
+            total_obs = sum(h.n_obs for h in d.households)
+            expected = math.log(spec.w * 2.0**-total_obs + (1 - spec.w) * math.exp(expected))
+        ev = log_marginal_prepared(prep, spec)
+        assert ev.value == pytest.approx(expected, rel=1e-12)
+        assert ev.terms == sum(m * len(prep.caches[s.x_vectors].entries) for s, m in prep.groups)
+
+    def test_column_paths_agree(self, monkeypatch):
+        d = two_attribute_dataset()
+        prep = prepare_dataset(d, SeriesConfig(R=12))
+        table = CountMatrix.build(prep.groups, prep.caches, d.x_scale)
+        monkeypatch.setattr(CountMatrix, "MAX_BOX_PER_ROW", 0)
+        unique = CountMatrix.build(prep.groups, prep.caches, d.x_scale)
+        assert len(table.T) < table.C.nnz  # groups share K tuples
+        assert np.array_equal(table.T, unique.T)
+        assert (table.C != unique.C).nnz == 0
+
+    def test_bounding_box_beyond_int64(self):
+        # seven attributes with K up to 600 each: the box has ~2.8e19 cells
+        hs = (
+            Household("big", (Observation(1, (600,) * 7),)),
+            Household("small", (Observation(0, (1,) * 7),)),
+        )
+        d = Dataset(hs, P=7, x_scale=1e-3)
+        prep = prepare_dataset(d, SeriesConfig(R=3))
+        spec = IndependentGamma((1.0,) * 7, (2.0,) * 7)
+        expected = math.fsum(
+            math.log(h_grouped(sums, prep.caches[sums.x_vectors], spec, d.x_scale).value)
+            for sums, _ in prep.groups
+        )
+        assert log_marginal_prepared(prep, spec).value == pytest.approx(expected, rel=1e-12)
+
+    def test_failure_names_first_group(self):
+        flat = IndependentGamma((1.0,), (0.01,))
+        hs = (
+            Household("fine", (Observation(1, (1,)),)),
+            Household("bad1", (Observation(0, (2,)),) * 3),
+            Household("bad2", (Observation(0, (1,)),) * 3),
+        )
+        prep = prepare_dataset(Dataset(hs, P=1), SeriesConfig(R=1))
+        with pytest.raises(TruncationFailure) as exc:
+            log_marginal_prepared(prep, flat)
+        assert exc.value.household == "x=((2, 2, 2),) Y=(0,)"
+        assert exc.value.value < 0
+
+    def test_parity_spread_with_preloaded_caches(self):
+        d = two_attribute_dataset()
+        cfg = SeriesConfig(R=10, parity_check=True)
+        cold = prepare_dataset(d, cfg)
+        signatures = list(cold.caches)
+        for preloaded in (signatures[:1], signatures):
+            caches = {xv: build_cache(xv, 10) for xv in preloaded}
+            prep = prepare_dataset(d, cfg, caches)
+            assert set(prep.sub_caches) == set(signatures)
+            assert all(c.R == 11 for c in prep.sub_caches.values())
+            ev = log_marginal_prepared(prep, IG2)
+            ref = log_marginal_prepared(cold, IG2)
+            assert ev.parity_spread is not None
+            assert ev.value == ref.value
+            assert ev.parity_spread == ref.parity_spread
+
+
 class TestInfrastructure:
-    def test_kahan_sum_recovers_lost_low_bits(self):
-        # tiny increments on a large accumulator are individually absorbed by
-        # rounding in a naive sum but recovered by the compensation term
-        vals = np.array([1.0] + [1e-16] * 100_000)
-        exact = math.fsum(vals)
-        naive = 0.0
-        for v in vals:
-            naive += v
-        assert naive == 1.0  # running sum drops every increment
-        assert abs(exact - 1.0) > 1e-12  # but the low bits matter
-        assert abs(_kahan_sum(vals) - exact) < 1e-13
+    def test_kernel_sum_within_fsum_bound(self):
+        # The terms of this household cancel more than 100-fold; the
+        # mat-vec's H must stay within 1e-14 * sum|c t| of the exactly
+        # rounded sum of the same terms.
+        obs = ((0, (1, 2)), (1, (2, 1)), (0, (3, 3)))
+        d = Dataset((Household("h", tuple(Observation(y, x) for y, x in obs)),), P=2,
+                    x_scale=0.05)
+        prep = prepare_dataset(d, SeriesConfig(R=40))
+        spec = IndependentGamma((1.0, 1.0), (2.0, 2.0))
+        sums, _ = prep.groups[0]
+        cache = prep.caches[sums.x_vectors]
+        K = cache.r_array + np.asarray(sums.Y)
+        terms = cache.count_array * np.exp(log_mgf(spec, -d.x_scale * K))
+        exact = math.fsum(terms)
+        scale = math.fsum(np.abs(terms))
+        assert scale / abs(exact) > 50
+        assert abs(prep.counts.h(spec)[0] - exact) <= 1e-14 * scale
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
