@@ -102,6 +102,15 @@ def _parse_floats(s: str) -> list[float]:
     return [float(v) for v in s.split(",") if v != ""]
 
 
+def _parse_indices(s: str) -> set[int]:
+    try:
+        return {int(v) for v in s.split(",") if v.strip() != ""}
+    except ValueError:
+        raise DataError(
+            f"--recode-negative needs comma-separated attribute indices, got {s!r}"
+        ) from None
+
+
 def _parse_counts(s: str) -> list[int]:
     return [int(v) for v in s.lower().split("x") if v != ""]
 
@@ -132,8 +141,8 @@ def _load_data(args) -> Dataset:
         d = rescale_covariates(d, args.rescale)
     if getattr(args, "drop_degenerate", False):
         d = drop_degenerate(d)
-    if getattr(args, "recode_negative", False):
-        d = recode_negative(d, flip=True)
+    if getattr(args, "recode_negative", None):
+        d = recode_negative(d, _parse_indices(args.recode_negative))
     violations = validate_dataset(d)
     if violations:
         raise DataError(
@@ -215,16 +224,23 @@ def cmd_precompute(args) -> int:
             f"largest C(R+M,M) = {max(p[3] for p in over)}"
         )
     os.makedirs(cache_dir, exist_ok=True)
-    built = reused = 0
+    built = reused = rebuilt = 0
     for xv, _, _, _ in plans:
         path = _cache_path(cache_dir, xv, args.R)
         if os.path.exists(path):
-            load_cache(path, expect_x_vectors=xv)  # hash check
-            reused += 1
-            continue
+            try:
+                load_cache(path, expect_x_vectors=xv)  # hash check
+            except CacheFileError:
+                rebuilt += 1  # old format, truncated or corrupt: overwrite it
+            else:
+                reused += 1
+                continue
         save_cache(build_cache(xv, args.R, args.limit), path)
         built += 1
-    print(f"built {built} cache(s), reused {reused}, dir {cache_dir}")
+    summary = f"built {built} cache(s), reused {reused}"
+    if rebuilt:
+        summary += f", rebuilt {rebuilt} unreadable"
+    print(f"{summary}, dir {cache_dir}")
     return EXIT_OK
 
 
@@ -246,7 +262,10 @@ def cmd_fit(args) -> int:
     print("param  estimate")
     for name, v in zip(names, res.omega_hat):
         print(f"{name:>5}  {v:.6g}")
-    print(f"loglik {res.loglik:.6f}  boundary={res.boundary_flag}")
+    line = f"loglik {res.loglik:.6f}  boundary={res.boundary_flag}"
+    if res.parity_spread is not None:
+        line += f"  parity_spread={res.parity_spread:.3g}"
+    print(line)
     return EXIT_OK
 
 
@@ -369,8 +388,9 @@ def _add_data_flags(p):
                    help="multiply covariates by this factor and round to integers")
     p.add_argument("--drop-degenerate", action="store_true",
                    help="drop all-zero covariate rows instead of rejecting")
-    p.add_argument("--recode-negative", action="store_true",
-                   help="flip outcomes on rows with negative covariates")
+    p.add_argument("--recode-negative", default=None, metavar="P1,P2,...",
+                   help="negate every covariate of these 0-based attribute indices "
+                        "(comma list) before validation")
     p.add_argument("--cache-dir", default=None)
 
 
@@ -418,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R", type=int, required=True)
     p.add_argument("--dry-run", action="store_true")
     p.add_argument("--limit", type=int, default=10**9,
-                   help="admission limit on C(R+M, M)")
+                   help="admission limit on C(R+M, M), the number of k-tuples "
+                        "a signature's counts cover")
     p.set_defaults(func=cmd_precompute)
 
     p = sub.add_parser("fit", help="grid (optionally Newton-refined) fit")

@@ -38,9 +38,10 @@ class Household:
 
     def x_vectors(self, P: int) -> tuple[tuple[int, ...], ...]:
         """Covariate vectors per attribute: P tuples of length n_obs."""
-        return tuple(
-            tuple(obs.x[p] for obs in self.observations) for p in range(P)
-        )
+        # list comprehensions: tuple(generator) leaves each tuple resized and
+        # counted by the garbage collector, which runs it more often
+        obs = self.observations
+        return tuple([tuple([o.x[p] for o in obs]) for p in range(P)])
 
     def y_vector(self) -> tuple[int, ...]:
         return tuple(obs.y for obs in self.observations)

@@ -1,13 +1,16 @@
 """Signed solution counts for the k-systems behind the grouped expansion.
 
 For a household with covariate vectors x_1,...,x_P (each of length M = J*N_i)
-and truncation budget R, we enumerate every non-negative integer tuple k with
-k_1+...+k_M <= R, form the dot products r_p = k . x_p, and accumulate the
-parity-signed count (-1)^(k.1) per r-tuple.  The counts from the final shell
-k.1 == R are kept as well, so the series can return the Euler mean of its last
-two shell partial sums.  The resulting cache is the parameter-independent half
-of the series evaluation and is persisted to disk.
-"""
+and truncation budget R, every non-negative integer tuple k with
+k_1+...+k_M <= R contributes the parity sign (-1)^(k.1) to the r-tuple of its
+dot products r_p = k . x_p.  Those signed counts are the coefficients of
+prod_m 1/(1 + u z^{x_m}) truncated at u-degree R.  They are built by a
+per-column knapsack recurrence over the reachable (shell, r) states, so the
+cost follows the number of states rather than the C(R+M, M) k-tuples counted.
+The counts from the final shell k.1 == R are kept as well, so the series can
+return the Euler mean of its last two shell partial sums.  The resulting cache
+is the parameter-independent half of the series evaluation and is persisted
+to disk."""
 
 from __future__ import annotations
 
@@ -80,7 +83,7 @@ class DioCache:
     x_vectors: tuple[tuple[int, ...], ...]
     R: int
     entries: dict[tuple[int, ...], int]
-    admitted: int  # number of k-tuples enumerated, == C(R+M, M)
+    admitted: int  # number of k-tuples the counts cover, == C(R+M, M)
     final_shell: dict[tuple[int, ...], int]
 
     @property
@@ -143,7 +146,7 @@ def build_cache(
     R: int,
     admission_limit: int = DEFAULT_ADMISSION_LIMIT,
 ) -> DioCache:
-    """Enumerate the truncation simplex and accumulate signed counts per r-tuple."""
+    """Signed counts per r-tuple over the truncation simplex k.1 <= R."""
     cache, _ = build_cache_pair(x_vectors, R, admission_limit, want_sub=False)
     return cache
 
@@ -154,10 +157,10 @@ def build_cache_pair(
     admission_limit: int = DEFAULT_ADMISSION_LIMIT,
     want_sub: bool = True,
 ) -> tuple[DioCache, DioCache | None]:
-    """Build the budget-R cache and, from the same enumeration, the budget-(R-1) cache.
+    """Build the budget-R cache and, from the same shell counts, the budget-(R-1) cache.
 
     The pair makes parity diagnostics (consecutive-budget spreads) cost a
-    single enumeration.  Each cache carries its own final shell (k.1 == R and
+    single build.  Each cache carries its own final shell (k.1 == R and
     k.1 == R-1).  The sub-cache is None when ``want_sub`` is false or R == 0.
     """
     xv = _check_x_vectors(x_vectors)
@@ -169,53 +172,92 @@ def build_cache_pair(
         raise BudgetError(
             f"C(R+M, M) = C({R+M},{M}) = {admitted} exceeds admission limit {admission_limit}"
         )
-
-    # Columns of the x matrix: per observation slot, the P-vector added to r
-    # when that slot's k increments.
-    cols = [tuple(xv[p][m] for p in range(len(xv))) for m in range(M)]
-    P = len(xv)
-    entries: dict[tuple[int, ...], int] = {}
-    shell: dict[tuple[int, ...], int] = {}  # contribution from k.1 == R exactly
-    # only with want_sub: r-cells reachable with k.1 < R, and the k.1 == R-1 shell
-    below: set[tuple[int, ...]] = set()
-    sub_shell: dict[tuple[int, ...], int] = {}
-
-    def recurse(m: int, spent: int, r: tuple[int, ...], parity: int) -> None:
-        # lexicographic recursion over k coordinates with running budget
-        if m == M - 1:
-            col = cols[m]
-            rr = list(r)
-            sign = parity
-            for km in range(R - spent + 1):
-                key = tuple(rr)
-                entries[key] = entries.get(key, 0) + sign
-                if spent + km == R:
-                    shell[key] = shell.get(key, 0) + sign
-                elif want_sub:
-                    below.add(key)
-                    if spent + km == R - 1:
-                        sub_shell[key] = sub_shell.get(key, 0) + sign
-                for p in range(P):
-                    rr[p] += col[p]
-                sign = -sign
-            return
-        col = cols[m]
-        rr = r
-        sign = parity
-        for km in range(R - spent + 1):
-            recurse(m + 1, spent + km, rr, sign)
-            rr = tuple(rr[p] + col[p] for p in range(P))
-            sign = -sign
-
-    recurse(0, 0, (0,) * P, 1)
-    cache = DioCache(xv, R, entries, admitted, shell)
+    if admitted > _I64_MAX:
+        # every partial sum of the DP is at most C(R+M, M), so i64 is exact below this
+        raise BudgetError(
+            f"C(R+M, M) = C({R+M},{M}) = {admitted} exceeds the i64 range of the signed counts"
+        )
+    s, r, n = _shell_states(np.array(xv, dtype=np.int64).T, R)
+    signed = np.where(s & 1, -n, n)
+    order = np.lexsort((*r[:, ::-1].T, r.sum(axis=1)))  # the (total, tuple) order of r_array
+    s, r, signed = s[order], r[order], signed[order]
+    cache = _cache_from_states(xv, R, admitted, s, r, signed)
     if not want_sub or R == 0:
         return cache, None
-    sub_entries = {
-        key: entries[key] - shell.get(key, 0) for key in entries if key in below
-    }
-    sub = DioCache(xv, R - 1, sub_entries, compositions_cum(R - 1, M), sub_shell)
+    below = s < R
+    sub = _cache_from_states(
+        xv, R - 1, compositions_cum(R - 1, M), s[below], r[below], signed[below]
+    )
     return cache, sub
+
+
+def _shell_states(cols: np.ndarray, R: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every reachable (shell s = k.1, r = k.x) of the budget-R simplex with its k-tuple count.
+
+    ``cols`` holds one observation column x_m (a P-vector) per row.  The
+    counts N are the coefficients of prod_m 1/(1 - u z^{x_m}) up to u-degree
+    R (a state's signed count is (-1)^s N), built one column at a time by
+    the knapsack recurrence N_m[s, r] = N_{m-1}[s, r] + N_m[s-1, r-x_m].
+    Every partial sum stays below C(R+M, M).  Along a chain of states
+    spaced (1, x_m) apart that recurrence is a cumulative sum, so each
+    column groups the states into chains (keyed by where they reach shell R),
+    extends every chain from its first state up to shell R and takes one
+    cumsum.  Only reachable states are stored, so the work grows with their
+    number, not with the C(R+M, M) k-tuples they count.  Returns (s, r, N)
+    with N > 0 everywhere.
+    """
+    s = np.arange(R + 1, dtype=np.int64)  # the first column alone: one chain from 0
+    r = s[:, None] * cols[0]
+    n = np.ones(R + 1, dtype=np.int64)
+    for x in cols[1:]:
+        end = r + (R - s)[:, None] * x  # where each state's chain meets shell R
+        order = np.lexsort((s, *end.T[::-1]))
+        s, end, n = s[order], end[order], n[order]
+        first = _new_rows(end)
+        heads = np.flatnonzero(first)
+        s0 = s[heads]
+        length = R - s0 + 1
+        offset = np.cumsum(length) - length
+        chain = np.cumsum(first) - 1
+        total = int(offset[-1] + length[-1])
+        delta = np.zeros(total, dtype=np.int64)
+        delta[offset[chain] + s - s0[chain]] = n
+        c = np.cumsum(delta)
+        n = c - np.repeat(np.concatenate(([0], c))[offset], length)
+        s = np.repeat(s0 - offset, length) + np.arange(total)
+        r = np.repeat(end[heads], length, axis=0) - (R - s)[:, None] * x
+    return s, r, n
+
+
+def _new_rows(a: np.ndarray) -> np.ndarray:
+    """True where a row of the sorted 2-D array ``a`` differs from the row before."""
+    new = np.empty(len(a), dtype=bool)
+    new[0] = True
+    np.any(a[1:] != a[:-1], axis=1, out=new[1:])
+    return new
+
+
+def _cache_from_states(xv, R, admitted, s, r, signed) -> DioCache:
+    # states sorted by r in the r_array order; one entry per distinct r,
+    # kept even where its shells cancel to a net count of 0
+    new = _new_rows(r)
+    heads = np.flatnonzero(new)
+    last = np.zeros(len(heads), dtype=np.int64)
+    final = s == R
+    last[np.cumsum(new)[final] - 1] = signed[final]
+    return _cache_from_arrays(xv, R, admitted, r[heads], np.add.reduceat(signed, heads), last)
+
+
+def _cache_from_arrays(xv, R, admitted, r, raw, last) -> DioCache:
+    """A cache from its r_array-ordered columns: r-tuples, raw and final-shell counts."""
+    keys = list(zip(*r.T.tolist()))
+    entries = dict(zip(keys, raw.tolist()))
+    shell = np.flatnonzero(last)
+    final_shell = {keys[i]: c for i, c in zip(shell.tolist(), last[shell].tolist())}
+    cache = DioCache(xv, R, entries, admitted, final_shell)
+    cache.__dict__["_r_array"] = r
+    cache.__dict__["_count_array"] = raw - 0.5 * last
+    return cache
 
 
 def signed_count_oracle(
@@ -224,7 +266,7 @@ def signed_count_oracle(
     """Brute-force (K+, K-) for one r-tuple: reference for :func:`build_cache`.
 
     Enumerates every k in the budget simplex via itertools.product and checks
-    the dot products directly; independent of the recursive builder.
+    the dot products directly; independent of the shell-count recurrence.
     """
     xv = _check_x_vectors(x_vectors)
     M = len(xv[0])
@@ -392,12 +434,6 @@ def load_cache(path: str, expect_x_vectors=None) -> DioCache:
         raise CacheFileError(f"{path}: checksum failure")
     # Records are stored sorted by (total, tuple), the order of r_array.
     rec = np.frombuffer(body, dtype="<i8").reshape(n_rec, P + 2)
-    r = rec[:, :P].astype(np.int64)
-    keys = list(zip(*r.T.tolist()))
-    entries = dict(zip(keys, rec[:, P].tolist()))
-    shell = np.flatnonzero(rec[:, P + 1])
-    final_shell = {keys[i]: c for i, c in zip(shell.tolist(), rec[shell, P + 1].tolist())}
-    cache = DioCache(xv, R, entries, admitted, final_shell)
-    cache.__dict__["_r_array"] = r
-    cache.__dict__["_count_array"] = rec[:, P] - 0.5 * rec[:, P + 1]
-    return cache
+    return _cache_from_arrays(
+        xv, R, admitted, rec[:, :P].astype(np.int64), rec[:, P], rec[:, P + 1]
+    )

@@ -84,6 +84,7 @@ class FitResult:
     boundary_flag: bool = False
     newton_iters: int = 0
     converged: bool = True
+    parity_spread: float | None = None  # at omega_hat; None without a parity check
 
     def to_json(self) -> str:
         return json.dumps(
@@ -93,6 +94,7 @@ class FitResult:
                 "boundary_flag": self.boundary_flag,
                 "newton_iters": self.newton_iters,
                 "converged": self.converged,
+                "parity_spread": self.parity_spread,
                 "trace": [
                     {"params": list(p), "loglik": v} for p, v in self.trace
                 ],
@@ -122,6 +124,7 @@ def grid_fit(
     Caches are built once (pass ``prep`` to reuse across calls).  Ties break
     to the lexicographically smallest parameter tuple; ``boundary_flag`` is
     set when the argmax touches a grid edge on any axis with count > 1.
+    With ``cfg.parity_check`` the result carries the argmax's parity spread.
     """
     if len(grid.axes) != 2 * d.P:
         raise SpecError(f"grid needs {2*d.P} axes for P={d.P}")
@@ -131,26 +134,28 @@ def grid_fit(
     best: tuple[float, ...] | None = None
     best_ll = -math.inf
     best_idx: tuple[int, ...] | None = None
+    best_spread: float | None = None
     failures = 0
     axis_points = [ax.points() for ax in grid.axes]
     for idx in product(*(range(ax.count) for ax in grid.axes)):
         params = tuple(axis_points[a][i] for a, i in enumerate(idx))
         spec = params_to_spec(params, d.P, eps)
         try:
-            ll = log_marginal_prepared(prep, spec).value
+            ev = log_marginal_prepared(prep, spec)
         except TruncationFailure:
             failures += 1
             continue
+        ll = ev.value
         trace.append((params, ll))
         if ll > best_ll or (ll == best_ll and (best is None or params < best)):
-            best, best_ll, best_idx = params, ll, idx
+            best, best_ll, best_idx, best_spread = params, ll, idx, ev.parity_spread
     if best is None:
         raise FitError(f"all {grid.cardinality} grid points failed truncation")
     boundary = any(
         ax.count > 1 and (i == 0 or i == ax.count - 1)
         for ax, i in zip(grid.axes, best_idx)
     )
-    return FitResult(best, best_ll, trace, boundary_flag=boundary)
+    return FitResult(best, best_ll, trace, boundary_flag=boundary, parity_spread=best_spread)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +254,8 @@ def newton_fit(
 
     Iterates x + p with H p = -g, halving the step until the log likelihood
     does not decrease and projecting onto the positive orthant.  Stops when
-    the gradient sup-norm drops below ``tol``.
+    the gradient sup-norm drops below ``tol``.  With ``cfg.parity_check`` the
+    result carries the parity spread at the final point.
     """
     if prep is None:
         prep = prepare_dataset(d, cfg)
@@ -289,6 +295,10 @@ def newton_fit(
         theta, ll, g, Hm = cand, new_ll, new_g, new_H
         trace.append((tuple(theta), ll))
         converged = np.max(np.abs(g)) < tol
+    spread = None
+    if prep.sub_caches is not None:
+        spread = log_marginal_prepared(prep, params_to_spec(theta, P, eps)).parity_spread
     return FitResult(
-        tuple(theta), ll, trace, newton_iters=iters, converged=bool(converged)
+        tuple(theta), ll, trace, newton_iters=iters, converged=bool(converged),
+        parity_spread=spread,
     )

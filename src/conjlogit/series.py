@@ -74,11 +74,9 @@ class HouseholdSums:
 
     @classmethod
     def from_household(cls, h: Household, P: int) -> "HouseholdSums":
-        xv = h.x_vectors(P)
-        Y = tuple(
-            sum(obs.y * obs.x[p] for obs in h.observations) for p in range(P)
-        )
-        return cls(Y, xv)
+        obs = h.observations  # list comprehensions, as in Household.x_vectors
+        Y = tuple([sum([o.y * o.x[p] for o in obs]) for p in range(P)])
+        return cls(Y, h.x_vectors(P))
 
     @property
     def n_obs(self) -> int:
@@ -218,7 +216,7 @@ def h_grouped(
 
     Returns the same Euler mean (S_{R-1} + S_R) / 2 as :func:`h_naive`: the
     cache's ``count_array`` already weights the final shell by 1/2.  Pass
-    ``sub_cache`` (budget R-1 from the same enumeration) to get the
+    ``sub_cache`` (a neighbouring budget from the same build) to get the
     consecutive-budget parity spread as a diagnostic.
     """
     if not isinstance(spec, (IndependentGamma, GammaMixture)):
@@ -445,21 +443,17 @@ def prepare_dataset(
     companion in ``sub_caches``, including signatures whose budget-R cache
     was passed in.
     """
-    groups: dict[tuple, tuple[HouseholdSums, int]] = {}
+    groups: dict[HouseholdSums, int] = {}  # multiplicity, in order of first appearance
     total_obs = 0
     for h in d.households:
         sums = HouseholdSums.from_household(h, d.P)
+        groups[sums] = groups.get(sums, 0) + 1
         total_obs += h.n_obs
-        key = (sums.x_vectors, sums.Y)
-        if key in groups:
-            groups[key] = (groups[key][0], groups[key][1] + 1)
-        else:
-            groups[key] = (sums, 1)
     caches = dict(caches) if caches else {}
     if cfg.mode == "grouped":
         if cfg.parity_check:
             sub_caches = dict(sub_caches) if sub_caches else {}
-        for sums, _ in groups.values():
+        for sums in groups:
             xv = sums.x_vectors
             if cfg.parity_check and xv not in sub_caches:
                 full, sub = build_cache_pair(xv, cfg.R + 1)
@@ -468,7 +462,7 @@ def prepare_dataset(
             elif xv not in caches:
                 caches[xv] = build_cache(xv, cfg.R)
     return PreparedDataset(
-        list(groups.values()), caches, sub_caches, total_obs, d.x_scale, cfg.R
+        list(groups.items()), caches, sub_caches, total_obs, d.x_scale, cfg.R
     )
 
 

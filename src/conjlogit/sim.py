@@ -180,7 +180,7 @@ def parity_study(d: Dataset, spec: IndependentGamma, r_values) -> list[ParityRow
     """Consecutive-budget spread of H_i across a dataset at several budgets.
 
     For each R the spread compares the series truncated at R and at R + 1;
-    both come from a single simplex enumeration per covariate signature.
+    both come from a single :func:`build_cache_pair` per covariate signature.
     """
     groups: dict[tuple, HouseholdSums] = {}
     for h in d.households:

@@ -1,5 +1,7 @@
 import json
 import os
+import struct
+import zlib
 
 import pytest
 
@@ -15,7 +17,7 @@ from conjlogit.data_model import (
     save_dataset,
     save_spec,
 )
-from conjlogit.diophantine import CACHE_FORMAT_VERSION
+from conjlogit.diophantine import CACHE_FORMAT_VERSION, load_cache
 
 
 def run(argv, capsys):
@@ -132,6 +134,32 @@ class TestPrecompute:
         assert code == 3
         blob = json.loads(err)
         assert blob["error"]["exit_code"] == 3
+
+    @pytest.mark.parametrize("damage", ["v1", "truncated"])
+    def test_unreadable_cache_file_is_rebuilt(self, tmp_path, capsys, damage):
+        hs = (Household("a", (Observation(1, (2,)),)), Household("b", (Observation(0, (1,)),)))
+        p = tmp_path / "d.csv"
+        save_dataset(Dataset(hs, P=1), str(p))
+        cdir = tmp_path / "caches"
+        argv = ["precompute", "--data", str(p), "--R", "20", "--cache-dir", str(cdir)]
+        assert run(argv, capsys)[0] == 0
+        files = sorted(cdir.glob("*.bin"))
+        good = files[0].read_bytes()
+        if damage == "v1":
+            # records (r-tuple, count) without the final-shell column
+            c = load_cache(str(files[0]))
+            header = b"DIOC" + struct.pack(
+                "<HIIIQQQ", 1, c.M, c.P, c.R, c.x_hash, c.admitted, len(c.entries)
+            )
+            xdata = struct.pack(f"<{c.M}q", *c.x_vectors[0])
+            body = b"".join(struct.pack("<qq", *r, n) for r, n in c.sorted_items())
+            files[0].write_bytes(header + xdata + body + struct.pack("<I", zlib.crc32(body)))
+        else:
+            files[0].write_bytes(good[:-10])
+        code, out, err = run(argv, capsys)
+        assert code == 0, err
+        assert "built 1 cache(s), reused 1, rebuilt 1 unreadable" in out
+        assert files[0].read_bytes() == good
 
     def test_env_var_cache_dir(self, tmp_path, sim_csv, capsys, monkeypatch):
         cdir = tmp_path / "envcaches"
@@ -311,3 +339,40 @@ def test_fit_parity_check_over_precomputed_caches(tmp_path, capsys, precomputed)
                             "-o", str(tmp_path / "b.json")], capsys)
     assert code == 0
     assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
+
+
+def test_recode_negative_takes_attribute_indices(tmp_path, capsys):
+    h = Household("a", (Observation(1, (2, -1)), Observation(0, (1, -3))))
+    p = tmp_path / "d.csv"
+    save_dataset(Dataset((h,), P=2), str(p))
+    argv = ["precompute", "--data", str(p), "--R", "5", "--cache-dir", str(tmp_path / "c")]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "DataError"
+    code, out, err = run(argv + ["--recode-negative", "1"], capsys)
+    assert code == 0, err
+    assert "built 1 cache(s)" in out
+    (path,) = (tmp_path / "c").glob("*.bin")
+    assert load_cache(str(path)).x_vectors == ((2, 1), (1, 3))
+    for bad in ("2", "0,x"):
+        code, _, err = run(argv + ["--recode-negative", bad], capsys)
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "DataError"
+
+
+def test_fit_reports_parity_spread(tmp_path, sim_csv, capsys):
+    fit = ["fit", "--data", str(sim_csv), "--grid", "3x3", "--spacing", "0.5",
+           "--center", "5,14", "--R", "30", "--cache-dir", str(tmp_path / "c")]
+    code, out, _ = run(fit + ["-o", str(tmp_path / "plain.json")], capsys)
+    assert code == 0
+    assert "parity_spread" not in out
+    assert json.loads((tmp_path / "plain.json").read_text())["parity_spread"] is None
+    code, out, _ = run(fit + ["--parity-check", "-o", str(tmp_path / "pc.json")], capsys)
+    assert code == 0
+    blob = json.loads((tmp_path / "pc.json").read_text())
+    assert 0.0 < blob["parity_spread"] < 1.0
+    assert f"parity_spread={blob['parity_spread']:.3g}" in out
+    code, out, _ = run(fit + ["--parity-check", "--newton", "-o", str(tmp_path / "nt.json")],
+                       capsys)
+    assert code == 0
+    assert 0.0 < json.loads((tmp_path / "nt.json").read_text())["parity_spread"] < 1.0

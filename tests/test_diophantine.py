@@ -133,6 +133,78 @@ class TestBuildCache:
         assert c.admitted == compositions_cum(R, M)
 
 
+# zero covariates in one row, P=3, and the R=0 budget
+DP_SIGNATURES = [
+    (((0, 1, 2), (1, 0, 1)), 6),
+    (((1, 2), (0, 3), (2, 0)), 5),
+    (((1, 1, 2), (2, 0, 1), (1, 3, 0)), 4),
+    (((2, 1, 1, 3),), 5),
+    (((1, 2, 3),), 0),
+    (((1, 0), (0, 1), (2, 2)), 0),
+]
+
+
+class TestShellCountDP:
+    @pytest.mark.parametrize("xv,R", DP_SIGNATURES)
+    def test_reachable_set_is_complete(self, xv, R):
+        # every k-tuple lands on exactly one stored r, and none is stored idly
+        c = build_cache(xv, R)
+        covered = 0
+        for r_t, cnt in c.entries.items():
+            kp, km = signed_count_oracle(xv, r_t, R)
+            assert kp + km > 0
+            assert kp - km == cnt
+            covered += kp + km
+        assert covered == compositions_cum(R, len(xv[0]))
+
+    @pytest.mark.parametrize("xv,R", DP_SIGNATURES)
+    def test_final_shell_matches_oracle(self, xv, R):
+        c = build_cache(xv, R)
+        if R == 0:
+            assert c.final_shell == c.entries == {(0,) * len(xv): 1}
+            return
+        below, _ = build_cache_pair(xv, R - 1, want_sub=False)
+        for r_t, cnt in c.final_shell.items():
+            kp, km = signed_count_oracle(xv, r_t, R)
+            assert cnt != 0
+            assert cnt == (kp - km) - below.entries.get(r_t, 0)
+        shell_total = sum(c.final_shell.values())
+        assert shell_total == (-1) ** R * compositions_count(R, len(xv[0]))
+
+    @pytest.mark.parametrize("xv,R", [sig for sig in DP_SIGNATURES if sig[1] > 0])
+    def test_sub_cache_equals_direct_build(self, xv, R):
+        _, sub = build_cache_pair(xv, R)
+        direct = build_cache(xv, R - 1)
+        assert sub.R == direct.R == R - 1
+        assert sub.admitted == direct.admitted
+        assert sub.entries == direct.entries
+        assert sub.final_shell == direct.final_shell
+        assert np.array_equal(sub.r_array, direct.r_array)
+        assert np.array_equal(sub.count_array, direct.count_array)
+
+    def test_large_case_meets_closed_form_identities(self):
+        # C(48, 8) ~ 3.8e8 k-tuples, far beyond enumeration
+        xv = ((1, 2, 3, 1, 2, 3, 2, 1),)
+        R, M = 40, 8
+        c = build_cache(xv, R)
+        assert c.admitted == compositions_cum(R, M)
+        assert sum(c.entries.values()) == sum(
+            (-1) ** s * compositions_count(s, M) for s in range(R + 1)
+        )
+        assert sum(c.final_shell.values()) == (-1) ** R * compositions_count(R, M)
+        assert min(r for (r,) in c.final_shell) == R
+        assert max(r for (r,) in c.entries) == 3 * R
+
+    def test_i64_guard_ignores_raised_admission_limit(self):
+        # C(240, 40) ~ 6.3e45: above 10**40, and above 2**63 under 10**50
+        with pytest.raises(BudgetError):
+            build_cache(((1,) * 40,), 200, admission_limit=10**40)
+        with pytest.raises(BudgetError, match="i64"):
+            build_cache(((1,) * 40,), 200, admission_limit=10**50)
+        with pytest.raises(BudgetError, match="i64"):
+            build_cache_pair(((1,) * 24,), 200, admission_limit=10**50)
+
+
 class TestPersistence:
     def make(self):
         return build_cache(((1, 2), (2, 1)), 5)
