@@ -57,8 +57,10 @@ from .optimizer import (
 from .oracle import QuadConfig, ToleranceNotMet, mc_h, quadrature_h
 from .series import (
     HouseholdSums,
+    PreparedDataset,
     SeriesConfig,
     TruncationFailure,
+    group_households,
     h_series,
     log_marginal,
     log_marginal_prepared,
@@ -162,13 +164,16 @@ def _signatures(d: Dataset):
     return seen
 
 
-def _load_available_caches(d: Dataset, R: int, cache_dir: str) -> dict:
+def _prepare(d: Dataset, cfg: SeriesConfig, cache_dir: str) -> PreparedDataset:
+    """Group the households once, load the budget-R caches found in
+    ``cache_dir`` for their signatures, and build the rest."""
+    groups = group_households(d)
     caches = {}
-    for xv in _signatures(d):
-        path = _cache_path(cache_dir, xv, R)
+    for xv in dict.fromkeys(sums.x_vectors for sums in groups):
+        path = _cache_path(cache_dir, xv, cfg.R)
         if os.path.exists(path):
             caches[xv] = load_cache(path, expect_x_vectors=xv)
-    return caches
+    return prepare_dataset(d, cfg, caches, groups=groups)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +255,7 @@ def cmd_fit(args) -> int:
     d = _load_data(args)
     grid = _grid_from_args(args, d.P)
     cfg = SeriesConfig(R=args.R, mode="grouped", parity_check=args.parity_check)
-    caches = _load_available_caches(d, args.R, _cache_dir(args))
-    prep = prepare_dataset(d, cfg, caches)
+    prep = _prepare(d, cfg, _cache_dir(args))
     res = grid_fit(d, grid, cfg, eps=args.eps, prep=prep)
     if args.newton:
         res = newton_fit(d, params_to_spec(res.omega_hat, d.P, args.eps), cfg, prep=prep)
@@ -273,10 +277,10 @@ def cmd_eval(args) -> int:
     d = _load_data(args)
     spec = load_spec(args.spec)
     cfg = SeriesConfig(R=args.R, mode=args.mode, parity_check=args.parity_check)
-    caches = None
-    if args.mode == "grouped" and not args.parity_check:
-        caches = _load_available_caches(d, args.R, _cache_dir(args))
-    ev = log_marginal(d, spec, cfg, caches)
+    if args.mode == "grouped":
+        ev = log_marginal_prepared(_prepare(d, cfg, _cache_dir(args)), spec)
+    else:
+        ev = log_marginal(d, spec, cfg)
     out = {
         "loglik": ev.value,
         "terms": ev.terms,
@@ -358,8 +362,7 @@ def cmd_plotdata(args) -> int:
     d = _load_data(args)
     grid = _grid_from_args(args, d.P)
     cfg = SeriesConfig(R=args.R, mode="grouped")
-    caches = _load_available_caches(d, args.R, _cache_dir(args))
-    prep = prepare_dataset(d, cfg, caches)
+    prep = _prepare(d, cfg, _cache_dir(args))
     names = [f"{k}{p+1}" for p in range(d.P) for k in ("b", "n")]
     n_rows = 0
     with open(args.output, "w") as f:
@@ -412,8 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--config", default=None,
                     help="JSON file of flag defaults (explicit flags win)")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="worker cap (evaluation is currently sequential)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="draw a synthetic panel dataset")

@@ -203,28 +203,32 @@ def load_dataset(path: str) -> Dataset:
         P = len(header) - 4
         if P < 1 or header[4:] != [f"x{p+1}" for p in range(P)]:
             raise DataError(f"{path}:{lineno}: bad covariate columns {header[4:]}")
-        rows: dict[str, list[Observation]] = {}
-        order: list[str] = []
+        rows: dict[str, list[Observation]] = {}  # households in order of first appearance
         for row in csv.reader(f):
             lineno += 1
             if not row:
                 continue
             if len(row) != 4 + P:
                 raise DataError(f"{path}:{lineno}: expected {4+P} columns, got {len(row)}")
-            hid = row[0]
             try:
-                y = _parse_int(row[3])
-                x = tuple(_parse_int(v) for v in row[4:])
+                y, *x = _parse_ints(row[3:])
             except ValueError as e:
                 raise DataError(f"{path}:{lineno}: {e}") from None
-            if hid not in rows:
-                rows[hid] = []
-                order.append(hid)
-            rows[hid].append(Observation(y, x))
-    if not order:
+            obs = rows.get(row[0])
+            if obs is None:
+                rows[row[0]] = obs = []
+            obs.append(Observation(y, tuple(x)))
+    if not rows:
         raise DataError(f"{path}: no households")
-    hs = tuple(Household(hid, tuple(rows[hid])) for hid in order)
+    hs = tuple([Household(hid, tuple(obs)) for hid, obs in rows.items()])
     return Dataset(hs, P, x_scale=x_scale)
+
+
+def _parse_ints(cells: list[str]) -> list[int]:
+    try:
+        return list(map(int, cells))
+    except ValueError:
+        return [_parse_int(v) for v in cells]  # names the bad value
 
 
 def _parse_int(s: str) -> int:

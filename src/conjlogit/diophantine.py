@@ -10,13 +10,19 @@ cost follows the number of states rather than the C(R+M, M) k-tuples counted.
 The counts from the final shell k.1 == R are kept as well, so the series can
 return the Euler mean of its last two shell partial sums.  The resulting cache
 is the parameter-independent half of the series evaluation and is persisted
-to disk."""
+to disk.
+
+A cache stores its counts as int64 columns (r-tuples, raw counts, final-shell
+counts) from the builder to the file and back; building, saving and loading
+make no Python object per r-tuple.  The ``entries`` and ``final_shell``
+mappings are lazy read-only views over those columns for tests and oracles."""
 
 from __future__ import annotations
 
 import math
 import struct
 import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import product
 
@@ -35,7 +41,7 @@ DEFAULT_ADMISSION_LIMIT = 10**9
 CACHE_FORMAT_VERSION = 2
 
 _MAGIC = b"DIOC"
-_I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
+_I64_MAX = 2**63 - 1
 
 
 def compositions_count(r: int, M: int) -> int:
@@ -64,27 +70,68 @@ def fnv1a_x_vectors(x_vectors: tuple[tuple[int, ...], ...]) -> int:
     return h
 
 
+class CountView(Mapping):
+    """Read-only mapping r-tuple -> signed count over a cache's int64 columns.
+
+    ``r`` holds one r-tuple per row and ``counts`` the matching counts.  With
+    ``skip_zeros`` rows whose count is 0 are left out.  The dict of tuple
+    keys is built only when a key is looked up or the view is iterated or
+    compared; ``len`` reads the columns.
+    """
+
+    __slots__ = ("_r", "_counts", "_skip_zeros", "_dict")
+
+    def __init__(self, r: np.ndarray, counts: np.ndarray, skip_zeros: bool = False):
+        self._r, self._counts, self._skip_zeros = r, counts, skip_zeros
+        self._dict = None
+
+    def _mapping(self) -> dict[tuple[int, ...], int]:
+        if self._dict is None:
+            r, c = self._r, self._counts
+            if self._skip_zeros:
+                keep = np.flatnonzero(c)
+                r, c = r[keep], c[keep]
+            self._dict = dict(zip(map(tuple, r.tolist()), c.tolist()))
+        return self._dict
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._counts)) if self._skip_zeros else len(self._counts)
+
+    def __getitem__(self, key):
+        return self._mapping()[key]
+
+    def __iter__(self):
+        return iter(self._mapping())
+
+    def __repr__(self) -> str:
+        return f"CountView({self._mapping()!r})"
+
+
 @dataclass(frozen=True)
 class DioCache:
     """Signed solution counts K+(r) - K-(r) for one covariate signature.
 
-    ``entries`` maps each reachable r-tuple to its raw signed count c(r) over
-    the simplex k.1 <= R; ``final_shell`` maps r-tuples to the signed count
-    c_R(r) contributed by the final shell k.1 == R alone.
+    The counts are stored as three int64 columns, one row per reachable
+    r-tuple, sorted by (r-total, tuple): the r-tuples (``r_array``), their
+    raw signed counts c(r) over the simplex k.1 <= R, and the signed counts
+    c_R(r) contributed by the final shell k.1 == R alone.  ``entries`` (r -> c(r))
+    and ``final_shell`` (r -> c_R(r), non-zero rows only) are read-only
+    :class:`CountView` mappings over those columns.  A cache built from
+    plain dicts (e.g. by ``dataclasses.replace``) derives its columns from
+    them on first use.
 
     The shell partial sums S_s of the series alternate in sign, so the
     evaluators return their first Euler mean (S_{R-1} + S_R) / 2 (with
     S_{-1} = 0) rather than the raw S_R.  That mean weights the final shell by
     1/2, which folds into one fixed weight per r-tuple:
-    ``count_array`` holds c(r) - c_R(r) / 2, sorted with ``r_array`` by
-    (total, tuple) for fast vectorized evaluation in increasing r-total order.
+    ``count_array`` holds c(r) - c_R(r) / 2, aligned with ``r_array``.
     """
 
     x_vectors: tuple[tuple[int, ...], ...]
     R: int
-    entries: dict[tuple[int, ...], int]
+    entries: Mapping[tuple[int, ...], int]
     admitted: int  # number of k-tuples the counts cover, == C(R+M, M)
-    final_shell: dict[tuple[int, ...], int]
+    final_shell: Mapping[tuple[int, ...], int]
 
     @property
     def M(self) -> int:
@@ -99,31 +146,41 @@ class DioCache:
         return fnv1a_x_vectors(self.x_vectors)
 
     def sorted_items(self) -> list[tuple[tuple[int, ...], int]]:
-        return [(r, self.entries[r]) for r in map(tuple, self.r_array.tolist())]
+        r, raw, _ = self.columns()
+        return list(zip(map(tuple, r.tolist()), raw.tolist()))
 
     @property
     def r_array(self) -> np.ndarray:
-        return self._arrays()[0]
+        return self.columns()[0]
 
     @property
     def count_array(self) -> np.ndarray:
-        return self._arrays()[1]
-
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        # memoised on the instance; load_cache primes them from the file
-        arr = self.__dict__.get("_r_array")
+        arr = self.__dict__.get("_count_array")
         if arr is None:
-            n = len(self.entries)
-            r = np.array(list(self.entries), dtype=np.int64).reshape(n, self.P)
-            raw = np.fromiter(self.entries.values(), dtype=np.float64, count=n)
-            shell = self.final_shell
-            last = np.fromiter(
-                (shell.get(k, 0) for k in self.entries), dtype=np.float64, count=n
-            )
-            order = np.lexsort((*r[:, ::-1].T, r.sum(axis=1)))
-            self.__dict__["_r_array"] = arr = r[order]
-            self.__dict__["_count_array"] = (raw - 0.5 * last)[order]
-        return arr, self.__dict__["_count_array"]
+            _, raw, last = self.columns()
+            self.__dict__["_count_array"] = arr = raw - 0.5 * last
+        return arr
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The int64 columns (r-tuples, c(r), c_R(r)) in r-total order.
+
+        Raises OverflowError when a dict-built cache holds a count outside
+        the int64 range.
+        """
+        cols = self.__dict__.get("_columns")
+        if cols is None:
+            e, f = self.entries, self.final_shell
+            if isinstance(e, CountView) and isinstance(f, CountView) and e._r is f._r:
+                cols = (e._r, e._counts, f._counts)
+            else:
+                n = len(e)
+                r = np.array(list(e), dtype=np.int64).reshape(n, self.P)
+                raw = np.fromiter(e.values(), dtype=np.int64, count=n)
+                last = np.fromiter((f.get(k, 0) for k in e), dtype=np.int64, count=n)
+                order = np.lexsort((*r[:, ::-1].T, r.sum(axis=1)))
+                cols = (r[order], raw[order], last[order])
+            self.__dict__["_columns"] = cols
+        return cols
 
 
 def _check_x_vectors(x_vectors) -> tuple[tuple[int, ...], ...]:
@@ -249,15 +306,8 @@ def _cache_from_states(xv, R, admitted, s, r, signed) -> DioCache:
 
 
 def _cache_from_arrays(xv, R, admitted, r, raw, last) -> DioCache:
-    """A cache from its r_array-ordered columns: r-tuples, raw and final-shell counts."""
-    keys = list(zip(*r.T.tolist()))
-    entries = dict(zip(keys, raw.tolist()))
-    shell = np.flatnonzero(last)
-    final_shell = {keys[i]: c for i, c in zip(shell.tolist(), last[shell].tolist())}
-    cache = DioCache(xv, R, entries, admitted, final_shell)
-    cache.__dict__["_r_array"] = r
-    cache.__dict__["_count_array"] = raw - 0.5 * last
-    return cache
+    """A cache over its r_array-ordered int64 columns: r-tuples, raw and final-shell counts."""
+    return DioCache(xv, R, CountView(r, raw), admitted, CountView(r, last, skip_zeros=True))
 
 
 def signed_count_oracle(
@@ -374,10 +424,10 @@ def tail_sum_direct(inp: TailBoundInput, rel_tol: float = 1e-16) -> float:
 # ---------------------------------------------------------------------------
 
 def save_cache(cache: DioCache, path: str) -> None:
-    shell = cache.final_shell
-    for c in (*cache.entries.values(), *shell.values()):
-        if not (_I64_MIN <= c <= _I64_MAX):
-            raise CacheFileError(f"signed count {c} exceeds the i64 file range")
+    try:
+        r, raw, last = cache.columns()
+    except OverflowError as e:  # a dict-built cache with a count beyond int64
+        raise CacheFileError(f"a signed count exceeds the i64 file range ({e})") from None
     header = _MAGIC + struct.pack(
         "<HIIIQQQ",
         CACHE_FORMAT_VERSION,
@@ -386,14 +436,13 @@ def save_cache(cache: DioCache, path: str) -> None:
         cache.R,
         cache.x_hash,
         cache.admitted,
-        len(cache.entries),
+        len(raw),
     )
     xdata = struct.pack(f"<{cache.P * cache.M}q", *(v for vec in cache.x_vectors for v in vec))
-    rows = cache.sorted_items()
-    rec = np.empty((len(rows), cache.P + 2), dtype="<i8")
-    rec[:, :cache.P] = cache.r_array
-    rec[:, cache.P] = [c for _, c in rows]
-    rec[:, cache.P + 1] = [shell.get(r, 0) for r, _ in rows]
+    rec = np.empty((len(raw), cache.P + 2), dtype="<i8")
+    rec[:, :cache.P] = r
+    rec[:, cache.P] = raw
+    rec[:, cache.P + 1] = last
     body = rec.tobytes()
     with open(path, "wb") as f:
         f.write(header)
@@ -432,8 +481,7 @@ def load_cache(path: str, expect_x_vectors=None) -> DioCache:
     (crc,) = struct.unpack("<I", raw[-4:])
     if zlib.crc32(body) != crc:
         raise CacheFileError(f"{path}: checksum failure")
-    # Records are stored sorted by (total, tuple), the order of r_array.
+    # Records are stored sorted by (total, tuple), the order of r_array; the
+    # cache's columns are read-only views of the record bytes.
     rec = np.frombuffer(body, dtype="<i8").reshape(n_rec, P + 2)
-    return _cache_from_arrays(
-        xv, R, admitted, rec[:, :P].astype(np.int64), rec[:, P], rec[:, P + 1]
-    )
+    return _cache_from_arrays(xv, R, admitted, rec[:, :P], rec[:, P], rec[:, P + 1])

@@ -336,50 +336,47 @@ class CountMatrix:
     ) -> "CountMatrix":
         if not groups:
             return cls(sparse.csr_matrix((0, 0)), np.zeros((0, 0)), np.zeros(0), 0)
-        blocks = [(caches[sums.x_vectors], np.asarray(sums.Y, dtype=np.int64))
-                  for sums, _ in groups]
-        mult = np.array([m for _, m in groups], dtype=np.float64)
-        terms = sum(m * len(c.entries) for (c, _), (_, m) in zip(blocks, groups))
-        data = np.concatenate([c.count_array for c, _ in blocks])
+        blocks = [caches[sums.x_vectors] for sums, _ in groups]
+        mult = np.array([m for _, m in groups], dtype=np.int64)
+        lens = np.array([len(c.count_array) for c in blocks], dtype=np.int64)
+        data = np.concatenate([c.count_array for c in blocks])
         indptr = np.zeros(len(blocks) + 1, dtype=np.int64)
-        np.cumsum([len(c.count_array) for c, _ in blocks], out=indptr[1:])
+        np.cumsum(lens, out=indptr[1:])
+        # Every group's K = r + Y, one row per attribute, so the reductions
+        # run along the long contiguous axis.  ``out`` keeps K C-ordered:
+        # concatenating the transposed blocks alone gives Fortran order.
+        Y = np.array([sums.Y for sums, _ in groups], dtype=np.int64)
+        K = np.empty((Y.shape[1], len(data)), dtype=np.int64)
+        np.concatenate([c.r_array.T for c in blocks], axis=1, out=K)
+        for p, Yp in enumerate(Y.T):
+            K[p] += np.repeat(Yp, lens)
         # Bounding box of K over all groups; K tuples are keyed by their
         # raveled index in it.
-        lo = np.min([c.r_array.min(axis=0) + Y for c, Y in blocks], axis=0)
-        dims = np.max([c.r_array.max(axis=0) + Y for c, Y in blocks], axis=0) - lo + 1
+        lo = K.min(axis=1)
+        dims = K.max(axis=1) - lo + 1
         box = math.prod(int(v) for v in dims)
         if box >= 2**63:  # raveled keys would overflow: deduplicate whole rows
-            rows = np.concatenate([c.r_array + Y for c, Y in blocks])
-            K, indices = np.unique(rows, axis=0, return_inverse=True)
+            distinct_K, indices = np.unique(K.T, axis=0, return_inverse=True)
         else:
-            strides = np.ones(len(dims), dtype=np.int64)
-            strides[:-1] = np.cumprod(dims[:0:-1])[::-1]
-
-            def keys(g):
-                c, Y = blocks[g]
-                return (c.r_array + (Y - lo)) @ strides
-
+            keys = K[0] - lo[0]
+            for p in range(1, len(dims)):
+                keys *= dims[p]
+                keys += K[p] - lo[p]
             if box <= max(cls.MAX_BOX_PER_ROW * len(data), 1024):
                 # lookup table over the box: mark the cells present, number
-                # them in order, and write each row's number straight in
+                # them in order, and read each row's number off the table
                 present = np.zeros(box, dtype=bool)
-                for g in range(len(blocks)):
-                    present[keys(g)] = True
-                column = np.cumsum(present, dtype=np.int32) - 1
-                indices = np.empty(len(data), dtype=np.int32)
-                for g in range(len(blocks)):
-                    indices[indptr[g]:indptr[g + 1]] = column[keys(g)]
+                present[keys] = True
+                indices = (np.cumsum(present, dtype=np.int32) - 1)[keys]
                 distinct = np.flatnonzero(present)
             else:
-                distinct, indices = np.unique(
-                    np.concatenate([keys(g) for g in range(len(blocks))]), return_inverse=True
-                )
-            K = np.stack(np.unravel_index(distinct, tuple(dims)), axis=1) + lo
+                distinct, indices = np.unique(keys, return_inverse=True)
+            distinct_K = np.stack(np.unravel_index(distinct, tuple(dims)), axis=1) + lo
         C = sparse.csr_matrix(
             (data, indices.astype(np.int32, copy=False).ravel(), indptr),
-            shape=(len(blocks), len(K)),
+            shape=(len(blocks), len(distinct_K)),
         )
-        return cls(C, -x_scale * K, mult, terms)
+        return cls(C, -x_scale * distinct_K, mult.astype(np.float64), int(mult @ lens))
 
     def h(self, spec) -> np.ndarray:
         """H_i of every group under ``spec``, in group order."""
@@ -431,24 +428,32 @@ class PreparedDataset:
             )
 
 
+def group_households(d: Dataset) -> dict[HouseholdSums, int]:
+    """Households grouped by (x signature, Y): multiplicities in order of first appearance."""
+    groups: dict[HouseholdSums, int] = {}
+    for h in d.households:
+        sums = HouseholdSums.from_household(h, d.P)
+        groups[sums] = groups.get(sums, 0) + 1
+    return groups
+
+
 def prepare_dataset(
     d: Dataset,
     cfg: SeriesConfig,
     caches: dict | None = None,
     sub_caches: dict | None = None,
+    groups: dict[HouseholdSums, int] | None = None,
 ) -> PreparedDataset:
     """Group households by (x signature, Y) and build any missing caches.
 
-    With ``parity_check`` every signature also gets its budget-(R+1)
-    companion in ``sub_caches``, including signatures whose budget-R cache
-    was passed in.
+    ``groups`` may pass in :func:`group_households` of ``d`` when the
+    caller has it already.  With ``parity_check`` every signature also gets
+    its budget-(R+1) companion in ``sub_caches``, including signatures whose
+    budget-R cache was passed in.
     """
-    groups: dict[HouseholdSums, int] = {}  # multiplicity, in order of first appearance
-    total_obs = 0
-    for h in d.households:
-        sums = HouseholdSums.from_household(h, d.P)
-        groups[sums] = groups.get(sums, 0) + 1
-        total_obs += h.n_obs
+    if groups is None:
+        groups = group_households(d)
+    total_obs = sum([sums.n_obs * m for sums, m in groups.items()])
     caches = dict(caches) if caches else {}
     if cfg.mode == "grouped":
         if cfg.parity_check:

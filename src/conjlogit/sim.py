@@ -18,7 +18,7 @@ from scipy import stats
 
 from .data_model import Dataset, Household, IndependentGamma, Observation
 from .optimizer import GridSpec, grid_fit
-from .series import HouseholdSums, SeriesConfig, h_grouped
+from .series import SeriesConfig, group_households, h_grouped
 from .diophantine import build_cache_pair
 
 
@@ -182,15 +182,12 @@ def parity_study(d: Dataset, spec: IndependentGamma, r_values) -> list[ParityRow
     For each R the spread compares the series truncated at R and at R + 1;
     both come from a single :func:`build_cache_pair` per covariate signature.
     """
-    groups: dict[tuple, HouseholdSums] = {}
-    for h in d.households:
-        sums = HouseholdSums.from_household(h, d.P)
-        groups.setdefault((sums.x_vectors, sums.Y), sums)
+    groups = group_households(d)
     rows = []
     for R in r_values:
         pair_cache: dict[tuple, tuple] = {}
         spreads = []
-        for sums in groups.values():
+        for sums in groups:
             if sums.x_vectors not in pair_cache:
                 pair_cache[sums.x_vectors] = build_cache_pair(sums.x_vectors, R + 1)
             full, sub = pair_cache[sums.x_vectors]

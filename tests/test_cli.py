@@ -53,6 +53,15 @@ def test_missing_required_flag_exits_2(capsys):
     assert e.value.code == 2
 
 
+def test_threads_flag_is_rejected(tmp_path, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["--threads", "2", "simulate", "--I", "5", "--b", "5", "--n", "14",
+              "-o", str(tmp_path / "d.csv")])
+    assert e.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists()
+
+
 class TestSimulate:
     def test_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -196,6 +205,28 @@ class TestEvalAndFit:
             assert code == 0
             vals[mode] = json.loads(out)["loglik"]
         assert vals["grouped"] == pytest.approx(vals["naive"], rel=1e-12)
+
+    def test_eval_parity_check_reads_the_cache_dir(self, tmp_path, sim_csv, capsys):
+        spec_p = tmp_path / "spec.json"
+        save_spec(IndependentGamma((5.0,), (14.0,)), str(spec_p))
+        ev = ["eval", "--data", str(sim_csv), "--spec", str(spec_p), "--R", "30"]
+        code, cold, err = run(ev + ["--parity-check", "--cache-dir", str(tmp_path / "e")],
+                              capsys)
+        assert code == 0, err
+        cdir = tmp_path / "c"
+        code, _, err = run(["precompute", "--data", str(sim_csv), "--R", "30",
+                            "--cache-dir", str(cdir)], capsys)
+        assert code == 0, err
+        code, warm, err = run(ev + ["--parity-check", "--cache-dir", str(cdir)], capsys)
+        assert code == 0, err
+        assert json.loads(warm) == json.loads(cold)
+        assert json.loads(warm)["parity_spread"] > 0.0
+        for f in cdir.glob("*.bin"):
+            f.write_bytes(b"garbage")
+        for check in ([], ["--parity-check"]):
+            code, _, err = run(ev + check + ["--cache-dir", str(cdir)], capsys)
+            assert code == 2
+            assert "bad magic" in json.loads(err)["error"]["message"]
 
     def test_fit_writes_result_within_grid(self, tmp_path, sim_csv, capsys):
         out_p = tmp_path / "fit.json"

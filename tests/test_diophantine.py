@@ -1,5 +1,8 @@
+import dataclasses
+import gc
 import math
 import struct
+import sys
 import zlib
 
 import numpy as np
@@ -24,6 +27,7 @@ from conjlogit.diophantine import (
     tail_bound,
     tail_sum_direct,
 )
+from conjlogit.series import CountMatrix, HouseholdSums
 
 
 class TestCompositions:
@@ -280,6 +284,91 @@ class TestPersistence:
         a = fnv1a_x_vectors(((1, 2), (2, 1)))
         assert a == fnv1a_x_vectors(((1, 2), (2, 1)))
         assert a != fnv1a_x_vectors(((2, 1), (1, 2)))
+
+
+class TestCountViews:
+    """``entries`` and ``final_shell`` are read-only mappings over the int64 columns."""
+
+    XV = ((1, 2), (2, 1))
+
+    def loaded(self, tmp_path, R=6):
+        p = tmp_path / "c.bin"
+        save_cache(build_cache(self.XV, R), str(p))
+        return load_cache(str(p), expect_x_vectors=self.XV)
+
+    def test_loaded_views_equal_the_dicts_of_a_fresh_build(self, tmp_path):
+        c = self.loaded(tmp_path)
+        built = build_cache(self.XV, 6)
+        want = dict(built.entries.items())
+        want_shell = dict(built.final_shell.items())
+        assert c.entries == want and want == c.entries
+        assert c.final_shell == want_shell and want_shell == c.final_shell
+        assert c.entries == built.entries and c.final_shell == built.final_shell
+        assert c == built
+        for r_t, cnt in want.items():
+            kp, km = signed_count_oracle(self.XV, r_t, 6)
+            assert cnt == kp - km
+        assert all(cnt != 0 for cnt in want_shell.values())
+        assert c.entries != {**want, (0, 0): 2}
+
+    def test_views_behave_like_dicts(self, tmp_path):
+        c = self.loaded(tmp_path)
+        want = dict(c.entries.items())
+        assert len(c.entries) == len(want) == len(c.r_array)
+        assert len(c.final_shell) == np.count_nonzero(c.columns()[2])
+        assert {**c.entries} == want
+        assert list(c.entries) == [tuple(r) for r in c.r_array.tolist()]
+        assert sorted(c.entries.items()) == sorted(want.items())
+        assert sum(c.entries.values()) == sum(want.values())
+        assert c.entries.get((0, 0)) == 1 and c.entries[(0, 0)] == 1
+        assert c.entries.get((10**6, 0)) is None and (10**6, 0) not in c.entries
+        assert c.final_shell.get((0, 0), 0) == 0
+        with pytest.raises(KeyError):
+            c.entries[(10**6, 0)]
+        with pytest.raises(TypeError):
+            c.entries[(0, 0)] = 5
+        assert all(type(k) is tuple and all(type(v) is int for v in k) for k in c.entries)
+        assert all(type(v) is int for v in c.entries.values())
+
+    def test_replaced_entries_are_saved(self, tmp_path):
+        c = self.loaded(tmp_path)
+        r, cnt = next((r, cnt) for r, cnt in sorted(c.entries.items()) if cnt)
+        flipped = dataclasses.replace(c, entries={**c.entries, r: -cnt})
+        p = tmp_path / "flipped.bin"
+        save_cache(flipped, str(p))
+        back = load_cache(str(p))
+        assert back.entries[r] == -cnt
+        assert back.entries == {**c.entries, r: -cnt}
+        assert back.final_shell == c.final_shell
+        assert np.array_equal(back.r_array, c.r_array)
+        assert back != c
+
+    @pytest.mark.parametrize("field", ["entries", "final_shell"])
+    @pytest.mark.parametrize("count", [2**63, -(2**63) - 1])
+    def test_count_beyond_i64_fails_on_save(self, tmp_path, field, count):
+        c = build_cache(self.XV, 6)
+        big = dataclasses.replace(c, **{field: {**getattr(c, field), (0, 0): count}})
+        with pytest.raises(CacheFileError, match="i64"):
+            save_cache(big, str(tmp_path / "big.bin"))
+
+    def test_load_and_count_matrix_allocate_no_object_per_rtuple(self, tmp_path):
+        xv = ((1, 2, 3), (3, 1, 2))
+        p = tmp_path / "big.bin"
+        save_cache(build_cache(xv, 60), str(p))
+        groups = [(HouseholdSums((1, 2), xv), 3), (HouseholdSums((4, 0), xv), 1)]
+
+        def load_and_assemble():
+            cache = load_cache(str(p), expect_x_vectors=xv)
+            return cache, CountMatrix.build(groups, {xv: cache}, 0.01)
+
+        load_and_assemble()  # first-call work inside numpy and scipy
+        gc.collect()
+        before = sys.getallocatedblocks()
+        cache, counts = load_and_assemble()
+        grown = sys.getallocatedblocks() - before
+        assert len(cache.entries) > 10**4
+        assert counts.C.nnz == 2 * len(cache.entries)
+        assert grown < 1000, f"{grown} blocks for {len(cache.entries)} r-tuples"
 
 
 class TestTailBounds:
