@@ -96,8 +96,9 @@ def _cache_dir(args) -> str:
     )
 
 
-def _cache_path(cache_dir: str, x_vectors, R: int) -> str:
-    return os.path.join(cache_dir, f"dio_{fnv1a_x_vectors(x_vectors):016x}_R{R}.bin")
+def _cache_path(cache_dir: str, x_hash: int, R: int) -> str:
+    """Cache file of the signature whose ``fnv1a_x_vectors`` is ``x_hash``."""
+    return os.path.join(cache_dir, f"dio_{x_hash:016x}_R{R}.bin")
 
 
 def _parse_floats(s: str) -> list[float]:
@@ -155,13 +156,13 @@ def _load_data(args) -> Dataset:
     return d
 
 
-def _signatures(d: Dataset):
-    seen = {}
-    for h in d.households:
-        xv = h.x_vectors(d.P)
-        seen.setdefault(xv, 0)
-        seen[xv] += 1
-    return seen
+def _signatures(groups: dict[HouseholdSums, int]) -> dict[tuple, int]:
+    """Households per x signature, in order of first appearance, from
+    :func:`group_households`."""
+    sigs: dict[tuple, int] = {}
+    for sums, mult in groups.items():
+        sigs[sums.x_vectors] = sigs.get(sums.x_vectors, 0) + mult
+    return sigs
 
 
 def _prepare(d: Dataset, cfg: SeriesConfig, cache_dir: str) -> PreparedDataset:
@@ -169,10 +170,11 @@ def _prepare(d: Dataset, cfg: SeriesConfig, cache_dir: str) -> PreparedDataset:
     ``cache_dir`` for their signatures, and build the rest."""
     groups = group_households(d)
     caches = {}
-    for xv in dict.fromkeys(sums.x_vectors for sums in groups):
-        path = _cache_path(cache_dir, xv, cfg.R)
+    for xv in _signatures(groups):
+        x_hash = fnv1a_x_vectors(xv)
+        path = _cache_path(cache_dir, x_hash, cfg.R)
         if os.path.exists(path):
-            caches[xv] = load_cache(path, expect_x_vectors=xv)
+            caches[xv] = load_cache(path, expect_x_vectors=xv, expect_hash=x_hash)
     return prepare_dataset(d, cfg, caches, groups=groups)
 
 
@@ -206,15 +208,15 @@ def cmd_simulate(args) -> int:
 def cmd_precompute(args) -> int:
     d = _load_data(args)
     cache_dir = _cache_dir(args)
-    sigs = _signatures(d)
     plans = []
-    for xv, n_households in sigs.items():
+    for xv, n_households in _signatures(group_households(d)).items():
         M = len(xv[0])
         admitted = compositions_cum(args.R, M)
         shell = compositions_count(args.R, M)
-        plans.append((xv, n_households, M, admitted))
+        x_hash = fnv1a_x_vectors(xv)
+        plans.append((xv, x_hash, admitted))
         print(
-            f"signature {fnv1a_x_vectors(xv):016x}: {n_households} households, "
+            f"signature {x_hash:016x}: {n_households} households, "
             f"M={M}, admitted k-tuples C({args.R + M},{M}) = {admitted}, "
             f"feasibility estimate C({args.R + M - 1},{M - 1}) ~ "
             f"10^{math.log10(shell):.1f}"
@@ -222,19 +224,19 @@ def cmd_precompute(args) -> int:
     if args.dry_run:
         print("dry run: no caches built")
         return EXIT_OK
-    over = [p for p in plans if p[3] > args.limit]
+    over = [admitted for _, _, admitted in plans if admitted > args.limit]
     if over:
         raise BudgetError(
             f"{len(over)} signature(s) exceed the admission limit {args.limit}; "
-            f"largest C(R+M,M) = {max(p[3] for p in over)}"
+            f"largest C(R+M,M) = {max(over)}"
         )
     os.makedirs(cache_dir, exist_ok=True)
     built = reused = rebuilt = 0
-    for xv, _, _, _ in plans:
-        path = _cache_path(cache_dir, xv, args.R)
+    for xv, x_hash, _ in plans:
+        path = _cache_path(cache_dir, x_hash, args.R)
         if os.path.exists(path):
             try:
-                load_cache(path, expect_x_vectors=xv)  # hash check
+                load_cache(path, expect_x_vectors=xv, expect_hash=x_hash)  # hash check
             except CacheFileError:
                 rebuilt += 1  # old format, truncated or corrupt: overwrite it
             else:

@@ -3,16 +3,28 @@
 Datasets hold binary outcomes ``y`` and non-negative integer covariates for a
 panel of households.  Covariates are stored as integers; a per-dataset
 ``x_scale`` factor maps the stored integers to the real covariate values used
-by the likelihood (real value = ``x_scale`` * stored integer).  All types are
-immutable after construction and safe to share across threads.
+by the likelihood (real value = ``x_scale`` * stored integer).
+
+A dataset's store is its panel columns (:class:`PanelColumns`): the household
+ids in order of first appearance, row offsets per household, and int64
+outcome and covariate columns with each household's rows contiguous.
+``load_dataset`` fills the columns directly, and validation and grouping read
+them with no Python object per observation.  ``Dataset.households`` is a
+read-only sequence view that builds :class:`Household`/:class:`Observation`
+objects only when something reads it.  All types are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, NamedTuple
+
+import numpy as np
 
 
 class DataError(ValueError):
@@ -47,19 +59,13 @@ class Household:
         return tuple(obs.y for obs in self.observations)
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """A panel of households with a common attribute count ``P``.
+class PanelColumns(NamedTuple):
+    """A panel as int64 columns; household i owns rows offsets[i]:offsets[i+1]."""
 
-    ``x_scale`` is the factor applied to the stored integer covariates to
-    recover the real covariate values; ``scale_note`` records how the integer
-    recoding was produced (rescaling factor, sign flips applied at ingestion).
-    """
-
-    households: tuple[Household, ...]
-    P: int
-    x_scale: float = 1.0
-    scale_note: str | None = None
+    ids: tuple[str, ...]  # household ids in order of first appearance
+    offsets: np.ndarray   # (I + 1,)
+    y: np.ndarray         # (n,)
+    X: np.ndarray         # (n, P)
 
 
 @dataclass(frozen=True)
@@ -70,44 +76,213 @@ class Violation:
     message: str
 
 
+class Households(Sequence):
+    """Read-only sequence view of a dataset's households.
+
+    The store is a :class:`PanelColumns`.  The ``Household`` objects are
+    built from it on the first read that needs them (iteration, indexing,
+    comparison) and kept; ``len`` reads the columns.  A view made from
+    ``Household`` objects keeps those and derives its columns once, on first
+    use.  Views compare equal to views and tuples of equal households.
+    """
+
+    __slots__ = ("P", "_cols", "_objs", "_bad")
+
+    def __init__(
+        self,
+        P: int,
+        columns: PanelColumns | None = None,
+        objects: tuple[Household, ...] | None = None,
+    ):
+        self.P = P
+        self._cols, self._objs = columns, objects
+        self._bad: dict[int, list[Violation]] = {}
+
+    def columns(self) -> PanelColumns:
+        """The panel columns; raises DataError when rows built from objects
+        have the wrong length or values no int64 column holds exactly."""
+        cols, bad = self._checked_columns()
+        if bad:
+            v = next(iter(bad.values()))[0]
+            raise DataError(
+                f"household {v.household} obs {v.obs_index}: {v.message}"
+                " (run validate_dataset first)"
+            )
+        return cols
+
+    def _checked_columns(self) -> tuple[PanelColumns, dict[int, list[Violation]]]:
+        # the columns, and the violations of every row that needed the
+        # per-value checks (object-built rows with non-int values or a
+        # length other than P), keyed by row
+        if self._cols is None:
+            cols, self._bad = _columns_from_objects(self._objs, self.P)
+            self._cols = cols  # last: a thread that sees the columns sees their violations
+        return self._cols, self._bad
+
+    def _objects(self) -> tuple[Household, ...]:
+        if self._objs is None:
+            ids, offsets, y, X = self._cols
+            obs = list(map(Observation, y.tolist(), map(tuple, X.tolist())))
+            bounds = offsets.tolist()
+            self._objs = tuple(
+                [Household(h, tuple(obs[a:b])) for h, a, b in zip(ids, bounds, bounds[1:])]
+            )
+        return self._objs
+
+    def __len__(self) -> int:
+        return len(self._objs) if self._objs is not None else len(self._cols.ids)
+
+    def __getitem__(self, i):
+        return self._objects()[i]
+
+    def __iter__(self):
+        return iter(self._objects())
+
+    def __eq__(self, other):
+        if isinstance(other, Households):
+            other = other._objects()
+        return self._objects() == other
+
+    def __hash__(self) -> int:
+        return hash(self._objects())
+
+    def __repr__(self) -> str:
+        return repr(self._objects())
+
+
+def _panel_columns(ids, offsets, y, X) -> PanelColumns:
+    """Read-only int64 columns, checked for agreeing lengths."""
+    cols = []
+    for a in (offsets, y, X):
+        a = np.ascontiguousarray(a, dtype=np.int64)
+        a.flags.writeable = False
+        cols.append(a)
+    offsets, y, X = cols
+    if not (len(offsets) == len(ids) + 1 and offsets[0] == 0 and offsets[-1] == len(y) == len(X)):
+        raise ValueError("panel columns disagree in length")
+    return PanelColumns(tuple(ids), offsets, y, X)
+
+
+def _columns_from_objects(
+    hs: tuple[Household, ...], P: int
+) -> tuple[PanelColumns, dict[int, list[Violation]]]:
+    ys: list[int] = []
+    xs: list[tuple[int, ...]] = []
+    bad: dict[int, list[Violation]] = {}
+    for h in hs:
+        for idx, o in enumerate(h.observations):
+            y, x = o.y, o.x
+            if type(y) is not int or len(x) != P or any([type(v) is not int for v in x]):
+                # a row with a violation is kept out of the columns; one
+                # without has a y that is a bool or an integral number
+                out = _row_violations(h.id, idx, o, P)
+                if out:
+                    bad[len(ys)] = out
+                    y, x = 0, (0,) * P
+                else:
+                    y = int(y)
+            ys.append(y)
+            xs.append(x)
+    offsets = np.zeros(len(hs) + 1, dtype=np.int64)
+    np.cumsum([h.n_obs for h in hs], out=offsets[1:])
+    X = np.array(xs, dtype=np.int64).reshape(len(xs), P)
+    return _panel_columns([h.id for h in hs], offsets, ys, X), bad
+
+
+def _row_violations(hid: str, idx: int, obs: Observation, P: int) -> list[Violation]:
+    """Every rule on one observation, value by value (rows from objects)."""
+    out = []
+    if obs.y not in (0, 1):
+        out.append(Violation(hid, idx, "y-binary", f"y={obs.y} not in {{0,1}}"))
+    if len(obs.x) != P:
+        out.append(Violation(hid, idx, "P-uniform", f"len(x)={len(obs.x)} != P={P}"))
+        return out
+    for p, xv in enumerate(obs.x):
+        if not isinstance(xv, int) or isinstance(xv, bool):
+            out.append(Violation(hid, idx, "x-integer", f"x[{p}]={xv!r} is not an integer"))
+        elif xv < 0:
+            out.append(Violation(hid, idx, "x-nonnegative", f"x[{p}]={xv} < 0"))
+    if all(isinstance(xv, int) and xv == 0 for xv in obs.x):
+        out.append(Violation(hid, idx, "x-nonzero", "all covariates are zero"))
+    return out
+
+
+@dataclass(frozen=True)
+class Dataset:
+    """A panel of households with a common attribute count ``P``.
+
+    The panel is stored as int64 columns (:meth:`columns`); ``households``
+    is a read-only :class:`Households` view over them.  A dataset built from
+    a sequence of ``Household`` objects keeps the objects and derives its
+    columns on first use.
+
+    ``x_scale`` is the factor applied to the stored integer covariates to
+    recover the real covariate values; ``scale_note`` records how the integer
+    recoding was produced (rescaling factor, sign flips applied at ingestion).
+    """
+
+    households: Sequence[Household]
+    P: int
+    x_scale: float = 1.0
+    scale_note: str | None = None
+
+    def __post_init__(self):
+        hs = self.households
+        if not (isinstance(hs, Households) and hs.P == self.P):
+            object.__setattr__(self, "households", Households(self.P, objects=tuple(hs)))
+
+    @classmethod
+    def from_columns(
+        cls, ids, offsets, y, X, x_scale: float = 1.0, scale_note: str | None = None
+    ) -> "Dataset":
+        """A dataset whose store is the given panel columns (see :class:`PanelColumns`)."""
+        cols = _panel_columns(ids, offsets, y, X)
+        P = cols.X.shape[1]
+        return cls(Households(P, columns=cols), P, x_scale, scale_note)
+
+    def columns(self) -> PanelColumns:
+        """The panel's int64 columns (see :meth:`Households.columns`)."""
+        return self.households.columns()
+
+
 def validate_dataset(d: Dataset) -> list[Violation]:
     """Check every observation against the model's data restrictions.
 
     Returns a list of violations (empty iff the dataset is acceptable to all
     downstream operations): y must be 0 or 1, covariates must be non-negative
     integers, each observation needs at least one positive covariate, and all
-    observations must share the dataset's attribute count.
+    observations must share the dataset's attribute count.  Violations come
+    household by household, observation by observation.
     """
-    out: list[Violation] = []
-    if len(d.households) < 1:
-        out.append(Violation("", None, "nonempty", "dataset has no households"))
-    for h in d.households:
-        if h.n_obs == 0:
-            out.append(Violation(h.id, None, "nonempty", "household has no observations"))
-        for idx, obs in enumerate(h.observations):
-            if obs.y not in (0, 1):
-                out.append(Violation(h.id, idx, "y-binary", f"y={obs.y} not in {{0,1}}"))
-            if len(obs.x) != d.P:
-                out.append(
-                    Violation(h.id, idx, "P-uniform", f"len(x)={len(obs.x)} != P={d.P}")
-                )
-                continue
-            for p, xv in enumerate(obs.x):
-                if not isinstance(xv, int) or isinstance(xv, bool):
-                    out.append(
-                        Violation(h.id, idx, "x-integer", f"x[{p}]={xv!r} is not an integer")
-                    )
-                elif xv < 0:
-                    out.append(
-                        Violation(h.id, idx, "x-nonnegative", f"x[{p}]={xv} < 0")
-                    )
-            if all(isinstance(xv, int) and xv == 0 for xv in obs.x):
-                # An all-zero row would expand 1/(1+1); rejected rather than
-                # special-cased (use drop_degenerate to remove such rows).
-                out.append(
-                    Violation(h.id, idx, "x-nonzero", "all covariates are zero")
-                )
-    return out
+    (ids, offsets, y, X), bad = d.households._checked_columns()
+
+    def at(row, rule, message):
+        h = int(np.searchsorted(offsets, row, side="right")) - 1
+        return Violation(ids[h], row - int(offsets[h]), rule, message)
+
+    # (row, rule order, violation): an empty household sorts before the row
+    # that follows it, and a row's rules come in the order they are listed
+    found: list[tuple[int, int, Violation]] = []
+    if len(ids) < 1:
+        found.append((-1, 0, Violation("", None, "nonempty", "dataset has no households")))
+    for h in np.flatnonzero(offsets[1:] == offsets[:-1]).tolist():
+        v = Violation(ids[h], None, "nonempty", "household has no observations")
+        found.append((int(offsets[h]), -1, v))
+    checked = np.ones(len(y), dtype=bool)  # rows with bad values were checked one by one
+    checked[list(bad)] = False
+    for r in np.flatnonzero(checked & (y != 0) & (y != 1)).tolist():
+        found.append((r, 0, at(r, "y-binary", f"y={int(y[r])} not in {{0,1}}")))
+    rows, ps = np.nonzero(checked[:, None] & (X < 0))
+    for r, p in zip(rows.tolist(), ps.tolist()):
+        found.append((r, 1 + p, at(r, "x-nonnegative", f"x[{p}]={int(X[r, p])} < 0")))
+    for r in np.flatnonzero(checked & ~X.any(axis=1)).tolist():
+        # An all-zero row would expand 1/(1+1); rejected rather than
+        # special-cased (use drop_degenerate to remove such rows).
+        found.append((r, 1 + X.shape[1], at(r, "x-nonzero", "all covariates are zero")))
+    for r, vs in bad.items():
+        found += [(r, k, v) for k, v in enumerate(vs)]
+    found.sort(key=lambda f: f[:2])
+    return [v for _, _, v in found]
 
 
 def drop_degenerate(d: Dataset) -> Dataset:
@@ -182,7 +357,13 @@ def save_dataset(d: Dataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> Dataset:
-    """Load a dataset from its CSV form; inverse of :func:`save_dataset`."""
+    """Load a dataset from its CSV form; inverse of :func:`save_dataset`.
+
+    Fills the panel columns directly: the rows' y and x cells are parsed by
+    one ``int`` pass over all of them, and a household's rows, which may be
+    interleaved with other households' in the file, are gathered in file
+    order.  A bad value raises DataError naming its line.
+    """
     x_scale = 1.0
     with open(path, encoding="utf-8") as f:
         first = f.readline()
@@ -203,32 +384,54 @@ def load_dataset(path: str) -> Dataset:
         P = len(header) - 4
         if P < 1 or header[4:] != [f"x{p+1}" for p in range(P)]:
             raise DataError(f"{path}:{lineno}: bad covariate columns {header[4:]}")
-        rows: dict[str, list[Observation]] = {}  # households in order of first appearance
+        first_data_line = lineno + 1
+        index: dict[str, int] = {}  # household id -> number, in order of first appearance
+        households: list[int] = []  # household number of every row
+        cells: list[str] = []       # the y, x1, ..., xP cells of every row, flattened
+        blanks: list[int] = []      # rows read before each blank line
+
+        def line_of(row: int) -> int:
+            return first_data_line + row + bisect.bisect_right(blanks, row)
+
         for row in csv.reader(f):
-            lineno += 1
             if not row:
+                blanks.append(len(households))
                 continue
             if len(row) != 4 + P:
-                raise DataError(f"{path}:{lineno}: expected {4+P} columns, got {len(row)}")
-            try:
-                y, *x = _parse_ints(row[3:])
-            except ValueError as e:
-                raise DataError(f"{path}:{lineno}: {e}") from None
-            obs = rows.get(row[0])
-            if obs is None:
-                rows[row[0]] = obs = []
-            obs.append(Observation(y, tuple(x)))
-    if not rows:
+                _int_cells(cells, P + 1, path, line_of)  # an earlier bad value comes first
+                line = line_of(len(households))
+                raise DataError(f"{path}:{line}: expected {4+P} columns, got {len(row)}")
+            households.append(index.setdefault(row[0], len(index)))
+            cells += row[3:]
+    if not households:
         raise DataError(f"{path}: no households")
-    hs = tuple([Household(hid, tuple(obs)) for hid, obs in rows.items()])
-    return Dataset(hs, P, x_scale=x_scale)
+    cols = _int_cells(cells, P + 1, path, line_of).reshape(len(households), P + 1)
+    del cells
+    number = np.array(households, dtype=np.int64)
+    offsets = np.zeros(len(index) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(number, minlength=len(index)), out=offsets[1:])
+    if np.any(number[1:] < number[:-1]):  # interleaved households: gather their rows
+        cols = cols[np.argsort(number, kind="stable")]
+    return Dataset.from_columns(index, offsets, cols[:, 0], cols[:, 1:], x_scale=x_scale)
 
 
-def _parse_ints(cells: list[str]) -> list[int]:
+_I64 = np.iinfo(np.int64)
+
+
+def _int_cells(cells: list[str], width: int, path: str, line_of) -> np.ndarray:
+    """The cells as one int64 array; a bad value raises DataError at its line."""
     try:
-        return list(map(int, cells))
-    except ValueError:
-        return [_parse_int(v) for v in cells]  # names the bad value
+        return np.array(list(map(int, cells)), dtype=np.int64)
+    except (ValueError, OverflowError):
+        for k, cell in enumerate(cells):  # name the first bad value
+            try:
+                v = _parse_int(cell)
+            except ValueError as e:
+                raise DataError(f"{path}:{line_of(k // width)}: {e}") from None
+            if not _I64.min <= v <= _I64.max:
+                raise DataError(f"{path}:{line_of(k // width)}: value {cell.strip()!r} "
+                                "is outside the int64 range") from None
+        raise
 
 
 def _parse_int(s: str) -> int:

@@ -451,7 +451,14 @@ def save_cache(cache: DioCache, path: str) -> None:
         f.write(struct.pack("<I", zlib.crc32(body)))
 
 
-def load_cache(path: str, expect_x_vectors=None) -> DioCache:
+def load_cache(path: str, expect_x_vectors=None, expect_hash: int | None = None) -> DioCache:
+    """Read a cache file, checking its magic, version, size, x_vectors hash and CRC.
+
+    With ``expect_x_vectors`` the file must hold those covariate vectors.
+    ``expect_hash`` may pass ``fnv1a_x_vectors(expect_x_vectors)`` when the
+    caller has it; the file's x_vectors are then hashed again only when they
+    differ from the expected ones.
+    """
     with open(path, "rb") as f:
         raw = f.read()
     hdr_size = 4 + struct.calcsize("<HIIIQQQ")
@@ -469,14 +476,14 @@ def load_cache(path: str, expect_x_vectors=None) -> DioCache:
         raise CacheFileError(f"{path}: truncated file ({len(raw)} bytes, expected {expected})")
     xflat = struct.unpack(f"<{P*M}q", raw[hdr_size:hdr_size + xlen])
     xv = tuple(tuple(xflat[p * M:(p + 1) * M]) for p in range(P))
-    if fnv1a_x_vectors(xv) != xh:
-        raise CacheFileError(f"{path}: x_vectors hash mismatch inside file")
+    exp = None
     if expect_x_vectors is not None:
         exp = tuple(tuple(int(v) for v in vec) for vec in expect_x_vectors)
-        if exp != xv:
-            raise CacheFileError(
-                f"{path}: cache built for different x_vectors than requested"
-            )
+    known = expect_hash if expect_hash is not None and exp == xv else fnv1a_x_vectors(xv)
+    if known != xh:
+        raise CacheFileError(f"{path}: x_vectors hash mismatch inside file")
+    if exp is not None and exp != xv:
+        raise CacheFileError(f"{path}: cache built for different x_vectors than requested")
     body = raw[hdr_size + xlen:-4]
     (crc,) = struct.unpack("<I", raw[-4:])
     if zlib.crc32(body) != crc:

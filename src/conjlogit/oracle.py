@@ -23,6 +23,7 @@ from .data_model import (
     GeneralizedMVGamma,
     Household,
     IndependentGamma,
+    PointMassGamma,
     SpecError,
 )
 
@@ -231,6 +232,11 @@ def sample_prior(spec, size: int, rng) -> np.ndarray:
                 draws[mask] = rng.gamma(shape=n, scale=b, size=int(mask.sum()))
             cols.append(spec.eps + draws)
         return np.column_stack(cols)
+    if isinstance(spec, PointMassGamma):
+        # all-or-nothing: with probability w every coefficient is zero
+        betas = sample_prior(spec.inner, size, rng)
+        betas[rng.random(size) < spec.w] = 0.0
+        return betas
     if isinstance(spec, GeneralizedMVGamma):
         Y0 = np.column_stack(
             [rng.gamma(shape=t, scale=1.0, size=size) for t in spec.theta0]

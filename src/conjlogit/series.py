@@ -429,11 +429,39 @@ class PreparedDataset:
 
 
 def group_households(d: Dataset) -> dict[HouseholdSums, int]:
-    """Households grouped by (x signature, Y): multiplicities in order of first appearance."""
+    """Households grouped by (x signature, Y): multiplicities in order of first appearance.
+
+    Works on the panel columns: households of one length n share a key
+    array (the n * P covariates attribute by attribute, then Y = sum y * x)
+    and one lexsort, and a :class:`HouseholdSums` is built per distinct group.
+    """
+    _, offsets, y, X = d.columns()
+    P = X.shape[1]
+    lengths = np.diff(offsets)
+    found = []  # (first household, multiplicity, key row, length) per group
+    for n in np.unique(lengths).tolist():
+        hh = np.flatnonzero(lengths == n)
+        rows = offsets[hh][:, None] + np.arange(n)
+        x = X[rows]  # (households, n, P)
+        Y = np.einsum("hn,hnp->hp", y[rows], x)
+        key = np.concatenate([x.transpose(0, 2, 1).reshape(len(hh), n * P), Y], axis=1)
+        order = np.lexsort(key.T[::-1])
+        key = key[order]
+        new = np.ones(len(key), dtype=bool)
+        np.any(key[1:] != key[:-1], axis=1, out=new[1:])
+        heads = np.flatnonzero(new)
+        # the sort is stable, so a run's first row is its first household
+        found += zip(
+            hh[order[heads]].tolist(),
+            np.diff(heads, append=len(key)).tolist(),
+            key[heads].tolist(),
+            [n] * len(heads),
+        )
+    found.sort(key=lambda g: g[0])
     groups: dict[HouseholdSums, int] = {}
-    for h in d.households:
-        sums = HouseholdSums.from_household(h, d.P)
-        groups[sums] = groups.get(sums, 0) + 1
+    for _, mult, row, n in found:
+        xv = tuple([tuple(row[p * n:(p + 1) * n]) for p in range(P)])
+        groups[HouseholdSums(tuple(row[n * P:]), xv)] = mult
     return groups
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .data_model import Dataset, Household, IndependentGamma, Observation
+from .data_model import Dataset, IndependentGamma
 from .optimizer import GridSpec, grid_fit
 from .series import SeriesConfig, group_households, h_grouped
 from .diophantine import build_cache_pair
@@ -65,7 +65,7 @@ def simulate_dataset(design: SimDesign, rep: int) -> Dataset:
     spec = design.true_spec
     M = design.J * design.N
     support = np.asarray(design.x_support, dtype=np.int64)
-    households = []
+    ys, xs = [], []
     for i in range(design.I):
         beta = np.array(
             [
@@ -76,15 +76,13 @@ def simulate_dataset(design: SimDesign, rep: int) -> Dataset:
         x = support[rng.integers(0, len(support), size=(M, design.P))]
         v = design.c * (x @ beta)
         prob = np.exp(-v - np.logaddexp(0.0, -v))  # e^{-v} / (1 + e^{-v})
-        y = (rng.random(M) < prob).astype(int)
-        obs = [
-            Observation(int(y[m]), tuple(int(v_) for v_ in x[m]))
-            for m in range(M)
-        ]
-        households.append(Household(id=f"h{i:05d}", observations=obs))
-    return Dataset(
-        households=households,
-        P=design.P,
+        ys.append(rng.random(M) < prob)
+        xs.append(x)
+    return Dataset.from_columns(
+        [f"h{i:05d}" for i in range(design.I)],
+        np.arange(design.I + 1) * M,
+        np.concatenate(ys),
+        np.concatenate(xs),
         x_scale=design.c,
         scale_note=f"simulated, rep={rep}",
     )

@@ -5,7 +5,7 @@ import zlib
 
 import pytest
 
-from conjlogit import __version__
+from conjlogit import __version__, cli, diophantine
 from conjlogit.cli import main
 from conjlogit.data_model import (
     Dataset,
@@ -17,7 +17,7 @@ from conjlogit.data_model import (
     save_dataset,
     save_spec,
 )
-from conjlogit.diophantine import CACHE_FORMAT_VERSION, load_cache
+from conjlogit.diophantine import CACHE_FORMAT_VERSION, fnv1a_x_vectors, load_cache
 
 
 def run(argv, capsys):
@@ -169,6 +169,24 @@ class TestPrecompute:
         assert code == 0, err
         assert "built 1 cache(s), reused 1, rebuilt 1 unreadable" in out
         assert files[0].read_bytes() == good
+
+    def test_each_signature_is_hashed_once(self, tmp_path, sim_csv, capsys, monkeypatch):
+        cdir = tmp_path / "caches"
+        argv = ["precompute", "--data", str(sim_csv), "--R", "10", "--cache-dir", str(cdir)]
+        assert run(argv, capsys)[0] == 0
+        n_files = len(list(cdir.glob("*.bin")))
+        calls = []
+
+        def counting(xv):
+            calls.append(xv)
+            return fnv1a_x_vectors(xv)
+
+        monkeypatch.setattr(cli, "fnv1a_x_vectors", counting)
+        monkeypatch.setattr(diophantine, "fnv1a_x_vectors", counting)
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert f"built 0 cache(s), reused {n_files}," in out
+        assert len(calls) == len(set(calls)) == n_files
 
     def test_env_var_cache_dir(self, tmp_path, sim_csv, capsys, monkeypatch):
         cdir = tmp_path / "envcaches"
@@ -334,18 +352,28 @@ def test_oracle_check_generalized_mv_gamma(tmp_path, capsys):
     assert out.splitlines()[1].split()[-1] == "ok"
 
 
-def test_oracle_check_without_sampler_exits_2(tmp_path, capsys):
-    h = Household("a", (Observation(1, (1,)),))
+def test_oracle_check_point_mass_gamma(tmp_path, capsys):
+    # Monte Carlo draws the beta = 0 atom with probability w; quadrature has
+    # no route for the family and prints n/a
+    hs = (
+        Household("a", (Observation(1, (2,)), Observation(0, (3,)))),
+        Household("b", (Observation(0, (1,)), Observation(1, (1,)), Observation(0, (2,)))),
+    )
     p = tmp_path / "d.csv"
-    save_dataset(Dataset((h,), P=1), str(p))
+    save_dataset(Dataset(hs, P=1, x_scale=0.1), str(p))
     spec_p = tmp_path / "spec.json"
-    save_spec(PointMassGamma(0.3, IndependentGamma((1.0,), (1.0,))), str(spec_p))
-    code, _, err = run(
-        ["oracle-check", "--data", str(p), "--spec", str(spec_p), "--R", "40"],
+    save_spec(PointMassGamma(0.3, IndependentGamma((5.0,), (14.0,))), str(spec_p))
+    code, out, err = run(
+        ["oracle-check", "--data", str(p), "--spec", str(spec_p), "--R", "100",
+         "--mc-draws", "20000", "--cache-dir", str(tmp_path / "c")],
         capsys,
     )
-    assert code == 2
-    assert json.loads(err)["error"]["type"] == "SpecError"
+    assert code == 0, err
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert [r[0] for r in rows] == ["a", "b"]
+    for r in rows:
+        assert r[2] == "n/a" and r[4] == "n/a"
+        assert float(r[5]) < 5.0 and r[-1] == "ok"
 
 
 @pytest.mark.parametrize("precomputed", ["some", "all"])

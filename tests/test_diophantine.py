@@ -280,6 +280,19 @@ class TestPersistence:
         with pytest.raises(CacheFileError, match="different x_vectors"):
             load_cache(str(p), expect_x_vectors=((9, 9), (9, 9)))
 
+    @pytest.mark.parametrize("damage", ["header hash", "stored x_vectors"])
+    def test_hash_mismatch_rejected_with_expected_hash(self, tmp_path, damage):
+        # a caller-supplied hash of the expected x_vectors still catches a
+        # header hash that disagrees with the file's x_vectors
+        c = self.make()
+        p = tmp_path / "c.bin"
+        save_cache(c, str(p))
+        data = bytearray(p.read_bytes())
+        data[18 if damage == "header hash" else 50] ^= 0x01  # hash at 18, x_vectors at 50
+        p.write_bytes(bytes(data))
+        with pytest.raises(CacheFileError, match="hash mismatch"):
+            load_cache(str(p), expect_x_vectors=c.x_vectors, expect_hash=c.x_hash)
+
     def test_hash_is_stable_and_discriminating(self):
         a = fnv1a_x_vectors(((1, 2), (2, 1)))
         assert a == fnv1a_x_vectors(((1, 2), (2, 1)))

@@ -12,6 +12,7 @@ from conjlogit.data_model import (
     Household,
     IndependentGamma,
     Observation,
+    PointMassGamma,
     SpecError,
 )
 from conjlogit.diophantine import build_cache
@@ -101,8 +102,6 @@ class TestQuadrature:
             quadrature_h(h, spec)
 
     def test_no_route_for_point_mass(self):
-        from conjlogit.data_model import PointMassGamma
-
         with pytest.raises(SpecError):
             quadrature_h(single_obs(0), PointMassGamma(0.5, UNIT_PRIOR))
 
@@ -128,6 +127,15 @@ class TestSamplers:
         mix = GammaMixture(((0.25, 0.75),), ((1.0, 4.0),), ((2.0, 1.0),))
         X = sample_prior(mix, 200_000, rng)
         assert X.mean() == pytest.approx(0.25 * 2.0 + 0.75 * 4.0, rel=0.02)
+
+    def test_point_mass_atom_at_zero(self):
+        rng = np.random.default_rng(4)
+        spec = PointMassGamma(0.3, IndependentGamma((2.0, 0.5), (3.0, 4.0)))
+        X = sample_prior(spec, 200_000, rng)
+        atom = (X == 0.0).all(axis=1)
+        assert atom.mean() == pytest.approx(0.3, abs=0.005)
+        assert (X[~atom] > 0.0).all()
+        assert np.allclose(X[~atom].mean(axis=0), [6.0, 2.0], rtol=0.02)
 
     def test_gmv_covariance(self):
         rng = np.random.default_rng(2)
