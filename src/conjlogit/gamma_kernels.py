@@ -200,7 +200,10 @@ def log_mgf(spec, T) -> np.ndarray:
     if isinstance(spec, IndependentGamma):
         log_base = T * -np.asarray(spec.b)
         np.log1p(log_base, out=log_base)
-        return T @ np.full(T.shape[1], spec.eps) - log_base @ np.asarray(spec.n)
+        out = log_base @ -np.asarray(spec.n)
+        if spec.eps:
+            out += T @ np.full(T.shape[1], spec.eps)
+        return out
     if isinstance(spec, GammaMixture):
         out = np.zeros(T.shape[0])
         for p, (w, b, n) in enumerate(zip(spec.weights, spec.b, spec.n)):

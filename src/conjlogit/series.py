@@ -418,9 +418,10 @@ class PreparedDataset:
     def raise_on_truncation(self, H: np.ndarray, spread: np.ndarray | None = None) -> None:
         """Raise :class:`TruncationFailure` for the first group whose H is
         not a positive finite number."""
-        bad = np.flatnonzero(~(np.isfinite(H) & (H > 0.0)))
-        if bad.size:
-            g = int(bad[0])
+        ok = H > 0.0
+        ok &= H < np.inf  # NaN fails both
+        if not ok.all():
+            g = int(np.argmin(ok))
             raise TruncationFailure(
                 _group_label(self.groups[g][0]),
                 float(H[g]),
