@@ -158,10 +158,10 @@ def test_bad_csv_names_line_and_value(tmp_path, text, message):
 def test_crlf_signs_and_spaces_parse(tmp_path):
     p = tmp_path / "d.csv"
     p.write_bytes(b"# x_scale=0.5\r\nhousehold,category,occasion,y,x1,x2\r\n"
-                  b"a,1,1, 1,+3, 2\r\n\r\n\"b,c\",1,1,+0,3 ,2\r\na,1,2,0,1,1\r\n")
+                  b"a,1,1, 1,+3, 3\r\n\r\n\"b,c\",1,1,+0,3 ,2\r\na,1,2,0,1,1\r\n")
     d = load_dataset(str(p))
     assert d == Dataset((
-        Household("a", (Observation(1, (3, 2)), Observation(0, (1, 1)))),
+        Household("a", (Observation(1, (3, 3)), Observation(0, (1, 1)))),
         Household("b,c", (Observation(0, (3, 2)),)),
     ), P=2, x_scale=0.5)
 
