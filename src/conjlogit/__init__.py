@@ -34,7 +34,6 @@ from .diophantine import (
     CacheFileError,
     DioCache,
     build_cache,
-    build_cache_pair,
     compositions_count,
     compositions_cum,
     load_cache,
@@ -103,7 +102,6 @@ __all__ = [
     "SpecError",
     "TruncationFailure",
     "build_cache",
-    "build_cache_pair",
     "compositions_count",
     "compositions_cum",
     "exp_vs_gamma",

@@ -287,12 +287,15 @@ def validate_dataset(d: Dataset) -> list[Violation]:
 
 def drop_degenerate(d: Dataset) -> Dataset:
     """Remove all-zero covariate rows (and then any empty households)."""
-    hs = []
-    for h in d.households:
-        obs = tuple(o for o in h.observations if any(v != 0 for v in o.x))
-        if obs:
-            hs.append(Household(h.id, obs))
-    return replace(d, households=tuple(hs))
+    ids, offsets, y, X = d.columns()
+    keep = X.any(axis=1)
+    n_kept = np.diff(np.concatenate(([0], np.cumsum(keep)))[offsets])
+    left = n_kept > 0
+    new_offsets = np.concatenate(([0], np.cumsum(n_kept[left])))
+    return Dataset.from_columns(
+        [h for h, k in zip(ids, left.tolist()) if k], new_offsets, y[keep], X[keep],
+        d.x_scale, d.scale_note,
+    )
 
 
 def recode_negative(
@@ -446,21 +449,30 @@ def rescale_covariates(d: Dataset, factor: float) -> Dataset:
     """Multiply stored covariates by ``factor`` and round to integers.
 
     The factor is recorded in ``scale_note`` and folded into ``x_scale`` so
-    the real covariate values are unchanged.
+    the real covariate values are unchanged.  The products are taken in
+    float64 and rounded half to even, as Python's ``round`` does; a result
+    that is not finite or lies outside the int64 range raises DataError.
     """
     if factor <= 0:
         raise DataError("rescale factor must be positive")
-    hs = []
-    for h in d.households:
-        obs = tuple(
-            Observation(o.y, tuple(int(round(v * factor)) for v in o.x))
-            for o in h.observations
+    ids, offsets, y, X = d.columns()
+    with np.errstate(invalid="ignore", over="ignore"):  # checked below
+        scaled = np.rint(np.multiply(X, factor, dtype=np.float64))
+    ok = (scaled >= -(2.0**63)) & (scaled < 2.0**63)  # NaN fails both
+    if not ok.all():
+        rows, ps = np.nonzero(~ok)
+        r, p = int(rows[0]), int(ps[0])
+        h = int(np.searchsorted(offsets, r, side="right")) - 1
+        raise DataError(
+            f"household {ids[h]} obs {r - int(offsets[h])}: rescaled x[{p}]="
+            f"{scaled[r, p]} is not an int64 value"
         )
-        hs.append(Household(h.id, obs))
     note = f"rescaled by {factor}"
     if d.scale_note:
         note = d.scale_note + "; " + note
-    return Dataset(tuple(hs), d.P, x_scale=d.x_scale / factor, scale_note=note)
+    return Dataset.from_columns(
+        ids, offsets, y, scaled.astype(np.int64), x_scale=d.x_scale / factor, scale_note=note
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,17 @@ dot products r_p = k . x_p.  Those signed counts are the coefficients of
 prod_m 1/(1 + u z^{x_m}) truncated at u-degree R.  They are built by a
 per-column knapsack recurrence over the reachable (shell, r) states, so the
 cost follows the number of states rather than the C(R+M, M) k-tuples counted.
-The counts from the final shell k.1 == R are kept as well, so the series can
-return the Euler mean of its last two shell partial sums.  The resulting cache
-is the parameter-independent half of the series evaluation and is persisted
-to disk.
+The counts from the final shells k.1 == R and k.1 == R-1 are kept as well, so
+the series can return the Euler mean of its last two shell partial sums, and
+the same mean one budget lower for the parity spread.  The resulting cache is
+the parameter-independent half of the series evaluation and is persisted to
+disk.
 
-A cache stores its counts as int64 columns (r-tuples, raw counts, final-shell
-counts) from the builder to the file and back; building, saving and loading
-make no Python object per r-tuple.  The ``entries`` and ``final_shell``
-mappings are lazy read-only views over those columns for tests and oracles."""
+A cache stores its counts as int64 columns (r-tuples, raw counts, shell-R and
+shell-(R-1) counts) from the builder to the file and back; building, saving
+and loading make no Python object per r-tuple.  The ``entries``,
+``final_shell`` and ``prev_shell`` mappings are lazy read-only views over
+those columns for tests and oracles."""
 
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ class CacheFileError(RuntimeError):
 
 
 DEFAULT_ADMISSION_LIMIT = 10**9
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 
 _MAGIC = b"DIOC"
 _I64_MAX = 2**63 - 1
@@ -111,20 +113,23 @@ class CountView(Mapping):
 class DioCache:
     """Signed solution counts K+(r) - K-(r) for one covariate signature.
 
-    The counts are stored as three int64 columns, one row per reachable
+    The counts are stored as four int64 columns, one row per reachable
     r-tuple, sorted by (r-total, tuple): the r-tuples (``r_array``), their
     raw signed counts c(r) over the simplex k.1 <= R, and the signed counts
-    c_R(r) contributed by the final shell k.1 == R alone.  ``entries`` (r -> c(r))
-    and ``final_shell`` (r -> c_R(r), non-zero rows only) are read-only
-    :class:`CountView` mappings over those columns.  A cache built from
-    plain dicts (e.g. by ``dataclasses.replace``) derives its columns from
-    them on first use.
+    c_R(r) and c_{R-1}(r) contributed by the shells k.1 == R and k.1 == R-1
+    alone.  ``entries`` (r -> c(r)), ``final_shell`` (r -> c_R(r)) and
+    ``prev_shell`` (r -> c_{R-1}(r)), the last two over non-zero rows only,
+    are read-only :class:`CountView` mappings over those columns.  A cache
+    built from plain dicts (e.g. by ``dataclasses.replace``) derives its
+    columns from them on first use.
 
     The shell partial sums S_s of the series alternate in sign, so the
     evaluators return their first Euler mean (S_{R-1} + S_R) / 2 (with
     S_{-1} = 0) rather than the raw S_R.  That mean weights the final shell by
     1/2, which folds into one fixed weight per r-tuple:
-    ``count_array`` holds c(r) - c_R(r) / 2, aligned with ``r_array``.
+    ``count_array`` holds c(r) - c_R(r) / 2, aligned with ``r_array``.  The
+    same mean at budget R - 1, c(r) - c_R(r) - c_{R-1}(r) / 2, is
+    ``companion_array`` on the same rows; the two give the parity spread.
     """
 
     x_vectors: tuple[tuple[int, ...], ...]
@@ -132,6 +137,7 @@ class DioCache:
     entries: Mapping[tuple[int, ...], int]
     admitted: int  # number of k-tuples the counts cover, == C(R+M, M)
     final_shell: Mapping[tuple[int, ...], int]
+    prev_shell: Mapping[tuple[int, ...], int]
 
     @property
     def M(self) -> int:
@@ -146,7 +152,7 @@ class DioCache:
         return fnv1a_x_vectors(self.x_vectors)
 
     def sorted_items(self) -> list[tuple[tuple[int, ...], int]]:
-        r, raw, _ = self.columns()
+        r, raw, _, _ = self.columns()
         return list(zip(map(tuple, r.tolist()), raw.tolist()))
 
     @property
@@ -157,28 +163,35 @@ class DioCache:
     def count_array(self) -> np.ndarray:
         arr = self.__dict__.get("_count_array")
         if arr is None:
-            _, raw, last = self.columns()
+            _, raw, last, _ = self.columns()
             self.__dict__["_count_array"] = arr = raw - 0.5 * last
         return arr
 
-    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The int64 columns (r-tuples, c(r), c_R(r)) in r-total order.
+    @property
+    def companion_array(self) -> np.ndarray:
+        """The Euler-mean weights one budget lower, aligned with ``r_array``."""
+        _, raw, last, prev = self.columns()
+        return (raw - last) - 0.5 * prev
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The int64 columns (r-tuples, c(r), c_R(r), c_{R-1}(r)) in r-total order.
 
         Raises OverflowError when a dict-built cache holds a count outside
         the int64 range.
         """
         cols = self.__dict__.get("_columns")
         if cols is None:
-            e, f = self.entries, self.final_shell
-            if isinstance(e, CountView) and isinstance(f, CountView) and e._r is f._r:
-                cols = (e._r, e._counts, f._counts)
+            e, f, g = self.entries, self.final_shell, self.prev_shell
+            if all(isinstance(v, CountView) and v._r is e._r for v in (e, f, g)):
+                cols = (e._r, e._counts, f._counts, g._counts)
             else:
                 n = len(e)
                 r = np.array(list(e), dtype=np.int64).reshape(n, self.P)
                 raw = np.fromiter(e.values(), dtype=np.int64, count=n)
                 last = np.fromiter((f.get(k, 0) for k in e), dtype=np.int64, count=n)
+                prev = np.fromiter((g.get(k, 0) for k in e), dtype=np.int64, count=n)
                 order = np.lexsort((*r[:, ::-1].T, r.sum(axis=1)))
-                cols = (r[order], raw[order], last[order])
+                cols = (r[order], raw[order], last[order], prev[order])
             self.__dict__["_columns"] = cols
         return cols
 
@@ -204,22 +217,6 @@ def build_cache(
     admission_limit: int = DEFAULT_ADMISSION_LIMIT,
 ) -> DioCache:
     """Signed counts per r-tuple over the truncation simplex k.1 <= R."""
-    cache, _ = build_cache_pair(x_vectors, R, admission_limit, want_sub=False)
-    return cache
-
-
-def build_cache_pair(
-    x_vectors,
-    R: int,
-    admission_limit: int = DEFAULT_ADMISSION_LIMIT,
-    want_sub: bool = True,
-) -> tuple[DioCache, DioCache | None]:
-    """Build the budget-R cache and, from the same shell counts, the budget-(R-1) cache.
-
-    The pair makes parity diagnostics (consecutive-budget spreads) cost a
-    single build.  Each cache carries its own final shell (k.1 == R and
-    k.1 == R-1).  The sub-cache is None when ``want_sub`` is false or R == 0.
-    """
     xv = _check_x_vectors(x_vectors)
     M = len(xv[0])
     if R < 0:
@@ -237,15 +234,7 @@ def build_cache_pair(
     s, r, n = _shell_states(np.array(xv, dtype=np.int64).T, R)
     signed = np.where(s & 1, -n, n)
     order = np.lexsort((*r[:, ::-1].T, r.sum(axis=1)))  # the (total, tuple) order of r_array
-    s, r, signed = s[order], r[order], signed[order]
-    cache = _cache_from_states(xv, R, admitted, s, r, signed)
-    if not want_sub or R == 0:
-        return cache, None
-    below = s < R
-    sub = _cache_from_states(
-        xv, R - 1, compositions_cum(R - 1, M), s[below], r[below], signed[below]
-    )
-    return cache, sub
+    return _cache_from_states(xv, R, admitted, s[order], r[order], signed[order])
 
 
 def _shell_states(cols: np.ndarray, R: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -299,15 +288,24 @@ def _cache_from_states(xv, R, admitted, s, r, signed) -> DioCache:
     # kept even where its shells cancel to a net count of 0
     new = _new_rows(r)
     heads = np.flatnonzero(new)
+    row = np.cumsum(new) - 1
     last = np.zeros(len(heads), dtype=np.int64)
-    final = s == R
-    last[np.cumsum(new)[final] - 1] = signed[final]
-    return _cache_from_arrays(xv, R, admitted, r[heads], np.add.reduceat(signed, heads), last)
+    prev = np.zeros(len(heads), dtype=np.int64)
+    final, before = s == R, s == R - 1
+    last[row[final]] = signed[final]
+    prev[row[before]] = signed[before]
+    return _cache_from_arrays(
+        xv, R, admitted, r[heads], np.add.reduceat(signed, heads), last, prev
+    )
 
 
-def _cache_from_arrays(xv, R, admitted, r, raw, last) -> DioCache:
-    """A cache over its r_array-ordered int64 columns: r-tuples, raw and final-shell counts."""
-    return DioCache(xv, R, CountView(r, raw), admitted, CountView(r, last, skip_zeros=True))
+def _cache_from_arrays(xv, R, admitted, r, raw, last, prev) -> DioCache:
+    """A cache over its r_array-ordered int64 columns: r-tuples, raw counts,
+    and the shell-R and shell-(R-1) counts."""
+    return DioCache(
+        xv, R, CountView(r, raw), admitted,
+        CountView(r, last, skip_zeros=True), CountView(r, prev, skip_zeros=True),
+    )
 
 
 def signed_count_oracle(
@@ -419,13 +417,14 @@ def tail_sum_direct(inp: TailBoundInput, rel_tol: float = 1e-16) -> float:
 # Layout (little-endian): magic "DIOC", u16 version, u32 M, u32 P, u32 R,
 # u64 FNV-1a hash of x_vectors, u64 admitted count, u64 record count, the
 # x_vectors themselves (P*M i64), then sorted (r-tuple i64*P, count i64,
-# final-shell count i64) records, then u32 CRC32 of the record body.
-# Version 1 files lack the final-shell column and are rejected.
+# shell-R count i64, shell-(R-1) count i64) records, then u32 CRC32 of the
+# record body.  Version 1 files lack both shell columns and version 2 files
+# the shell-(R-1) column; both are rejected.
 # ---------------------------------------------------------------------------
 
 def save_cache(cache: DioCache, path: str) -> None:
     try:
-        r, raw, last = cache.columns()
+        r, raw, last, prev = cache.columns()
     except OverflowError as e:  # a dict-built cache with a count beyond int64
         raise CacheFileError(f"a signed count exceeds the i64 file range ({e})") from None
     header = _MAGIC + struct.pack(
@@ -439,10 +438,11 @@ def save_cache(cache: DioCache, path: str) -> None:
         len(raw),
     )
     xdata = struct.pack(f"<{cache.P * cache.M}q", *(v for vec in cache.x_vectors for v in vec))
-    rec = np.empty((len(raw), cache.P + 2), dtype="<i8")
+    rec = np.empty((len(raw), cache.P + 3), dtype="<i8")
     rec[:, :cache.P] = r
     rec[:, cache.P] = raw
     rec[:, cache.P + 1] = last
+    rec[:, cache.P + 2] = prev
     body = rec.tobytes()
     with open(path, "wb") as f:
         f.write(header)
@@ -470,7 +470,7 @@ def load_cache(path: str, expect_x_vectors=None, expect_hash: int | None = None)
             f"{path}: format version {version}, expected {CACHE_FORMAT_VERSION}"
         )
     xlen = 8 * P * M
-    rec_size = 8 * (P + 2)
+    rec_size = 8 * (P + 3)
     expected = hdr_size + xlen + n_rec * rec_size + 4
     if len(raw) != expected:
         raise CacheFileError(f"{path}: truncated file ({len(raw)} bytes, expected {expected})")
@@ -490,5 +490,5 @@ def load_cache(path: str, expect_x_vectors=None, expect_hash: int | None = None)
         raise CacheFileError(f"{path}: checksum failure")
     # Records are stored sorted by (total, tuple), the order of r_array; the
     # cache's columns are read-only views of the record bytes.
-    rec = np.frombuffer(body, dtype="<i8").reshape(n_rec, P + 2)
-    return _cache_from_arrays(xv, R, admitted, rec[:, :P], rec[:, P], rec[:, P + 1])
+    rec = np.frombuffer(body, dtype="<i8").reshape(n_rec, P + 3)
+    return _cache_from_arrays(xv, R, admitted, rec[:, :P], *rec[:, P:].T)

@@ -296,7 +296,7 @@ def newton_fit(
         trace.append((tuple(theta), ll))
         converged = np.max(np.abs(g)) < tol
     spread = None
-    if prep.sub_caches is not None:
+    if prep.parity_check:
         spread = log_marginal_prepared(prep, params_to_spec(theta, P, eps)).parity_spread
     return FitResult(
         tuple(theta), ll, trace, newton_iters=iters, converged=bool(converged),

@@ -35,7 +35,7 @@ from .data_model import (
     PointMassGamma,
     SpecError,
 )
-from .diophantine import DioCache, build_cache, build_cache_pair
+from .diophantine import DioCache, build_cache
 from .gamma_kernels import log_mgf
 
 
@@ -116,7 +116,7 @@ def h_naive(
 
     Returns the Euler mean (S_{R-1} + S_R) / 2 of the shell partial sums,
     i.e. terms with k.1 == R weighted by 1/2.  With ``parity_check`` the
-    spread compares that mean at budgets R and R + 1.
+    spread compares that mean at budgets R and R - 1.
     """
     if not isinstance(spec, IndependentGamma):
         raise SpecError("h_naive supports the independent-Gamma family only")
@@ -128,7 +128,7 @@ def h_naive(
 
     terms: list[float] = []          # signed terms, enumeration order
     totals: list[int] = []           # k.1 per term, for the parity split
-    R = cfg.R + (1 if cfg.parity_check else 0)
+    R = cfg.R
 
     def term_at(K_int: tuple[int, ...], sign: int) -> float:
         logv = 0.0
@@ -162,12 +162,9 @@ def h_naive(
             t if s < budget else 0.5 * t for t, s in zip(terms, totals) if s <= budget
         )
 
-    if cfg.parity_check:
-        at_R = euler_mean(cfg.R)
-        at_R1 = euler_mean(R)
-        spread = float(_rel_spread(at_R, at_R1))
-        return Evaluation(at_R, sum(1 for s in totals if s <= cfg.R), spread)
-    return Evaluation(euler_mean(R), len(terms))
+    value = euler_mean(R)
+    spread = float(_rel_spread(value, euler_mean(R - 1))) if cfg.parity_check else None
+    return Evaluation(value, len(terms), spread)
 
 
 def _check_cache(sums: HouseholdSums, cache: DioCache) -> None:
@@ -177,11 +174,15 @@ def _check_cache(sums: HouseholdSums, cache: DioCache) -> None:
         )
 
 
-def _h_sum(sums: HouseholdSums, cache: DioCache, spec, x_scale: float) -> float:
-    # sum over r of c(r) * M(-x_scale * (r + Y)): the one per-group evaluation
+def _mgf_at(sums: HouseholdSums, cache: DioCache, spec, x_scale: float) -> np.ndarray:
+    # M(-x_scale * (r + Y)) for every stored r: the one per-group kernel evaluation
     _check_cache(sums, cache)
     K = cache.r_array + np.asarray(sums.Y, dtype=np.int64)
-    return float(cache.count_array @ np.exp(log_mgf(spec, -x_scale * K)))
+    return np.exp(log_mgf(spec, -x_scale * K))
+
+
+def _h_sum(sums: HouseholdSums, cache: DioCache, spec, x_scale: float) -> float:
+    return float(cache.count_array @ _mgf_at(sums, cache, spec, x_scale))
 
 
 def h_series(sums: HouseholdSums, cache: DioCache, spec, x_scale: float = 1.0) -> float:
@@ -197,12 +198,11 @@ def h_series(sums: HouseholdSums, cache: DioCache, spec, x_scale: float = 1.0) -
     return _h_sum(sums, cache, spec, x_scale)
 
 
-def _evaluate(sums, cache, spec, x_scale, sub_cache) -> Evaluation:
-    value = _h_sum(sums, cache, spec, x_scale)
-    spread = None
-    if sub_cache is not None:
-        spread = float(_rel_spread(value, _h_sum(sums, sub_cache, spec, x_scale)))
-    return Evaluation(value, len(cache.count_array), spread)
+def _evaluate(sums, cache, spec, x_scale) -> Evaluation:
+    mgf = _mgf_at(sums, cache, spec, x_scale)
+    value = float(cache.count_array @ mgf)
+    spread = float(_rel_spread(value, cache.companion_array @ mgf))
+    return Evaluation(value, len(mgf), spread)
 
 
 def h_grouped(
@@ -210,18 +210,17 @@ def h_grouped(
     cache: DioCache,
     spec: IndependentGamma | GammaMixture,
     x_scale: float = 1.0,
-    sub_cache: DioCache | None = None,
 ) -> Evaluation:
     """Grouped evaluation: sum of signed counts times kernel factors over r.
 
     Returns the same Euler mean (S_{R-1} + S_R) / 2 as :func:`h_naive`: the
-    cache's ``count_array`` already weights the final shell by 1/2.  Pass
-    ``sub_cache`` (a neighbouring budget from the same build) to get the
-    consecutive-budget parity spread as a diagnostic.
+    cache's ``count_array`` already weights the final shell by 1/2.  The
+    parity spread against the same mean at budget R - 1 (the cache's
+    ``companion_array``) comes with it as a diagnostic.
     """
     if not isinstance(spec, (IndependentGamma, GammaMixture)):
         raise SpecError(f"no Gamma-factor route for {type(spec).__name__}; use h_mgf")
-    return _evaluate(sums, cache, spec, x_scale, sub_cache)
+    return _evaluate(sums, cache, spec, x_scale)
 
 
 def h_mgf(
@@ -229,80 +228,12 @@ def h_mgf(
     cache: DioCache,
     spec: GeneralizedMVGamma | BivariateNamed,
     x_scale: float = 1.0,
-    sub_cache: DioCache | None = None,
 ) -> Evaluation:
-    """Grouped evaluation through the prior's moment generating function."""
+    """Grouped evaluation through the prior's moment generating function,
+    with the parity spread as in :func:`h_grouped`."""
     if not isinstance(spec, (GeneralizedMVGamma, BivariateNamed)):
         raise SpecError(f"no MGF route for {type(spec).__name__}")
-    return _evaluate(sums, cache, spec, x_scale, sub_cache)
-
-
-def moment_expansion_h(
-    sums: HouseholdSums,
-    cache: DioCache,
-    moments,
-    order: int,
-    P: int,
-    x_scale: float = 1.0,
-) -> Evaluation:
-    """Double-series fallback using raw moments instead of a closed-form MGF.
-
-    ``moments(l)`` must return the raw moment E[beta_1^l1 ... beta_P^lP] for
-    any multi-index with total degree <= ``order``.  The inner series in l is
-    the Taylor expansion of exp(-K.beta); it converges only while every
-    scaled K stays inside the moment series' radius of convergence, so this
-    route suits small covariate scales or priors with slowly growing moments.
-    """
-    _check_cache(sums, cache)
-    K = x_scale * (cache.r_array + np.asarray(sums.Y, dtype=np.int64))
-
-    idxs = _multi_indices(P, order)
-    coefs = []
-    for l in idxs:
-        mu = moments(l)
-        fact = 1.0
-        for lp in l:
-            fact *= math.factorial(lp)
-        coefs.append(mu / fact)
-    # term(r) = sum_l mu_l / prod(l!) * prod_p (-K_p)^{l_p}
-    vals = np.zeros(K.shape[0])
-    for l, c in zip(idxs, coefs):
-        mono = np.ones(K.shape[0])
-        for p, lp in enumerate(l):
-            if lp:
-                mono *= (-K[:, p]) ** lp
-        vals += c * mono
-    total = math.fsum(cache.count_array * vals)
-    return Evaluation(total, len(vals) * len(idxs))
-
-
-def _multi_indices(P: int, order: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def rec(p: int, left: int, cur: tuple[int, ...]) -> None:
-        if p == P - 1:
-            for v in range(left + 1):
-                out.append(cur + (v,))
-            return
-        for v in range(left + 1):
-            rec(p + 1, left - v, cur + (v,))
-
-    rec(0, order, ())
-    return out
-
-
-def gamma_moments(spec: IndependentGamma):
-    """Raw-moment provider for independent Gammas (ignores translation)."""
-
-    def mu(l: tuple[int, ...]) -> float:
-        v = 1.0
-        for p, lp in enumerate(l):
-            v *= spec.b[p] ** lp * math.exp(
-                math.lgamma(spec.n[p] + lp) - math.lgamma(spec.n[p])
-            )
-        return v
-
-    return mu
+    return _evaluate(sums, cache, spec, x_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +309,16 @@ class CountMatrix:
         )
         return cls(C, -x_scale * distinct_K, mult.astype(np.float64), int(mult @ lens))
 
-    def h(self, spec) -> np.ndarray:
-        """H_i of every group under ``spec``, in group order."""
+    def mgf(self, spec) -> np.ndarray:
+        """The prior's MGF at every column's argument T."""
         if self.C.shape[0] == 0:
             return np.zeros(0)
         v = log_mgf(spec, self.T)
-        return self.C @ np.exp(v, out=v)
+        return np.exp(v, out=v)
+
+    def h(self, spec) -> np.ndarray:
+        """H_i of every group under ``spec``, in group order."""
+        return self.C @ self.mgf(spec)
 
 
 @dataclass
@@ -394,13 +329,14 @@ class PreparedDataset:
     grouped by (signature, Y); every grid point or optimizer step then costs
     only the cheap r-sums.  This is the amortization that makes grid search
     over the prior parameters practical.  The groups' counts are gathered
-    into one :class:`CountMatrix` on first use (``counts``, and
-    ``sub_counts`` for the budget-(R+1) parity companions).
+    into one :class:`CountMatrix` on first use (``counts``).  With
+    ``parity_check`` the caches' budget-(R-1) weights are gathered on the
+    same sparsity pattern (``companion``).
     """
 
     groups: list[tuple[HouseholdSums, int]]  # distinct sums with multiplicity
     caches: dict[tuple[tuple[int, ...], ...], DioCache]
-    sub_caches: dict[tuple[tuple[int, ...], ...], DioCache] | None
+    parity_check: bool
     total_obs: int
     x_scale: float
     R: int
@@ -410,10 +346,12 @@ class PreparedDataset:
         return CountMatrix.build(self.groups, self.caches, self.x_scale)
 
     @cached_property
-    def sub_counts(self) -> CountMatrix | None:
-        if self.sub_caches is None:
-            return None
-        return CountMatrix.build(self.groups, self.sub_caches, self.x_scale)
+    def companion(self) -> sparse.csr_matrix:
+        """Every group's ``companion_array`` on the rows and columns of ``counts.C``."""
+        C = self.counts.C
+        blocks = [self.caches[sums.x_vectors].companion_array for sums, _ in self.groups]
+        data = np.concatenate(blocks) if blocks else np.zeros(0)
+        return sparse.csr_matrix((data, C.indices, C.indptr), shape=C.shape)
 
     def raise_on_truncation(self, H: np.ndarray, spread: np.ndarray | None = None) -> None:
         """Raise :class:`TruncationFailure` for the first group whose H is
@@ -470,33 +408,24 @@ def prepare_dataset(
     d: Dataset,
     cfg: SeriesConfig,
     caches: dict | None = None,
-    sub_caches: dict | None = None,
     groups: dict[HouseholdSums, int] | None = None,
 ) -> PreparedDataset:
     """Group households by (x signature, Y) and build any missing caches.
 
     ``groups`` may pass in :func:`group_households` of ``d`` when the
-    caller has it already.  With ``parity_check`` every signature also gets
-    its budget-(R+1) companion in ``sub_caches``, including signatures whose
-    budget-R cache was passed in.
+    caller has it already.  The budget-R caches carry their own parity
+    companion, so ``parity_check`` builds nothing extra.
     """
     if groups is None:
         groups = group_households(d)
     total_obs = sum([sums.n_obs * m for sums, m in groups.items()])
     caches = dict(caches) if caches else {}
     if cfg.mode == "grouped":
-        if cfg.parity_check:
-            sub_caches = dict(sub_caches) if sub_caches else {}
         for sums in groups:
-            xv = sums.x_vectors
-            if cfg.parity_check and xv not in sub_caches:
-                full, sub = build_cache_pair(xv, cfg.R + 1)
-                sub_caches[xv] = full  # budget R+1
-                caches.setdefault(xv, sub)  # budget R
-            elif xv not in caches:
-                caches[xv] = build_cache(xv, cfg.R)
+            if sums.x_vectors not in caches:
+                caches[sums.x_vectors] = build_cache(sums.x_vectors, cfg.R)
     return PreparedDataset(
-        list(groups.items()), caches, sub_caches, total_obs, d.x_scale, cfg.R
+        list(groups.items()), caches, cfg.parity_check, total_obs, d.x_scale, cfg.R
     )
 
 
@@ -505,13 +434,14 @@ def log_marginal_prepared(prep: PreparedDataset, spec) -> Evaluation:
 
     Every group's H_i comes from one sparse mat-vec (:class:`CountMatrix`);
     a group whose H_i is not positive raises :class:`TruncationFailure`.
+    With ``parity_check`` a second mat-vec over the same MGF values gives
+    the budget-(R-1) means and the worst parity spread.
     """
     inner = spec.inner if isinstance(spec, PointMassGamma) else spec
     counts = prep.counts
-    H = counts.h(inner)
-    spread = None
-    if prep.sub_caches is not None:
-        spread = _rel_spread(H, prep.sub_counts.h(inner))
+    mgf = counts.mgf(inner)
+    H = counts.C @ mgf
+    spread = _rel_spread(H, prep.companion @ mgf) if prep.parity_check else None
     prep.raise_on_truncation(H, spread)
     total = float(counts.mult @ np.log(H))
     if isinstance(spec, PointMassGamma):

@@ -18,8 +18,7 @@ from scipy import stats
 
 from .data_model import Dataset, IndependentGamma
 from .optimizer import GridSpec, grid_fit
-from .series import SeriesConfig, group_households, h_grouped
-from .diophantine import build_cache_pair
+from .series import SeriesConfig, group_households, h_grouped, prepare_dataset
 
 
 @dataclass(frozen=True)
@@ -177,20 +176,17 @@ class ParityRow:
 def parity_study(d: Dataset, spec: IndependentGamma, r_values) -> list[ParityRow]:
     """Consecutive-budget spread of H_i across a dataset at several budgets.
 
-    For each R the spread compares the series truncated at R and at R + 1;
-    both come from a single :func:`build_cache_pair` per covariate signature.
+    For each R the spread compares the series truncated at R and at R - 1;
+    both come from the one budget-R cache per covariate signature.
     """
     groups = group_households(d)
     rows = []
     for R in r_values:
-        pair_cache: dict[tuple, tuple] = {}
-        spreads = []
-        for sums in groups:
-            if sums.x_vectors not in pair_cache:
-                pair_cache[sums.x_vectors] = build_cache_pair(sums.x_vectors, R + 1)
-            full, sub = pair_cache[sums.x_vectors]
-            ev = h_grouped(sums, sub, spec, d.x_scale, sub_cache=full)
-            spreads.append(ev.parity_spread)
+        prep = prepare_dataset(d, SeriesConfig(R=R), groups=groups)
+        spreads = [
+            h_grouped(sums, prep.caches[sums.x_vectors], spec, d.x_scale).parity_spread
+            for sums, _ in prep.groups
+        ]
         rows.append(
             ParityRow(R, max(spreads), float(np.mean(spreads)))
         )

@@ -37,7 +37,6 @@ from conjlogit.optimizer import (
 )
 from conjlogit.series import (
     HouseholdSums,
-    PreparedDataset,
     SeriesConfig,
     h_grouped,
     h_mgf,
@@ -101,11 +100,8 @@ def test_criterion_2_parity_spread_contraction():
     points = list(design.grid.points())
 
     def surface_spread(R):
-        prep = prepare_dataset(d, SeriesConfig(R=R, parity_check=True))
-        lo = PreparedDataset(prep.groups, prep.caches, None, prep.total_obs, prep.x_scale, R)
-        hi = PreparedDataset(
-            prep.groups, prep.sub_caches, None, prep.total_obs, prep.x_scale, R + 1
-        )
+        lo = prepare_dataset(d, SeriesConfig(R=R))
+        hi = prepare_dataset(d, SeriesConfig(R=R + 1))
         worst = 0.0
         for pt in points:
             s = params_to_spec(pt, 1, 0.0)

@@ -144,7 +144,7 @@ class TestPrecompute:
         blob = json.loads(err)
         assert blob["error"]["exit_code"] == 3
 
-    @pytest.mark.parametrize("damage", ["v1", "truncated"])
+    @pytest.mark.parametrize("damage", ["v1", "v2", "truncated"])
     def test_unreadable_cache_file_is_rebuilt(self, tmp_path, capsys, damage):
         hs = (Household("a", (Observation(1, (2,)),)), Household("b", (Observation(0, (1,)),)))
         p = tmp_path / "d.csv"
@@ -154,14 +154,17 @@ class TestPrecompute:
         assert run(argv, capsys)[0] == 0
         files = sorted(cdir.glob("*.bin"))
         good = files[0].read_bytes()
-        if damage == "v1":
-            # records (r-tuple, count) without the final-shell column
+        if damage in ("v1", "v2"):
+            # v1 records are (r-tuple, count) without the final-shell column,
+            # v2 records (r-tuple, count, final-shell count) without shell R-1
             c = load_cache(str(files[0]))
+            version = int(damage[1])
             header = b"DIOC" + struct.pack(
-                "<HIIIQQQ", 1, c.M, c.P, c.R, c.x_hash, c.admitted, len(c.entries)
+                "<HIIIQQQ", version, c.M, c.P, c.R, c.x_hash, c.admitted, len(c.entries)
             )
             xdata = struct.pack(f"<{c.M}q", *c.x_vectors[0])
-            body = b"".join(struct.pack("<qq", *r, n) for r, n in c.sorted_items())
+            rows = [(*r, n, c.final_shell.get(r, 0))[:version + 1] for r, n in c.sorted_items()]
+            body = b"".join(struct.pack(f"<{version + 1}q", *row) for row in rows)
             files[0].write_bytes(header + xdata + body + struct.pack("<I", zlib.crc32(body)))
         else:
             files[0].write_bytes(good[:-10])
@@ -398,6 +401,29 @@ def test_fit_parity_check_over_precomputed_caches(tmp_path, capsys, precomputed)
                             "-o", str(tmp_path / "b.json")], capsys)
     assert code == 0
     assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
+
+
+def test_fit_parity_check_builds_no_cache_after_precompute(tmp_path, sim_csv, capsys,
+                                                         monkeypatch):
+    # the budget-R caches carry the parity companion, so the check needs no
+    # knapsack run once every signature is on disk
+    cdir = tmp_path / "c"
+    assert main(["precompute", "--data", str(sim_csv), "--R", "30", "--cache-dir", str(cdir)]) == 0
+    n_files = len(list(cdir.glob("*.bin")))
+    calls = []
+    shell_states = diophantine._shell_states
+    monkeypatch.setattr(
+        diophantine, "_shell_states", lambda cols, R: calls.append(R) or shell_states(cols, R)
+    )
+    fit = ["fit", "--data", str(sim_csv), "--grid", "3x3", "--spacing", "0.5",
+           "--center", "5,14", "--R", "30", "--parity-check"]
+    code, out, err = run(fit + ["--cache-dir", str(cdir)], capsys)
+    assert code == 0, err
+    assert "parity_spread=" in out
+    assert calls == []
+    code, _, err = run(fit + ["--cache-dir", str(tmp_path / "empty")], capsys)
+    assert code == 0, err
+    assert calls == [30] * n_files
 
 
 def test_recode_negative_takes_attribute_indices(tmp_path, capsys):

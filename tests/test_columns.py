@@ -1,4 +1,4 @@
-"""The columnar panel: loading, validation and grouping over int64 columns.
+"""The columnar panel: loading, validation, transforms and grouping over int64 columns.
 
 Each check compares the columnar path with an object-by-object reference
 that stays here as the oracle.
@@ -19,7 +19,9 @@ from conjlogit.data_model import (
     Household,
     Observation,
     Violation,
+    drop_degenerate,
     load_dataset,
+    rescale_covariates,
     save_dataset,
     validate_dataset,
 )
@@ -32,6 +34,28 @@ def reference_groups(d: Dataset) -> list[tuple[HouseholdSums, int]]:
         sums = HouseholdSums.from_household(h, d.P)
         groups[sums] = groups.get(sums, 0) + 1
     return list(groups.items())
+
+
+def reference_drop_degenerate(d: Dataset) -> Dataset:
+    hs = []
+    for h in d.households:
+        obs = tuple(o for o in h.observations if any(v != 0 for v in o.x))
+        if obs:
+            hs.append(Household(h.id, obs))
+    return dataclasses.replace(d, households=tuple(hs))
+
+
+def reference_rescale(d: Dataset, factor: float) -> Dataset:
+    hs = tuple(
+        Household(h.id, tuple(
+            Observation(o.y, tuple(int(round(v * factor)) for v in o.x)) for o in h.observations
+        ))
+        for h in d.households
+    )
+    note = f"rescaled by {factor}"
+    if d.scale_note:
+        note = d.scale_note + "; " + note
+    return Dataset(hs, d.P, x_scale=d.x_scale / factor, scale_note=note)
 
 
 @st.composite
@@ -228,3 +252,63 @@ def test_load_validate_group_allocate_no_object_per_row(tmp_path):
     assert violations == []
     assert sum(groups.values()) == 1000
     assert grown < 3000, f"{grown} blocks for 3000 rows"
+
+
+def assert_same_panel(got: Dataset, want: Dataset) -> None:
+    a, b = got.columns(), want.columns()
+    assert a.ids == b.ids
+    for col, ref in zip(a[1:], b[1:]):
+        assert col.dtype == np.int64 and np.array_equal(col, ref)
+    assert (got.P, got.x_scale, got.scale_note) == (want.P, want.x_scale, want.scale_note)
+
+
+class TestPanelTransforms:
+    """``drop_degenerate`` and ``rescale_covariates`` work on the columns and
+    agree with the object-by-object versions they replaced."""
+
+    def panel(self) -> Dataset:
+        # "b" holds only all-zero rows, "c" is empty, and at factor 0.5 the
+        # covariates 1, 3, 5, 7 land on the ties 0.5, 1.5, 2.5, 3.5
+        X = [[0, 0], [1, 3], [5, 7], [0, 0], [0, 0], [2, 0], [3, 1], [0, 4]]
+        y = [1, 0, 1, 0, 1, 1, 0, 1]
+        return Dataset.from_columns(["a", "b", "c", "d"], [0, 3, 5, 5, 8], y, X,
+                                    x_scale=0.25, scale_note="recoded attributes [0]")
+
+    def test_match_the_object_path(self):
+        d = self.panel()
+        obj = Dataset(tuple(d.households), P=2, x_scale=d.x_scale, scale_note=d.scale_note)
+        assert_same_panel(drop_degenerate(self.panel()), reference_drop_degenerate(obj))
+        for factor in (0.5, 1.5, 0.1, 3.0):
+            got = drop_degenerate(rescale_covariates(self.panel(), factor))
+            assert_same_panel(got, reference_drop_degenerate(reference_rescale(obj, factor)))
+        half = rescale_covariates(self.panel(), 0.5).columns()
+        assert half.X[:3].tolist() == [[0, 0], [0, 2], [2, 4]]  # half to even
+        assert drop_degenerate(self.panel()).columns().ids == ("a", "d")
+
+    @given(panels(), st.sampled_from([0.5, 0.25, 1.5, 2.5, 0.1, 1e-3, 7.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_random_panels_match_the_object_path(self, panel, factor):
+        P, households, _ = panel
+        obj = Dataset(tuple(households), P, x_scale=0.5)
+        d = Dataset.from_columns(*obj.columns(), x_scale=0.5)
+        assert_same_panel(rescale_covariates(d, factor), reference_rescale(obj, factor))
+        assert_same_panel(drop_degenerate(d), reference_drop_degenerate(obj))
+
+    def test_no_household_objects_are_built(self, tmp_path):
+        p = tmp_path / "d.csv"
+        save_dataset(self.panel(), str(p))
+        d = load_dataset(str(p))
+        out = drop_degenerate(rescale_covariates(d, 0.5))
+        assert validate_dataset(out) == []
+        assert d.households._objs is None and out.households._objs is None
+
+    @pytest.mark.parametrize("factor", [float("inf"), 1e300, 2.0**62])
+    def test_rescaled_value_beyond_int64_raises(self, factor):
+        # x = 2 at 2**62 is exactly 2**63, one past the int64 range, and
+        # x = 0 at an infinite factor is NaN
+        d = Dataset.from_columns(["a", "b"], [0, 1, 2], [1, 0], [[0], [2]])
+        first = "a" if factor == float("inf") else "b"
+        with pytest.raises(DataError, match=rf"household {first} obs 0: .* not an int64 value"):
+            rescale_covariates(d, factor)
+        edge = Dataset.from_columns(["a"], [0, 1], [1], [[-1]])
+        assert rescale_covariates(edge, 2.0**63).columns().X.tolist() == [[-(2**63)]]

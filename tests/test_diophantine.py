@@ -17,7 +17,6 @@ from conjlogit.diophantine import (
     TailBound,
     TailBoundInput,
     build_cache,
-    build_cache_pair,
     compositions_count,
     compositions_cum,
     fnv1a_x_vectors,
@@ -104,19 +103,19 @@ class TestBuildCache:
         assert len(c.count_array) == len(c.entries)
 
     def test_pair_matches_direct_build(self):
-        xv = ((1, 2, 3), (2, 1, 1))
-        full, sub = build_cache_pair(xv, 7)
-        direct7, direct6 = build_cache(xv, 7), build_cache(xv, 6)
-        assert full.entries == direct7.entries
-        assert sub.entries == direct6.entries
-        assert np.array_equal(full.count_array, direct7.count_array)
-        assert np.array_equal(sub.count_array, direct6.count_array)
-        assert sub.R == 6
+        # the budget-R cache holds the Euler-mean weights at R and, on the
+        # same rows, at R - 1; per-signature checks are in TestShellCountDP
+        assert_companion_matches_direct_build(((1, 2, 3), (2, 1, 1)), 7)
+        for xv, R in DP_SIGNATURES:
+            if R == 0:
+                c = build_cache(xv, R)
+                assert not c.companion_array.any() and not c.prev_shell
 
     def test_pair_at_zero_budget(self):
-        full, sub = build_cache_pair(((1,),), 0)
-        assert full.entries == {(0,): 1}
-        assert sub is None
+        c = build_cache(((1,),), 0)
+        assert c.entries == c.final_shell == {(0,): 1}
+        assert not c.prev_shell
+        assert np.array_equal(c.companion_array, [0.0])
 
     def test_admission_limit(self):
         with pytest.raises(BudgetError):
@@ -148,6 +147,23 @@ DP_SIGNATURES = [
 ]
 
 
+def assert_companion_matches_direct_build(xv, R):
+    # the companion weights of a budget-R cache are those of a direct
+    # budget-(R-1) build on the rows that budget reaches, and 0 on the rest
+    c = build_cache(xv, R)
+    below = build_cache(xv, R - 1)
+    assert below.R == R - 1
+    assert below.admitted == compositions_cum(R - 1, c.M)
+    rows = {r: i for i, r in enumerate(c.entries)}
+    shared = np.array([rows[r] for r in below.entries])
+    assert np.array_equal(c.r_array[shared], below.r_array)
+    assert np.array_equal(c.companion_array[shared], below.count_array)
+    rest = np.ones(len(rows), dtype=bool)
+    rest[shared] = False
+    assert not c.companion_array[rest].any()
+    assert c.prev_shell == below.final_shell
+
+
 class TestShellCountDP:
     @pytest.mark.parametrize("xv,R", DP_SIGNATURES)
     def test_reachable_set_is_complete(self, xv, R):
@@ -167,7 +183,7 @@ class TestShellCountDP:
         if R == 0:
             assert c.final_shell == c.entries == {(0,) * len(xv): 1}
             return
-        below, _ = build_cache_pair(xv, R - 1, want_sub=False)
+        below = build_cache(xv, R - 1)
         for r_t, cnt in c.final_shell.items():
             kp, km = signed_count_oracle(xv, r_t, R)
             assert cnt != 0
@@ -177,14 +193,7 @@ class TestShellCountDP:
 
     @pytest.mark.parametrize("xv,R", [sig for sig in DP_SIGNATURES if sig[1] > 0])
     def test_sub_cache_equals_direct_build(self, xv, R):
-        _, sub = build_cache_pair(xv, R)
-        direct = build_cache(xv, R - 1)
-        assert sub.R == direct.R == R - 1
-        assert sub.admitted == direct.admitted
-        assert sub.entries == direct.entries
-        assert sub.final_shell == direct.final_shell
-        assert np.array_equal(sub.r_array, direct.r_array)
-        assert np.array_equal(sub.count_array, direct.count_array)
+        assert_companion_matches_direct_build(xv, R)
 
     def test_large_case_meets_closed_form_identities(self):
         # C(48, 8) ~ 3.8e8 k-tuples, far beyond enumeration
@@ -206,7 +215,7 @@ class TestShellCountDP:
         with pytest.raises(BudgetError, match="i64"):
             build_cache(((1,) * 40,), 200, admission_limit=10**50)
         with pytest.raises(BudgetError, match="i64"):
-            build_cache_pair(((1,) * 24,), 200, admission_limit=10**50)
+            build_cache(((1,) * 24,), 200, admission_limit=10**50)
 
 
 class TestPersistence:
@@ -259,18 +268,28 @@ class TestPersistence:
         with pytest.raises(CacheFileError, match="version"):
             load_cache(str(p))
 
-    def test_v1_file_rejected(self, tmp_path):
-        # v1 records are (r-tuple, count) with no final-shell column; reading
-        # one would silently give the raw partial sum instead of the mean
+    def write_old_format(self, path, version):
+        # v1 records are (r-tuple, count) and v2 records add the final-shell
+        # count; v1 would silently give the raw partial sum instead of the
+        # mean, and v2 lacks the shell-(R-1) column of the parity companion
         c = self.make()
         header = b"DIOC" + struct.pack(
-            "<HIIIQQQ", 1, c.M, c.P, c.R, c.x_hash, c.admitted, len(c.entries)
+            "<HIIIQQQ", version, c.M, c.P, c.R, c.x_hash, c.admitted, len(c.entries)
         )
         xdata = struct.pack(f"<{c.P * c.M}q", *(v for vec in c.x_vectors for v in vec))
-        body = b"".join(struct.pack(f"<{c.P}qq", *r, n) for r, n in c.sorted_items())
+        body = np.column_stack(c.columns()[:version + 1]).astype("<i8").tobytes()
+        path.write_bytes(header + xdata + body + struct.pack("<I", zlib.crc32(body)))
+
+    def test_v1_file_rejected(self, tmp_path):
         p = tmp_path / "c.bin"
-        p.write_bytes(header + xdata + body + struct.pack("<I", zlib.crc32(body)))
+        self.write_old_format(p, 1)
         with pytest.raises(CacheFileError, match="version"):
+            load_cache(str(p))
+
+    def test_v2_file_rejected(self, tmp_path):
+        p = tmp_path / "c.bin"
+        self.write_old_format(p, 2)
+        with pytest.raises(CacheFileError, match="format version 2, expected 3"):
             load_cache(str(p))
 
     def test_signature_mismatch(self, tmp_path):
@@ -317,6 +336,7 @@ class TestCountViews:
         assert c.entries == want and want == c.entries
         assert c.final_shell == want_shell and want_shell == c.final_shell
         assert c.entries == built.entries and c.final_shell == built.final_shell
+        assert c.prev_shell == dict(built.prev_shell.items()) == build_cache(self.XV, 5).final_shell
         assert c == built
         for r_t, cnt in want.items():
             kp, km = signed_count_oracle(self.XV, r_t, 6)
@@ -353,10 +373,14 @@ class TestCountViews:
         assert back.entries[r] == -cnt
         assert back.entries == {**c.entries, r: -cnt}
         assert back.final_shell == c.final_shell
+        assert back.prev_shell == c.prev_shell
         assert np.array_equal(back.r_array, c.r_array)
+        moved = c.companion_array.copy()
+        moved[list(c.entries).index(r)] -= 2 * cnt
+        assert np.array_equal(back.companion_array, moved)
         assert back != c
 
-    @pytest.mark.parametrize("field", ["entries", "final_shell"])
+    @pytest.mark.parametrize("field", ["entries", "final_shell", "prev_shell"])
     @pytest.mark.parametrize("count", [2**63, -(2**63) - 1])
     def test_count_beyond_i64_fails_on_save(self, tmp_path, field, count):
         c = build_cache(self.XV, 6)

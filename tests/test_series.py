@@ -17,7 +17,7 @@ from conjlogit.data_model import (
     PointMassGamma,
     SpecError,
 )
-from conjlogit.diophantine import build_cache, build_cache_pair
+from conjlogit.diophantine import build_cache
 from conjlogit.gamma_kernels import log_mgf, mgf_bivariate_named
 from conjlogit.series import (
     CountMatrix,
@@ -25,13 +25,11 @@ from conjlogit.series import (
     HouseholdSums,
     SeriesConfig,
     TruncationFailure,
-    gamma_moments,
     h_grouped,
     h_mgf,
     h_naive,
     log_marginal,
     log_marginal_prepared,
-    moment_expansion_h,
     prepare_dataset,
 )
 
@@ -105,20 +103,34 @@ class TestParityDiagnostics:
         cfg = SeriesConfig(R=20, mode="naive", parity_check=True)
         ev = h_naive(single_obs(0), UNIT_PRIOR, cfg)
         plain = h_naive(single_obs(0), UNIT_PRIOR, SeriesConfig(R=20, mode="naive"))
-        nxt = h_naive(single_obs(0), UNIT_PRIOR, SeriesConfig(R=21, mode="naive"))
+        prev = h_naive(single_obs(0), UNIT_PRIOR, SeriesConfig(R=19, mode="naive"))
         assert ev.value == pytest.approx(plain.value, rel=1e-15)
         assert ev.parity_spread == pytest.approx(
-            abs(plain.value - nxt.value) / max(plain.value, nxt.value), rel=1e-12
+            abs(plain.value - prev.value) / max(plain.value, prev.value), rel=1e-12
         )
 
     def test_grouped_spread_matches_naive_spread(self):
         sums = HouseholdSums((1,), ((1, 2),))
-        full, sub = build_cache_pair(sums.x_vectors, 11)
-        ev = h_grouped(sums, sub, UNIT_PRIOR, sub_cache=full)
+        ev = h_grouped(sums, build_cache(sums.x_vectors, 10), UNIT_PRIOR)
         cfg = SeriesConfig(R=10, mode="naive", parity_check=True)
         ref = h_naive(sums, UNIT_PRIOR, cfg)
         assert ev.value == pytest.approx(ref.value, rel=1e-12)
         assert ev.parity_spread == pytest.approx(ref.parity_spread, rel=1e-9)
+        h = Household("h", (Observation(1, (1,)), Observation(0, (2,))))
+        prep = prepare_dataset(Dataset((h,), P=1), SeriesConfig(R=10, parity_check=True))
+        assert prep.groups == [(sums, 1)]
+        worst = log_marginal_prepared(prep, UNIT_PRIOR).parity_spread
+        assert worst == pytest.approx(ref.parity_spread, rel=1e-9)
+
+    def test_spread_is_one_at_zero_budget(self):
+        # the budget -1 mean is the empty sum, so the companion weights are 0
+        cfg = SeriesConfig(R=0, parity_check=True)
+        d = tiny_dataset()
+        assert log_marginal_prepared(prepare_dataset(d, cfg), UNIT_PRIOR).parity_spread == 1.0
+        sums = HouseholdSums((1,), ((1, 2),))
+        assert h_grouped(sums, build_cache(sums.x_vectors, 0), UNIT_PRIOR).parity_spread == 1.0
+        naive = SeriesConfig(R=0, mode="naive", parity_check=True)
+        assert h_naive(sums, UNIT_PRIOR, naive).parity_spread == 1.0
 
     def test_spread_contracts_with_budget(self):
         spreads = []
@@ -183,33 +195,6 @@ class TestMgfRoute:
         cache = build_cache(sums.x_vectors, 2)
         with pytest.raises(SpecError):
             h_mgf(sums, cache, UNIT_PRIOR)
-
-
-class TestMomentExpansion:
-    def test_unit_gamma_matches_naive_inside_radius(self):
-        # The inner moment series converges only for |b * x_scale * K| < 1,
-        # so the unit-Gamma comparison runs at a small covariate scale.
-        sums = HouseholdSums((1,), ((1, 2, 1),))
-        cache = build_cache(sums.x_vectors, 8)
-        ev_m = moment_expansion_h(
-            sums, cache, gamma_moments(UNIT_PRIOR), order=40, P=1, x_scale=1 / 256
-        )
-        ev_n = h_naive(sums, UNIT_PRIOR, SeriesConfig(R=8, mode="naive"), x_scale=1 / 256)
-        assert ev_m.value == pytest.approx(ev_n.value, rel=1e-6)
-
-    def test_truncation_order_monotone_refinement(self):
-        sums = HouseholdSums((0,), ((1,),))
-        cache = build_cache(sums.x_vectors, 4)
-        mom = gamma_moments(UNIT_PRIOR)
-        ref = h_naive(sums, UNIT_PRIOR, SeriesConfig(R=4, mode="naive"), x_scale=1 / 64)
-        errs = [
-            abs(
-                moment_expansion_h(sums, cache, mom, order=o, P=1, x_scale=1 / 64).value
-                - ref.value
-            )
-            for o in (2, 6, 12)
-        ]
-        assert errs[0] > errs[1] > errs[2]
 
 
 def tiny_dataset():
@@ -372,8 +357,8 @@ class TestCountMatrixKernel:
         for preloaded in (signatures[:1], signatures):
             caches = {xv: build_cache(xv, 10) for xv in preloaded}
             prep = prepare_dataset(d, cfg, caches)
-            assert set(prep.sub_caches) == set(signatures)
-            assert all(c.R == 11 for c in prep.sub_caches.values())
+            assert set(prep.caches) == set(signatures)
+            assert all(c.R == 10 for c in prep.caches.values())
             ev = log_marginal_prepared(prep, IG2)
             ref = log_marginal_prepared(cold, IG2)
             assert ev.parity_spread is not None
