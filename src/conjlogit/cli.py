@@ -39,6 +39,7 @@ from .diophantine import (
     CACHE_FORMAT_VERSION,
     CacheFileError,
     build_cache,
+    canonical_x_vectors,
     compositions_count,
     compositions_cum,
     fnv1a_x_vectors,
@@ -166,15 +167,24 @@ def _signatures(groups: dict[HouseholdSums, int]) -> dict[tuple, int]:
 
 
 def _prepare(d: Dataset, cfg: SeriesConfig, cache_dir: str) -> PreparedDataset:
-    """Group the households once, load the budget-R caches found in
-    ``cache_dir`` for their signatures, and build the rest."""
+    """Group the households once, load one budget-R cache found in
+    ``cache_dir`` per canonical signature, and build the rest.
+
+    Files are keyed by ordered signature; the first ordering of a canonical
+    signature whose file exists is read, and ``prepare_dataset`` relabels
+    it to the canonical signature."""
     groups = group_households(d)
     caches = {}
+    found = set()
     for xv in _signatures(groups):
+        canon = canonical_x_vectors(xv)
+        if canon in found:
+            continue
         x_hash = fnv1a_x_vectors(xv)
         path = _cache_path(cache_dir, x_hash, cfg.R)
         if os.path.exists(path):
             caches[xv] = load_cache(path, expect_x_vectors=xv, expect_hash=x_hash)
+            found.add(canon)
     return prepare_dataset(d, cfg, caches, groups=groups)
 
 
@@ -232,6 +242,7 @@ def cmd_precompute(args) -> int:
         )
     os.makedirs(cache_dir, exist_ok=True)
     built = reused = rebuilt = 0
+    missing: dict[tuple, list] = {}  # canonical signature -> (xv, path) of files to write
     for xv, x_hash, _ in plans:
         path = _cache_path(cache_dir, x_hash, args.R)
         if os.path.exists(path):
@@ -242,8 +253,14 @@ def cmd_precompute(args) -> int:
             else:
                 reused += 1
                 continue
-        save_cache(build_cache(xv, args.R, args.limit), path)
-        built += 1
+        missing.setdefault(canonical_x_vectors(xv), []).append((xv, path))
+    for canon, files in missing.items():
+        # one knapsack run per canonical signature; each ordering's file
+        # holds the same counts under its own x_vectors
+        cache = build_cache(canon, args.R, args.limit)
+        for xv, path in files:
+            save_cache(cache.relabel(xv), path)
+        built += len(files)
     summary = f"built {built} cache(s), reused {reused}"
     if rebuilt:
         summary += f", rebuilt {rebuilt} unreadable"
@@ -299,14 +316,22 @@ def cmd_oracle_check(args) -> int:
     spec = load_spec(args.spec)
     cfg = SeriesConfig(R=args.R, mode="grouped")
     prep = prepare_dataset(d, cfg)
+    picked = prep.groups[: args.max_households]
+    # a household of each picked group, found in one pass on the order-free key
+    wanted = {sums for sums, _ in picked}
+    first = {}
+    for hh in d.households:
+        sums = HouseholdSums.from_household(hh, d.P)
+        key = HouseholdSums(sums.Y, canonical_x_vectors(sums.x_vectors))
+        if key in wanted:
+            first.setdefault(key, hh)
+            if len(first) == len(wanted):
+                break
     rows = []
     all_ok = True
-    for sums, mult in prep.groups[: args.max_households]:
+    for sums, _ in picked:
         series = h_series(sums, prep.caches[sums.x_vectors], spec, d.x_scale)
-        h = next(
-            hh for hh in d.households
-            if HouseholdSums.from_household(hh, d.P) == sums
-        )
+        h = first[sums]
         try:
             quad = quadrature_h(h, spec, QuadConfig(rel_tol=1e-10), d.x_scale)
         except (SpecError, ToleranceNotMet):

@@ -306,13 +306,26 @@ def recode_negative(
     """Recode selected attributes so the positivity convention holds.
 
     Applies ``transform`` (default: negation) to every covariate of the
-    flagged attributes.  The result must stay a non-negative integer.
+    flagged attributes.  The result must stay a non-negative integer.  The
+    default negation works on the panel columns; a custom ``transform`` is
+    applied value by value.
     """
-    if transform is None:
-        transform = lambda v: -v  # noqa: E731
     bad = [p for p in flip if p < 0 or p >= d.P]
     if bad:
         raise DataError(f"flip indices out of range for P={d.P}: {bad}")
+    note = f"recoded attributes {sorted(flip)}" if flip else None
+    if flip:
+        note = (d.scale_note + "; " + note) if d.scale_note else note
+    else:
+        note = d.scale_note
+    if transform is None:
+        cols, bad_rows = d.households._checked_columns()
+        ps = list(flip)  # the order in which the value-by-value route checks them
+        # rows that need per-value checks, or a -2^63 whose negation leaves
+        # int64, take the value-by-value route
+        if not bad_rows and not (cols.X[:, ps] == np.iinfo(np.int64).min).any():
+            return _negate_columns(cols, ps, d.x_scale, note)
+        transform = lambda v: -v  # noqa: E731
     hs = []
     for h in d.households:
         obs = []
@@ -332,12 +345,25 @@ def recode_negative(
                 x[p] = v
             obs.append(Observation(o.y, tuple(x)))
         hs.append(Household(h.id, tuple(obs)))
-    note = f"recoded attributes {sorted(flip)}" if flip else None
-    if flip:
-        note = (d.scale_note + "; " + note) if d.scale_note else note
-    else:
-        note = d.scale_note
     return replace(d, households=tuple(hs), scale_note=note)
+
+
+def _negate_columns(cols: PanelColumns, ps: list[int], x_scale: float, note) -> Dataset:
+    """The panel with attributes ``ps`` negated; the first negative result,
+    row by row and in the order of ``ps``, raises DataError."""
+    ids, offsets, y, X = cols
+    neg = -X[:, ps]
+    hits = np.flatnonzero(neg < 0)  # row-major over (row, position in ps)
+    if hits.size:
+        r, k = divmod(int(hits[0]), len(ps))
+        h = int(np.searchsorted(offsets, r, side="right")) - 1
+        raise DataError(
+            f"household {ids[h]} obs {r - int(offsets[h])}: transformed "
+            f"x[{ps[k]}]={int(neg[r, k])} is negative"
+        )
+    X = X.copy()
+    X[:, ps] = neg
+    return Dataset.from_columns(ids, offsets, y, X, x_scale, note)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,16 @@ def fnv1a_x_vectors(x_vectors: tuple[tuple[int, ...], ...]) -> int:
     return h
 
 
+def canonical_x_vectors(x_vectors) -> tuple[tuple[int, ...], ...]:
+    """The order-free key of a signature: its observation columns sorted.
+
+    H_i and the signed counts c(r) are symmetric in a household's
+    observations, so signatures that differ only in the order of their
+    columns (x_1m, ..., x_Pm) share one key, and one cache built for it.
+    """
+    return tuple(zip(*sorted(zip(*x_vectors))))
+
+
 class CountView(Mapping):
     """Read-only mapping r-tuple -> signed count over a cache's int64 columns.
 
@@ -172,6 +182,27 @@ class DioCache:
         """The Euler-mean weights one budget lower, aligned with ``r_array``."""
         _, raw, last, prev = self.columns()
         return (raw - last) - 0.5 * prev
+
+    def relabel(self, x_vectors) -> "DioCache":
+        """The same counts for ``x_vectors``, a column permutation of this
+        cache's own.
+
+        The counts depend on the multiset of observation columns only, so a
+        permuted signature shares every column of the cache.  Raises
+        ValueError when ``x_vectors`` is not such a permutation.
+        """
+        xv = tuple(tuple(int(v) for v in vec) for vec in x_vectors)
+        if xv == self.x_vectors:
+            return self
+        if not (
+            len(xv) == self.P
+            and all(len(vec) == self.M for vec in xv)
+            and sorted(zip(*xv)) == sorted(zip(*self.x_vectors))
+        ):
+            raise ValueError(
+                f"x_vectors {xv} are not a column permutation of the cache's {self.x_vectors}"
+            )
+        return _cache_from_arrays(xv, self.R, self.admitted, *self.columns())
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The int64 columns (r-tuples, c(r), c_R(r), c_{R-1}(r)) in r-total order.

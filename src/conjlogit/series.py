@@ -35,7 +35,7 @@ from .data_model import (
     PointMassGamma,
     SpecError,
 )
-from .diophantine import DioCache, build_cache
+from .diophantine import DioCache, build_cache, canonical_x_vectors
 from .gamma_kernels import log_mgf
 
 
@@ -325,17 +325,20 @@ class CountMatrix:
 class PreparedDataset:
     """Parameter-independent startup work for repeated evaluations.
 
-    Holds one cache per distinct covariate signature plus the households
-    grouped by (signature, Y); every grid point or optimizer step then costs
-    only the cheap r-sums.  This is the amortization that makes grid search
-    over the prior parameters practical.  The groups' counts are gathered
-    into one :class:`CountMatrix` on first use (``counts``).  With
-    ``parity_check`` the caches' budget-(R-1) weights are gathered on the
-    same sparsity pattern (``companion``).
+    Holds the households grouped by (signature, Y) and one cache per
+    distinct signature, both keyed order-free: a group's ``x_vectors`` are
+    :func:`~conjlogit.diophantine.canonical_x_vectors`, so households that
+    differ only in the order of their observations share a group, and
+    signatures that differ only in that order share a cache.  Every grid
+    point or optimizer step then costs only the cheap r-sums.  This is the
+    amortization that makes grid search over the prior parameters practical.
+    The groups' counts are gathered into one :class:`CountMatrix` on first
+    use (``counts``).  With ``parity_check`` the caches' budget-(R-1)
+    weights are gathered on the same sparsity pattern (``companion``).
     """
 
-    groups: list[tuple[HouseholdSums, int]]  # distinct sums with multiplicity
-    caches: dict[tuple[tuple[int, ...], ...], DioCache]
+    groups: list[tuple[HouseholdSums, int]]  # distinct order-free sums with multiplicity
+    caches: dict[tuple[tuple[int, ...], ...], DioCache]  # by canonical signature
     parity_check: bool
     total_obs: int
     x_scale: float
@@ -410,22 +413,36 @@ def prepare_dataset(
     caches: dict | None = None,
     groups: dict[HouseholdSums, int] | None = None,
 ) -> PreparedDataset:
-    """Group households by (x signature, Y) and build any missing caches.
+    """Group households by order-free (x signature, Y) and build any missing caches.
 
     ``groups`` may pass in :func:`group_households` of ``d`` when the
-    caller has it already.  The budget-R caches carry their own parity
+    caller has it already; groups whose signatures differ only in the order
+    of their observations are merged.  ``caches`` may hold caches keyed by
+    any ordering of a signature; each is relabelled to the canonical one
+    rather than rebuilt, and the knapsack DP runs once per canonical
+    signature still missing.  The budget-R caches carry their own parity
     companion, so ``parity_check`` builds nothing extra.
     """
     if groups is None:
         groups = group_households(d)
     total_obs = sum([sums.n_obs * m for sums, m in groups.items()])
-    caches = dict(caches) if caches else {}
-    if cfg.mode == "grouped":
-        for sums in groups:
-            if sums.x_vectors not in caches:
-                caches[sums.x_vectors] = build_cache(sums.x_vectors, cfg.R)
+    canon = {xv: canonical_x_vectors(xv) for xv in dict.fromkeys(s.x_vectors for s in groups)}
+    merged: dict[tuple, int] = {}  # (Y, canonical x_vectors) -> households
+    for sums, mult in groups.items():
+        key = (sums.Y, canon[sums.x_vectors])
+        merged[key] = merged.get(key, 0) + mult
+    given: dict = {}
+    for xv, cache in (caches or {}).items():
+        given.setdefault(canonical_x_vectors(xv), cache)
+    kept = {}
+    for xv in dict.fromkeys(canon.values()):
+        if xv in given:
+            kept[xv] = given[xv].relabel(xv)
+        elif cfg.mode == "grouped":
+            kept[xv] = build_cache(xv, cfg.R)
     return PreparedDataset(
-        list(groups.items()), caches, cfg.parity_check, total_obs, d.x_scale, cfg.R
+        [(HouseholdSums(Y, xv), m) for (Y, xv), m in merged.items()],
+        kept, cfg.parity_check, total_obs, d.x_scale, cfg.R,
     )
 
 

@@ -177,7 +177,8 @@ def parity_study(d: Dataset, spec: IndependentGamma, r_values) -> list[ParityRow
     """Consecutive-budget spread of H_i across a dataset at several budgets.
 
     For each R the spread compares the series truncated at R and at R - 1;
-    both come from the one budget-R cache per covariate signature.
+    both come from the one budget-R cache per covariate signature.  The mean
+    is over households, so it does not depend on how they are grouped.
     """
     groups = group_households(d)
     rows = []
@@ -187,7 +188,8 @@ def parity_study(d: Dataset, spec: IndependentGamma, r_values) -> list[ParityRow
             h_grouped(sums, prep.caches[sums.x_vectors], spec, d.x_scale).parity_spread
             for sums, _ in prep.groups
         ]
+        mults = [m for _, m in prep.groups]
         rows.append(
-            ParityRow(R, max(spreads), float(np.mean(spreads)))
+            ParityRow(R, max(spreads), float(np.average(spreads, weights=mults)))
         )
     return rows

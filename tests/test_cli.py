@@ -17,7 +17,14 @@ from conjlogit.data_model import (
     save_dataset,
     save_spec,
 )
-from conjlogit.diophantine import CACHE_FORMAT_VERSION, fnv1a_x_vectors, load_cache
+from conjlogit.diophantine import (
+    CACHE_FORMAT_VERSION,
+    build_cache,
+    canonical_x_vectors,
+    fnv1a_x_vectors,
+    load_cache,
+    save_cache,
+)
 
 
 def run(argv, capsys):
@@ -36,6 +43,48 @@ def sim_csv(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     return out
+
+
+@pytest.fixture
+def perm_csv(tmp_path, capsys):
+    # three observations per household, so many signatures are column
+    # permutations of one another
+    out = tmp_path / "perm.csv"
+    code = main(
+        ["simulate", "--I", "30", "--N", "3", "--P", "1", "--b", "5", "--n", "14",
+         "--seed", "7", "-o", str(out)]
+    )
+    capsys.readouterr()
+    assert code == 0
+    return out
+
+
+def permuted_panel() -> Dataset:
+    """Six households over six ordered signatures and three canonical ones;
+    h0 and h1 also share Y, so they make one order-free group."""
+    rows = [
+        [(1, (1, 2)), (0, (2, 1)), (1, (3, 0))],
+        [(0, (2, 1)), (1, (1, 2)), (1, (3, 0))],
+        [(0, (3, 0)), (0, (1, 2)), (0, (2, 1))],
+        [(1, (1, 1))],
+        [(0, (1, 1)), (1, (0, 2))],
+        [(1, (0, 2)), (1, (1, 1))],
+    ]
+    hs = tuple(Household(f"h{i}", tuple(Observation(y, x) for y, x in obs))
+               for i, obs in enumerate(rows))
+    return Dataset(hs, P=2, x_scale=0.1)
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Record the first argument of every call to ``module.name``."""
+    calls, original = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def test_version_embeds_cache_format(capsys):
@@ -403,19 +452,18 @@ def test_fit_parity_check_over_precomputed_caches(tmp_path, capsys, precomputed)
     assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
 
 
-def test_fit_parity_check_builds_no_cache_after_precompute(tmp_path, sim_csv, capsys,
+def test_fit_parity_check_builds_no_cache_after_precompute(tmp_path, perm_csv, capsys,
                                                          monkeypatch):
     # the budget-R caches carry the parity companion, so the check needs no
-    # knapsack run once every signature is on disk
+    # knapsack run once every signature is on disk, and one per canonical
+    # signature without them
     cdir = tmp_path / "c"
-    assert main(["precompute", "--data", str(sim_csv), "--R", "30", "--cache-dir", str(cdir)]) == 0
-    n_files = len(list(cdir.glob("*.bin")))
-    calls = []
-    shell_states = diophantine._shell_states
-    monkeypatch.setattr(
-        diophantine, "_shell_states", lambda cols, R: calls.append(R) or shell_states(cols, R)
-    )
-    fit = ["fit", "--data", str(sim_csv), "--grid", "3x3", "--spacing", "0.5",
+    assert main(["precompute", "--data", str(perm_csv), "--R", "30", "--cache-dir", str(cdir)]) == 0
+    files = list(cdir.glob("*.bin"))
+    n_canonical = len({canonical_x_vectors(load_cache(str(f)).x_vectors) for f in files})
+    assert n_canonical < len(files)
+    calls = count_calls(monkeypatch, diophantine, "_shell_states")
+    fit = ["fit", "--data", str(perm_csv), "--grid", "3x3", "--spacing", "0.5",
            "--center", "5,14", "--R", "30", "--parity-check"]
     code, out, err = run(fit + ["--cache-dir", str(cdir)], capsys)
     assert code == 0, err
@@ -423,7 +471,61 @@ def test_fit_parity_check_builds_no_cache_after_precompute(tmp_path, sim_csv, ca
     assert calls == []
     code, _, err = run(fit + ["--cache-dir", str(tmp_path / "empty")], capsys)
     assert code == 0, err
-    assert calls == [30] * n_files
+    assert len(calls) == n_canonical
+
+
+class TestOrderFreeSignatures:
+    def test_precompute_builds_once_per_canonical_signature(self, tmp_path, capsys,
+                                                             monkeypatch):
+        d = permuted_panel()
+        data = tmp_path / "d.csv"
+        save_dataset(d, str(data))
+        ordered = {h.x_vectors(2) for h in d.households}
+        assert len(ordered) == 6 and len({canonical_x_vectors(xv) for xv in ordered}) == 3
+        cdir = tmp_path / "c"
+        builds = count_calls(monkeypatch, diophantine, "_shell_states")
+        code, out, err = run(["precompute", "--data", str(data), "--R", "8",
+                              "--cache-dir", str(cdir)], capsys)
+        assert code == 0, err
+        assert "built 6 cache(s), reused 0" in out
+        assert len(builds) == 3
+        # one file per ordered signature, byte-identical to a direct build
+        files = sorted(cdir.glob("*.bin"))
+        assert len(files) == 6
+        for f in files:
+            xv = load_cache(str(f)).x_vectors
+            assert f.name == f"dio_{fnv1a_x_vectors(xv):016x}_R8.bin"
+            save_cache(build_cache(xv, 8), str(tmp_path / "direct.bin"))
+            assert f.read_bytes() == (tmp_path / "direct.bin").read_bytes()
+        ordered_builds = len(builds)
+        loads = count_calls(monkeypatch, cli, "load_cache")
+        fit = ["fit", "--data", str(data), "--grid", "3x3", "--spacing", "0.5",
+               "--center", "5,14,5,14", "--R", "8", "--cache-dir", str(cdir)]
+        code, _, err = run(fit + ["-o", str(tmp_path / "a.json")], capsys)
+        assert code == 0, err
+        assert len(loads) == 3
+        assert len(builds) == ordered_builds
+        code, _, err = run(fit[:-2] + ["--cache-dir", str(tmp_path / "empty"),
+                                       "-o", str(tmp_path / "b.json")], capsys)
+        assert code == 0, err
+        assert len(builds) == ordered_builds + 3
+        assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
+
+    def test_oracle_check_on_permuted_households(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        save_dataset(permuted_panel(), str(data))
+        spec_p = tmp_path / "spec.json"
+        save_spec(IndependentGamma((5.0, 5.0), (14.0, 14.0)), str(spec_p))
+        code, out, err = run(
+            ["oracle-check", "--data", str(data), "--spec", str(spec_p), "--R", "60",
+             "--mc-draws", "20000"],
+            capsys,
+        )
+        assert code == 0, err
+        rows = [line.split() for line in out.splitlines()[1:]]
+        # h1 is h0 reordered with the same Y: one group, checked on h0
+        assert [r[0] for r in rows] == ["h0", "h2", "h3", "h4", "h5"]
+        assert all(r[-1] == "ok" for r in rows)
 
 
 def test_recode_negative_takes_attribute_indices(tmp_path, capsys):

@@ -21,6 +21,7 @@ from conjlogit.data_model import (
     Violation,
     drop_degenerate,
     load_dataset,
+    recode_negative,
     rescale_covariates,
     save_dataset,
     validate_dataset,
@@ -58,14 +59,48 @@ def reference_rescale(d: Dataset, factor: float) -> Dataset:
     return Dataset(hs, d.P, x_scale=d.x_scale / factor, scale_note=note)
 
 
+def reference_recode_negative(d: Dataset, flip: set[int], transform=None) -> Dataset:
+    if transform is None:
+        transform = lambda v: -v  # noqa: E731
+    bad = [p for p in flip if p < 0 or p >= d.P]
+    if bad:
+        raise DataError(f"flip indices out of range for P={d.P}: {bad}")
+    hs = []
+    for h in d.households:
+        obs = []
+        for idx, o in enumerate(h.observations):
+            x = list(o.x)
+            for p in flip:
+                v = transform(x[p])
+                if v != int(v):
+                    raise DataError(
+                        f"household {h.id} obs {idx}: transformed x[{p}]={v} is not an integer"
+                    )
+                v = int(v)
+                if v < 0:
+                    raise DataError(
+                        f"household {h.id} obs {idx}: transformed x[{p}]={v} is negative"
+                    )
+                x[p] = v
+            obs.append(Observation(o.y, tuple(x)))
+        hs.append(Household(h.id, tuple(obs)))
+    note = f"recoded attributes {sorted(flip)}" if flip else None
+    if flip:
+        note = (d.scale_note + "; " + note) if d.scale_note else note
+    else:
+        note = d.scale_note
+    return dataclasses.replace(d, households=tuple(hs), scale_note=note)
+
+
 @st.composite
-def panels(draw):
+def panels(draw, lo=0):
     """Households of different lengths, with ids that need CSV quoting, and
-    the order in which their rows are interleaved in a file."""
+    the order in which their rows are interleaved in a file.  Covariates lie
+    in [lo, 4]."""
     P = draw(st.sampled_from([1, 2, 3]))
     ids = draw(st.lists(st.text(alphabet='ab,"\n x', max_size=4), min_size=1, max_size=6,
                         unique=True))
-    obs = st.builds(Observation, st.integers(0, 1), st.tuples(*[st.integers(0, 4)] * P))
+    obs = st.builds(Observation, st.integers(0, 1), st.tuples(*[st.integers(lo, 4)] * P))
     households = [Household(i, tuple(draw(st.lists(obs, min_size=1, max_size=4))))
                   for i in ids]
     slots = [k for k, h in enumerate(households) for _ in h.observations]
@@ -263,8 +298,9 @@ def assert_same_panel(got: Dataset, want: Dataset) -> None:
 
 
 class TestPanelTransforms:
-    """``drop_degenerate`` and ``rescale_covariates`` work on the columns and
-    agree with the object-by-object versions they replaced."""
+    """``drop_degenerate``, ``rescale_covariates`` and the default
+    ``recode_negative`` work on the columns and agree with the
+    object-by-object versions they replaced."""
 
     def panel(self) -> Dataset:
         # "b" holds only all-zero rows, "c" is empty, and at factor 0.5 the
@@ -301,6 +337,71 @@ class TestPanelTransforms:
         out = drop_degenerate(rescale_covariates(d, 0.5))
         assert validate_dataset(out) == []
         assert d.households._objs is None and out.households._objs is None
+
+    @given(panels(lo=-3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_recode_negative_matches_the_object_path(self, panel, data):
+        # flip sets include out-of-range indices; both routes must agree on
+        # the result or on the first error's text
+        P, households, _ = panel
+        flip = data.draw(st.sets(st.integers(-1, P), max_size=P + 1))
+        note = data.draw(st.sampled_from([None, "rescaled by 2.0"]))
+        obj = Dataset(tuple(households), P, x_scale=0.5, scale_note=note)
+        d = Dataset.from_columns(*obj.columns(), x_scale=0.5, scale_note=note)
+
+        def outcome(fn, ds):
+            try:
+                return fn(ds, flip)
+            except DataError as e:
+                return str(e)
+
+        got, want = outcome(recode_negative, d), outcome(reference_recode_negative, obj)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_same_panel(got, want)
+            assert got.households._objs is None
+        assert d.households._objs is None
+
+    def test_recode_negative_builds_no_household_objects(self, tmp_path):
+        p = tmp_path / "d.csv"
+        neg = Dataset.from_columns(["a", "b"], [0, 2, 3], [1, 0, 1],
+                                   [[-1, 2], [-3, 1], [0, 4]], x_scale=0.25)
+        save_dataset(neg, str(p))
+        d = load_dataset(str(p))
+        out = recode_negative(d, {0})
+        assert out.columns().X.tolist() == [[1, 2], [3, 1], [0, 4]]
+        assert out.scale_note == "recoded attributes [0]"
+        assert validate_dataset(out) == []
+        assert d.households._objs is None and out.households._objs is None
+        with pytest.raises(DataError, match=r"household a obs 0: transformed x\[1\]=-2 is negative"):
+            recode_negative(d, {0, 1})
+        # two negative results in one row: the first attribute in flip order is named
+        both = Dataset.from_columns(["a"], [0, 1], [1], [[3, 2]])
+        with pytest.raises(DataError) as got:
+            recode_negative(both, {0, 1})
+        with pytest.raises(DataError) as want:
+            reference_recode_negative(both, {0, 1})
+        assert str(got.value) == str(want.value) == "household a obs 0: transformed x[0]=-3 is negative"
+
+    def test_recode_negative_value_route_cases(self):
+        # rows the columns cannot hold, a custom transform, and -2**63 (whose
+        # negation leaves int64) go value by value, as before
+        floats = Dataset((Household("a", (Observation(1, (-2, 1.5)),)),), P=2)
+        assert recode_negative(floats, {0}) == reference_recode_negative(floats, {0})
+        assert recode_negative(floats, {0}).households[0].observations[0].x == (2, 1.5)
+        with pytest.raises(DataError) as got:
+            recode_negative(floats, {1})
+        with pytest.raises(DataError) as want:
+            reference_recode_negative(floats, {1})
+        assert str(got.value) == str(want.value) == (
+            "household a obs 0: transformed x[1]=-1.5 is not an integer"
+        )
+        half = Dataset.from_columns(["a"], [0, 1], [1], [[4, -6]])
+        out = recode_negative(half, {0, 1}, transform=lambda v: abs(v) // 2)
+        assert out == reference_recode_negative(half, {0, 1}, lambda v: abs(v) // 2)
+        low = Dataset.from_columns(["a"], [0, 1], [1], [[-(2**63), 1]])
+        assert recode_negative(low, {0}).households[0].observations[0].x == (2**63, 1)
 
     @pytest.mark.parametrize("factor", [float("inf"), 1e300, 2.0**62])
     def test_rescaled_value_beyond_int64_raises(self, factor):

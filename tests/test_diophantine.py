@@ -17,6 +17,7 @@ from conjlogit.diophantine import (
     TailBound,
     TailBoundInput,
     build_cache,
+    canonical_x_vectors,
     compositions_count,
     compositions_cum,
     fnv1a_x_vectors,
@@ -216,6 +217,42 @@ class TestShellCountDP:
             build_cache(((1,) * 40,), 200, admission_limit=10**50)
         with pytest.raises(BudgetError, match="i64"):
             build_cache(((1,) * 24,), 200, admission_limit=10**50)
+
+
+class TestCanonicalSignatures:
+    @given(st.integers(1, 3).flatmap(lambda P: st.lists(
+        st.tuples(*[st.integers(0, 3)] * P).filter(any), min_size=1, max_size=4
+    )), st.randoms(use_true_random=False), st.integers(0, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_relabelled_build_equals_direct_build(self, tmp_path_factory, cols, rnd, R):
+        # permuting the observation columns changes neither the key nor the
+        # counts: a relabelled build of the canonical signature saves the
+        # same bytes as a build of the permuted one
+        xv = tuple(zip(*cols))
+        shuffled = list(cols)
+        rnd.shuffle(shuffled)
+        perm = tuple(zip(*shuffled))
+        canon = canonical_x_vectors(xv)
+        assert canonical_x_vectors(perm) == canon
+        assert sorted(zip(*canon)) == list(zip(*canon)) == sorted(cols)
+        tmp = tmp_path_factory.mktemp("relabel")
+        save_cache(build_cache(canon, R).relabel(perm), str(tmp / "a.bin"))
+        save_cache(build_cache(perm, R), str(tmp / "b.bin"))
+        assert (tmp / "a.bin").read_bytes() == (tmp / "b.bin").read_bytes()
+
+    def test_relabel_rejects_a_non_permutation(self):
+        c = build_cache(((1, 2, 2), (0, 1, 3)), 5)
+        assert c.relabel([[2, 1, 2], [1, 0, 3]]).x_vectors == ((2, 1, 2), (1, 0, 3))
+        assert c.relabel(c.x_vectors) is c
+        for bad in (
+            ((1, 2, 3), (0, 1, 2)),   # other values
+            ((2, 1, 2), (1, 3, 0)),   # each attribute permuted on its own
+            ((1, 2), (0, 1)),         # a column dropped
+            ((1, 2, 2),),             # an attribute dropped
+            ((1, 2, 2, 1), (0, 1, 3, 0)),
+        ):
+            with pytest.raises(ValueError, match="not a column permutation"):
+                c.relabel(bad)
 
 
 class TestPersistence:

@@ -17,7 +17,7 @@ from conjlogit.data_model import (
     PointMassGamma,
     SpecError,
 )
-from conjlogit.diophantine import build_cache
+from conjlogit.diophantine import build_cache, canonical_x_vectors
 from conjlogit.gamma_kernels import log_mgf, mgf_bivariate_named
 from conjlogit.series import (
     CountMatrix,
@@ -25,9 +25,11 @@ from conjlogit.series import (
     HouseholdSums,
     SeriesConfig,
     TruncationFailure,
+    group_households,
     h_grouped,
     h_mgf,
     h_naive,
+    h_series,
     log_marginal,
     log_marginal_prepared,
     prepare_dataset,
@@ -364,6 +366,77 @@ class TestCountMatrixKernel:
             assert ev.parity_spread is not None
             assert ev.value == ref.value
             assert ev.parity_spread == ref.parity_spread
+
+
+@st.composite
+def shuffled_panels(draw):
+    """A P=2 panel with some households repeated in another row order, and a
+    copy of it with every household's rows shuffled."""
+    row = st.tuples(st.integers(0, 1), st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any))
+    households = draw(st.lists(st.lists(row, min_size=1, max_size=3), min_size=1, max_size=6))
+    repeats = draw(st.lists(st.sampled_from(households), max_size=4))
+    households += [draw(st.permutations(obs)) for obs in repeats]
+    shuffled = [draw(st.permutations(obs)) for obs in households]
+
+    def dataset(rows):
+        return Dataset(tuple(
+            Household(f"h{i}", tuple(Observation(y, x) for y, x in obs))
+            for i, obs in enumerate(rows)
+        ), P=2, x_scale=0.1)
+
+    return dataset(households), dataset(shuffled)
+
+
+class TestOrderFreeGroups:
+    @given(shuffled_panels())
+    @settings(max_examples=30, deadline=None)
+    def test_shuffled_rows_give_the_same_groups_and_values(self, panel):
+        d, shuffled = panel
+        cfg = SeriesConfig(R=12)
+        a, b = prepare_dataset(d, cfg), prepare_dataset(shuffled, cfg)
+        assert a.groups == b.groups
+        assert all(sums.x_vectors == canonical_x_vectors(sums.x_vectors) for sums, _ in a.groups)
+        assert sum(m for _, m in a.groups) == len(d.households)
+        assert list(a.caches) == list(dict.fromkeys(sums.x_vectors for sums, _ in a.groups))
+        for spec in SEVEN_FAMILIES:
+            assert a.counts.h(spec).tobytes() == b.counts.h(spec).tobytes()
+        # the order-dependent groups, each with a cache of its own ordering
+        ordered = math.fsum(
+            m * math.log(h_series(sums, build_cache(sums.x_vectors, 12), IG2, d.x_scale))
+            for sums, m in group_households(shuffled).items()
+        )
+        assert log_marginal_prepared(b, IG2).value == pytest.approx(ordered, rel=1e-12)
+        assert log_marginal_prepared(a, IG2).value == pytest.approx(
+            log_marginal_prepared(b, IG2).value, rel=1e-12
+        )
+
+    def test_caches_keyed_by_any_ordering_are_relabelled(self, monkeypatch):
+        d = two_attribute_dataset()
+        cfg = SeriesConfig(R=12)
+        cold = prepare_dataset(d, cfg)
+        # pass the caches of h0 (x rows (1, 2), (2, 1)) and h4 under other orderings
+        given = {((2, 1), (1, 2)): build_cache(((2, 1), (1, 2)), 12),
+                 ((2, 1, 1), (3, 1, 1)): build_cache(((2, 1, 1), (3, 1, 1)), 12)}
+        calls = []
+        monkeypatch.setattr("conjlogit.series.build_cache",
+                            lambda xv, R: calls.append(xv) or build_cache(xv, R))
+        prep = prepare_dataset(d, cfg, given)
+        assert calls == [((3,), (3,))]
+        assert list(prep.caches) == list(cold.caches)
+        for xv, cache in prep.caches.items():
+            assert cache.x_vectors == xv
+            assert cache.columns()[0].tobytes() == cold.caches[xv].columns()[0].tobytes()
+        assert log_marginal_prepared(prep, IG2).value == log_marginal_prepared(cold, IG2).value
+        wrong = {((1, 2), (2, 1)): build_cache(((1, 1), (2, 2)), 12)}
+        with pytest.raises(ValueError, match="not a column permutation"):
+            prepare_dataset(d, cfg, wrong)
+
+    def test_failure_label_shows_canonical_order(self):
+        h = Household("bad", (Observation(0, (2,)), Observation(0, (1,)), Observation(0, (1,))))
+        prep = prepare_dataset(Dataset((h,), P=1), SeriesConfig(R=1))
+        with pytest.raises(TruncationFailure) as exc:
+            log_marginal_prepared(prep, IndependentGamma((1.0,), (0.01,)))
+        assert exc.value.household == "x=((1, 1, 2),) Y=(0,)"
 
 
 class TestInfrastructure:

@@ -3,8 +3,10 @@ import csv
 import numpy as np
 import pytest
 
-from conjlogit.data_model import IndependentGamma, validate_dataset
+from conjlogit.data_model import Dataset, Household, IndependentGamma, Observation, validate_dataset
+from conjlogit.diophantine import build_cache
 from conjlogit.optimizer import GridAxis, GridSpec
+from conjlogit.series import HouseholdSums, h_grouped
 from conjlogit.sim import (
     SimDesign,
     bonferroni_crit,
@@ -117,3 +119,26 @@ class TestParityStudy:
         spreads = [r.max_spread for r in rows]
         assert spreads[0] > spreads[1] > spreads[2]
         assert all(r.mean_spread <= r.max_spread for r in rows)
+
+    def test_mean_is_over_households(self):
+        # households 0 and 1 differ only in row order and make one group,
+        # and households 2 and 4 are equal; the mean must count every household
+        rows = [
+            [(1, (1,)), (0, (3,))],
+            [(0, (3,)), (1, (1,))],
+            [(1, (2,)), (0, (2,)), (0, (1,))],
+            [(0, (2,))],
+            [(1, (2,)), (0, (2,)), (0, (1,))],
+        ]
+        hs = [Household(f"h{i}", tuple(Observation(y, x) for y, x in obs))
+              for i, obs in enumerate(rows)]
+        spec = IndependentGamma((5.0,), (14.0,))
+        d = Dataset(tuple(hs), P=1, x_scale=0.1)
+        (row,) = parity_study(d, spec, [12])
+        per_household = []
+        for h in hs:
+            sums = HouseholdSums.from_household(h, 1)
+            ev = h_grouped(sums, build_cache(sums.x_vectors, 12), spec, d.x_scale)
+            per_household.append(ev.parity_spread)
+        assert row.mean_spread == pytest.approx(np.mean(per_household), rel=1e-9)
+        assert row.max_spread == pytest.approx(max(per_household), rel=1e-9)
