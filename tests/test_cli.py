@@ -76,11 +76,11 @@ def permuted_panel() -> Dataset:
 
 
 def count_calls(monkeypatch, module, name) -> list:
-    """Record the first argument of every call to ``module.name``."""
+    """Record the positional arguments of every call to ``module.name``."""
     calls, original = [], getattr(module, name)
 
     def counting(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counting)
@@ -460,8 +460,8 @@ def test_fit_parity_check_builds_no_cache_after_precompute(tmp_path, perm_csv, c
     cdir = tmp_path / "c"
     assert main(["precompute", "--data", str(perm_csv), "--R", "30", "--cache-dir", str(cdir)]) == 0
     files = list(cdir.glob("*.bin"))
-    n_canonical = len({canonical_x_vectors(load_cache(str(f)).x_vectors) for f in files})
-    assert n_canonical < len(files)
+    canonical = {canonical_x_vectors(load_cache(str(f)).x_vectors) for f in files}
+    assert len(canonical) < len(files)
     calls = count_calls(monkeypatch, diophantine, "_shell_states")
     fit = ["fit", "--data", str(perm_csv), "--grid", "3x3", "--spacing", "0.5",
            "--center", "5,14", "--R", "30", "--parity-check"]
@@ -471,7 +471,9 @@ def test_fit_parity_check_builds_no_cache_after_precompute(tmp_path, perm_csv, c
     assert calls == []
     code, _, err = run(fit + ["--cache-dir", str(tmp_path / "empty")], capsys)
     assert code == 0, err
-    assert len(calls) == n_canonical
+    # one build at budget 30 for each canonical signature, and no other
+    assert [R for _, R in calls] == [30] * len(canonical)
+    assert {tuple(map(tuple, cols.T.tolist())) for cols, _ in calls} == canonical
 
 
 class TestOrderFreeSignatures:
@@ -488,7 +490,7 @@ class TestOrderFreeSignatures:
                               "--cache-dir", str(cdir)], capsys)
         assert code == 0, err
         assert "built 6 cache(s), reused 0" in out
-        assert len(builds) == 3
+        assert [R for _, R in builds] == [8] * 3
         # one file per ordered signature, byte-identical to a direct build
         files = sorted(cdir.glob("*.bin"))
         assert len(files) == 6
