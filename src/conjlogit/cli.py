@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 from .data_model import (
     DataError,
@@ -52,6 +53,7 @@ from .optimizer import (
     GridAxis,
     GridSpec,
     grid_fit,
+    grid_logliks,
     newton_fit,
     params_to_spec,
 )
@@ -277,7 +279,10 @@ def cmd_fit(args) -> int:
     prep = _prepare(d, cfg, _cache_dir(args))
     res = grid_fit(d, grid, cfg, eps=args.eps, prep=prep)
     if args.newton:
-        res = newton_fit(d, params_to_spec(res.omega_hat, d.P, args.eps), cfg, prep=prep)
+        res = replace(
+            newton_fit(d, params_to_spec(res.omega_hat, d.P, args.eps), cfg, prep=prep),
+            dropped=res.dropped,
+        )
     if args.output:
         with open(args.output, "w") as f:
             f.write(res.to_json())
@@ -289,6 +294,10 @@ def cmd_fit(args) -> int:
     if res.parity_spread is not None:
         line += f"  parity_spread={res.parity_spread:.3g}"
     print(line)
+    if res.dropped:
+        print(f"dropped {res.dropped} of {grid.cardinality} grid point(s) for truncation")
+    if not res.converged:
+        print(f"newton: not converged after {res.newton_iters} iteration(s)")
     return EXIT_OK
 
 
@@ -389,22 +398,14 @@ def cmd_plotdata(args) -> int:
     d = _load_data(args)
     grid = _grid_from_args(args, d.P)
     cfg = SeriesConfig(R=args.R, mode="grouped")
-    prep = _prepare(d, cfg, _cache_dir(args))
+    values = grid_logliks(_prepare(d, cfg, _cache_dir(args)), grid, args.eps)
     names = [f"{k}{p+1}" for p in range(d.P) for k in ("b", "n")]
-    n_rows = 0
     with open(args.output, "w") as f:
         f.write(",".join(names) + ",loglik\n")
-        for params in grid.points():
-            try:
-                ll = log_marginal_prepared(
-                    prep, params_to_spec(params, d.P, args.eps)
-                ).value
-                cell = f"{ll:.10g}"
-            except TruncationFailure:
-                cell = "nan"
-            f.write(",".join(f"{v:.10g}" for v in params) + f",{cell}\n")
-            n_rows += 1
-    print(f"wrote {n_rows} rows to {args.output}")
+        for params, ll in zip(grid.points(), values.tolist()):
+            # a point that failed truncation is NaN, which prints as nan
+            f.write(",".join(f"{v:.10g}" for v in params) + f",{ll:.10g}\n")
+    print(f"wrote {len(values)} rows to {args.output}")
     return EXIT_OK
 
 

@@ -1,10 +1,13 @@
 """Maximum marginal likelihood over the prior parameters.
 
-Grid search is the default estimator: the Diophantine caches are built once
-and every grid point reuses them, so the per-point cost is only the cheap
-r-sums.  Newton's method with the closed-form gradient and Hessian of the
-series is available as an opt-in refiner; the likelihood surface can be flat
-and multi-modal, so it is best seeded from a grid optimum.
+Grid search is the default estimator: the Diophantine caches are built once,
+and the whole grid is scored in one batched pass (:func:`grid_logliks`).
+Each attribute's MGF factor is computed once per grid pair at that
+attribute's few distinct arguments, and a block of points costs one sparse
+product of the count matrix with their weight columns.  Newton's method
+with the closed-form gradient and Hessian of the series is available as an
+opt-in refiner; the likelihood surface can be flat and multi-modal, so it
+is best seeded from a grid optimum.
 """
 
 from __future__ import annotations
@@ -85,6 +88,7 @@ class FitResult:
     newton_iters: int = 0
     converged: bool = True
     parity_spread: float | None = None  # at omega_hat; None without a parity check
+    dropped: int = 0  # grid points that failed truncation, left out of a grid trace
 
     def to_json(self) -> str:
         return json.dumps(
@@ -95,6 +99,7 @@ class FitResult:
                 "newton_iters": self.newton_iters,
                 "converged": self.converged,
                 "parity_spread": self.parity_spread,
+                "dropped": self.dropped,
                 "trace": [
                     {"params": list(p), "loglik": v} for p, v in self.trace
                 ],
@@ -112,6 +117,55 @@ def params_to_spec(params, P: int, eps: float = 0.0) -> IndependentGamma:
     return IndependentGamma(b, n, eps)
 
 
+# Cells (distinct K x grid points) of one block of weight columns.
+BLOCK_CELLS = 1 << 18
+
+
+def grid_logliks(prep: PreparedDataset, grid: GridSpec, eps: float = 0.0) -> np.ndarray:
+    """The log marginal likelihood at every grid point, in ``grid.points()`` order.
+
+    NaN marks a point where some group's H is not a positive finite number,
+    the points where :func:`log_marginal_prepared` raises
+    :class:`TruncationFailure`.  The independent-Gamma MGF is a product over
+    attributes, and so is the grid, so each attribute's factor is computed
+    once per (b_p, n_p) pair, and only at that attribute's distinct t_p
+    (``CountMatrix.t_axes``).  The points go in blocks: one block holds every
+    pair of the last attribute for one pair of each other attribute.  Its
+    weight columns are products of gathered factors, and one sparse product
+    with the count matrix gives every group's H at all of its points.
+    """
+    counts = prep.counts
+    out = np.zeros(grid.cardinality)
+    if counts.C.shape[0] == 0:
+        return out  # no households: every point is log 1
+    if len(grid.axes) != 2 * len(counts.t_axes):
+        raise SpecError(f"grid needs {2 * len(counts.t_axes)} axes for P={len(counts.t_axes)}")
+    factors = [  # (pairs, distinct t_p) per attribute
+        np.exp([
+            log_mgf(IndependentGamma((b,), (n,), eps), t[:, None])
+            for b, n in product(grid.axes[2 * p].points(), grid.axes[2 * p + 1].points())
+        ])
+        for p, t in enumerate(counts.t_axes)
+    ]
+    *outer, last = factors
+    *outer_index, last_index = counts.t_index
+    step = max(1, BLOCK_CELLS // len(last_index))
+    # the last attribute's pair varies fastest: one row of ``out`` per block
+    for row, pairs in zip(out.reshape(-1, len(last)), product(*(range(len(f)) for f in outer))):
+        prefix = np.ones(len(last_index))
+        for f, j, index in zip(outer, pairs, outer_index):
+            prefix *= f[j][index]
+        for start in range(0, len(last), step):
+            W = np.take(last[start:start + step].T, last_index, axis=0)  # (distinct K, points)
+            W *= prefix[:, None]
+            H = counts.C @ W
+            ok = ((H > 0.0) & (H < np.inf)).all(axis=0)  # NaN fails both
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ll = counts.mult @ np.log(H)
+            row[start:start + step] = np.where(ok, ll, np.nan)
+    return out
+
+
 def grid_fit(
     d: Dataset,
     grid: GridSpec,
@@ -121,41 +175,38 @@ def grid_fit(
 ) -> FitResult:
     """Evaluate the log marginal likelihood on every grid point; return the argmax.
 
-    Caches are built once (pass ``prep`` to reuse across calls).  Ties break
-    to the lexicographically smallest parameter tuple; ``boundary_flag`` is
-    set when the argmax touches a grid edge on any axis with count > 1.
-    With ``cfg.parity_check`` the result carries the argmax's parity spread.
+    Caches are built once (pass ``prep`` to reuse across calls), and every
+    point comes from one :func:`grid_logliks` pass.  Points that fail
+    truncation are left out of the trace and counted in ``dropped``.  Ties
+    break to the lexicographically smallest parameter tuple;
+    ``boundary_flag`` is set when the argmax touches a grid edge on any axis
+    with count > 1.  With ``cfg.parity_check`` the result carries the
+    argmax's parity spread.
     """
     if len(grid.axes) != 2 * d.P:
         raise SpecError(f"grid needs {2*d.P} axes for P={d.P}")
     if prep is None:
         prep = prepare_dataset(d, cfg)
-    trace: list[tuple[tuple[float, ...], float]] = []
-    best: tuple[float, ...] | None = None
-    best_ll = -math.inf
-    best_idx: tuple[int, ...] | None = None
-    best_spread: float | None = None
-    failures = 0
-    axis_points = [ax.points() for ax in grid.axes]
-    for idx in product(*(range(ax.count) for ax in grid.axes)):
-        params = tuple(axis_points[a][i] for a, i in enumerate(idx))
-        spec = params_to_spec(params, d.P, eps)
-        try:
-            ev = log_marginal_prepared(prep, spec)
-        except TruncationFailure:
-            failures += 1
-            continue
-        ll = ev.value
-        trace.append((params, ll))
-        if ll > best_ll or (ll == best_ll and (best is None or params < best)):
-            best, best_ll, best_idx, best_spread = params, ll, idx, ev.parity_spread
-    if best is None:
+    values = grid_logliks(prep, grid, eps)
+    kept = np.flatnonzero(~np.isnan(values))
+    if len(kept) == 0:
         raise FitError(f"all {grid.cardinality} grid points failed truncation")
+    points = list(grid.points())
+    trace = [(points[i], v) for i, v in zip(kept.tolist(), values[kept].tolist())]
+    # points run in lexicographic order, so the first maximum is the smallest
+    best = int(np.nanargmax(values))
+    best_idx = np.unravel_index(best, [ax.count for ax in grid.axes])
     boundary = any(
         ax.count > 1 and (i == 0 or i == ax.count - 1)
         for ax, i in zip(grid.axes, best_idx)
     )
-    return FitResult(best, best_ll, trace, boundary_flag=boundary, parity_spread=best_spread)
+    spread = None
+    if prep.parity_check:
+        spread = log_marginal_prepared(prep, params_to_spec(points[best], d.P, eps)).parity_spread
+    return FitResult(
+        points[best], float(values[best]), trace, boundary_flag=boundary,
+        parity_spread=spread, dropped=grid.cardinality - len(trace),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,21 @@ def h_mgf(
 # Dataset-level log marginal likelihood
 # ---------------------------------------------------------------------------
 
+def _distinct(keys: np.ndarray, size: int, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values of the non-negative integers ``keys`` (all below
+    ``size``) and each key's index among them.
+
+    Up to ``limit``, a lookup table over 0..size-1 marks the values present,
+    numbers them in order, and reads each key's number off the table; past
+    it the table would be too sparse and np.unique sorts the keys instead.
+    """
+    if size <= limit:
+        present = np.zeros(size, dtype=bool)
+        present[keys] = True
+        return np.flatnonzero(present), (np.cumsum(present, dtype=np.int32) - 1)[keys]
+    return np.unique(keys, return_inverse=True)
+
+
 @dataclass(frozen=True)
 class CountMatrix:
     """Every group's signed counts over the dataset's distinct K = r + Y.
@@ -249,13 +264,17 @@ class CountMatrix:
     t = -x_scale * K of column j.  Neither depends on the prior, so one
     evaluation of all the groups' H_i is a single mat-vec,
     H = C @ exp(log_mgf(spec, T)), over far fewer columns than there are
-    (group, r) rows.
+    (group, r) rows.  ``T`` is also kept factored by attribute: column j's
+    t_p is ``t_axes[p][t_index[p, j]]``, so an MGF that is a product over
+    attributes needs its factors only at each attribute's few distinct t_p.
     """
 
     C: sparse.csr_matrix  # groups x distinct K
     T: np.ndarray         # -x_scale * K, one row per distinct K
     mult: np.ndarray      # households per group
     terms: int            # sum over groups of mult * stored r-tuples
+    t_axes: tuple[np.ndarray, ...]  # per attribute, its distinct t_p in order
+    t_index: np.ndarray             # (P, distinct K): each column's index in t_axes[p]
 
     # Above this many cells per stored row, the bounding box of K is too
     # sparse for a lookup table and the columns come from np.unique.
@@ -266,7 +285,8 @@ class CountMatrix:
         cls, groups: list[tuple[HouseholdSums, int]], caches: dict, x_scale: float
     ) -> "CountMatrix":
         if not groups:
-            return cls(sparse.csr_matrix((0, 0)), np.zeros((0, 0)), np.zeros(0), 0)
+            return cls(sparse.csr_matrix((0, 0)), np.zeros((0, 0)), np.zeros(0), 0,
+                       (), np.zeros((0, 0), dtype=np.int32))
         blocks = [caches[sums.x_vectors] for sums, _ in groups]
         mult = np.array([m for _, m in groups], dtype=np.int64)
         lens = np.array([len(c.count_array) for c in blocks], dtype=np.int64)
@@ -286,28 +306,28 @@ class CountMatrix:
         lo = K.min(axis=1)
         dims = K.max(axis=1) - lo + 1
         box = math.prod(int(v) for v in dims)
+        limit = max(cls.MAX_BOX_PER_ROW * len(data), 1024)
         if box >= 2**63:  # raveled keys would overflow: deduplicate whole rows
             distinct_K, indices = np.unique(K.T, axis=0, return_inverse=True)
+            offsets = tuple(distinct_K.T - lo[:, None])
         else:
             keys = K[0] - lo[0]
             for p in range(1, len(dims)):
                 keys *= dims[p]
                 keys += K[p] - lo[p]
-            if box <= max(cls.MAX_BOX_PER_ROW * len(data), 1024):
-                # lookup table over the box: mark the cells present, number
-                # them in order, and read each row's number off the table
-                present = np.zeros(box, dtype=bool)
-                present[keys] = True
-                indices = (np.cumsum(present, dtype=np.int32) - 1)[keys]
-                distinct = np.flatnonzero(present)
-            else:
-                distinct, indices = np.unique(keys, return_inverse=True)
-            distinct_K = np.stack(np.unravel_index(distinct, tuple(dims)), axis=1) + lo
+            distinct, indices = _distinct(keys, box, limit)
+            offsets = np.unravel_index(distinct, tuple(dims))
+            distinct_K = np.stack(offsets, axis=1) + lo
+        # each attribute's distinct K_p, and every column's index among them
+        axes, t_index = zip(*(_distinct(o, int(n), limit) for o, n in zip(offsets, dims)))
         C = sparse.csr_matrix(
             (data, indices.astype(np.int32, copy=False).ravel(), indptr),
             shape=(len(blocks), len(distinct_K)),
         )
-        return cls(C, -x_scale * distinct_K, mult.astype(np.float64), int(mult @ lens))
+        return cls(
+            C, -x_scale * distinct_K, mult.astype(np.float64), int(mult @ lens),
+            tuple(-x_scale * (a + l) for a, l in zip(axes, lo.tolist())), np.stack(t_index),
+        )
 
     def mgf(self, spec) -> np.ndarray:
         """The prior's MGF at every column's argument T."""

@@ -14,6 +14,7 @@ from conjlogit.data_model import (
     IndependentGamma,
     Observation,
     PointMassGamma,
+    load_dataset,
     save_dataset,
     save_spec,
 )
@@ -24,6 +25,12 @@ from conjlogit.diophantine import (
     fnv1a_x_vectors,
     load_cache,
     save_cache,
+)
+from conjlogit.series import (
+    SeriesConfig,
+    TruncationFailure,
+    log_marginal_prepared,
+    prepare_dataset,
 )
 
 
@@ -565,3 +572,76 @@ def test_fit_reports_parity_spread(tmp_path, sim_csv, capsys):
                        capsys)
     assert code == 0
     assert 0.0 < json.loads((tmp_path / "nt.json").read_text())["parity_spread"] < 1.0
+
+
+@pytest.fixture
+def truncating_csv(tmp_path):
+    # at R=1 the household of three failures has a negative series for
+    # shapes n below about 0.9, so part of a grid fails truncation
+    hs = (
+        Household("bad", (Observation(0, (1,)),) * 3),
+        Household("fine", (Observation(1, (1,)),)),
+    )
+    p = tmp_path / "trunc.csv"
+    save_dataset(Dataset(hs, P=1), str(p))
+    return p
+
+
+def test_fit_reports_dropped_grid_points(tmp_path, truncating_csv, sim_csv, capsys):
+    # b = 1, n in {0.05, 0.5, 0.95}: only n = 0.95 survives truncation
+    fit = ["fit", "--grid", "1x3", "--spacing", "1,0.45", "--center", "1,0.5", "--R", "1",
+           "--cache-dir", str(tmp_path / "c"), "-o", str(tmp_path / "fit.json")]
+    code, out, _ = run(fit + ["--data", str(truncating_csv)], capsys)
+    assert code == 0
+    assert "dropped 2 of 3 grid point(s) for truncation" in out.splitlines()
+    blob = json.loads((tmp_path / "fit.json").read_text())
+    assert blob["dropped"] == 2
+    assert [pt["params"] for pt in blob["trace"]] == [[1.0, 0.95]]
+    # a Newton refinement keeps the grid's count
+    code, out, _ = run(fit + ["--data", str(truncating_csv), "--newton"], capsys)
+    assert code == 0
+    assert "dropped 2 of 3 grid point(s) for truncation" in out.splitlines()
+    assert json.loads((tmp_path / "fit.json").read_text())["dropped"] == 2
+    code, out, _ = run(["fit", "--data", str(sim_csv), "--grid", "3x3", "--spacing", "0.5",
+                        "--center", "5,14", "--R", "30", "--cache-dir", str(tmp_path / "s")],
+                       capsys)
+    assert code == 0
+    assert "dropped" not in out
+
+
+def test_plotdata_writes_nan_where_truncation_fails(tmp_path, truncating_csv, capsys):
+    out_p = tmp_path / "surface.csv"
+    code, out, _ = run(
+        ["plotdata", "--data", str(truncating_csv), "--grid", "2x3", "--spacing", "0.5,0.45",
+         "--center", "1.25,0.5", "--R", "1", "-o", str(out_p),
+         "--cache-dir", str(tmp_path / "c")],
+        capsys,
+    )
+    assert code == 0
+    assert out == f"wrote 6 rows to {out_p}\n"
+    lines = out_p.read_text().strip().splitlines()
+    assert lines[0] == "b1,n1,loglik"
+    prep = prepare_dataset(load_dataset(str(truncating_csv)), SeriesConfig(R=1))
+    cells = []
+    for line in lines[1:]:
+        b, n, cell = line.split(",")
+        cells.append(cell)
+        try:
+            expected = log_marginal_prepared(prep, IndependentGamma((float(b),), (float(n),)))
+        except TruncationFailure:
+            assert cell == "nan"
+        else:
+            assert float(cell) == pytest.approx(expected.value, rel=1e-9)
+    assert cells[0] == cells[1] == "nan" != cells[2]  # b = 1: n = 0.05 and 0.5 fail
+
+
+def test_fit_newton_reports_non_convergence(tmp_path, sim_csv, capsys, monkeypatch):
+    # no iterations allowed, so Newton stops before its gradient test passes
+    newton = cli.newton_fit
+    monkeypatch.setattr(cli, "newton_fit", lambda *a, **k: newton(*a, max_iters=0, **k))
+    code, out, _ = run(["fit", "--data", str(sim_csv), "--grid", "3x3", "--spacing", "0.5",
+                        "--center", "5,14", "--R", "30", "--cache-dir", str(tmp_path / "c"),
+                        "--newton", "-o", str(tmp_path / "nt.json")], capsys)
+    assert code == 0
+    assert json.loads((tmp_path / "nt.json").read_text())["converged"] is False
+    assert out.splitlines()[-1] == "newton: not converged after 0 iteration(s)"

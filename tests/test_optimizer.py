@@ -11,11 +11,19 @@ from conjlogit.optimizer import (
     GridSpec,
     derivatives,
     grid_fit,
+    grid_logliks,
     loglik_grad_hess,
     newton_fit,
     params_to_spec,
 )
-from conjlogit.series import HouseholdSums, SeriesConfig, log_marginal_prepared, prepare_dataset
+from conjlogit import optimizer
+from conjlogit.series import (
+    HouseholdSums,
+    SeriesConfig,
+    TruncationFailure,
+    log_marginal_prepared,
+    prepare_dataset,
+)
 from conjlogit.sim import SimDesign, simulate_dataset
 
 
@@ -65,6 +73,54 @@ def study_dataset(seed=3):
     return simulate_dataset(design, 0)
 
 
+def truncating_dataset(P=1):
+    # at R=1 the household of three failures has a negative series for
+    # small shapes n, so part of a grid fails truncation
+    bad = Household("bad", (Observation(0, (1,) * P),) * 3)
+    fine = Household("fine", (Observation(1, (1,) * P),))
+    return Dataset((bad, fine), P=P)
+
+
+def two_attribute_dataset():
+    hs = tuple(
+        Household(f"h{i}", tuple(Observation(y, x) for y, x in obs))
+        for i, obs in enumerate([
+            ((1, (1, 2)), (0, (2, 1))),
+            ((0, (1, 2)), (1, (2, 1))),
+            ((1, (1, 2)), (0, (2, 1))),
+            ((1, (3, 3)),),
+            ((0, (1, 1)), (0, (2, 3)), (1, (1, 1))),
+        ])
+    )
+    return Dataset(hs, P=2, x_scale=0.05)
+
+
+def loglik_or_nan(prep, params, P, eps):
+    try:
+        return log_marginal_prepared(prep, params_to_spec(params, P, eps)).value
+    except TruncationFailure:
+        return math.nan
+
+
+def axes(*specs):
+    return GridSpec(tuple(GridAxis(*s) for s in specs))
+
+
+GRID_CASES = {
+    # name: (dataset, R, grid, eps)
+    "P1-even-axis": (study_dataset, 60, axes((5.0, 3, 0.5), (14.0, 4, 0.5)), 0.0),
+    "P1-one-point-axis-eps": (study_dataset, 60, axes((5.0, 1, 1.0), (14.0, 4, 0.5)), 0.01),
+    "P2-eps": (two_attribute_dataset, 20,
+               axes((1.2, 3, 0.2), (2.0, 1, 1.0), (0.7, 2, 0.2), (1.5, 3, 0.5)), 0.01),
+    "P2-one-point-last-pair": (two_attribute_dataset, 20,
+                               axes((1.2, 2, 0.2), (2.0, 3, 0.5), (0.7, 1, 1.0), (1.5, 1, 1.0)),
+                               0.0),
+    "P1-truncating": (truncating_dataset, 1, axes((1.0, 3, 0.5), (0.5, 5, 0.2)), 0.0),
+    "P2-truncating": (lambda: truncating_dataset(2), 1,
+                      axes((1.0, 2, 0.5), (0.5, 3, 0.3), (1.0, 1, 1.0), (0.5, 3, 0.3)), 0.02),
+}
+
+
 class TestGridFit:
     def test_finds_maximum_on_trace(self):
         d = study_dataset()
@@ -103,6 +159,37 @@ class TestGridFit:
         with pytest.raises(SpecError):
             grid_fit(d, GridSpec((GridAxis(5.0, 3, 0.1),)), SeriesConfig(R=60))
 
+    def test_dropped_points_are_counted(self):
+        grid = axes((1.0, 1, 1.0), (0.5, 3, 0.45))  # b = 1, n in {0.05, 0.5, 0.95}
+        res = grid_fit(truncating_dataset(), grid, SeriesConfig(R=1))
+        assert res.dropped == 2
+        assert [p for p, _ in res.trace] == [(1.0, 0.95)]
+        assert res.omega_hat == (1.0, 0.95)
+        assert json.loads(res.to_json())["dropped"] == 2
+        assert grid_fit(study_dataset(), axes((5.0, 3, 0.3), (14.0, 3, 0.3)),
+                        SeriesConfig(R=60)).dropped == 0
+
+    def test_ties_break_to_the_smallest_point(self):
+        # with no households every point scores log 1 = 0
+        res = grid_fit(Dataset((), P=1), axes((1.0, 2, 0.5), (2.0, 3, 0.5)), SeriesConfig(R=3))
+        assert res.omega_hat == (0.75, 1.5)
+        assert [v for _, v in res.trace] == [0.0] * 6
+
+    def test_all_points_dropped_raises(self):
+        with pytest.raises(FitError, match="all 2 grid points"):
+            grid_fit(truncating_dataset(), axes((1.0, 1, 1.0), (0.3, 2, 0.2)), SeriesConfig(R=1))
+
+    @pytest.mark.parametrize("case", ["P1-one-point-axis-eps", "P2-eps", "P2-truncating"])
+    def test_parity_spread_at_argmax_matches_series(self, case):
+        make, R, grid, eps = GRID_CASES[case]
+        d = make()
+        cfg = SeriesConfig(R=R, parity_check=True)
+        res = grid_fit(d, grid, cfg, eps=eps)
+        ev = log_marginal_prepared(prepare_dataset(d, cfg), params_to_spec(res.omega_hat, d.P, eps))
+        assert res.parity_spread == ev.parity_spread
+        assert res.loglik == pytest.approx(ev.value, rel=1e-12)
+        assert grid_fit(d, grid, SeriesConfig(R=R), eps=eps).parity_spread is None
+
     def test_result_json_round_trips(self):
         d = study_dataset()
         grid = GridSpec((GridAxis(5.0, 3, 0.3), GridAxis(14.0, 3, 0.3)))
@@ -110,6 +197,42 @@ class TestGridFit:
         blob = json.loads(res.to_json())
         assert blob["omega_hat"] == list(res.omega_hat)
         assert len(blob["trace"]) == len(res.trace)
+
+
+class TestGridLogliks:
+    @pytest.mark.parametrize("case", GRID_CASES)
+    def test_matches_per_point_evaluation(self, case):
+        make, R, grid, eps = GRID_CASES[case]
+        d = make()
+        prep = prepare_dataset(d, SeriesConfig(R=R))
+        values = grid_logliks(prep, grid, eps)
+        expected = np.array([loglik_or_nan(prep, p, d.P, eps) for p in grid.points()])
+        assert values.shape == (grid.cardinality,)
+        # NaN exactly where the per-point route raises TruncationFailure
+        assert np.array_equal(np.isnan(values), np.isnan(expected))
+        ok = ~np.isnan(expected)
+        assert ok.any()
+        assert np.all(np.abs(values[ok] - expected[ok]) <= 1e-12 * np.abs(expected[ok]))
+        if case.endswith("truncating"):
+            assert not ok.all()
+
+    def test_block_size_does_not_change_values(self, monkeypatch):
+        make, R, grid, eps = GRID_CASES["P2-eps"]
+        prep = prepare_dataset(make(), SeriesConfig(R=R))
+        whole = grid_logliks(prep, grid, eps)
+        columns = len(prep.counts.T)
+        for cells in (1, 2 * columns):  # blocks of one point, and of two with a remainder
+            monkeypatch.setattr(optimizer, "BLOCK_CELLS", cells)
+            np.testing.assert_allclose(grid_logliks(prep, grid, eps), whole, rtol=1e-14)
+
+    def test_no_households_scores_zero_everywhere(self):
+        prep = prepare_dataset(Dataset((), P=1), SeriesConfig(R=3))
+        assert grid_logliks(prep, axes((1.0, 2, 0.5), (2.0, 3, 0.5))).tolist() == [0.0] * 6
+
+    def test_grid_must_match_dimension(self):
+        prep = prepare_dataset(study_dataset(), SeriesConfig(R=60))
+        with pytest.raises(SpecError):
+            grid_logliks(prep, axes(*[(5.0, 3, 0.5)] * 4))
 
 
 def fd_gradient(f, theta, h=1e-5):
@@ -187,17 +310,7 @@ class TestDerivatives:
         assert np.allclose(g, fd_gradient(f, theta), rtol=1e-6)
 
     def test_matches_per_group_derivatives(self):
-        hs = tuple(
-            Household(f"h{i}", tuple(Observation(y, x) for y, x in obs))
-            for i, obs in enumerate([
-                ((1, (1, 2)), (0, (2, 1))),
-                ((0, (1, 2)), (1, (2, 1))),
-                ((1, (1, 2)), (0, (2, 1))),
-                ((1, (3, 3)),),
-                ((0, (1, 1)), (0, (2, 3)), (1, (1, 1))),
-            ])
-        )
-        prep = prepare_dataset(Dataset(hs, P=2, x_scale=0.05), SeriesConfig(R=20))
+        prep = prepare_dataset(two_attribute_dataset(), SeriesConfig(R=20))
         spec = IndependentGamma((1.2, 0.7), (2.0, 1.5), eps=0.01)
         ll_ref, g_ref, H_ref = 0.0, np.zeros(4), np.zeros((4, 4))
         for sums, mult in prep.groups:

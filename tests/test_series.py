@@ -323,6 +323,34 @@ class TestCountMatrixKernel:
         assert np.array_equal(table.T, unique.T)
         assert (table.C != unique.C).nnz == 0
 
+    @pytest.mark.parametrize("route", ["table", "unique", "beyond-int64"])
+    def test_attribute_axes_rebuild_T(self, route, monkeypatch):
+        if route == "beyond-int64":
+            hs = (
+                Household("big", (Observation(1, (600,) * 7),)),
+                Household("small", (Observation(0, (1,) * 7),)),
+            )
+            d = Dataset(hs, P=7, x_scale=1e-3)
+        elif route == "unique":
+            # attribute 2 spans over 1024 values, so it is sorted, not tabled;
+            # the smallest K is (2, 1), so the two attributes' offsets differ
+            hs = (
+                Household("a", (Observation(1, (2, 700)), Observation(0, (2, 1)))),
+                Household("b", (Observation(1, (3, 1)),)),
+            )
+            d = Dataset(hs, P=2, x_scale=1e-3)
+            monkeypatch.setattr(CountMatrix, "MAX_BOX_PER_ROW", 0)
+        else:
+            d = two_attribute_dataset()
+        prep = prepare_dataset(d, SeriesConfig(R=12 if route == "table" else 3))
+        counts = CountMatrix.build(prep.groups, prep.caches, d.x_scale)
+        assert len(counts.t_axes) == d.P
+        assert counts.t_index.shape == (d.P, len(counts.T))
+        for p, (axis, index) in enumerate(zip(counts.t_axes, counts.t_index)):
+            # each attribute's distinct t_p, K ascending, bit for bit as in T
+            assert np.array_equal(axis, np.unique(counts.T[:, p])[::-1])
+            assert np.array_equal(axis[index], counts.T[:, p])
+
     def test_bounding_box_beyond_int64(self):
         # seven attributes with K up to 600 each: the box has ~2.8e19 cells
         hs = (
