@@ -42,12 +42,9 @@ from .diophantine import (
 )
 from .gamma_kernels import (
     DomainError,
-    exp_vs_gamma,
     log_mgf,
     mgf_bivariate_named,
     mgf_gmv_gamma,
-    mixture_factor,
-    translated_factor,
 )
 from .optimizer import (
     FitError,
@@ -104,7 +101,6 @@ __all__ = [
     "build_cache",
     "compositions_count",
     "compositions_cum",
-    "exp_vs_gamma",
     "grid_fit",
     "h_grouped",
     "h_mgf",
@@ -118,7 +114,6 @@ __all__ = [
     "mc_h",
     "mgf_bivariate_named",
     "mgf_gmv_gamma",
-    "mixture_factor",
     "newton_fit",
     "parity_study",
     "prepare_dataset",
@@ -129,6 +124,5 @@ __all__ = [
     "save_spec",
     "simulate_dataset",
     "tail_bound",
-    "translated_factor",
     "validate_dataset",
 ]

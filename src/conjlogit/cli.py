@@ -65,7 +65,6 @@ from .series import (
     TruncationFailure,
     group_households,
     h_series,
-    log_marginal,
     log_marginal_prepared,
     prepare_dataset,
 )
@@ -266,7 +265,7 @@ def cmd_precompute(args) -> int:
     summary = f"built {built} cache(s), reused {reused}"
     if rebuilt:
         summary += f", rebuilt {rebuilt} unreadable"
-    print(f"{summary}, dir {cache_dir}")
+    print(f"{summary}, {len(missing)} knapsack run(s), dir {cache_dir}")
     return EXIT_OK
 
 
@@ -275,7 +274,7 @@ def cmd_fit(args) -> int:
         raise SpecError(f"fit supports --family gamma, got {args.family!r}")
     d = _load_data(args)
     grid = _grid_from_args(args, d.P)
-    cfg = SeriesConfig(R=args.R, mode="grouped", parity_check=args.parity_check)
+    cfg = SeriesConfig(R=args.R, parity_check=args.parity_check)
     prep = _prepare(d, cfg, _cache_dir(args))
     res = grid_fit(d, grid, cfg, eps=args.eps, prep=prep)
     if args.newton:
@@ -304,17 +303,13 @@ def cmd_fit(args) -> int:
 def cmd_eval(args) -> int:
     d = _load_data(args)
     spec = load_spec(args.spec)
-    cfg = SeriesConfig(R=args.R, mode=args.mode, parity_check=args.parity_check)
-    if args.mode == "grouped":
-        ev = log_marginal_prepared(_prepare(d, cfg, _cache_dir(args)), spec)
-    else:
-        ev = log_marginal(d, spec, cfg)
+    cfg = SeriesConfig(R=args.R, parity_check=args.parity_check)
+    ev = log_marginal_prepared(_prepare(d, cfg, _cache_dir(args)), spec)
     out = {
         "loglik": ev.value,
         "terms": ev.terms,
         "parity_spread": ev.parity_spread,
         "R": args.R,
-        "mode": args.mode,
     }
     print(json.dumps(out, indent=2))
     return EXIT_OK
@@ -323,7 +318,7 @@ def cmd_eval(args) -> int:
 def cmd_oracle_check(args) -> int:
     d = _load_data(args)
     spec = load_spec(args.spec)
-    cfg = SeriesConfig(R=args.R, mode="grouped")
+    cfg = SeriesConfig(R=args.R)
     prep = prepare_dataset(d, cfg)
     picked = prep.groups[: args.max_households]
     # a household of each picked group, found in one pass on the order-free key
@@ -397,7 +392,7 @@ def cmd_study(args) -> int:
 def cmd_plotdata(args) -> int:
     d = _load_data(args)
     grid = _grid_from_args(args, d.P)
-    cfg = SeriesConfig(R=args.R, mode="grouped")
+    cfg = SeriesConfig(R=args.R)
     values = grid_logliks(_prepare(d, cfg, _cache_dir(args)), grid, args.eps)
     names = [f"{k}{p+1}" for p in range(d.P) for k in ("b", "n")]
     with open(args.output, "w") as f:
@@ -486,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     p.add_argument("--spec", required=True, help="heterogeneity spec JSON")
     p.add_argument("--R", type=int, default=100)
-    p.add_argument("--mode", choices=("grouped", "naive"), default="grouped")
     p.add_argument("--parity-check", action="store_true")
     p.set_defaults(func=cmd_eval)
 

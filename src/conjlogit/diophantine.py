@@ -161,10 +161,6 @@ class DioCache:
     def x_hash(self) -> int:
         return fnv1a_x_vectors(self.x_vectors)
 
-    def sorted_items(self) -> list[tuple[tuple[int, ...], int]]:
-        r, raw, _, _ = self.columns()
-        return list(zip(map(tuple, r.tolist()), raw.tolist()))
-
     @property
     def r_array(self) -> np.ndarray:
         return self.columns()[0]

@@ -4,9 +4,8 @@ Everything here is a pure function of its arguments.  The workhorse is
 :func:`log_mgf`, the one vectorized implementation of every prior family's
 moment generating function: the series evaluates it at t = -K for all of a
 dataset's distinct K at once, and the scalar MGFs check their domain and
-call it on one row.  The scalar factors build on :func:`exp_vs_gamma`: the
-integral of exp(-d*z) against a Gamma(b, n) density equals (1 + b*d)^(-n).
-Powers are evaluated as exp(-n * log1p(b*d)) so large shapes do not overflow.
+call it on one row.  Gamma-type factors are evaluated in log space, e.g.
+(1 - b*t)^(-n) as exp(-n * log1p(-b*t)), so large shapes do not overflow.
 """
 
 from __future__ import annotations
@@ -32,43 +31,6 @@ _EULER_GAMMA = 0.5772156649015328606
 
 class DomainError(ValueError):
     """Argument outside the operation's mathematical domain."""
-
-
-def exp_vs_gamma(d: float, b: float, n: float) -> float:
-    """Integral of exp(-d*z) against a Gamma(scale=b, shape=n) density.
-
-    Equals (1 + b*d)^(-n) for d >= 0.
-    """
-    if d < 0:
-        raise DomainError(f"d must be non-negative, got {d}")
-    return math.exp(-n * math.log1p(b * d))
-
-
-def translated_factor(d: float, b: float, n: float, eps: float) -> float:
-    """Integral of exp(-d*z) against a Gamma density translated right by eps.
-
-    The translation contributes the exponential factor exp(-d*eps); the rest
-    is :func:`exp_vs_gamma`.
-    """
-    if eps < 0:
-        raise DomainError(f"eps must be non-negative, got {eps}")
-    if d < 0:
-        raise DomainError(f"d must be non-negative, got {d}")
-    return math.exp(-d * eps - n * math.log1p(b * d))
-
-
-def mixture_factor(
-    d: float, components: list[tuple[float, float, float]], eps: float
-) -> float:
-    """Weighted sum of translated-Gamma factors.
-
-    ``components`` is a list of (weight, b, n) triples whose weights must sum
-    to one (tolerance 1e-12).
-    """
-    total_w = math.fsum(w for w, _, _ in components)
-    if abs(total_w - 1.0) > 1e-12:
-        raise SpecError(f"mixture weights sum to {total_w}, not 1")
-    return math.fsum(w * translated_factor(d, b, n, eps) for w, b, n in components)
 
 
 def mgf_gmv_gamma(t, params: GeneralizedMVGamma) -> float:
@@ -106,56 +68,9 @@ def gmv_gamma_covariance(params: GeneralizedMVGamma) -> np.ndarray:
     return cov
 
 
-def gmv_gamma_correlation(params: GeneralizedMVGamma) -> np.ndarray:
-    cov = gmv_gamma_covariance(params)
-    sd = np.sqrt(np.diag(cov))
-    return cov / np.outer(sd, sd)
-
-
 # ---------------------------------------------------------------------------
-# Exponential integral on the negative axis
+# Exponential integral
 # ---------------------------------------------------------------------------
-
-def expint_ei(z: float) -> float:
-    """Exponential integral Ei(z) for z < 0.
-
-    Ei(z) = -int_{-z}^inf exp(-t)/t dt.  Uses the power series
-    gamma + ln|z| + sum z^k/(k k!) for |z| < 6 and the Lentz continued
-    fraction for E1(-z) otherwise.
-    """
-    if z >= 0:
-        raise DomainError("expint_ei is defined here only for z < 0")
-    x = -z  # x > 0, Ei(z) = -E1(x)
-    if x < 6.0:
-        total = _EULER_GAMMA + math.log(x)
-        term = 1.0
-        s = 0.0
-        for k in range(1, 200):
-            term *= z / k
-            s += term / k
-            if abs(term / k) < 1e-18 * max(1.0, abs(s)):
-                break
-        return total + s
-    # E1(x) = exp(-x) * CF, CF = 1/(x+1- 1/(x+3- 4/(x+5- 9/(x+7- ...))))
-    # evaluated by modified Lentz iteration.
-    tiny = 1e-300
-    b0 = x + 1.0
-    c = 1.0 / tiny
-    dd = 1.0 / b0
-    h = dd
-    for i in range(1, 200):
-        a = -(i * i)
-        b0 += 2.0
-        dd = 1.0 / (a * dd + b0)
-        c = b0 + a / c
-        if c == 0.0:
-            c = tiny
-        delta = c * dd
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return -math.exp(-x) * h
-
 
 def log_scaled_e1(a) -> np.ndarray:
     """log(exp(a) * E1(a)) for a > 0, elementwise.
@@ -260,8 +175,3 @@ def mgf_bivariate_named(t, spec: BivariateNamed) -> float:
         raise SpecError(f"unsupported bivariate family {type(spec).__name__}")
     return math.exp(log_mgf(spec, [[t1, t2]])[0])
 
-
-def arnold_strauss_norm(spec: ArnoldStrauss) -> float:
-    """Normalization constant of the Arnold-Strauss density."""
-    a_0 = spec.lam1 * spec.lam2 / spec.lam12
-    return spec.lam12 / math.exp(log_scaled_e1(a_0)[()])

@@ -20,10 +20,8 @@ from itertools import product
 import numpy as np
 
 from .data_model import Dataset, IndependentGamma, SpecError
-from .diophantine import DioCache
 from .gamma_kernels import log_mgf
 from .series import (
-    HouseholdSums,
     PreparedDataset,
     SeriesConfig,
     TruncationFailure,
@@ -117,6 +115,16 @@ def params_to_spec(params, P: int, eps: float = 0.0) -> IndependentGamma:
     return IndependentGamma(b, n, eps)
 
 
+def _prepared(d: Dataset, cfg: SeriesConfig, prep: PreparedDataset | None) -> PreparedDataset:
+    """``prep``, checked against ``cfg``, or ``d`` prepared under ``cfg`` when it is None."""
+    if prep is None:
+        return prepare_dataset(d, cfg)
+    if (prep.R, prep.parity_check) != (cfg.R, cfg.parity_check):
+        raise ValueError(f"prep has R={prep.R}, parity_check={prep.parity_check}; "
+                         f"cfg has R={cfg.R}, parity_check={cfg.parity_check}")
+    return prep
+
+
 # Cells (distinct K x grid points) of one block of weight columns.
 BLOCK_CELLS = 1 << 18
 
@@ -175,8 +183,9 @@ def grid_fit(
 ) -> FitResult:
     """Evaluate the log marginal likelihood on every grid point; return the argmax.
 
-    Caches are built once (pass ``prep`` to reuse across calls), and every
-    point comes from one :func:`grid_logliks` pass.  Points that fail
+    Caches are built once (pass ``prep``, prepared under ``cfg``'s R and
+    parity_check, to reuse them across calls; ValueError if it was not), and
+    every point comes from one :func:`grid_logliks` pass.  Points that fail
     truncation are left out of the trace and counted in ``dropped``.  Ties
     break to the lexicographically smallest parameter tuple;
     ``boundary_flag`` is set when the argmax touches a grid edge on any axis
@@ -185,8 +194,7 @@ def grid_fit(
     """
     if len(grid.axes) != 2 * d.P:
         raise SpecError(f"grid needs {2*d.P} axes for P={d.P}")
-    if prep is None:
-        prep = prepare_dataset(d, cfg)
+    prep = _prepared(d, cfg, prep)
     values = grid_logliks(prep, grid, eps)
     kept = np.flatnonzero(~np.isnan(values))
     if len(kept) == 0:
@@ -201,7 +209,7 @@ def grid_fit(
         for ax, i in zip(grid.axes, best_idx)
     )
     spread = None
-    if prep.parity_check:
+    if cfg.parity_check:
         spread = log_marginal_prepared(prep, params_to_spec(points[best], d.P, eps)).parity_spread
     return FitResult(
         points[best], float(values[best]), trace, boundary_flag=boundary,
@@ -255,23 +263,6 @@ def _symmetric(tri: np.ndarray, P: int) -> np.ndarray:
     return out
 
 
-def derivatives(
-    sums: HouseholdSums,
-    cache: DioCache,
-    spec: IndependentGamma,
-    x_scale: float = 1.0,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """H_i with its gradient and Hessian in (b_1, n_1, ..., b_P, n_P).
-
-    All the partial-derivative series reuse the cache's signed counts.
-    """
-    if cache.x_vectors != sums.x_vectors:
-        raise SpecError("cache/household x_vectors mismatch")
-    K = x_scale * (cache.r_array + np.asarray(sums.Y, dtype=np.int64))
-    H, grad, tri = _unpack((cache.count_array @ _weight_columns(K, spec))[None, :], spec.P)
-    return float(H[0]), grad[0], _symmetric(tri[0], spec.P)
-
-
 def loglik_grad_hess(
     prep: PreparedDataset, spec: IndependentGamma
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -306,10 +297,10 @@ def newton_fit(
     Iterates x + p with H p = -g, halving the step until the log likelihood
     does not decrease and projecting onto the positive orthant.  Stops when
     the gradient sup-norm drops below ``tol``.  With ``cfg.parity_check`` the
-    result carries the parity spread at the final point.
+    result carries the parity spread at the final point.  A passed ``prep``
+    must be prepared under ``cfg``'s R and parity_check (else ValueError).
     """
-    if prep is None:
-        prep = prepare_dataset(d, cfg)
+    prep = _prepared(d, cfg, prep)
     P = d.P
     theta = np.empty(2 * P)
     theta[0::2] = spec0.b
@@ -347,7 +338,7 @@ def newton_fit(
         trace.append((tuple(theta), ll))
         converged = np.max(np.abs(g)) < tol
     spread = None
-    if prep.parity_check:
+    if cfg.parity_check:
         spread = log_marginal_prepared(prep, params_to_spec(theta, P, eps)).parity_spread
     return FitResult(
         tuple(theta), ll, trace, newton_iters=iters, converged=bool(converged),

@@ -1,19 +1,19 @@
 """Truncated series evaluation of the per-household marginal factors H_i.
 
-Two equivalent evaluation routes exist for independent-Gamma priors: the
-naive route enumerates k-tuples in the budget simplex directly, while the
-grouped route reads a :class:`~conjlogit.diophantine.DioCache` of signed
-solution counts and sums over the far smaller set of reachable r-tuples.
-Both truncate over the same simplex k.1 <= R, so they agree to rounding.
+H_i is evaluated one way for every prior family: a
+:class:`~conjlogit.diophantine.DioCache` holds a signature's signed solution
+counts over its reachable r-tuples, and H_i is their sum weighted by the
+prior's moment generating function at t = -x_scale * (r + Y), from
+:func:`~conjlogit.gamma_kernels.log_mgf`.  The one exception is
+:func:`h_naive`, which enumerates the k-tuples of the same budget simplex
+k.1 <= R directly for the independent-Gamma family; it is kept as the
+brute-force oracle that the grouped sums are checked against.
 
 The terms of one shell k.1 == s all carry the sign (-1)^s, so the shell
 partial sums S_0, S_1, ... alternate.  Every route returns their first Euler
 mean (S_{R-1} + S_R) / 2, with S_{-1} = 0, instead of the raw S_R: the final
 shell enters with weight 1/2.  For an alternating series the raw partial sum
 is off by about half the next shell; the mean is far closer to the limit.
-
-The MGF route extends the grouped sum to any prior whose moment generating
-function is available in closed form on the non-positive orthant.
 """
 
 from __future__ import annotations
@@ -55,14 +55,11 @@ class TruncationFailure(RuntimeError):
 @dataclass(frozen=True)
 class SeriesConfig:
     R: int
-    mode: str = "grouped"  # "naive" | "grouped"
     parity_check: bool = False
 
     def __post_init__(self):
         if self.R < 0:
             raise ValueError("R must be non-negative")
-        if self.mode not in ("naive", "grouped"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -112,7 +109,8 @@ def h_naive(
     cfg: SeriesConfig,
     x_scale: float = 1.0,
 ) -> Evaluation:
-    """Direct simplex enumeration of the alternating series for H_i.
+    """Direct simplex enumeration of the alternating series for H_i: the
+    brute-force oracle for the count-based routes below.
 
     Returns the Euler mean (S_{R-1} + S_R) / 2 of the shell partial sums,
     i.e. terms with k.1 == R weighted by 1/2.  With ``parity_check`` the
@@ -336,10 +334,6 @@ class CountMatrix:
         v = log_mgf(spec, self.T)
         return np.exp(v, out=v)
 
-    def h(self, spec) -> np.ndarray:
-        """H_i of every group under ``spec``, in group order."""
-        return self.C @ self.mgf(spec)
-
 
 @dataclass
 class PreparedDataset:
@@ -458,7 +452,7 @@ def prepare_dataset(
     for xv in dict.fromkeys(canon.values()):
         if xv in given:
             kept[xv] = given[xv].relabel(xv)
-        elif cfg.mode == "grouped":
+        else:
             kept[xv] = build_cache(xv, cfg.R)
     return PreparedDataset(
         [(HouseholdSums(Y, xv), m) for (Y, xv), m in merged.items()],
@@ -467,12 +461,14 @@ def prepare_dataset(
 
 
 def log_marginal_prepared(prep: PreparedDataset, spec) -> Evaluation:
-    """Log marginal likelihood from a prepared dataset (grouped mode).
+    """Log marginal likelihood from a prepared dataset.
 
     Every group's H_i comes from one sparse mat-vec (:class:`CountMatrix`);
     a group whose H_i is not positive raises :class:`TruncationFailure`.
     With ``parity_check`` a second mat-vec over the same MGF values gives
-    the budget-(R-1) means and the worst parity spread.
+    the budget-(R-1) means and the worst parity spread.  For the point-mass
+    family the all-or-nothing mixture is combined at the dataset level: with
+    weight w every Bernoulli factor is 1/2.
     """
     inner = spec.inner if isinstance(spec, PointMassGamma) else spec
     counts = prep.counts
@@ -510,29 +506,6 @@ def log_marginal(
     cfg: SeriesConfig,
     caches: dict | None = None,
 ) -> Evaluation:
-    """Sum of log H_i over households (naive or grouped route).
-
-    For the point-mass family the all-or-nothing mixture is combined at the
-    dataset level: with weight w every Bernoulli factor is 1/2.
-    """
-    if cfg.mode == "naive":
-        inner = spec.inner if isinstance(spec, PointMassGamma) else spec
-        if not isinstance(inner, IndependentGamma):
-            raise SpecError("naive mode supports the independent-Gamma family only")
-        total = 0.0
-        terms = 0
-        worst = None
-        total_obs = sum(h.n_obs for h in d.households)
-        for h in d.households:
-            ev = h_naive(h, inner, cfg, d.x_scale)
-            if ev.parity_spread is not None:
-                worst = ev.parity_spread if worst is None else max(worst, ev.parity_spread)
-            if ev.value <= 0 or not math.isfinite(ev.value):
-                raise TruncationFailure(h.id, ev.value, ev.parity_spread)
-            total += math.log(ev.value)
-            terms += ev.terms
-        if isinstance(spec, PointMassGamma):
-            total = _point_mass_combine(spec.w, total, total_obs)
-        return Evaluation(total, terms, worst)
-    prep = prepare_dataset(d, cfg, caches)
-    return log_marginal_prepared(prep, spec)
+    """Sum of log H_i over households: :func:`log_marginal_prepared` of
+    :func:`prepare_dataset`."""
+    return log_marginal_prepared(prepare_dataset(d, cfg, caches), spec)

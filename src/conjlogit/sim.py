@@ -132,7 +132,7 @@ def run_study(design: SimDesign, n_tests: int | None = None) -> SimReport:
     parameters in this study, 2P); studies reported jointly should share one
     family size.
     """
-    cfg = SeriesConfig(R=design.R, mode="grouped")
+    cfg = SeriesConfig(R=design.R)
     ests = np.empty((design.replicates, 2 * design.P))
     boundary = 0
     for rep in range(design.replicates):

@@ -66,7 +66,7 @@ def test_criterion_1_analytic_single_household():
     h0 = Household("h0", (Observation(0, (1,)),))
     h1 = Household("h1", (Observation(1, (1,)),))
     prior = IndependentGamma((1.0,), (1.0,))
-    cfg = SeriesConfig(R=200, mode="naive")
+    cfg = SeriesConfig(R=200)
     t0 = time.perf_counter()
     s0 = h_naive(h0, prior, cfg).value
     s1 = h_naive(h1, prior, cfg).value
@@ -180,7 +180,7 @@ def test_criterion_5_grouped_naive_equivalence():
             tuple(float(v) for v in rng.uniform(0.3, 3.0, P)),
         )
         sums = HouseholdSums(Y, xv)
-        naive = h_naive(sums, spec, SeriesConfig(R=R, mode="naive"), x_scale=0.2).value
+        naive = h_naive(sums, spec, SeriesConfig(R=R), x_scale=0.2).value
         grouped = h_grouped(sums, build_cache(xv, R), spec, x_scale=0.2).value
         worst = max(worst, abs(naive - grouped) / max(abs(naive), 1e-300))
     ok = worst < 1e-12

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 import zlib
@@ -29,6 +30,7 @@ from conjlogit.diophantine import (
 from conjlogit.series import (
     SeriesConfig,
     TruncationFailure,
+    h_naive,
     log_marginal_prepared,
     prepare_dataset,
 )
@@ -101,6 +103,17 @@ def test_version_embeds_cache_format(capsys):
     out = capsys.readouterr().out
     assert __version__ in out
     assert f"cache-format {CACHE_FORMAT_VERSION}" in out
+
+
+def test_every_export_resolves():
+    import conjlogit
+
+    assert len(conjlogit.__all__) == len(set(conjlogit.__all__))
+    for name in conjlogit.__all__:
+        assert hasattr(conjlogit, name), name
+    namespace = {}
+    exec("from conjlogit import *", namespace)
+    assert set(conjlogit.__all__) <= set(namespace)
 
 
 def test_missing_required_flag_exits_2(capsys):
@@ -219,7 +232,9 @@ class TestPrecompute:
                 "<HIIIQQQ", version, c.M, c.P, c.R, c.x_hash, c.admitted, len(c.entries)
             )
             xdata = struct.pack(f"<{c.M}q", *c.x_vectors[0])
-            rows = [(*r, n, c.final_shell.get(r, 0))[:version + 1] for r, n in c.sorted_items()]
+            r_col, raw = c.columns()[:2]
+            rows = [(*r, n, c.final_shell.get(r, 0))[:version + 1]
+                    for r, n in zip(map(tuple, r_col.tolist()), raw.tolist())]
             body = b"".join(struct.pack(f"<{version + 1}q", *row) for row in rows)
             files[0].write_bytes(header + xdata + body + struct.pack("<I", zlib.crc32(body)))
         else:
@@ -267,21 +282,34 @@ class TestEvalAndFit:
         assert code == 0
         blob = json.loads(out)
         assert blob["loglik"] < 0
-        assert blob["mode"] == "grouped"
+        assert set(blob) == {"loglik", "terms", "parity_spread", "R"}
 
     def test_eval_modes_agree(self, tmp_path, sim_csv, capsys):
+        # eval's count-based value against the brute-force h_naive per household
+        spec = IndependentGamma((5.0,), (14.0,))
+        spec_p = tmp_path / "spec.json"
+        save_spec(spec, str(spec_p))
+        code, out, _ = run(
+            ["eval", "--data", str(sim_csv), "--spec", str(spec_p),
+             "--R", "40", "--cache-dir", str(tmp_path / "c")],
+            capsys,
+        )
+        assert code == 0
+        d = load_dataset(str(sim_csv))
+        naive = math.fsum(
+            math.log(h_naive(h, spec, SeriesConfig(R=40), d.x_scale).value)
+            for h in d.households
+        )
+        assert json.loads(out)["loglik"] == pytest.approx(naive, rel=1e-12)
+
+    def test_eval_mode_flag_is_rejected(self, tmp_path, sim_csv, capsys):
         spec_p = tmp_path / "spec.json"
         save_spec(IndependentGamma((5.0,), (14.0,)), str(spec_p))
-        vals = {}
-        for mode in ("grouped", "naive"):
-            code, out, _ = run(
-                ["eval", "--data", str(sim_csv), "--spec", str(spec_p),
-                 "--R", "40", "--mode", mode, "--cache-dir", str(tmp_path / "c")],
-                capsys,
-            )
-            assert code == 0
-            vals[mode] = json.loads(out)["loglik"]
-        assert vals["grouped"] == pytest.approx(vals["naive"], rel=1e-12)
+        with pytest.raises(SystemExit) as e:
+            main(["eval", "--data", str(sim_csv), "--spec", str(spec_p),
+                  "--mode", "naive"])
+        assert e.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
     def test_eval_parity_check_reads_the_cache_dir(self, tmp_path, sim_csv, capsys):
         spec_p = tmp_path / "spec.json"
@@ -496,7 +524,7 @@ class TestOrderFreeSignatures:
         code, out, err = run(["precompute", "--data", str(data), "--R", "8",
                               "--cache-dir", str(cdir)], capsys)
         assert code == 0, err
-        assert "built 6 cache(s), reused 0" in out
+        assert "built 6 cache(s), reused 0, 3 knapsack run(s)," in out
         assert [R for _, R in builds] == [8] * 3
         # one file per ordered signature, byte-identical to a direct build
         files = sorted(cdir.glob("*.bin"))

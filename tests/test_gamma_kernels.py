@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
-from scipy.special import expi
+from scipy.special import exp1, expi
 
 from conjlogit.data_model import (
     ArnoldStrauss,
@@ -18,26 +18,45 @@ from conjlogit.data_model import (
 )
 from conjlogit.gamma_kernels import (
     DomainError,
-    arnold_strauss_norm,
-    exp_vs_gamma,
-    expint_ei,
-    gmv_gamma_correlation,
     gmv_gamma_covariance,
     log_mgf,
     log_scaled_e1,
     mgf_bivariate_named,
     mgf_gmv_gamma,
-    mixture_factor,
-    translated_factor,
 )
 
 
+def gamma_mgf(d, b, n, eps=0.0):
+    """E[exp(-d*z)] for z ~ eps + Gamma(scale=b, shape=n), through log_mgf."""
+    return math.exp(log_mgf(IndependentGamma((b,), (n,), eps), [[-d]])[0])
+
+
+def translated_factor(d, b, n, eps):
+    """Closed form of E[exp(-d*z)], z ~ eps + Gamma(scale=b, shape=n): an
+    oracle for log_mgf that does not call it."""
+    return math.exp(-d * eps) * (1.0 + b * d) ** -n
+
+
+def mixture_factor(d, components, eps):
+    """Closed form of a one-attribute Gamma mixture's E[exp(-d*z)] over
+    (weight, b, n) components."""
+    return math.fsum(w * translated_factor(d, b, n, eps) for w, b, n in components)
+
+
+def arnold_strauss_norm(spec):
+    """Normalization constant of the Arnold-Strauss density, from scipy's E1."""
+    a_0 = spec.lam1 * spec.lam2 / spec.lam12
+    return spec.lam12 / (math.exp(a_0) * exp1(a_0))
+
+
 class TestExpVsGamma:
+    """The independent-Gamma branch of log_mgf as E[exp(-d*z)], z ~ Gamma(b, n)."""
+
     def test_unit_case_is_half(self):
-        assert exp_vs_gamma(1.0, 1.0, 1.0) == pytest.approx(0.5, abs=1e-15)
+        assert gamma_mgf(1.0, 1.0, 1.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_zero_decay_is_one(self):
-        assert exp_vs_gamma(0.0, 3.0, 7.0) == 1.0
+        assert gamma_mgf(0.0, 3.0, 7.0) == 1.0
 
     def test_matches_numerical_integral(self):
         b, n, d = 2.0, 3.5, 0.7
@@ -49,51 +68,59 @@ class TestExpVsGamma:
             0,
             np.inf,
         )
-        assert exp_vs_gamma(d, b, n) == pytest.approx(val, rel=1e-10)
-
-    def test_negative_d_rejected(self):
-        with pytest.raises(DomainError):
-            exp_vs_gamma(-0.1, 1.0, 1.0)
+        assert gamma_mgf(d, b, n) == pytest.approx(val, rel=1e-10)
 
     @given(
         st.floats(0, 50), st.floats(0.01, 20), st.floats(0.01, 50)
     )
     @settings(max_examples=100, deadline=None)
     def test_bounded_and_monotone_in_d(self, d, b, n):
-        v = exp_vs_gamma(d, b, n)
+        v = gamma_mgf(d, b, n)
         assert 0.0 < v <= 1.0
-        assert exp_vs_gamma(d + 1.0, b, n) <= v
+        assert gamma_mgf(d + 1.0, b, n) <= v
 
     def test_large_shape_no_overflow(self):
         # log1p formulation keeps huge shapes finite
-        assert exp_vs_gamma(1e3, 1e3, 1e4) >= 0.0
+        assert gamma_mgf(1e3, 1e3, 1e4) >= 0.0
+        want = -1e4 * math.log1p(1e6)
+        assert log_mgf(IndependentGamma((1e3,), (1e4,)), [[-1e3]])[0] == pytest.approx(
+            want, rel=1e-14
+        )
 
 
 def test_translated_factor_is_exponential_times_base():
     d, b, n, eps = 0.8, 2.0, 3.0, 0.01
-    assert translated_factor(d, b, n, eps) == pytest.approx(
-        math.exp(-d * eps) * exp_vs_gamma(d, b, n), rel=1e-15
+    assert gamma_mgf(d, b, n, eps) == pytest.approx(
+        math.exp(-d * eps) * gamma_mgf(d, b, n), rel=1e-15
     )
-    with pytest.raises(DomainError):
-        translated_factor(1.0, 1.0, 1.0, -0.5)
+    with pytest.raises(SpecError):
+        IndependentGamma((1.0,), (1.0,), -0.5)
 
 
 class TestMixtureFactor:
+    """The Gamma-mixture branch of log_mgf."""
+
+    @staticmethod
+    def mgf(d, components, eps=0.0):
+        w, b, n = zip(*components)
+        return math.exp(log_mgf(GammaMixture((w,), (b,), (n,), eps), [[-d]])[0])
+
     def test_single_component_reduces(self):
-        assert mixture_factor(0.5, [(1.0, 2.0, 3.0)], 0.0) == pytest.approx(
-            exp_vs_gamma(0.5, 2.0, 3.0)
+        assert self.mgf(0.5, [(1.0, 2.0, 3.0)]) == pytest.approx(
+            gamma_mgf(0.5, 2.0, 3.0), rel=1e-15
         )
 
     def test_weighted_average(self):
         comps = [(0.25, 1.0, 1.0), (0.75, 2.0, 5.0)]
-        expected = 0.25 * exp_vs_gamma(0.9, 1.0, 1.0) + 0.75 * exp_vs_gamma(
-            0.9, 2.0, 5.0
+        expected = 0.25 * gamma_mgf(0.9, 1.0, 1.0) + 0.75 * gamma_mgf(0.9, 2.0, 5.0)
+        assert self.mgf(0.9, comps) == pytest.approx(expected, rel=1e-15)
+        assert self.mgf(0.9, comps, 0.01) == pytest.approx(
+            mixture_factor(0.9, comps, 0.01), rel=1e-13
         )
-        assert mixture_factor(0.9, comps, 0.0) == pytest.approx(expected)
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(SpecError):
-            mixture_factor(1.0, [(0.5, 1.0, 1.0), (0.6, 1.0, 1.0)], 0.0)
+            self.mgf(1.0, [(0.5, 1.0, 1.0), (0.6, 1.0, 1.0)])
 
 
 class TestGmvGamma:
@@ -136,25 +163,22 @@ class TestGmvGamma:
         assert cov[1, 1] == pytest.approx(0.3**2 * 4.0 + 2.0**2 * 1.0)
 
     def test_correlation_unit_diagonal(self):
-        corr = gmv_gamma_correlation(self.params())
+        cov = gmv_gamma_covariance(self.params())
+        sd = np.sqrt(np.diag(cov))
+        corr = cov / np.outer(sd, sd)
         assert np.allclose(np.diag(corr), 1.0)
         assert np.all(np.abs(corr) <= 1.0 + 1e-12)
 
 
 class TestExpintEi:
+    """Ei(z) = -E1(-z) for z < 0, through log_scaled_e1."""
+
     @pytest.mark.parametrize(
         "z", [-1e-3, -0.1, -1.0, -3.0, -5.99, -6.01, -10.0, -50.0, -200.0]
     )
     def test_matches_scipy(self, z):
-        # cancellation in the power series grows like e^|z| towards the
-        # switchover at |z| = 6, costing a couple of digits there
-        assert expint_ei(z) == pytest.approx(expi(z), rel=1e-10, abs=1e-300)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            expint_ei(0.0)
-        with pytest.raises(DomainError):
-            expint_ei(1.0)
+        ei = -math.exp(log_scaled_e1(-z)[()] + z)
+        assert ei == pytest.approx(expi(z), rel=1e-12, abs=1e-300)
 
 
 class TestBivariateMgfs:
@@ -234,13 +258,15 @@ class TestLogScaledE1:
         a_0 = mpmath.mpf(0.02) * mpmath.mpf(0.015) / mpmath.mpf(1e-4)
         want = float(mpmath.exp(a_t - a_0) * mpmath.e1(a_t) / mpmath.e1(a_0))
         assert mgf_bivariate_named((-0.5, -0.5), ast) == pytest.approx(want, rel=1e-12)
-        assert math.isfinite(arnold_strauss_norm(ArnoldStrauss(1.0, 1.0, 1e-6)))
+        tight = ArnoldStrauss(1.0, 1.0, 1e-6)  # a(0) = 1e6
+        assert np.isfinite(log_mgf(tight, [[-0.5, -0.5], [0.0, 0.0]])).all()
 
 
 class TestLogMgf:
     T = np.array([[0.0, 0.0], [-0.3, -0.7], [-2.0, -0.1], [-15.0, -40.0]])
 
     def test_gamma_families_match_scalar_factors(self):
+        # the scalar factors are this file's closed forms, not log_mgf
         ig = IndependentGamma((2.0, 0.5), (3.0, 1.5), eps=0.02)
         want = [
             translated_factor(-t1, 2.0, 3.0, 0.02) * translated_factor(-t2, 0.5, 1.5, 0.02)

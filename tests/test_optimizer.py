@@ -9,7 +9,6 @@ from conjlogit.optimizer import (
     FitError,
     GridAxis,
     GridSpec,
-    derivatives,
     grid_fit,
     grid_logliks,
     loglik_grad_hess,
@@ -18,9 +17,9 @@ from conjlogit.optimizer import (
 )
 from conjlogit import optimizer
 from conjlogit.series import (
-    HouseholdSums,
     SeriesConfig,
     TruncationFailure,
+    h_grouped,
     log_marginal_prepared,
     prepare_dataset,
 )
@@ -95,6 +94,9 @@ def two_attribute_dataset():
     return Dataset(hs, P=2, x_scale=0.05)
 
 
+IG_START = IndependentGamma((1.2, 0.7), (2.0, 1.5))
+
+
 def loglik_or_nan(prep, params, P, eps):
     try:
         return log_marginal_prepared(prep, params_to_spec(params, P, eps)).value
@@ -153,6 +155,20 @@ class TestGridFit:
         b = grid_fit(d, grid, cfg, prep=prep)
         assert a.omega_hat == b.omega_hat
         assert a.loglik == b.loglik
+
+    def test_prep_with_another_R_is_rejected(self):
+        d = two_attribute_dataset()
+        prep = prepare_dataset(d, SeriesConfig(R=10))
+        with pytest.raises(ValueError, match="R=10"):
+            grid_fit(d, axes(*[(1.0, 1, 1.0)] * 4), SeriesConfig(R=12), prep=prep)
+
+    def test_prep_with_another_parity_check_is_rejected(self):
+        d = two_attribute_dataset()
+        for flag in (False, True):
+            prep = prepare_dataset(d, SeriesConfig(R=10, parity_check=flag))
+            with pytest.raises(ValueError, match="parity_check"):
+                grid_fit(d, axes(*[(1.0, 1, 1.0)] * 4),
+                         SeriesConfig(R=10, parity_check=not flag), prep=prep)
 
     def test_axis_count_must_match_dimension(self):
         d = study_dataset()
@@ -310,30 +326,52 @@ class TestDerivatives:
         assert np.allclose(g, fd_gradient(f, theta), rtol=1e-6)
 
     def test_matches_per_group_derivatives(self):
+        # against finite differences of the per-group sum of log h_grouped,
+        # which does not go through the count matrix
         prep = prepare_dataset(two_attribute_dataset(), SeriesConfig(R=20))
-        spec = IndependentGamma((1.2, 0.7), (2.0, 1.5), eps=0.01)
-        ll_ref, g_ref, H_ref = 0.0, np.zeros(4), np.zeros((4, 4))
-        for sums, mult in prep.groups:
-            h, gh, hh = derivatives(sums, prep.caches[sums.x_vectors], spec, prep.x_scale)
-            ll_ref += mult * math.log(h)
-            g_ref += mult * gh / h
-            H_ref += mult * (hh / h - np.outer(gh, gh) / h**2)
-        ll, g, H = loglik_grad_hess(prep, spec)
-        assert ll == pytest.approx(ll_ref, rel=1e-12)
-        assert np.allclose(g, g_ref, rtol=1e-10, atol=0)
-        assert np.allclose(H, H_ref, rtol=1e-10, atol=1e-14 * np.max(np.abs(H_ref)))
+        eps = 0.01
+
+        def f(t):
+            spec = params_to_spec(t, 2, eps)
+            return math.fsum(
+                mult * math.log(h_grouped(sums, prep.caches[sums.x_vectors], spec,
+                                          prep.x_scale).value)
+                for sums, mult in prep.groups
+            )
+
+        theta = np.array([1.2, 2.0, 0.7, 1.5])
+        ll, g, H = loglik_grad_hess(prep, params_to_spec(theta, 2, eps))
+        assert ll == pytest.approx(f(theta), rel=1e-12)
+        g_fd = fd_gradient(f, theta)
+        H_fd = fd_hessian(f, theta)
+        assert np.max(np.abs(g - g_fd) / np.maximum(np.abs(g_fd), 1e-10)) < 1e-6
+        assert np.max(np.abs(H - H_fd) / np.maximum(np.abs(H_fd), 1e-6)) < 1e-4
 
     def test_household_level_h_matches_series(self):
         prep = self.make_prep()
         spec = params_to_spec([1.2, 2.0, 0.7, 1.5], 2, 0.0)
         sums, _ = prep.groups[0]
         cache = prep.caches[sums.x_vectors]
-        H_val, _, _ = derivatives(sums, cache, spec, prep.x_scale)
+        H_val = h_grouped(sums, cache, spec, prep.x_scale).value
         ll = log_marginal_prepared(prep, spec).value
         assert math.log(H_val) == pytest.approx(ll, rel=1e-12)
+        assert loglik_grad_hess(prep, spec)[0] == pytest.approx(ll, rel=1e-12)
 
 
 class TestNewton:
+    def test_prep_with_another_R_is_rejected(self):
+        d = two_attribute_dataset()
+        prep = prepare_dataset(d, SeriesConfig(R=10))
+        with pytest.raises(ValueError, match="R=10"):
+            newton_fit(d, IG_START, SeriesConfig(R=12), prep=prep)
+
+    def test_prep_with_another_parity_check_is_rejected(self):
+        d = two_attribute_dataset()
+        for flag in (False, True):
+            prep = prepare_dataset(d, SeriesConfig(R=10, parity_check=flag))
+            with pytest.raises(ValueError, match="parity_check"):
+                newton_fit(d, IG_START, SeriesConfig(R=10, parity_check=not flag), prep=prep)
+
     def test_refines_towards_interior_optimum(self):
         d = study_dataset(seed=9)
         cfg = SeriesConfig(R=60)

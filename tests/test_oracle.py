@@ -67,7 +67,7 @@ class TestQuadrature:
     def test_translated_prior(self):
         spec = IndependentGamma((1.0,), (2.0,), eps=0.1)
         q = quadrature_h(single_obs(0), spec)
-        ev = h_naive(single_obs(0), spec, SeriesConfig(R=3000, mode="naive"))
+        ev = h_naive(single_obs(0), spec, SeriesConfig(R=3000))
         assert q == pytest.approx(ev.value, rel=1e-3)
 
     def test_mixture_prior(self):

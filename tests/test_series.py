@@ -45,22 +45,22 @@ def single_obs(y):
 class TestAnalyticValues:
     def test_y0_converges_to_log2(self):
         # sum (-1)^k / (1+k) -> ln 2; alternating truncation error < 1/(R+2)
-        ev = h_naive(single_obs(0), UNIT_PRIOR, SeriesConfig(R=2000, mode="naive"))
+        ev = h_naive(single_obs(0), UNIT_PRIOR, SeriesConfig(R=2000))
         assert abs(ev.value - math.log(2.0)) < 1 / 2002
 
     def test_y1_converges_to_one_minus_log2(self):
         # sum (-1)^k / (2+k) -> 1 - ln 2; alternating truncation error < 1/(R+3)
-        ev = h_naive(single_obs(1), UNIT_PRIOR, SeriesConfig(R=2000, mode="naive"))
+        ev = h_naive(single_obs(1), UNIT_PRIOR, SeriesConfig(R=2000))
         assert abs(ev.value - (1.0 - math.log(2.0))) < 1 / 2003
 
     def test_truncation_error_alternating_bound(self):
         # |S - S_R| <= first omitted term for an alternating decreasing series
         for R in (10, 50, 100):
-            ev = h_naive(single_obs(0), UNIT_PRIOR, SeriesConfig(R=R, mode="naive"))
+            ev = h_naive(single_obs(0), UNIT_PRIOR, SeriesConfig(R=R))
             assert abs(ev.value - math.log(2.0)) <= 1.0 / (R + 2)
 
     def test_term_count(self):
-        ev = h_naive(single_obs(0), UNIT_PRIOR, SeriesConfig(R=10, mode="naive"))
+        ev = h_naive(single_obs(0), UNIT_PRIOR, SeriesConfig(R=10))
         assert ev.terms == 11
 
 
@@ -80,7 +80,7 @@ class TestGroupedNaiveEquivalence:
         rng = np.random.default_rng(11)
         for _ in range(60):
             sums, spec, R = random_instance(rng)
-            naive = h_naive(sums, spec, SeriesConfig(R=R, mode="naive"), x_scale=0.2)
+            naive = h_naive(sums, spec, SeriesConfig(R=R), x_scale=0.2)
             cache = build_cache(sums.x_vectors, R)
             grouped = h_grouped(sums, cache, spec, x_scale=0.2)
             assert grouped.value == pytest.approx(naive.value, rel=1e-12, abs=1e-300)
@@ -88,7 +88,7 @@ class TestGroupedNaiveEquivalence:
     def test_translated_prior(self):
         sums = HouseholdSums((2,), ((1, 2),))
         spec = IndependentGamma((2.0,), (3.0,), eps=0.05)
-        naive = h_naive(sums, spec, SeriesConfig(R=9, mode="naive"))
+        naive = h_naive(sums, spec, SeriesConfig(R=9))
         cache = build_cache(sums.x_vectors, 9)
         grouped = h_grouped(sums, cache, spec)
         assert grouped.value == pytest.approx(naive.value, rel=1e-12)
@@ -102,10 +102,10 @@ class TestGroupedNaiveEquivalence:
 
 class TestParityDiagnostics:
     def test_naive_parity_spread(self):
-        cfg = SeriesConfig(R=20, mode="naive", parity_check=True)
+        cfg = SeriesConfig(R=20, parity_check=True)
         ev = h_naive(single_obs(0), UNIT_PRIOR, cfg)
-        plain = h_naive(single_obs(0), UNIT_PRIOR, SeriesConfig(R=20, mode="naive"))
-        prev = h_naive(single_obs(0), UNIT_PRIOR, SeriesConfig(R=19, mode="naive"))
+        plain = h_naive(single_obs(0), UNIT_PRIOR, SeriesConfig(R=20))
+        prev = h_naive(single_obs(0), UNIT_PRIOR, SeriesConfig(R=19))
         assert ev.value == pytest.approx(plain.value, rel=1e-15)
         assert ev.parity_spread == pytest.approx(
             abs(plain.value - prev.value) / max(plain.value, prev.value), rel=1e-12
@@ -114,7 +114,7 @@ class TestParityDiagnostics:
     def test_grouped_spread_matches_naive_spread(self):
         sums = HouseholdSums((1,), ((1, 2),))
         ev = h_grouped(sums, build_cache(sums.x_vectors, 10), UNIT_PRIOR)
-        cfg = SeriesConfig(R=10, mode="naive", parity_check=True)
+        cfg = SeriesConfig(R=10, parity_check=True)
         ref = h_naive(sums, UNIT_PRIOR, cfg)
         assert ev.value == pytest.approx(ref.value, rel=1e-12)
         assert ev.parity_spread == pytest.approx(ref.parity_spread, rel=1e-9)
@@ -131,13 +131,13 @@ class TestParityDiagnostics:
         assert log_marginal_prepared(prepare_dataset(d, cfg), UNIT_PRIOR).parity_spread == 1.0
         sums = HouseholdSums((1,), ((1, 2),))
         assert h_grouped(sums, build_cache(sums.x_vectors, 0), UNIT_PRIOR).parity_spread == 1.0
-        naive = SeriesConfig(R=0, mode="naive", parity_check=True)
+        naive = SeriesConfig(R=0, parity_check=True)
         assert h_naive(sums, UNIT_PRIOR, naive).parity_spread == 1.0
 
     def test_spread_contracts_with_budget(self):
         spreads = []
         for R in (50, 100, 200):
-            cfg = SeriesConfig(R=R, mode="naive", parity_check=True)
+            cfg = SeriesConfig(R=R, parity_check=True)
             spreads.append(h_naive(single_obs(0), UNIT_PRIOR, cfg).parity_spread)
         assert spreads[0] > spreads[1] > spreads[2]
 
@@ -212,9 +212,9 @@ class TestLogMarginal:
     def test_grouped_equals_naive(self):
         d = tiny_dataset()
         spec = IndependentGamma((1.5,), (2.0,))
-        a = log_marginal(d, spec, SeriesConfig(R=25, mode="naive"))
-        b = log_marginal(d, spec, SeriesConfig(R=25, mode="grouped"))
-        assert b.value == pytest.approx(a.value, rel=1e-12)
+        cfg = SeriesConfig(R=25)
+        naive = math.fsum(math.log(h_naive(h, spec, cfg, d.x_scale).value) for h in d.households)
+        assert log_marginal(d, spec, cfg).value == pytest.approx(naive, rel=1e-12)
 
     def test_household_grouping_multiplicity(self):
         d = tiny_dataset()
@@ -237,10 +237,9 @@ class TestLogMarginal:
         h = Household("bad", (Observation(0, (1,)),) * 3)
         d = Dataset((h,), P=1)
         spec = IndependentGamma((1.0,), (0.01,))
+        assert h_naive(h, spec, SeriesConfig(R=1), d.x_scale).value < 0
         with pytest.raises(TruncationFailure):
-            log_marginal(d, spec, SeriesConfig(R=1, mode="naive"))
-        with pytest.raises(TruncationFailure):
-            log_marginal(d, spec, SeriesConfig(R=1, mode="grouped"))
+            log_marginal(d, spec, SeriesConfig(R=1))
 
     def test_point_mass_limits(self):
         d = tiny_dataset()
@@ -260,11 +259,12 @@ class TestLogMarginal:
         )
         assert mid == pytest.approx(expected, rel=1e-12)
 
-    def test_naive_mode_rejects_non_gamma(self):
-        d = tiny_dataset()
+    def test_naive_oracle_rejects_non_gamma(self):
+        h = tiny_dataset().households[0]
         mix = GammaMixture(((1.0,),), ((1.0,),), ((1.0,),))
-        with pytest.raises(SpecError):
-            log_marginal(d, mix, SeriesConfig(R=5, mode="naive"))
+        for spec in (mix, PointMassGamma(0.5, UNIT_PRIOR)):
+            with pytest.raises(SpecError):
+                h_naive(h, spec, SeriesConfig(R=5))
 
 
 def two_attribute_dataset():
@@ -427,7 +427,8 @@ class TestOrderFreeGroups:
         assert sum(m for _, m in a.groups) == len(d.households)
         assert list(a.caches) == list(dict.fromkeys(sums.x_vectors for sums, _ in a.groups))
         for spec in SEVEN_FAMILIES:
-            assert a.counts.h(spec).tobytes() == b.counts.h(spec).tobytes()
+            H_a = a.counts.C @ a.counts.mgf(spec)
+            assert H_a.tobytes() == (b.counts.C @ b.counts.mgf(spec)).tobytes()
         # the order-dependent groups, each with a cache of its own ordering
         ordered = math.fsum(
             m * math.log(h_series(sums, build_cache(sums.x_vectors, 12), IG2, d.x_scale))
@@ -484,13 +485,14 @@ class TestInfrastructure:
         exact = math.fsum(terms)
         scale = math.fsum(np.abs(terms))
         assert scale / abs(exact) > 50
-        assert abs(prep.counts.h(spec)[0] - exact) <= 1e-14 * scale
+        H = prep.counts.C @ prep.counts.mgf(spec)
+        assert abs(H[0] - exact) <= 1e-14 * scale
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SeriesConfig(R=-1)
-        with pytest.raises(ValueError):
-            SeriesConfig(R=1, mode="magic")
+        with pytest.raises(TypeError):  # R and parity_check are the only settings
+            SeriesConfig(R=1, mode="naive")
 
     def test_evaluation_diagnostics(self):
         ev = Evaluation(1.0, 5, 0.01)
