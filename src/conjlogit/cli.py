@@ -7,8 +7,9 @@ print a machine-readable JSON object on stderr:
 
     {"error": {"type": "<exception class>", "message": "...", "exit_code": N}}
 
-A JSON config file (``--config``) may supply any flag as a default; explicit
-flags win.  Cache files live in ``--cache-dir``, the ``CONJLOGIT_CACHE_DIR``
+A JSON config file (``--config``) may supply any subcommand flag as a
+default; explicit flags win, and a key that is no subcommand's flag is a
+usage error.  Cache files live in ``--cache-dir``, the ``CONJLOGIT_CACHE_DIR``
 environment variable, or ``./caches``, in that order of precedence.
 """
 
@@ -527,25 +528,57 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
+    """Make the JSON object in the file ``path`` the subcommands' flag
+    defaults; explicit flags win.
+
+    Subcommands parse into a fresh namespace, so each subparser gets the
+    keys that are its own flags.  A switch such as ``parity-check`` takes
+    true or false; any other value is passed as a string, so the flag's
+    type parses it as it would on the command line.  OSError or ValueError
+    for an unreadable file, a file that is not a JSON object, a switch that
+    is not true or false, or a key that is no subcommand's flag (a misspelt
+    or removed flag would otherwise change nothing and say nothing).
+    """
+    with open(path) as f:
+        try:
+            overlay = json.load(f)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"config file {path} is not JSON: {e}") from None
+    if not isinstance(overlay, dict):
+        raise ValueError(f"config file {path} does not hold a JSON object")
+    subs = [sub for action in parser._subparsers._group_actions
+            for sub in action.choices.values()]
+    flags = [{a.dest: a for a in sub._actions if not isinstance(a, argparse._HelpAction)}
+             for sub in subs]
+    unknown = [k for k in overlay if not any(k.replace("-", "_") in f for f in flags)]
+    if unknown:
+        raise ValueError(f"config file {path}: no subcommand has a flag for key(s) "
+                         + ", ".join(map(repr, unknown)))
+    for key, value in overlay.items():
+        dest = key.replace("-", "_")
+        for sub, f in zip(subs, flags):
+            if dest not in f:
+                continue
+            if f[dest].nargs != 0:
+                sub.set_defaults(**{dest: str(value)})
+            elif isinstance(value, bool):
+                sub.set_defaults(**{dest: value})
+            else:
+                raise ValueError(f"config file {path}: {key!r} must be true or false")
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    # config-file overlay: values become parser defaults, explicit flags win.
-    # Subcommands parse into a fresh namespace, so the overlay must be applied
-    # to each subparser as well as the root parser.
-    if "--config" in argv:
-        cfg_path = argv[argv.index("--config") + 1]
-        with open(cfg_path) as f:
-            overlay = json.load(f)
-        defaults = {k.replace("-", "_"): v for k, v in overlay.items()}
-        parser.set_defaults(**defaults)
-        for action in parser._subparsers._group_actions:
-            for sub in action.choices.values():
-                sub.set_defaults(
-                    **{k: v for k, v in defaults.items()
-                       if any(k == a.dest for a in sub._actions)}
-                )
     args = parser.parse_args(argv)
+    if args.config is not None:
+        # the file's values become defaults, so the flags are parsed again
+        try:
+            _apply_config(parser, args.config)
+        except (OSError, ValueError) as e:
+            return _fail(e, EXIT_USAGE)
+        args = parser.parse_args(argv)
     if getattr(args, "center", None) is None and hasattr(args, "center"):
         if args.command in ("fit", "plotdata", "study") and not getattr(
             args, "center_at_truth", False

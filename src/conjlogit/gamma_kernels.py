@@ -2,10 +2,15 @@
 
 Everything here is a pure function of its arguments.  The workhorse is
 :func:`log_mgf`, the one vectorized implementation of every prior family's
-moment generating function: the series evaluates it at t = -K for all of a
-dataset's distinct K at once, and the scalar MGFs check their domain and
-call it on one row.  Gamma-type factors are evaluated in log space, e.g.
-(1 - b*t)^(-n) as exp(-n * log1p(-b*t)), so large shapes do not overflow.
+moment generating function, and the scalar MGFs check their domain and
+call it on one row.  :func:`attribute_marginals` splits a prior that is a
+product over attributes (independent Gammas, per-attribute Gamma
+mixtures) into one-attribute specs; the series evaluates those with
+``log_mgf`` on each attribute's few distinct t_p and sums the logs, and
+evaluates every other family with ``log_mgf`` at all of a dataset's
+distinct t = -x_scale * K at once.  Gamma-type factors are evaluated in log
+space, e.g. (1 - b*t)^(-n) as exp(-n * log1p(-b*t)), so large shapes do
+not overflow.
 """
 
 from __future__ import annotations
@@ -151,6 +156,27 @@ def log_mgf(spec, T) -> np.ndarray:
         a_0 = spec.lam1 * spec.lam2 / spec.lam12
         return log_scaled_e1(a_t) - log_scaled_e1(a_0)[()]
     raise SpecError(f"no MGF for {type(spec).__name__}")
+
+
+def attribute_marginals(spec):
+    """The one-attribute marginal specs of a prior that is a product over
+    attributes, in attribute order; None for any other family.
+
+    The MGF of such a prior is the product of its marginals' MGFs, M(t) =
+    prod_p M_p(t_p), so log M(t) is the sum over p of ``log_mgf`` of the
+    p-th marginal at t_p.  Independent Gammas and per-attribute Gamma
+    mixtures are products (a translation eps shifts every attribute, so each
+    marginal keeps it); the point-mass, shared-factor and bivariate families
+    are not.
+    """
+    if isinstance(spec, IndependentGamma):
+        return [IndependentGamma((b,), (n,), spec.eps) for b, n in zip(spec.b, spec.n)]
+    if isinstance(spec, GammaMixture):
+        return [
+            GammaMixture((w,), (b,), (n,), spec.eps)
+            for w, b, n in zip(spec.weights, spec.b, spec.n)
+        ]
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from itertools import product
 import numpy as np
 
 from .data_model import Dataset, IndependentGamma, SpecError
-from .gamma_kernels import log_mgf
 from .series import (
     PreparedDataset,
     SeriesConfig,
@@ -137,8 +136,9 @@ def grid_logliks(prep: PreparedDataset, grid: GridSpec, eps: float = 0.0) -> np.
     :class:`TruncationFailure`.  The independent-Gamma MGF is a product over
     attributes, and so is the grid, so each attribute's factor is computed
     once per (b_p, n_p) pair, and only at that attribute's distinct t_p
-    (``CountMatrix.t_axes``).  The points go in blocks: one block holds every
-    pair of the last attribute for one pair of each other attribute.  Its
+    (``CountMatrix.axis_log_mgf``, which ``CountMatrix.mgf`` uses for one
+    spec).  The points go in blocks: one block holds every pair of the
+    last attribute for one pair of each other attribute.  Its
     weight columns are products of gathered factors, and one sparse product
     with the count matrix gives every group's H at all of its points.
     """
@@ -150,10 +150,10 @@ def grid_logliks(prep: PreparedDataset, grid: GridSpec, eps: float = 0.0) -> np.
         raise SpecError(f"grid needs {2 * len(counts.t_axes)} axes for P={len(counts.t_axes)}")
     factors = [  # (pairs, distinct t_p) per attribute
         np.exp([
-            log_mgf(IndependentGamma((b,), (n,), eps), t[:, None])
+            counts.axis_log_mgf(p, IndependentGamma((b,), (n,), eps))
             for b, n in product(grid.axes[2 * p].points(), grid.axes[2 * p + 1].points())
         ])
-        for p, t in enumerate(counts.t_axes)
+        for p in range(len(counts.t_axes))
     ]
     *outer, last = factors
     *outer_index, last_index = counts.t_index
@@ -221,10 +221,11 @@ def grid_fit(
 # Analytic derivatives of the grouped series (independent-Gamma family)
 # ---------------------------------------------------------------------------
 
-def _weight_columns(K: np.ndarray, spec: IndependentGamma) -> np.ndarray:
+def _weight_columns(K: np.ndarray, spec: IndependentGamma, w: np.ndarray) -> np.ndarray:
     """Each r-tuple's kernel weight w and its parameter derivatives, as columns.
 
-    ``K`` holds scaled K tuples, one per row.  With log w = f(theta) and D
+    ``K`` holds scaled K tuples, one per row, and ``w`` the prior's MGF at
+    -K (``CountMatrix.mgf``).  With log w = f(theta) and D
     the gradient of f in (b_1, n_1, ..., b_P, n_P), the columns are w,
     w * D_i and w * (D_i D_j + d2f/di dj) for i <= j: summed against the
     signed counts they give H_i, its gradient and its Hessian.  f is
@@ -246,7 +247,6 @@ def _weight_columns(K: np.ndarray, spec: IndependentGamma) -> np.ndarray:
     for p in range(P):
         second[:, column[2 * p, 2 * p]] += n[p] * A[:, p] ** 2
         second[:, column[2 * p, 2 * p + 1]] -= A[:, p]
-    w = np.exp(log_mgf(spec, -K))
     return w[:, None] * np.hstack([np.ones((K.shape[0], 1)), D, second])
 
 
@@ -272,7 +272,9 @@ def loglik_grad_hess(
     of the distinct K tuples gives every group's H_i and its derivatives.
     """
     counts = prep.counts
-    H, grad, tri = _unpack(counts.C @ _weight_columns(-counts.T, spec), spec.P)
+    H, grad, tri = _unpack(
+        counts.C @ _weight_columns(-counts.T, spec, counts.mgf(spec)), spec.P
+    )
     prep.raise_on_truncation(H)
     g = grad / H[:, None]  # gradient of log H_i
     i, j = np.triu_indices(2 * spec.P)

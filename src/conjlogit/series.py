@@ -4,7 +4,10 @@ H_i is evaluated one way for every prior family: a
 :class:`~conjlogit.diophantine.DioCache` holds a signature's signed solution
 counts over its reachable r-tuples, and H_i is their sum weighted by the
 prior's moment generating function at t = -x_scale * (r + Y), from
-:func:`~conjlogit.gamma_kernels.log_mgf`.  The one exception is
+:func:`~conjlogit.gamma_kernels.log_mgf`.  At the dataset level
+(:class:`CountMatrix`) a prior that is a product over attributes is
+evaluated on each attribute's distinct t_p and its log factors summed;
+every other prior is evaluated at each distinct t.  The one exception is
 :func:`h_naive`, which enumerates the k-tuples of the same budget simplex
 k.1 <= R directly for the independent-Gamma family; it is kept as the
 brute-force oracle that the grouped sums are checked against.
@@ -36,7 +39,7 @@ from .data_model import (
     SpecError,
 )
 from .diophantine import DioCache, build_cache, canonical_x_vectors
-from .gamma_kernels import log_mgf
+from .gamma_kernels import attribute_marginals, log_mgf
 
 
 class TruncationFailure(RuntimeError):
@@ -85,13 +88,6 @@ class Evaluation:
     value: float
     terms: int
     parity_spread: float | None = None
-
-    def diagnostics(self) -> dict:
-        return {
-            "value": self.value,
-            "terms": self.terms,
-            "parity_spread": self.parity_spread,
-        }
 
 
 def _rel_spread(a, b):
@@ -261,10 +257,12 @@ class CountMatrix:
     columns of its K tuples, and row j of ``T`` is the MGF argument
     t = -x_scale * K of column j.  Neither depends on the prior, so one
     evaluation of all the groups' H_i is a single mat-vec,
-    H = C @ exp(log_mgf(spec, T)), over far fewer columns than there are
-    (group, r) rows.  ``T`` is also kept factored by attribute: column j's
-    t_p is ``t_axes[p][t_index[p, j]]``, so an MGF that is a product over
-    attributes needs its factors only at each attribute's few distinct t_p.
+    H = C @ mgf(spec), over far fewer columns than there are (group, r)
+    rows.  ``T`` is also kept factored by attribute: column j's t_p is
+    ``t_axes[p][t_index[p, j]]``.  :meth:`mgf` evaluates a prior that is a
+    product over attributes (:func:`~conjlogit.gamma_kernels.attribute_marginals`)
+    only at each attribute's few distinct t_p and gathers the factors
+    through ``t_index``; other priors get ``log_mgf`` on every row of ``T``.
     """
 
     C: sparse.csr_matrix  # groups x distinct K
@@ -327,11 +325,27 @@ class CountMatrix:
             tuple(-x_scale * (a + l) for a, l in zip(axes, lo.tolist())), np.stack(t_index),
         )
 
+    def axis_log_mgf(self, p: int, marginal) -> np.ndarray:
+        """log M of the one-attribute prior ``marginal`` at attribute p's
+        distinct t_p, ``t_axes[p]``."""
+        return log_mgf(marginal, self.t_axes[p][:, None])
+
     def mgf(self, spec) -> np.ndarray:
-        """The prior's MGF at every column's argument T."""
+        """The prior's MGF at every column's argument T.
+
+        A prior that is a product over attributes is evaluated per attribute
+        on ``t_axes``, and the log factors are gathered through ``t_index``
+        and summed; any other prior gets ``log_mgf`` on all of ``T``.
+        """
         if self.C.shape[0] == 0:
             return np.zeros(0)
-        v = log_mgf(spec, self.T)
+        marginals = attribute_marginals(spec)
+        if marginals is None:
+            v = log_mgf(spec, self.T)
+        else:
+            v = np.zeros(len(self.T))
+            for p, (marginal, index) in enumerate(zip(marginals, self.t_index, strict=True)):
+                v += self.axis_log_mgf(p, marginal)[index]
         return np.exp(v, out=v)
 
 

@@ -408,6 +408,60 @@ def test_config_overlay_supplies_defaults(tmp_path, sim_csv, capsys):
     assert json.loads(out)["R"] == 37
 
 
+def test_config_equals_form_is_applied(tmp_path, sim_csv, capsys):
+    spec_p = tmp_path / "spec.json"
+    save_spec(IndependentGamma((5.0,), (14.0,)), str(spec_p))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"R": 7, "cache-dir": str(tmp_path / "c")}))
+    code, out, _ = run(
+        [f"--config={cfg}", "eval", "--data", str(sim_csv), "--spec", str(spec_p)],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["R"] == 7
+
+
+def test_config_without_a_value_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["--config"])
+    assert e.value.code == 2
+    assert "--config" in capsys.readouterr().err
+
+
+def test_config_value_is_parsed_by_the_flag_type(tmp_path, sim_csv, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"R": 7.5}))
+    with pytest.raises(SystemExit) as e:
+        main(["--config", str(cfg), "eval", "--data", str(sim_csv), "--spec", "s.json"])
+    assert e.value.code == 2
+    assert "invalid int value: '7.5'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, words", [
+    (None, "No such file"),
+    ("{R: 7", "is not JSON"),
+    ("[7]", "JSON object"),
+    ('{"mode": "naive", "parity-chek": true, "R": 7}', "'mode', 'parity-chek'"),
+    ('{"parity-check": "yes"}', "true or false"),
+], ids=["missing", "not-json", "not-object", "unknown-keys", "not-a-switch"])
+def test_bad_config_exits_2_with_one_line(tmp_path, sim_csv, capsys, content, words):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    spec_p = tmp_path / "spec.json"
+    save_spec(IndependentGamma((5.0,), (14.0,)), str(spec_p))
+    code, out, err = run(
+        ["--config", str(cfg), "eval", "--data", str(sim_csv), "--spec", str(spec_p)],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error["exit_code"] == 2
+    assert words in error["message"]
+
+
 def test_oracle_check_log2_household(tmp_path, capsys):
     h = Household("a", (Observation(0, (1,)),))
     p = tmp_path / "d.csv"

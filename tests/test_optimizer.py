@@ -16,7 +16,9 @@ from conjlogit.optimizer import (
     params_to_spec,
 )
 from conjlogit import optimizer
+from conjlogit.gamma_kernels import log_mgf
 from conjlogit.series import (
+    CountMatrix,
     SeriesConfig,
     TruncationFailure,
     h_grouped,
@@ -232,6 +234,19 @@ class TestGridLogliks:
         if case.endswith("truncating"):
             assert not ok.all()
 
+    @pytest.mark.parametrize("case", ["P1-one-point-axis-eps", "P2-eps"])
+    def test_matches_the_joint_mgf(self, case):
+        # every point's H from log_mgf over all distinct K, as one spec
+        make, R, grid, eps = GRID_CASES[case]
+        d = make()
+        prep = prepare_dataset(d, SeriesConfig(R=R))
+        counts = prep.counts
+        expected = [
+            counts.mult @ np.log(counts.C @ np.exp(log_mgf(params_to_spec(p, d.P, eps), counts.T)))
+            for p in grid.points()
+        ]
+        np.testing.assert_allclose(grid_logliks(prep, grid, eps), expected, rtol=1e-12, atol=0)
+
     def test_block_size_does_not_change_values(self, monkeypatch):
         make, R, grid, eps = GRID_CASES["P2-eps"]
         prep = prepare_dataset(make(), SeriesConfig(R=R))
@@ -308,6 +323,16 @@ class TestDerivatives:
             H_fd = fd_hessian(f, theta)
             assert np.max(np.abs(g - g_fd) / np.maximum(np.abs(g_fd), 1e-10)) < 1e-6
             assert np.max(np.abs(H - H_fd) / np.maximum(np.abs(H_fd), 1e-6)) < 1e-4
+
+    @pytest.mark.parametrize("eps", [0.0, 0.02])
+    def test_matches_the_joint_mgf(self, eps, monkeypatch):
+        prep = self.make_prep()
+        spec = IndependentGamma((1.2, 0.7), (2.0, 1.5), eps)
+        got = loglik_grad_hess(prep, spec)
+        monkeypatch.setattr(CountMatrix, "mgf", lambda self, s: np.exp(log_mgf(s, self.T)))
+        want = loglik_grad_hess(prep, spec)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.max(np.abs(w)))
 
     def test_hessian_exactly_symmetric(self):
         prep = self.make_prep()

@@ -21,7 +21,6 @@ from conjlogit.diophantine import build_cache, canonical_x_vectors
 from conjlogit.gamma_kernels import log_mgf, mgf_bivariate_named
 from conjlogit.series import (
     CountMatrix,
-    Evaluation,
     HouseholdSums,
     SeriesConfig,
     TruncationFailure,
@@ -294,6 +293,51 @@ SEVEN_FAMILIES = [
 ]
 
 
+def route_counts(route, monkeypatch):
+    """A dataset and its count matrix, built through one of the column routes
+    of :meth:`CountMatrix.build`."""
+    if route == "beyond-int64":
+        hs = (
+            Household("big", (Observation(1, (600,) * 7),)),
+            Household("small", (Observation(0, (1,) * 7),)),
+        )
+        d = Dataset(hs, P=7, x_scale=1e-3)
+    elif route == "unique":
+        # attribute 2 spans over 1024 values, so it is sorted, not tabled;
+        # the smallest K is (2, 1), so the two attributes' offsets differ
+        hs = (
+            Household("a", (Observation(1, (2, 700)), Observation(0, (2, 1)))),
+            Household("b", (Observation(1, (3, 1)),)),
+        )
+        d = Dataset(hs, P=2, x_scale=1e-3)
+        monkeypatch.setattr(CountMatrix, "MAX_BOX_PER_ROW", 0)
+    elif route == "table-P1":
+        hs = (
+            Household("a", (Observation(1, (1,)), Observation(0, (3,)))),
+            Household("b", (Observation(0, (2,)), Observation(0, (2,)), Observation(1, (1,)))),
+        )
+        d = Dataset(hs, P=1, x_scale=0.1)
+    else:
+        d = two_attribute_dataset()
+    prep = prepare_dataset(d, SeriesConfig(R=12 if route.startswith("table") else 3))
+    return d, CountMatrix.build(prep.groups, prep.caches, d.x_scale)
+
+
+# Product-form priors for P attributes, as CountMatrix.mgf receives them
+PRODUCT_PRIORS = {
+    "gamma": lambda P: IndependentGamma((1.5,) * P, (2.0,) * P),
+    "gamma-eps": lambda P: IndependentGamma(
+        tuple(1.0 + 0.5 * p for p in range(P)), (3.0,) * P, 0.2
+    ),
+    "mixture-eps": lambda P: GammaMixture(
+        ((0.2, 0.5, 0.3),) * P, ((0.5, 1.0, 4.0),) * P, ((1.0, 3.0, 7.0),) * P, 0.1
+    ),
+    "point-mass-inner": lambda P: PointMassGamma(
+        0.3, IndependentGamma((2.0,) * P, (1.5,) * P, 0.05)
+    ).inner,
+}
+
+
 class TestCountMatrixKernel:
     @pytest.mark.parametrize("spec", SEVEN_FAMILIES, ids=lambda s: type(s).__name__)
     def test_matches_per_group_sum(self, spec):
@@ -325,31 +369,26 @@ class TestCountMatrixKernel:
 
     @pytest.mark.parametrize("route", ["table", "unique", "beyond-int64"])
     def test_attribute_axes_rebuild_T(self, route, monkeypatch):
-        if route == "beyond-int64":
-            hs = (
-                Household("big", (Observation(1, (600,) * 7),)),
-                Household("small", (Observation(0, (1,) * 7),)),
-            )
-            d = Dataset(hs, P=7, x_scale=1e-3)
-        elif route == "unique":
-            # attribute 2 spans over 1024 values, so it is sorted, not tabled;
-            # the smallest K is (2, 1), so the two attributes' offsets differ
-            hs = (
-                Household("a", (Observation(1, (2, 700)), Observation(0, (2, 1)))),
-                Household("b", (Observation(1, (3, 1)),)),
-            )
-            d = Dataset(hs, P=2, x_scale=1e-3)
-            monkeypatch.setattr(CountMatrix, "MAX_BOX_PER_ROW", 0)
-        else:
-            d = two_attribute_dataset()
-        prep = prepare_dataset(d, SeriesConfig(R=12 if route == "table" else 3))
-        counts = CountMatrix.build(prep.groups, prep.caches, d.x_scale)
+        d, counts = route_counts(route, monkeypatch)
         assert len(counts.t_axes) == d.P
         assert counts.t_index.shape == (d.P, len(counts.T))
         for p, (axis, index) in enumerate(zip(counts.t_axes, counts.t_index)):
             # each attribute's distinct t_p, K ascending, bit for bit as in T
             assert np.array_equal(axis, np.unique(counts.T[:, p])[::-1])
             assert np.array_equal(axis[index], counts.T[:, p])
+
+    @pytest.mark.parametrize("route", ["table", "table-P1", "unique", "beyond-int64"])
+    @pytest.mark.parametrize("prior", PRODUCT_PRIORS)
+    def test_product_prior_factors_match_the_joint_mgf(self, prior, route, monkeypatch):
+        d, counts = route_counts(route, monkeypatch)
+        spec = PRODUCT_PRIORS[prior](d.P)
+        joint = np.exp(log_mgf(spec, counts.T))
+        assert counts.mgf(spec) == pytest.approx(joint, rel=1e-14)
+
+    @pytest.mark.parametrize("spec", SEVEN_FAMILIES[2:], ids=lambda s: type(s).__name__)
+    def test_other_priors_use_the_joint_mgf(self, spec):
+        counts = prepare_dataset(two_attribute_dataset(), SeriesConfig(R=12)).counts
+        assert counts.mgf(spec).tobytes() == np.exp(log_mgf(spec, counts.T)).tobytes()
 
     def test_bounding_box_beyond_int64(self):
         # seven attributes with K up to 600 each: the box has ~2.8e19 cells
@@ -493,11 +532,6 @@ class TestInfrastructure:
             SeriesConfig(R=-1)
         with pytest.raises(TypeError):  # R and parity_check are the only settings
             SeriesConfig(R=1, mode="naive")
-
-    def test_evaluation_diagnostics(self):
-        ev = Evaluation(1.0, 5, 0.01)
-        d = ev.diagnostics()
-        assert d == {"value": 1.0, "terms": 5, "parity_spread": 0.01}
 
     @given(st.integers(0, 6), st.integers(1, 3))
     @settings(max_examples=20, deadline=None)
