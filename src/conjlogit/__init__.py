@@ -60,10 +60,7 @@ from .series import (
     HouseholdSums,
     SeriesConfig,
     TruncationFailure,
-    h_grouped,
-    h_mgf,
     h_naive,
-    h_series,
     log_marginal,
     prepare_dataset,
 )
@@ -102,10 +99,7 @@ __all__ = [
     "compositions_count",
     "compositions_cum",
     "grid_fit",
-    "h_grouped",
-    "h_mgf",
     "h_naive",
-    "h_series",
     "load_cache",
     "load_dataset",
     "load_spec",

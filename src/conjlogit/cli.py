@@ -64,8 +64,8 @@ from .series import (
     PreparedDataset,
     SeriesConfig,
     TruncationFailure,
+    group_h,
     group_households,
-    h_series,
     log_marginal_prepared,
     prepare_dataset,
 )
@@ -317,10 +317,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    if args.max_households < 1:
+        raise ValueError(f"--max-households must be at least 1, got {args.max_households}")
     d = _load_data(args)
     spec = load_spec(args.spec)
     cfg = SeriesConfig(R=args.R)
     prep = prepare_dataset(d, cfg)
+    H, _ = group_h(prep, spec)
     picked = prep.groups[: args.max_households]
     # a household of each picked group, found in one pass on the order-free key
     wanted = {sums for sums, _ in picked}
@@ -334,8 +337,7 @@ def cmd_oracle_check(args) -> int:
                 break
     rows = []
     all_ok = True
-    for sums, _ in picked:
-        series = h_series(sums, prep.caches[sums.x_vectors], spec, d.x_scale)
+    for (sums, _), series in zip(picked, H.tolist()):
         h = first[sums]
         try:
             quad = quadrature_h(h, spec, QuadConfig(rel_tol=1e-10), d.x_scale)

@@ -284,7 +284,12 @@ def mc_h(
     seed: int,
     x_scale: float = 1.0,
 ) -> tuple[float, float]:
-    """Monte Carlo estimate of H_i with its standard error."""
+    """Monte Carlo estimate of H_i with its standard error.
+
+    ``n_draws`` must be at least 2, or there is no standard error.
+    """
+    if n_draws < 2:
+        raise ValueError(f"Monte Carlo needs at least 2 draws, got {n_draws}")
     rng = _rng_for(seed, h.id)
     betas = sample_prior(spec, n_draws, rng)
     X = np.array([obs.x for obs in h.observations], dtype=float) * x_scale

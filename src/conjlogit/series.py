@@ -4,13 +4,15 @@ H_i is evaluated one way for every prior family: a
 :class:`~conjlogit.diophantine.DioCache` holds a signature's signed solution
 counts over its reachable r-tuples, and H_i is their sum weighted by the
 prior's moment generating function at t = -x_scale * (r + Y), from
-:func:`~conjlogit.gamma_kernels.log_mgf`.  At the dataset level
-(:class:`CountMatrix`) a prior that is a product over attributes is
-evaluated on each attribute's distinct t_p and its log factors summed;
-every other prior is evaluated at each distinct t.  The one exception is
-:func:`h_naive`, which enumerates the k-tuples of the same budget simplex
-k.1 <= R directly for the independent-Gamma family; it is kept as the
-brute-force oracle that the grouped sums are checked against.
+:func:`~conjlogit.gamma_kernels.log_mgf`.  The groups' counts are gathered
+into one :class:`CountMatrix` over the dataset's distinct t, so every
+group's H_i is one sparse mat-vec (:func:`group_h`), and
+:func:`log_marginal_prepared` sums their logs.  A prior that is a product
+over attributes is evaluated on each attribute's distinct t_p and its log
+factors summed; every other prior is evaluated at each distinct t.  The one
+exception is :func:`h_naive`, which enumerates the k-tuples of the same
+budget simplex k.1 <= R directly for the independent-Gamma family; it is
+kept as the brute-force oracle that the count sums are checked against.
 
 The terms of one shell k.1 == s all carry the sign (-1)^s, so the shell
 partial sums S_0, S_1, ... alternate.  Every route returns their first Euler
@@ -29,10 +31,7 @@ import numpy as np
 from scipy import sparse
 
 from .data_model import (
-    BivariateNamed,
     Dataset,
-    GammaMixture,
-    GeneralizedMVGamma,
     Household,
     IndependentGamma,
     PointMassGamma,
@@ -96,7 +95,7 @@ def _rel_spread(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Evaluation routes
+# Brute-force oracle
 # ---------------------------------------------------------------------------
 
 def h_naive(
@@ -106,7 +105,7 @@ def h_naive(
     x_scale: float = 1.0,
 ) -> Evaluation:
     """Direct simplex enumeration of the alternating series for H_i: the
-    brute-force oracle for the count-based routes below.
+    brute-force oracle for the count sums of :func:`group_h`.
 
     Returns the Euler mean (S_{R-1} + S_R) / 2 of the shell partial sums,
     i.e. terms with k.1 == R weighted by 1/2.  With ``parity_check`` the
@@ -161,75 +160,6 @@ def h_naive(
     return Evaluation(value, len(terms), spread)
 
 
-def _check_cache(sums: HouseholdSums, cache: DioCache) -> None:
-    if cache.x_vectors != sums.x_vectors:
-        raise SpecError(
-            "cache was built for different x_vectors than this household"
-        )
-
-
-def _mgf_at(sums: HouseholdSums, cache: DioCache, spec, x_scale: float) -> np.ndarray:
-    # M(-x_scale * (r + Y)) for every stored r: the one per-group kernel evaluation
-    _check_cache(sums, cache)
-    K = cache.r_array + np.asarray(sums.Y, dtype=np.int64)
-    return np.exp(log_mgf(spec, -x_scale * K))
-
-
-def _h_sum(sums: HouseholdSums, cache: DioCache, spec, x_scale: float) -> float:
-    return float(cache.count_array @ _mgf_at(sums, cache, spec, x_scale))
-
-
-def h_series(sums: HouseholdSums, cache: DioCache, spec, x_scale: float = 1.0) -> float:
-    """Series value of H_i for one group under any prior family.
-
-    For the point-mass family the mass at beta = 0 contributes its exact
-    factor 2^(-n_obs), as in :func:`log_marginal_prepared`; only the inner
-    prior goes through the series.
-    """
-    if isinstance(spec, PointMassGamma):
-        inner = _h_sum(sums, cache, spec.inner, x_scale)
-        return spec.w * 2.0 ** -sums.n_obs + (1.0 - spec.w) * inner
-    return _h_sum(sums, cache, spec, x_scale)
-
-
-def _evaluate(sums, cache, spec, x_scale) -> Evaluation:
-    mgf = _mgf_at(sums, cache, spec, x_scale)
-    value = float(cache.count_array @ mgf)
-    spread = float(_rel_spread(value, cache.companion_array @ mgf))
-    return Evaluation(value, len(mgf), spread)
-
-
-def h_grouped(
-    sums: HouseholdSums,
-    cache: DioCache,
-    spec: IndependentGamma | GammaMixture,
-    x_scale: float = 1.0,
-) -> Evaluation:
-    """Grouped evaluation: sum of signed counts times kernel factors over r.
-
-    Returns the same Euler mean (S_{R-1} + S_R) / 2 as :func:`h_naive`: the
-    cache's ``count_array`` already weights the final shell by 1/2.  The
-    parity spread against the same mean at budget R - 1 (the cache's
-    ``companion_array``) comes with it as a diagnostic.
-    """
-    if not isinstance(spec, (IndependentGamma, GammaMixture)):
-        raise SpecError(f"no Gamma-factor route for {type(spec).__name__}; use h_mgf")
-    return _evaluate(sums, cache, spec, x_scale)
-
-
-def h_mgf(
-    sums: HouseholdSums,
-    cache: DioCache,
-    spec: GeneralizedMVGamma | BivariateNamed,
-    x_scale: float = 1.0,
-) -> Evaluation:
-    """Grouped evaluation through the prior's moment generating function,
-    with the parity spread as in :func:`h_grouped`."""
-    if not isinstance(spec, (GeneralizedMVGamma, BivariateNamed)):
-        raise SpecError(f"no MGF route for {type(spec).__name__}")
-    return _evaluate(sums, cache, spec, x_scale)
-
-
 # ---------------------------------------------------------------------------
 # Dataset-level log marginal likelihood
 # ---------------------------------------------------------------------------
@@ -257,10 +187,10 @@ class CountMatrix:
     columns of its K tuples, and row j of ``T`` is the MGF argument
     t = -x_scale * K of column j.  Neither depends on the prior, so one
     evaluation of all the groups' H_i is a single mat-vec,
-    H = C @ mgf(spec), over far fewer columns than there are (group, r)
-    rows.  ``T`` is also kept factored by attribute: column j's t_p is
-    ``t_axes[p][t_index[p, j]]``.  :meth:`mgf` evaluates a prior that is a
-    product over attributes (:func:`~conjlogit.gamma_kernels.attribute_marginals`)
+    H = C @ mgf(spec) (:func:`group_h`), over far fewer columns than there
+    are (group, r) rows.  ``T`` is also kept factored by attribute: column
+    j's t_p is ``t_axes[p][t_index[p, j]]``.  :meth:`mgf` evaluates a prior
+    that is a product over attributes (:func:`~conjlogit.gamma_kernels.attribute_marginals`)
     only at each attribute's few distinct t_p and gathers the factors
     through ``t_index``; other priors get ``log_mgf`` on every row of ``T``.
     """
@@ -336,9 +266,13 @@ class CountMatrix:
         A prior that is a product over attributes is evaluated per attribute
         on ``t_axes``, and the log factors are gathered through ``t_index``
         and summed; any other prior gets ``log_mgf`` on all of ``T``.
+        :class:`SpecError` if the prior's dimension is not the panel's.
         """
         if self.C.shape[0] == 0:
             return np.zeros(0)
+        if spec.P != self.T.shape[1]:
+            raise SpecError(f"prior has P={spec.P} attributes but the panel has "
+                            f"P={self.T.shape[1]}")
         marginals = attribute_marginals(spec)
         if marginals is None:
             v = log_mgf(spec, self.T)
@@ -474,27 +408,44 @@ def prepare_dataset(
     )
 
 
+def group_h(prep: PreparedDataset, spec) -> tuple[np.ndarray, np.ndarray | None]:
+    """Every group's H_i, in ``prep.groups`` order, and with ``parity_check``
+    each group's parity spread (else None).
+
+    H is one sparse mat-vec, ``counts.C @ counts.mgf(spec)``, and the spread
+    compares it with the budget-(R-1) means ``companion @ mgf``.  For the
+    point-mass family only the inner prior goes through the series: each
+    household's H_i is its own mixture w * 2^(-n_obs) + (1 - w) * H_inner,
+    and the spread is that of H_inner.
+    """
+    inner = spec.inner if isinstance(spec, PointMassGamma) else spec
+    mgf = prep.counts.mgf(inner)
+    H = prep.counts.C @ mgf
+    spread = _rel_spread(H, prep.companion @ mgf) if prep.parity_check else None
+    if isinstance(spec, PointMassGamma):
+        n_obs = np.array([sums.n_obs for sums, _ in prep.groups])
+        H = spec.w * 2.0 ** -n_obs + (1.0 - spec.w) * H
+    return H, spread
+
+
 def log_marginal_prepared(prep: PreparedDataset, spec) -> Evaluation:
     """Log marginal likelihood from a prepared dataset.
 
-    Every group's H_i comes from one sparse mat-vec (:class:`CountMatrix`);
-    a group whose H_i is not positive raises :class:`TruncationFailure`.
-    With ``parity_check`` a second mat-vec over the same MGF values gives
-    the budget-(R-1) means and the worst parity spread.  For the point-mass
-    family the all-or-nothing mixture is combined at the dataset level: with
-    weight w every Bernoulli factor is 1/2.
+    Every group's H_i comes from :func:`group_h`; a group whose H_i is not
+    positive raises :class:`TruncationFailure`.  With ``parity_check`` the
+    worst group's parity spread comes with the value.  For the point-mass
+    family the series runs on the inner prior and the all-or-nothing mixture
+    is combined at the dataset level: with weight w every Bernoulli factor
+    is 1/2.
     """
     inner = spec.inner if isinstance(spec, PointMassGamma) else spec
-    counts = prep.counts
-    mgf = counts.mgf(inner)
-    H = counts.C @ mgf
-    spread = _rel_spread(H, prep.companion @ mgf) if prep.parity_check else None
+    H, spread = group_h(prep, inner)
     prep.raise_on_truncation(H, spread)
-    total = float(counts.mult @ np.log(H))
+    total = float(prep.counts.mult @ np.log(H))
     if isinstance(spec, PointMassGamma):
         total = _point_mass_combine(spec.w, total, prep.total_obs)
     worst = None if spread is None else float(spread.max(initial=0.0))
-    return Evaluation(total, counts.terms, worst)
+    return Evaluation(total, prep.counts.terms, worst)
 
 
 def _group_label(sums: HouseholdSums) -> str:

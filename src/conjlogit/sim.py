@@ -18,7 +18,7 @@ from scipy import stats
 
 from .data_model import Dataset, IndependentGamma
 from .optimizer import GridSpec, grid_fit
-from .series import SeriesConfig, group_households, h_grouped, prepare_dataset
+from .series import SeriesConfig, group_h, group_households, prepare_dataset
 
 
 @dataclass(frozen=True)
@@ -183,13 +183,9 @@ def parity_study(d: Dataset, spec: IndependentGamma, r_values) -> list[ParityRow
     groups = group_households(d)
     rows = []
     for R in r_values:
-        prep = prepare_dataset(d, SeriesConfig(R=R), groups=groups)
-        spreads = [
-            h_grouped(sums, prep.caches[sums.x_vectors], spec, d.x_scale).parity_spread
-            for sums, _ in prep.groups
-        ]
-        mults = [m for _, m in prep.groups]
-        rows.append(
-            ParityRow(R, max(spreads), float(np.average(spreads, weights=mults)))
-        )
+        prep = prepare_dataset(d, SeriesConfig(R=R, parity_check=True), groups=groups)
+        _, spreads = group_h(prep, spec)
+        rows.append(ParityRow(
+            R, float(spreads.max()), float(np.average(spreads, weights=prep.counts.mult))
+        ))
     return rows

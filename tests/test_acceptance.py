@@ -38,8 +38,7 @@ from conjlogit.optimizer import (
 from conjlogit.series import (
     HouseholdSums,
     SeriesConfig,
-    h_grouped,
-    h_mgf,
+    group_h,
     h_naive,
     log_marginal_prepared,
     prepare_dataset,
@@ -49,6 +48,13 @@ from conjlogit.sim import SimDesign, run_study, simulate_dataset
 
 def report(n, ok, detail=""):
     print(f"\n[criterion {n:2d}] {'PASS' if ok else 'FAIL'}  {detail}")
+
+
+def group_value(sums, spec, R, x_scale, caches=None):
+    """H of the one group ``sums`` from the count matrix (:func:`group_h`)."""
+    d = Dataset((), P=len(sums.Y), x_scale=x_scale)
+    prep = prepare_dataset(d, SeriesConfig(R=R), caches, groups={sums: 1})
+    return float(group_h(prep, spec)[0][0])
 
 
 def study1_design(b, n, **kw):
@@ -181,7 +187,7 @@ def test_criterion_5_grouped_naive_equivalence():
         )
         sums = HouseholdSums(Y, xv)
         naive = h_naive(sums, spec, SeriesConfig(R=R), x_scale=0.2).value
-        grouped = h_grouped(sums, build_cache(xv, R), spec, x_scale=0.2).value
+        grouped = group_value(sums, spec, R, 0.2)
         worst = max(worst, abs(naive - grouped) / max(abs(naive), 1e-300))
     ok = worst < 1e-12
     report(5, ok, f"100 instances, worst rel diff = {worst:.2e} < 1e-12")
@@ -310,7 +316,7 @@ def test_criterion_9_mgf_path_consistency():
                 tuple(float(v) for v in rng.uniform(0.3, 3.0, P)),
                 tuple(float(v) for v in rng.uniform(0.3, 3.0, P)),
             )
-            hv = h_grouped(sums, cache, spec, x_scale=0.2).value
+            hv = group_value(sums, spec, R, 0.2, {xv: cache})
             if hv <= 0.0:
                 continue
             gmv = GeneralizedMVGamma(
@@ -320,15 +326,14 @@ def test_criterion_9_mgf_path_consistency():
                 theta=spec.n,
             )
             ll_gamma += math.log(hv)
-            ll_gmv += math.log(h_mgf(sums, cache, gmv, x_scale=0.2).value)
+            ll_gmv += math.log(group_value(sums, gmv, R, 0.2, {xv: cache}))
             drawn += 1
         worst = max(worst, abs(ll_gamma - ll_gmv) / abs(ll_gamma))
 
     cr = CheriyanRamabhadran(1.0, 0.8, 1.2)
     h = Household("c", (Observation(1, (1, 1)),))
     q = quadrature_h(h, cr, QuadConfig(rel_tol=1e-8), x_scale=0.2)
-    sums = HouseholdSums.from_household(h, 2)
-    s = h_mgf(sums, build_cache(sums.x_vectors, 200), cr, x_scale=0.2).value
+    s = group_value(HouseholdSums.from_household(h, 2), cr, 200, 0.2)
     cr_err = abs(s - q) / q
     ok = worst < 1e-12 and cr_err < 1e-3
     report(

@@ -9,6 +9,7 @@ import pytest
 from conjlogit import __version__, cli, diophantine
 from conjlogit.cli import main
 from conjlogit.data_model import (
+    CheriyanRamabhadran,
     Dataset,
     GeneralizedMVGamma,
     Household,
@@ -515,6 +516,49 @@ def test_oracle_check_point_mass_gamma(tmp_path, capsys):
     for r in rows:
         assert r[2] == "n/a" and r[4] == "n/a"
         assert float(r[5]) < 5.0 and r[-1] == "ok"
+
+
+@pytest.mark.parametrize("P, spec", [
+    (1, CheriyanRamabhadran(1.0, 2.0, 3.0)),
+    (3, CheriyanRamabhadran(1.0, 2.0, 3.0)),
+    (1, IndependentGamma((5.0, 5.0), (14.0, 14.0))),
+])
+@pytest.mark.parametrize("command", ["eval", "oracle-check"])
+def test_prior_of_another_dimension_exits_2(tmp_path, capsys, command, P, spec):
+    h = Household("a", (Observation(1, (1,) * P), Observation(0, (2,) * P)))
+    p = tmp_path / "d.csv"
+    save_dataset(Dataset((h,), P=P, x_scale=0.1), str(p))
+    spec_p = tmp_path / "spec.json"
+    save_spec(spec, str(spec_p))
+    code, out, err = run(
+        [command, "--data", str(p), "--spec", str(spec_p), "--R", "10",
+         "--cache-dir", str(tmp_path / "c")],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "SpecError"
+    assert error["message"] == f"prior has P=2 attributes but the panel has P={P}"
+
+
+@pytest.mark.parametrize("flag, value, words", [
+    ("--max-households", "0", "--max-households must be at least 1, got 0"),
+    ("--max-households", "-1", "--max-households must be at least 1, got -1"),
+    ("--mc-draws", "0", "at least 2 draws, got 0"),
+    ("--mc-draws", "1", "at least 2 draws, got 1"),
+])
+def test_oracle_check_rejects_bad_counts(tmp_path, capsys, flag, value, words):
+    h = Household("a", (Observation(0, (1,)),))
+    p = tmp_path / "d.csv"
+    save_dataset(Dataset((h,), P=1), str(p))
+    spec_p = tmp_path / "spec.json"
+    save_spec(IndependentGamma((1.0,), (1.0,)), str(spec_p))
+    code, out, err = run(
+        ["oracle-check", "--data", str(p), "--spec", str(spec_p), "--R", "20", flag, value],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert words in json.loads(err)["error"]["message"]
 
 
 @pytest.mark.parametrize("precomputed", ["some", "all"])

@@ -21,7 +21,7 @@ from conjlogit.series import (
     CountMatrix,
     SeriesConfig,
     TruncationFailure,
-    h_grouped,
+    group_h,
     log_marginal_prepared,
     prepare_dataset,
 )
@@ -266,6 +266,11 @@ class TestGridLogliks:
             grid_logliks(prep, axes(*[(5.0, 3, 0.5)] * 4))
 
 
+def cache_h(sums, cache, spec, x_scale):
+    """H of one group straight from its cache, without the count matrix."""
+    return cache.count_array @ np.exp(log_mgf(spec, -x_scale * (cache.r_array + sums.Y)))
+
+
 def fd_gradient(f, theta, h=1e-5):
     g = np.zeros_like(theta)
     for i in range(len(theta)):
@@ -351,16 +356,15 @@ class TestDerivatives:
         assert np.allclose(g, fd_gradient(f, theta), rtol=1e-6)
 
     def test_matches_per_group_derivatives(self):
-        # against finite differences of the per-group sum of log h_grouped,
-        # which does not go through the count matrix
+        # against finite differences of the per-group sum of log H read
+        # straight from each cache, which does not go through the count matrix
         prep = prepare_dataset(two_attribute_dataset(), SeriesConfig(R=20))
         eps = 0.01
 
         def f(t):
             spec = params_to_spec(t, 2, eps)
             return math.fsum(
-                mult * math.log(h_grouped(sums, prep.caches[sums.x_vectors], spec,
-                                          prep.x_scale).value)
+                mult * math.log(cache_h(sums, prep.caches[sums.x_vectors], spec, prep.x_scale))
                 for sums, mult in prep.groups
             )
 
@@ -375,9 +379,7 @@ class TestDerivatives:
     def test_household_level_h_matches_series(self):
         prep = self.make_prep()
         spec = params_to_spec([1.2, 2.0, 0.7, 1.5], 2, 0.0)
-        sums, _ = prep.groups[0]
-        cache = prep.caches[sums.x_vectors]
-        H_val = h_grouped(sums, cache, spec, prep.x_scale).value
+        (H_val,), _ = group_h(prep, spec)
         ll = log_marginal_prepared(prep, spec).value
         assert math.log(H_val) == pytest.approx(ll, rel=1e-12)
         assert loglik_grad_hess(prep, spec)[0] == pytest.approx(ll, rel=1e-12)

@@ -6,6 +6,7 @@ import pytest
 from conjlogit.data_model import (
     ArnoldStrauss,
     CheriyanRamabhadran,
+    Dataset,
     Freund,
     GammaMixture,
     GeneralizedMVGamma,
@@ -15,7 +16,6 @@ from conjlogit.data_model import (
     PointMassGamma,
     SpecError,
 )
-from conjlogit.diophantine import build_cache
 from conjlogit.gamma_kernels import gmv_gamma_covariance, mgf_bivariate_named
 from conjlogit.oracle import (
     QuadConfig,
@@ -25,7 +25,7 @@ from conjlogit.oracle import (
     quadrature_h,
     sample_prior,
 )
-from conjlogit.series import HouseholdSums, SeriesConfig, h_grouped, h_mgf, h_naive
+from conjlogit.series import SeriesConfig, group_h, h_naive, prepare_dataset
 
 UNIT_PRIOR = IndependentGamma((1.0,), (1.0,))
 
@@ -90,9 +90,8 @@ class TestQuadrature:
         spec = CheriyanRamabhadran(1.0, 0.8, 1.2)
         h = Household("c", (Observation(1, (1, 1)),))
         q = quadrature_h(h, spec, QuadConfig(rel_tol=1e-8), x_scale=0.2)
-        sums = HouseholdSums.from_household(h, 2)
-        cache = build_cache(sums.x_vectors, 200)
-        s = h_mgf(sums, cache, spec, x_scale=0.2).value
+        prep = prepare_dataset(Dataset((h,), P=2, x_scale=0.2), SeriesConfig(R=200))
+        (s,), _ = group_h(prep, spec)
         assert abs(s - q) / q < 1e-3
 
     def test_unsupported_dimension(self):
@@ -206,6 +205,12 @@ class TestMonteCarlo:
         assert abs(est - math.log(2.0)) < 3 * se
         assert se < 1e-3
 
+    def test_needs_two_draws_for_a_standard_error(self):
+        for n_draws in (-1, 0, 1):
+            with pytest.raises(ValueError, match=f"at least 2 draws, got {n_draws}"):
+                mc_h(single_obs(1), UNIT_PRIOR, n_draws, seed=5)
+        assert math.isfinite(mc_h(single_obs(1), UNIT_PRIOR, 2, seed=5)[1])
+
     def test_deterministic_given_seed(self):
         a = mc_h(single_obs(1), UNIT_PRIOR, 10_000, seed=5)
         b = mc_h(single_obs(1), UNIT_PRIOR, 10_000, seed=5)
@@ -222,10 +227,9 @@ class TestMonteCarlo:
     def test_agrees_with_series_two_dim(self):
         h = Household("h", (Observation(1, (1, 2)), Observation(0, (2, 1))))
         spec = IndependentGamma((1.2, 0.7), (2.0, 1.5), eps=0.05)
-        sums = HouseholdSums.from_household(h, 2)
         # the truncated sum converges slowly here; R=300 brings its own bias
         # well below the Monte Carlo standard error
-        cache = build_cache(sums.x_vectors, 300)
-        s = h_grouped(sums, cache, spec, x_scale=0.1).value
+        prep = prepare_dataset(Dataset((h,), P=2, x_scale=0.1), SeriesConfig(R=300))
+        (s,), _ = group_h(prep, spec)
         est, se = mc_h(h, spec, 400_000, seed=9, x_scale=0.1)
         assert abs(s - est) < 5 * se

@@ -24,11 +24,9 @@ from conjlogit.series import (
     HouseholdSums,
     SeriesConfig,
     TruncationFailure,
+    group_h,
     group_households,
-    h_grouped,
-    h_mgf,
     h_naive,
-    h_series,
     log_marginal,
     log_marginal_prepared,
     prepare_dataset,
@@ -39,6 +37,17 @@ UNIT_PRIOR = IndependentGamma((1.0,), (1.0,))
 
 def single_obs(y):
     return Household(id=f"y{y}", observations=(Observation(y, (1,)),))
+
+
+def one_group(sums, R, x_scale=1.0, parity_check=False):
+    """A prepared dataset whose one group is ``sums``, with a budget-R cache."""
+    d = Dataset((), P=len(sums.Y), x_scale=x_scale)
+    return prepare_dataset(d, SeriesConfig(R, parity_check), groups={sums: 1})
+
+
+def cache_h(sums, cache, spec, x_scale):
+    """H of one group straight from its cache, without the count matrix."""
+    return cache.count_array @ np.exp(log_mgf(spec, -x_scale * (cache.r_array + sums.Y)))
 
 
 class TestAnalyticValues:
@@ -80,23 +89,15 @@ class TestGroupedNaiveEquivalence:
         for _ in range(60):
             sums, spec, R = random_instance(rng)
             naive = h_naive(sums, spec, SeriesConfig(R=R), x_scale=0.2)
-            cache = build_cache(sums.x_vectors, R)
-            grouped = h_grouped(sums, cache, spec, x_scale=0.2)
-            assert grouped.value == pytest.approx(naive.value, rel=1e-12, abs=1e-300)
+            (grouped,), _ = group_h(one_group(sums, R, 0.2), spec)
+            assert grouped == pytest.approx(naive.value, rel=1e-12, abs=1e-300)
 
     def test_translated_prior(self):
         sums = HouseholdSums((2,), ((1, 2),))
         spec = IndependentGamma((2.0,), (3.0,), eps=0.05)
         naive = h_naive(sums, spec, SeriesConfig(R=9))
-        cache = build_cache(sums.x_vectors, 9)
-        grouped = h_grouped(sums, cache, spec)
-        assert grouped.value == pytest.approx(naive.value, rel=1e-12)
-
-    def test_cache_signature_mismatch_rejected(self):
-        cache = build_cache(((1, 1),), 5)
-        sums = HouseholdSums((0,), ((1, 2),))
-        with pytest.raises(SpecError):
-            h_grouped(sums, cache, UNIT_PRIOR)
+        (grouped,), _ = group_h(one_group(sums, 9), spec)
+        assert grouped == pytest.approx(naive.value, rel=1e-12)
 
 
 class TestParityDiagnostics:
@@ -112,14 +113,14 @@ class TestParityDiagnostics:
 
     def test_grouped_spread_matches_naive_spread(self):
         sums = HouseholdSums((1,), ((1, 2),))
-        ev = h_grouped(sums, build_cache(sums.x_vectors, 10), UNIT_PRIOR)
         cfg = SeriesConfig(R=10, parity_check=True)
         ref = h_naive(sums, UNIT_PRIOR, cfg)
-        assert ev.value == pytest.approx(ref.value, rel=1e-12)
-        assert ev.parity_spread == pytest.approx(ref.parity_spread, rel=1e-9)
         h = Household("h", (Observation(1, (1,)), Observation(0, (2,))))
-        prep = prepare_dataset(Dataset((h,), P=1), SeriesConfig(R=10, parity_check=True))
+        prep = prepare_dataset(Dataset((h,), P=1), cfg)
         assert prep.groups == [(sums, 1)]
+        (value,), (spread,) = group_h(prep, UNIT_PRIOR)
+        assert value == pytest.approx(ref.value, rel=1e-12)
+        assert spread == pytest.approx(ref.parity_spread, rel=1e-9)
         worst = log_marginal_prepared(prep, UNIT_PRIOR).parity_spread
         assert worst == pytest.approx(ref.parity_spread, rel=1e-9)
 
@@ -129,7 +130,7 @@ class TestParityDiagnostics:
         d = tiny_dataset()
         assert log_marginal_prepared(prepare_dataset(d, cfg), UNIT_PRIOR).parity_spread == 1.0
         sums = HouseholdSums((1,), ((1, 2),))
-        assert h_grouped(sums, build_cache(sums.x_vectors, 0), UNIT_PRIOR).parity_spread == 1.0
+        assert group_h(one_group(sums, 0, parity_check=True), UNIT_PRIOR)[1][0] == 1.0
         naive = SeriesConfig(R=0, parity_check=True)
         assert h_naive(sums, UNIT_PRIOR, naive).parity_spread == 1.0
 
@@ -145,22 +146,16 @@ class TestMixtures:
     def test_degenerate_mixture_reduces(self):
         mix = GammaMixture(((1.0,),), ((2.0,),), ((3.0,),), eps=0.01)
         plain = IndependentGamma((2.0,), (3.0,), eps=0.01)
-        sums = HouseholdSums((1,), ((1, 2),))
-        cache = build_cache(sums.x_vectors, 8)
-        assert h_grouped(sums, cache, mix).value == pytest.approx(
-            h_grouped(sums, cache, plain).value, rel=1e-14
-        )
+        prep = one_group(HouseholdSums((1,), ((1, 2),)), 8)
+        assert group_h(prep, mix)[0] == pytest.approx(group_h(prep, plain)[0], rel=1e-14)
 
     def test_mixture_is_weighted_sum_for_single_attribute(self):
         # With P = 1 the marginal factor is linear in the mixture components.
         mix = GammaMixture(((0.3, 0.7),), ((1.0, 2.5),), ((2.0, 1.0),))
         parts = [IndependentGamma((1.0,), (2.0,)), IndependentGamma((2.5,), (1.0,))]
-        sums = HouseholdSums((2,), ((1, 1, 2),))
-        cache = build_cache(sums.x_vectors, 9)
-        expected = 0.3 * h_grouped(sums, cache, parts[0]).value + 0.7 * h_grouped(
-            sums, cache, parts[1]
-        ).value
-        assert h_grouped(sums, cache, mix).value == pytest.approx(expected, rel=1e-13)
+        prep = one_group(HouseholdSums((2,), ((1, 1, 2),)), 9)
+        expected = 0.3 * group_h(prep, parts[0])[0] + 0.7 * group_h(prep, parts[1])[0]
+        assert group_h(prep, mix)[0] == pytest.approx(expected, rel=1e-13)
 
 
 class TestMgfRoute:
@@ -175,27 +170,19 @@ class TestMgfRoute:
                 theta0=(1.0,),
                 theta=spec.n,
             )
-            cache = build_cache(sums.x_vectors, R)
-            a = h_mgf(sums, cache, gmv, x_scale=0.2).value
-            b = h_grouped(sums, cache, spec, x_scale=0.2).value
-            assert a == pytest.approx(b, rel=1e-12)
+            prep = one_group(sums, R, 0.2)
+            assert group_h(prep, gmv)[0] == pytest.approx(group_h(prep, spec)[0], rel=1e-12)
 
     def test_bivariate_terms_use_mgf_at_minus_k(self):
         spec = CheriyanRamabhadran(1.0, 0.5, 2.0)
         sums = HouseholdSums((1, 0), ((1,), (1,)))
         cache = build_cache(sums.x_vectors, 3)
-        ev = h_mgf(sums, cache, spec, x_scale=0.5)
+        (value,), _ = group_h(one_group(sums, 3, 0.5), spec)
         expected = sum(
             cnt * mgf_bivariate_named((-0.5 * (1 + r[0]), -0.5 * (0 + r[1])), spec)
             for r, cnt in zip(cache.r_array, cache.count_array)
         )
-        assert ev.value == pytest.approx(expected, rel=1e-12)
-
-    def test_gamma_spec_rejected_by_mgf_helper(self):
-        sums = HouseholdSums((0,), ((1,),))
-        cache = build_cache(sums.x_vectors, 2)
-        with pytest.raises(SpecError):
-            h_mgf(sums, cache, UNIT_PRIOR)
+        assert value == pytest.approx(expected, rel=1e-12)
 
 
 def tiny_dataset():
@@ -344,9 +331,8 @@ class TestCountMatrixKernel:
         d = two_attribute_dataset()
         prep = prepare_dataset(d, SeriesConfig(R=12))
         inner = spec.inner if isinstance(spec, PointMassGamma) else spec
-        route = h_grouped if isinstance(inner, (IndependentGamma, GammaMixture)) else h_mgf
         per_group = [
-            mult * math.log(route(sums, prep.caches[sums.x_vectors], inner, d.x_scale).value)
+            mult * math.log(cache_h(sums, prep.caches[sums.x_vectors], inner, d.x_scale))
             for sums, mult in prep.groups
         ]
         expected = math.fsum(per_group)
@@ -400,7 +386,7 @@ class TestCountMatrixKernel:
         prep = prepare_dataset(d, SeriesConfig(R=3))
         spec = IndependentGamma((1.0,) * 7, (2.0,) * 7)
         expected = math.fsum(
-            math.log(h_grouped(sums, prep.caches[sums.x_vectors], spec, d.x_scale).value)
+            math.log(cache_h(sums, prep.caches[sums.x_vectors], spec, d.x_scale))
             for sums, _ in prep.groups
         )
         assert log_marginal_prepared(prep, spec).value == pytest.approx(expected, rel=1e-12)
@@ -433,6 +419,65 @@ class TestCountMatrixKernel:
             assert ev.parity_spread is not None
             assert ev.value == ref.value
             assert ev.parity_spread == ref.parity_spread
+
+
+class TestGroupH:
+    @pytest.mark.parametrize("spec", SEVEN_FAMILIES, ids=lambda s: type(s).__name__)
+    def test_each_group_matches_its_cache_sum(self, spec):
+        d = two_attribute_dataset()
+        prep = prepare_dataset(d, SeriesConfig(R=12))
+        H, spread = group_h(prep, spec)
+        assert spread is None
+        inner = spec.inner if isinstance(spec, PointMassGamma) else spec
+        for (sums, _), h in zip(prep.groups, H):
+            ref = cache_h(sums, prep.caches[sums.x_vectors], inner, d.x_scale)
+            if isinstance(spec, PointMassGamma):
+                ref = spec.w * 2.0 ** -sums.n_obs + (1 - spec.w) * ref
+            assert h == pytest.approx(ref, rel=1e-12)
+
+    def test_point_mass_is_each_households_mixture(self):
+        prep = prepare_dataset(two_attribute_dataset(), SeriesConfig(R=12, parity_check=True))
+        n_obs = [sums.n_obs for sums, _ in prep.groups]
+        assert sorted(set(n_obs)) == [1, 2, 3]
+        inner, inner_spread = group_h(prep, IG2)
+        for w in (0.0, 0.3, 1.0):
+            H, spread = group_h(prep, PointMassGamma(w, IG2))
+            for h, n, h_inner in zip(H, n_obs, inner):
+                assert h == pytest.approx(w * 2.0 ** -n + (1 - w) * h_inner, rel=1e-15)
+            assert spread.tobytes() == inner_spread.tobytes()
+
+    def test_spread_matches_naive_per_group(self):
+        cfg = SeriesConfig(R=10, parity_check=True)
+        d = two_attribute_dataset()
+        prep = prepare_dataset(d, cfg)
+        H, spread = group_h(prep, IG2)
+        for (sums, _), h, sp in zip(prep.groups, H, spread):
+            ref = h_naive(sums, IG2, cfg, d.x_scale)
+            assert h == pytest.approx(ref.value, rel=1e-12)
+            assert sp == pytest.approx(ref.parity_spread, rel=1e-9)
+        assert log_marginal_prepared(prep, IG2).parity_spread == spread.max()
+
+    @pytest.mark.parametrize("P, spec", [
+        (1, CheriyanRamabhadran(1.0, 2.0, 3.0)),
+        (3, Freund(1.0, 2.0, 1.5, 0.8)),
+        (1, IG2),
+        (3, GammaMixture(((1.0,),) * 2, ((2.0,),) * 2, ((3.0,),) * 2)),
+        (1, PointMassGamma(0.5, IG2)),
+    ])
+    def test_prior_dimension_must_match_the_panel(self, P, spec):
+        h = Household("h", (Observation(1, (1,) * P), Observation(0, (2,) * P)))
+        prep = prepare_dataset(Dataset((h,), P=P), SeriesConfig(R=4))
+        message = f"prior has P=2 attributes but the panel has P={P}"
+        with pytest.raises(SpecError, match=message):
+            group_h(prep, spec)
+        with pytest.raises(SpecError, match=message):
+            log_marginal_prepared(prep, spec)
+
+    def test_no_groups(self):
+        prep = prepare_dataset(Dataset((), P=1), SeriesConfig(R=4, parity_check=True))
+        for spec in (UNIT_PRIOR, PointMassGamma(0.5, UNIT_PRIOR)):
+            H, spread = group_h(prep, spec)
+            assert H.shape == spread.shape == (0,)
 
 
 @st.composite
@@ -470,7 +515,7 @@ class TestOrderFreeGroups:
             assert H_a.tobytes() == (b.counts.C @ b.counts.mgf(spec)).tobytes()
         # the order-dependent groups, each with a cache of its own ordering
         ordered = math.fsum(
-            m * math.log(h_series(sums, build_cache(sums.x_vectors, 12), IG2, d.x_scale))
+            m * math.log(cache_h(sums, build_cache(sums.x_vectors, 12), IG2, d.x_scale))
             for sums, m in group_households(shuffled).items()
         )
         assert log_marginal_prepared(b, IG2).value == pytest.approx(ordered, rel=1e-12)

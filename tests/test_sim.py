@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from conjlogit.data_model import Dataset, Household, IndependentGamma, Observation, validate_dataset
-from conjlogit.diophantine import build_cache
 from conjlogit.optimizer import GridAxis, GridSpec
-from conjlogit.series import HouseholdSums, h_grouped
+from conjlogit.series import SeriesConfig, h_naive
 from conjlogit.sim import (
     SimDesign,
     bonferroni_crit,
@@ -135,10 +134,7 @@ class TestParityStudy:
         spec = IndependentGamma((5.0,), (14.0,))
         d = Dataset(tuple(hs), P=1, x_scale=0.1)
         (row,) = parity_study(d, spec, [12])
-        per_household = []
-        for h in hs:
-            sums = HouseholdSums.from_household(h, 1)
-            ev = h_grouped(sums, build_cache(sums.x_vectors, 12), spec, d.x_scale)
-            per_household.append(ev.parity_spread)
+        cfg = SeriesConfig(R=12, parity_check=True)
+        per_household = [h_naive(h, spec, cfg, d.x_scale).parity_spread for h in hs]
         assert row.mean_spread == pytest.approx(np.mean(per_household), rel=1e-9)
         assert row.max_spread == pytest.approx(max(per_household), rel=1e-9)
