@@ -40,12 +40,7 @@ from .diophantine import (
     save_cache,
     tail_bound,
 )
-from .gamma_kernels import (
-    DomainError,
-    log_mgf,
-    mgf_bivariate_named,
-    mgf_gmv_gamma,
-)
+from .gamma_kernels import log_mgf
 from .optimizer import (
     FitError,
     FitResult,
@@ -75,7 +70,6 @@ __all__ = [
     "DataError",
     "Dataset",
     "DioCache",
-    "DomainError",
     "Evaluation",
     "FitError",
     "FitResult",
@@ -106,8 +100,6 @@ __all__ = [
     "log_marginal",
     "log_mgf",
     "mc_h",
-    "mgf_bivariate_named",
-    "mgf_gmv_gamma",
     "newton_fit",
     "parity_study",
     "prepare_dataset",

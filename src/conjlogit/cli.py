@@ -48,7 +48,6 @@ from .diophantine import (
     load_cache,
     save_cache,
 )
-from .gamma_kernels import DomainError
 from .optimizer import (
     FitError,
     GridAxis,
@@ -122,6 +121,8 @@ def _parse_counts(s: str) -> list[int]:
 
 
 def _grid_from_args(args, P: int) -> GridSpec:
+    if args.center is None:
+        raise SpecError("--center is required (or --center-at-truth)")
     counts = _parse_counts(args.grid)
     if len(counts) == 1:
         counts = counts * (2 * P)
@@ -139,6 +140,18 @@ def _grid_from_args(args, P: int) -> GridSpec:
     return GridSpec(
         tuple(GridAxis(c, k, s) for c, k, s in zip(centers, counts, spacings))
     )
+
+
+def _true_spec(args) -> IndependentGamma:
+    """The prior of ``--b``, ``--n`` and ``--eps``; a single b or n applies
+    to all ``--P`` attributes."""
+    b = _parse_floats(args.b)
+    n = _parse_floats(args.n)
+    if len(b) == 1:
+        b = b * args.P
+    if len(n) == 1:
+        n = n * args.P
+    return IndependentGamma(tuple(b), tuple(n), args.eps)
 
 
 def _load_data(args) -> Dataset:
@@ -196,16 +209,10 @@ def _prepare(d: Dataset, cfg: SeriesConfig, cache_dir: str) -> PreparedDataset:
 
 def cmd_simulate(args) -> int:
     P = args.P
-    b = _parse_floats(args.b)
-    n = _parse_floats(args.n)
-    if len(b) == 1:
-        b = b * P
-    if len(n) == 1:
-        n = n * P
-    spec = IndependentGamma(tuple(b), tuple(n), args.eps)
+    spec = _true_spec(args)
     design = SimDesign(
         I=args.I, J=args.J, N=args.N, P=P, true_spec=spec,
-        grid=GridSpec((GridAxis(b[0], 1, 1.0),) * (2 * P)),  # unused by simulate
+        grid=GridSpec((GridAxis(spec.b[0], 1, 1.0),) * (2 * P)),  # unused by simulate
         R=1, c=args.scale, x_support=tuple(int(v) for v in args.x_support.split(",")),
         replicates=max(args.replicate + 1, 1), seed=args.seed,
     )
@@ -277,10 +284,10 @@ def cmd_fit(args) -> int:
     grid = _grid_from_args(args, d.P)
     cfg = SeriesConfig(R=args.R, parity_check=args.parity_check)
     prep = _prepare(d, cfg, _cache_dir(args))
-    res = grid_fit(d, grid, cfg, eps=args.eps, prep=prep)
+    res = grid_fit(prep, grid, eps=args.eps)
     if args.newton:
         res = replace(
-            newton_fit(d, params_to_spec(res.omega_hat, d.P, args.eps), cfg, prep=prep),
+            newton_fit(prep, params_to_spec(res.omega_hat, d.P, args.eps)),
             dropped=res.dropped,
         )
     if args.output:
@@ -363,15 +370,9 @@ def cmd_oracle_check(args) -> int:
 
 def cmd_study(args) -> int:
     P = args.P
-    b = _parse_floats(args.b)
-    n = _parse_floats(args.n)
-    if len(b) == 1:
-        b = b * P
-    if len(n) == 1:
-        n = n * P
-    spec = IndependentGamma(tuple(b), tuple(n), args.eps)
+    spec = _true_spec(args)
     if args.center_at_truth:
-        centers = [v for pair in zip(b, n) for v in pair]
+        centers = [v for pair in zip(spec.b, spec.n) for v in pair]
         args.center = ",".join(str(v) for v in centers)
     grid = _grid_from_args(args, P)
     design = SimDesign(
@@ -581,17 +582,11 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as e:
             return _fail(e, EXIT_USAGE)
         args = parser.parse_args(argv)
-    if getattr(args, "center", None) is None and hasattr(args, "center"):
-        if args.command in ("fit", "plotdata", "study") and not getattr(
-            args, "center_at_truth", False
-        ):
-            return _fail(SpecError("--center is required (or --center-at-truth)"),
-                         EXIT_USAGE)
     try:
         return args.func(args)
     except BudgetError as e:
         return _fail(e, EXIT_RESOURCE)
-    except (TruncationFailure, FitError, DomainError, ToleranceNotMet,
+    except (TruncationFailure, FitError, ToleranceNotMet,
             OverflowError, ZeroDivisionError) as e:
         return _fail(e, EXIT_NUMERIC)
     except (DataError, SpecError, ValueError, FileNotFoundError, CacheFileError) as e:

@@ -20,9 +20,10 @@ from __future__ import annotations
 import bisect
 import csv
 import json
+import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, NamedTuple
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -298,17 +299,14 @@ def drop_degenerate(d: Dataset) -> Dataset:
     )
 
 
-def recode_negative(
-    d: Dataset,
-    flip: set[int],
-    transform: Callable[[int], float] | None = None,
-) -> Dataset:
-    """Recode selected attributes so the positivity convention holds.
+def recode_negative(d: Dataset, flip: set[int]) -> Dataset:
+    """Negate every covariate of the flagged attributes, so the positivity
+    convention holds.
 
-    Applies ``transform`` (default: negation) to every covariate of the
-    flagged attributes.  The result must stay a non-negative integer.  The
-    default negation works on the panel columns; a custom ``transform`` is
-    applied value by value.
+    Works on the panel columns.  A negated value that is negative or leaves
+    int64 (x = -2^63) raises DataError naming its household and
+    observation, as do rows built from objects that the columns cannot hold
+    (see :meth:`Dataset.columns`).
     """
     bad = [p for p in flip if p < 0 or p >= d.P]
     if bad:
@@ -318,52 +316,21 @@ def recode_negative(
         note = (d.scale_note + "; " + note) if d.scale_note else note
     else:
         note = d.scale_note
-    if transform is None:
-        cols, bad_rows = d.households._checked_columns()
-        ps = list(flip)  # the order in which the value-by-value route checks them
-        # rows that need per-value checks, or a -2^63 whose negation leaves
-        # int64, take the value-by-value route
-        if not bad_rows and not (cols.X[:, ps] == np.iinfo(np.int64).min).any():
-            return _negate_columns(cols, ps, d.x_scale, note)
-        transform = lambda v: -v  # noqa: E731
-    hs = []
-    for h in d.households:
-        obs = []
-        for idx, o in enumerate(h.observations):
-            x = list(o.x)
-            for p in flip:
-                v = transform(x[p])
-                if v != int(v):
-                    raise DataError(
-                        f"household {h.id} obs {idx}: transformed x[{p}]={v} is not an integer"
-                    )
-                v = int(v)
-                if v < 0:
-                    raise DataError(
-                        f"household {h.id} obs {idx}: transformed x[{p}]={v} is negative"
-                    )
-                x[p] = v
-            obs.append(Observation(o.y, tuple(x)))
-        hs.append(Household(h.id, tuple(obs)))
-    return replace(d, households=tuple(hs), scale_note=note)
-
-
-def _negate_columns(cols: PanelColumns, ps: list[int], x_scale: float, note) -> Dataset:
-    """The panel with attributes ``ps`` negated; the first negative result,
-    row by row and in the order of ``ps``, raises DataError."""
-    ids, offsets, y, X = cols
-    neg = -X[:, ps]
+    ids, offsets, y, X = d.columns()
+    ps = list(flip)
+    neg = -X[:, ps]  # -(-2^63) wraps to -2^63, so it shows as negative too
     hits = np.flatnonzero(neg < 0)  # row-major over (row, position in ps)
     if hits.size:
         r, k = divmod(int(hits[0]), len(ps))
         h = int(np.searchsorted(offsets, r, side="right")) - 1
+        v = -int(X[r, ps[k]])
         raise DataError(
-            f"household {ids[h]} obs {r - int(offsets[h])}: transformed "
-            f"x[{ps[k]}]={int(neg[r, k])} is negative"
+            f"household {ids[h]} obs {r - int(offsets[h])}: transformed x[{ps[k]}]={v} "
+            + ("is negative" if v < 0 else "is not an int64 value")
         )
     X = X.copy()
     X[:, ps] = neg
-    return Dataset.from_columns(ids, offsets, y, X, x_scale, note)
+    return Dataset.from_columns(ids, offsets, y, X, d.x_scale, note)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +365,7 @@ def load_dataset(path: str) -> Dataset:
         first = f.readline()
         lineno = 1
         if first.startswith("# x_scale="):
-            x_scale = float(first.split("=", 1)[1])
+            x_scale = _parse_x_scale(first.split("=", 1)[1], path)
             header_line = f.readline()
             lineno += 1
         else:
@@ -442,6 +409,17 @@ def load_dataset(path: str) -> Dataset:
     if np.any(number[1:] < number[:-1]):  # interleaved households: gather their rows
         cols = cols[np.argsort(number, kind="stable")]
     return Dataset.from_columns(index, offsets, cols[:, 0], cols[:, 1:], x_scale=x_scale)
+
+
+def _parse_x_scale(text: str, path: str) -> float:
+    """The ``# x_scale=`` header's value; DataError unless it is a finite number > 0."""
+    try:
+        v = float(text)
+    except ValueError:
+        v = math.nan
+    if not 0 < v < math.inf:  # NaN fails too
+        raise DataError(f"{path}:1: x_scale {text.strip()!r} is not a finite number > 0")
+    return v
 
 
 _I64 = np.iinfo(np.int64)

@@ -2,26 +2,23 @@
 
 Everything here is a pure function of its arguments.  The workhorse is
 :func:`log_mgf`, the one vectorized implementation of every prior family's
-moment generating function, and the scalar MGFs check their domain and
-call it on one row.  :func:`attribute_marginals` splits a prior that is a
-product over attributes (independent Gammas, per-attribute Gamma
-mixtures) into one-attribute specs; the series evaluates those with
-``log_mgf`` on each attribute's few distinct t_p and sums the logs, and
-evaluates every other family with ``log_mgf`` at all of a dataset's
-distinct t = -x_scale * K at once.  Gamma-type factors are evaluated in log
-space, e.g. (1 - b*t)^(-n) as exp(-n * log1p(-b*t)), so large shapes do
-not overflow.
+moment generating function.  It does no domain checks: the series needs it
+only on the non-positive orthant, where every formula is finite.
+:func:`attribute_marginals` splits a prior that is a product over
+attributes (independent Gammas, per-attribute Gamma mixtures) into
+one-attribute specs; the series evaluates those with ``log_mgf`` on each
+attribute's few distinct t_p and sums the logs, and evaluates every other
+family with ``log_mgf`` at all of a dataset's distinct t = -x_scale * K at
+once.  Gamma-type factors are evaluated in log space, e.g. (1 - b*t)^(-n)
+as exp(-n * log1p(-b*t)), so large shapes do not overflow.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .data_model import (
     ArnoldStrauss,
-    BivariateNamed,
     CheriyanRamabhadran,
     Freund,
     GammaMixture,
@@ -32,34 +29,6 @@ from .data_model import (
 )
 
 _EULER_GAMMA = 0.5772156649015328606
-
-
-class DomainError(ValueError):
-    """Argument outside the operation's mathematical domain."""
-
-
-def mgf_gmv_gamma(t, params: GeneralizedMVGamma) -> float:
-    """MGF of the generalized multivariate Gamma at the point ``t``.
-
-    Product of shared-factor terms (1 - sum_p loadings[p][m]*t_p)^(-theta0_m)
-    and idiosyncratic terms (1 - lam_p*t_p)^(-theta_p).  Exists when every
-    shared-factor dot product is < 1 and every lam_p*t_p < 1; both hold
-    automatically when all t_p <= 0.
-    """
-    t = np.asarray(t, dtype=float)
-    if t.shape != (params.P,):
-        raise DomainError(f"t must have length P={params.P}")
-    shared = t @ np.asarray(params.loadings, dtype=float)
-    for m, s in enumerate(shared):
-        if s >= 1.0:
-            raise DomainError(
-                f"MGF existence violated: sum_p loadings[p][{m}]*t_p = {s} >= 1"
-            )
-    for p in range(params.P):
-        s = params.lam[p] * t[p]
-        if s >= 1.0:
-            raise DomainError(f"MGF existence violated: lam[{p}]*t[{p}] = {s} >= 1")
-    return math.exp(log_mgf(params, t[None, :])[0])
 
 
 def gmv_gamma_covariance(params: GeneralizedMVGamma) -> np.ndarray:
@@ -177,27 +146,3 @@ def attribute_marginals(spec):
             for w, b, n in zip(spec.weights, spec.b, spec.n)
         ]
     return None
-
-
-# ---------------------------------------------------------------------------
-# Bivariate named families
-# ---------------------------------------------------------------------------
-
-def mgf_bivariate_named(t, spec: BivariateNamed) -> float:
-    """Closed-form MGF of a named bivariate family at t = (t1, t2)."""
-    t1, t2 = float(t[0]), float(t[1])
-    if isinstance(spec, CheriyanRamabhadran):
-        if t1 + t2 >= 1.0 or t1 >= 1.0 or t2 >= 1.0:
-            raise DomainError("Cheriyan-Ramabhadran MGF needs t1+t2 < 1 and t_i < 1")
-    elif isinstance(spec, Freund):
-        if t1 >= spec.alpha1p or t2 >= spec.alpha2p:
-            raise DomainError("Freund MGF needs t_p < alpha_p'")
-        if t1 + t2 >= spec.alpha1 + spec.alpha2:
-            raise DomainError("Freund MGF needs t1+t2 < alpha1+alpha2")
-    elif isinstance(spec, ArnoldStrauss):
-        if t1 >= spec.lam1 or t2 >= spec.lam2:
-            raise DomainError("Arnold-Strauss MGF needs t_p < lam_p")
-    else:
-        raise SpecError(f"unsupported bivariate family {type(spec).__name__}")
-    return math.exp(log_mgf(spec, [[t1, t2]])[0])
-

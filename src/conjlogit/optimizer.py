@@ -19,14 +19,8 @@ from itertools import product
 
 import numpy as np
 
-from .data_model import Dataset, IndependentGamma, SpecError
-from .series import (
-    PreparedDataset,
-    SeriesConfig,
-    TruncationFailure,
-    log_marginal_prepared,
-    prepare_dataset,
-)
+from .data_model import IndependentGamma, SpecError
+from .series import PreparedDataset, TruncationFailure, log_marginal_prepared
 
 
 class FitError(RuntimeError):
@@ -114,16 +108,6 @@ def params_to_spec(params, P: int, eps: float = 0.0) -> IndependentGamma:
     return IndependentGamma(b, n, eps)
 
 
-def _prepared(d: Dataset, cfg: SeriesConfig, prep: PreparedDataset | None) -> PreparedDataset:
-    """``prep``, checked against ``cfg``, or ``d`` prepared under ``cfg`` when it is None."""
-    if prep is None:
-        return prepare_dataset(d, cfg)
-    if (prep.R, prep.parity_check) != (cfg.R, cfg.parity_check):
-        raise ValueError(f"prep has R={prep.R}, parity_check={prep.parity_check}; "
-                         f"cfg has R={cfg.R}, parity_check={cfg.parity_check}")
-    return prep
-
-
 # Cells (distinct K x grid points) of one block of weight columns.
 BLOCK_CELLS = 1 << 18
 
@@ -142,12 +126,12 @@ def grid_logliks(prep: PreparedDataset, grid: GridSpec, eps: float = 0.0) -> np.
     weight columns are products of gathered factors, and one sparse product
     with the count matrix gives every group's H at all of its points.
     """
+    if len(grid.axes) != 2 * prep.P:
+        raise SpecError(f"grid needs {2 * prep.P} axes for P={prep.P}")
     counts = prep.counts
     out = np.zeros(grid.cardinality)
     if counts.C.shape[0] == 0:
         return out  # no households: every point is log 1
-    if len(grid.axes) != 2 * len(counts.t_axes):
-        raise SpecError(f"grid needs {2 * len(counts.t_axes)} axes for P={len(counts.t_axes)}")
     factors = [  # (pairs, distinct t_p) per attribute
         np.exp([
             counts.axis_log_mgf(p, IndependentGamma((b,), (n,), eps))
@@ -174,27 +158,16 @@ def grid_logliks(prep: PreparedDataset, grid: GridSpec, eps: float = 0.0) -> np.
     return out
 
 
-def grid_fit(
-    d: Dataset,
-    grid: GridSpec,
-    cfg: SeriesConfig,
-    eps: float = 0.0,
-    prep: PreparedDataset | None = None,
-) -> FitResult:
+def grid_fit(prep: PreparedDataset, grid: GridSpec, eps: float = 0.0) -> FitResult:
     """Evaluate the log marginal likelihood on every grid point; return the argmax.
 
-    Caches are built once (pass ``prep``, prepared under ``cfg``'s R and
-    parity_check, to reuse them across calls; ValueError if it was not), and
-    every point comes from one :func:`grid_logliks` pass.  Points that fail
-    truncation are left out of the trace and counted in ``dropped``.  Ties
-    break to the lexicographically smallest parameter tuple;
-    ``boundary_flag`` is set when the argmax touches a grid edge on any axis
-    with count > 1.  With ``cfg.parity_check`` the result carries the
-    argmax's parity spread.
+    Every point comes from one :func:`grid_logliks` pass over the prepared
+    dataset.  Points that fail truncation are left out of the trace and
+    counted in ``dropped``.  Ties break to the lexicographically smallest
+    parameter tuple; ``boundary_flag`` is set when the argmax touches a grid
+    edge on any axis with count > 1.  With ``prep.parity_check`` the result
+    carries the argmax's parity spread.
     """
-    if len(grid.axes) != 2 * d.P:
-        raise SpecError(f"grid needs {2*d.P} axes for P={d.P}")
-    prep = _prepared(d, cfg, prep)
     values = grid_logliks(prep, grid, eps)
     kept = np.flatnonzero(~np.isnan(values))
     if len(kept) == 0:
@@ -209,8 +182,9 @@ def grid_fit(
         for ax, i in zip(grid.axes, best_idx)
     )
     spread = None
-    if cfg.parity_check:
-        spread = log_marginal_prepared(prep, params_to_spec(points[best], d.P, eps)).parity_spread
+    if prep.parity_check:
+        spec = params_to_spec(points[best], prep.P, eps)
+        spread = log_marginal_prepared(prep, spec).parity_spread
     return FitResult(
         points[best], float(values[best]), trace, boundary_flag=boundary,
         parity_spread=spread, dropped=grid.cardinality - len(trace),
@@ -287,23 +261,16 @@ POSITIVITY_FLOOR = 1e-6
 
 
 def newton_fit(
-    d: Dataset,
-    spec0: IndependentGamma,
-    cfg: SeriesConfig,
-    max_iters: int = 50,
-    tol: float = 1e-6,
-    prep: PreparedDataset | None = None,
+    prep: PreparedDataset, spec0: IndependentGamma, max_iters: int = 50, tol: float = 1e-6
 ) -> FitResult:
     """Newton refinement of the independent-Gamma parameters.
 
     Iterates x + p with H p = -g, halving the step until the log likelihood
     does not decrease and projecting onto the positive orthant.  Stops when
-    the gradient sup-norm drops below ``tol``.  With ``cfg.parity_check`` the
-    result carries the parity spread at the final point.  A passed ``prep``
-    must be prepared under ``cfg``'s R and parity_check (else ValueError).
+    the gradient sup-norm drops below ``tol``.  With ``prep.parity_check``
+    the result carries the parity spread at the final point.
     """
-    prep = _prepared(d, cfg, prep)
-    P = d.P
+    P = prep.P
     theta = np.empty(2 * P)
     theta[0::2] = spec0.b
     theta[1::2] = spec0.n
@@ -340,7 +307,7 @@ def newton_fit(
         trace.append((tuple(theta), ll))
         converged = np.max(np.abs(g)) < tol
     spread = None
-    if cfg.parity_check:
+    if prep.parity_check:
         spread = log_marginal_prepared(prep, params_to_spec(theta, P, eps)).parity_spread
     return FitResult(
         tuple(theta), ll, trace, newton_iters=iters, converged=bool(converged),

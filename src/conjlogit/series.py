@@ -305,6 +305,7 @@ class PreparedDataset:
     total_obs: int
     x_scale: float
     R: int
+    P: int
 
     @cached_property
     def counts(self) -> CountMatrix:
@@ -404,7 +405,7 @@ def prepare_dataset(
             kept[xv] = build_cache(xv, cfg.R)
     return PreparedDataset(
         [(HouseholdSums(Y, xv), m) for (Y, xv), m in merged.items()],
-        kept, cfg.parity_check, total_obs, d.x_scale, cfg.R,
+        kept, cfg.parity_check, total_obs, d.x_scale, cfg.R, d.P,
     )
 
 

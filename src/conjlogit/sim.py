@@ -137,7 +137,7 @@ def run_study(design: SimDesign, n_tests: int | None = None) -> SimReport:
     boundary = 0
     for rep in range(design.replicates):
         d = simulate_dataset(design, rep)
-        res = grid_fit(d, design.grid, cfg, eps=design.true_spec.eps)
+        res = grid_fit(prepare_dataset(d, cfg), design.grid, eps=design.true_spec.eps)
         ests[rep] = res.omega_hat
         boundary += int(res.boundary_flag)
 

@@ -682,6 +682,51 @@ def test_recode_negative_takes_attribute_indices(tmp_path, capsys):
         assert json.loads(err)["error"]["type"] == "DataError"
 
 
+def test_recode_negative_beyond_int64_exits_2(tmp_path, capsys):
+    # -(-2**63) is one past the int64 range
+    p = tmp_path / "d.csv"
+    p.write_text("household,category,occasion,y,x1,x2\n"
+                 "a,1,1,1,-1,2\n"
+                 f"b,1,1,0,-1,3\nb,1,2,1,{-(2**63)},1\n")
+    code, _, err = run(["precompute", "--data", str(p), "--R", "5", "--dry-run",
+                        "--recode-negative", "0"], capsys)
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "DataError"
+    assert error["message"] == (
+        "household b obs 1: transformed x[0]=9223372036854775808 is not an int64 value"
+    )
+
+
+@pytest.mark.parametrize("value", ["0", "-0.5", "nan", "inf", "abc"])
+def test_bad_x_scale_header_exits_2(tmp_path, capsys, value):
+    # at x_scale=0 every household's H is 2^-n_obs, whatever the prior
+    p = tmp_path / "d.csv"
+    p.write_text(f"# x_scale={value}\nhousehold,category,occasion,y,x1\n"
+                 "a,1,1,1,1\na,1,2,0,2\nb,1,1,0,3\n")
+    spec = tmp_path / "s.json"
+    save_spec(IndependentGamma((5.0,), (14.0,)), str(spec))
+    code, out, err = run(["eval", "--data", str(p), "--spec", str(spec), "--R", "20",
+                          "--cache-dir", str(tmp_path / "c")], capsys)
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "DataError"
+    assert error["message"] == f"{p}:1: x_scale {value!r} is not a finite number > 0"
+
+
+@pytest.mark.parametrize("command", ["fit", "plotdata", "study"])
+def test_grid_commands_need_center(tmp_path, sim_csv, capsys, command):
+    argv = [command, "-o", str(tmp_path / "out")]
+    if command != "study":
+        argv += ["--data", str(sim_csv), "--cache-dir", str(tmp_path / "c")]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error == {"type": "SpecError", "exit_code": 2,
+                     "message": "--center is required (or --center-at-truth)"}
+    assert not (tmp_path / "out").exists() and not (tmp_path / "c").exists()
+
+
 def test_fit_reports_parity_spread(tmp_path, sim_csv, capsys):
     fit = ["fit", "--data", str(sim_csv), "--grid", "3x3", "--spacing", "0.5",
            "--center", "5,14", "--R", "30", "--cache-dir", str(tmp_path / "c")]

@@ -59,9 +59,7 @@ def reference_rescale(d: Dataset, factor: float) -> Dataset:
     return Dataset(hs, d.P, x_scale=d.x_scale / factor, scale_note=note)
 
 
-def reference_recode_negative(d: Dataset, flip: set[int], transform=None) -> Dataset:
-    if transform is None:
-        transform = lambda v: -v  # noqa: E731
+def reference_recode_negative(d: Dataset, flip: set[int]) -> Dataset:
     bad = [p for p in flip if p < 0 or p >= d.P]
     if bad:
         raise DataError(f"flip indices out of range for P={d.P}: {bad}")
@@ -71,15 +69,14 @@ def reference_recode_negative(d: Dataset, flip: set[int], transform=None) -> Dat
         for idx, o in enumerate(h.observations):
             x = list(o.x)
             for p in flip:
-                v = transform(x[p])
-                if v != int(v):
-                    raise DataError(
-                        f"household {h.id} obs {idx}: transformed x[{p}]={v} is not an integer"
-                    )
-                v = int(v)
+                v = -x[p]
                 if v < 0:
                     raise DataError(
                         f"household {h.id} obs {idx}: transformed x[{p}]={v} is negative"
+                    )
+                if v > np.iinfo(np.int64).max:
+                    raise DataError(
+                        f"household {h.id} obs {idx}: transformed x[{p}]={v} is not an int64 value"
                     )
                 x[p] = v
             obs.append(Observation(o.y, tuple(x)))
@@ -298,9 +295,8 @@ def assert_same_panel(got: Dataset, want: Dataset) -> None:
 
 
 class TestPanelTransforms:
-    """``drop_degenerate``, ``rescale_covariates`` and the default
-    ``recode_negative`` work on the columns and agree with the
-    object-by-object versions they replaced."""
+    """``drop_degenerate``, ``rescale_covariates`` and ``recode_negative`` work
+    on the columns and agree with the object-by-object versions they replaced."""
 
     def panel(self) -> Dataset:
         # "b" holds only all-zero rows, "c" is empty, and at factor 0.5 the
@@ -385,23 +381,25 @@ class TestPanelTransforms:
         assert str(got.value) == str(want.value) == "household a obs 0: transformed x[0]=-3 is negative"
 
     def test_recode_negative_value_route_cases(self):
-        # rows the columns cannot hold, a custom transform, and -2**63 (whose
-        # negation leaves int64) go value by value, as before
+        # a row the columns cannot hold raises as Dataset.columns does, and
+        # -2**63, whose negation leaves int64, raises naming its row
         floats = Dataset((Household("a", (Observation(1, (-2, 1.5)),)),), P=2)
-        assert recode_negative(floats, {0}) == reference_recode_negative(floats, {0})
-        assert recode_negative(floats, {0}).households[0].observations[0].x == (2, 1.5)
-        with pytest.raises(DataError) as got:
-            recode_negative(floats, {1})
         with pytest.raises(DataError) as want:
-            reference_recode_negative(floats, {1})
+            floats.columns()
+        for flip in ({0}, {1}):
+            with pytest.raises(DataError) as got:
+                recode_negative(floats, flip)
+            assert str(got.value) == str(want.value) == (
+                "household a obs 0: x[0]=-2 < 0 (run validate_dataset first)"
+            )
+        low = Dataset.from_columns(["a", "b"], [0, 1, 2], [1, 0], [[-1, 1], [-(2**63), 1]])
+        with pytest.raises(DataError) as got:
+            recode_negative(low, {0})
+        with pytest.raises(DataError) as want:
+            reference_recode_negative(low, {0})
         assert str(got.value) == str(want.value) == (
-            "household a obs 0: transformed x[1]=-1.5 is not an integer"
+            "household b obs 0: transformed x[0]=9223372036854775808 is not an int64 value"
         )
-        half = Dataset.from_columns(["a"], [0, 1], [1], [[4, -6]])
-        out = recode_negative(half, {0, 1}, transform=lambda v: abs(v) // 2)
-        assert out == reference_recode_negative(half, {0, 1}, lambda v: abs(v) // 2)
-        low = Dataset.from_columns(["a"], [0, 1], [1], [[-(2**63), 1]])
-        assert recode_negative(low, {0}).households[0].observations[0].x == (2**63, 1)
 
     @pytest.mark.parametrize("factor", [float("inf"), 1e300, 2.0**62])
     def test_rescaled_value_beyond_int64_raises(self, factor):

@@ -83,12 +83,6 @@ def test_recode_negative_flips_selected_attribute():
     assert "recoded" in out.scale_note
 
 
-def test_recode_negative_rejects_noninteger_result():
-    d = Dataset((Household("a", (Observation(1, (3,)),)),), P=1)
-    with pytest.raises(DataError):
-        recode_negative(d, flip={0}, transform=lambda v: v / 2)
-
-
 def test_recode_negative_rejects_bad_index():
     with pytest.raises(DataError):
         recode_negative(small_dataset(), flip={5})

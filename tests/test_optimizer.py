@@ -96,9 +96,6 @@ def two_attribute_dataset():
     return Dataset(hs, P=2, x_scale=0.05)
 
 
-IG_START = IndependentGamma((1.2, 0.7), (2.0, 1.5))
-
-
 def loglik_or_nan(prep, params, P, eps):
     try:
         return log_marginal_prepared(prep, params_to_spec(params, P, eps)).value
@@ -129,7 +126,7 @@ class TestGridFit:
     def test_finds_maximum_on_trace(self):
         d = study_dataset()
         grid = GridSpec((GridAxis(5.0, 5, 0.5), GridAxis(14.0, 5, 0.5)))
-        res = grid_fit(d, grid, SeriesConfig(R=60))
+        res = grid_fit(prepare_dataset(d, SeriesConfig(R=60)), grid)
         best_on_trace = max(v for _, v in res.trace)
         assert res.loglik == best_on_trace
         assert res.omega_hat in {p for p, v in res.trace if v == best_on_trace}
@@ -138,13 +135,13 @@ class TestGridFit:
     def test_boundary_flag_set_when_truth_outside_grid(self):
         d = study_dataset()
         grid = GridSpec((GridAxis(2.0, 3, 0.2), GridAxis(5.0, 3, 0.2)))
-        res = grid_fit(d, grid, SeriesConfig(R=60))
+        res = grid_fit(prepare_dataset(d, SeriesConfig(R=60)), grid)
         assert res.boundary_flag
 
     def test_single_point_grid_never_boundary(self):
         d = study_dataset()
         grid = GridSpec((GridAxis(5.0, 1, 0.1), GridAxis(14.0, 1, 0.1)))
-        res = grid_fit(d, grid, SeriesConfig(R=60))
+        res = grid_fit(prepare_dataset(d, SeriesConfig(R=60)), grid)
         assert not res.boundary_flag
         assert res.omega_hat == (5.0, 14.0)
 
@@ -153,65 +150,55 @@ class TestGridFit:
         grid = GridSpec((GridAxis(5.0, 3, 0.3), GridAxis(14.0, 3, 0.3)))
         cfg = SeriesConfig(R=60)
         prep = prepare_dataset(d, cfg)
-        a = grid_fit(d, grid, cfg)
-        b = grid_fit(d, grid, cfg, prep=prep)
-        assert a.omega_hat == b.omega_hat
-        assert a.loglik == b.loglik
-
-    def test_prep_with_another_R_is_rejected(self):
-        d = two_attribute_dataset()
-        prep = prepare_dataset(d, SeriesConfig(R=10))
-        with pytest.raises(ValueError, match="R=10"):
-            grid_fit(d, axes(*[(1.0, 1, 1.0)] * 4), SeriesConfig(R=12), prep=prep)
-
-    def test_prep_with_another_parity_check_is_rejected(self):
-        d = two_attribute_dataset()
-        for flag in (False, True):
-            prep = prepare_dataset(d, SeriesConfig(R=10, parity_check=flag))
-            with pytest.raises(ValueError, match="parity_check"):
-                grid_fit(d, axes(*[(1.0, 1, 1.0)] * 4),
-                         SeriesConfig(R=10, parity_check=not flag), prep=prep)
+        a = grid_fit(prepare_dataset(d, cfg), grid)
+        b = grid_fit(prep, grid)
+        c = grid_fit(prep, grid)
+        assert a.omega_hat == b.omega_hat == c.omega_hat
+        assert a.loglik == b.loglik == c.loglik
 
     def test_axis_count_must_match_dimension(self):
         d = study_dataset()
         with pytest.raises(SpecError):
-            grid_fit(d, GridSpec((GridAxis(5.0, 3, 0.1),)), SeriesConfig(R=60))
+            grid_fit(prepare_dataset(d, SeriesConfig(R=60)), GridSpec((GridAxis(5.0, 3, 0.1),)))
 
     def test_dropped_points_are_counted(self):
         grid = axes((1.0, 1, 1.0), (0.5, 3, 0.45))  # b = 1, n in {0.05, 0.5, 0.95}
-        res = grid_fit(truncating_dataset(), grid, SeriesConfig(R=1))
+        res = grid_fit(prepare_dataset(truncating_dataset(), SeriesConfig(R=1)), grid)
         assert res.dropped == 2
         assert [p for p, _ in res.trace] == [(1.0, 0.95)]
         assert res.omega_hat == (1.0, 0.95)
         assert json.loads(res.to_json())["dropped"] == 2
-        assert grid_fit(study_dataset(), axes((5.0, 3, 0.3), (14.0, 3, 0.3)),
-                        SeriesConfig(R=60)).dropped == 0
+        prep = prepare_dataset(study_dataset(), SeriesConfig(R=60))
+        assert grid_fit(prep, axes((5.0, 3, 0.3), (14.0, 3, 0.3))).dropped == 0
 
     def test_ties_break_to_the_smallest_point(self):
         # with no households every point scores log 1 = 0
-        res = grid_fit(Dataset((), P=1), axes((1.0, 2, 0.5), (2.0, 3, 0.5)), SeriesConfig(R=3))
+        prep = prepare_dataset(Dataset((), P=1), SeriesConfig(R=3))
+        res = grid_fit(prep, axes((1.0, 2, 0.5), (2.0, 3, 0.5)))
         assert res.omega_hat == (0.75, 1.5)
         assert [v for _, v in res.trace] == [0.0] * 6
 
     def test_all_points_dropped_raises(self):
         with pytest.raises(FitError, match="all 2 grid points"):
-            grid_fit(truncating_dataset(), axes((1.0, 1, 1.0), (0.3, 2, 0.2)), SeriesConfig(R=1))
+            grid_fit(prepare_dataset(truncating_dataset(), SeriesConfig(R=1)),
+                     axes((1.0, 1, 1.0), (0.3, 2, 0.2)))
 
     @pytest.mark.parametrize("case", ["P1-one-point-axis-eps", "P2-eps", "P2-truncating"])
     def test_parity_spread_at_argmax_matches_series(self, case):
         make, R, grid, eps = GRID_CASES[case]
         d = make()
         cfg = SeriesConfig(R=R, parity_check=True)
-        res = grid_fit(d, grid, cfg, eps=eps)
-        ev = log_marginal_prepared(prepare_dataset(d, cfg), params_to_spec(res.omega_hat, d.P, eps))
+        prep = prepare_dataset(d, cfg)
+        res = grid_fit(prep, grid, eps=eps)
+        ev = log_marginal_prepared(prep, params_to_spec(res.omega_hat, d.P, eps))
         assert res.parity_spread == ev.parity_spread
         assert res.loglik == pytest.approx(ev.value, rel=1e-12)
-        assert grid_fit(d, grid, SeriesConfig(R=R), eps=eps).parity_spread is None
+        assert grid_fit(prepare_dataset(d, SeriesConfig(R=R)), grid, eps=eps).parity_spread is None
 
     def test_result_json_round_trips(self):
         d = study_dataset()
         grid = GridSpec((GridAxis(5.0, 3, 0.3), GridAxis(14.0, 3, 0.3)))
-        res = grid_fit(d, grid, SeriesConfig(R=60))
+        res = grid_fit(prepare_dataset(d, SeriesConfig(R=60)), grid)
         blob = json.loads(res.to_json())
         assert blob["omega_hat"] == list(res.omega_hat)
         assert len(blob["trace"]) == len(res.trace)
@@ -386,25 +373,12 @@ class TestDerivatives:
 
 
 class TestNewton:
-    def test_prep_with_another_R_is_rejected(self):
-        d = two_attribute_dataset()
-        prep = prepare_dataset(d, SeriesConfig(R=10))
-        with pytest.raises(ValueError, match="R=10"):
-            newton_fit(d, IG_START, SeriesConfig(R=12), prep=prep)
-
-    def test_prep_with_another_parity_check_is_rejected(self):
-        d = two_attribute_dataset()
-        for flag in (False, True):
-            prep = prepare_dataset(d, SeriesConfig(R=10, parity_check=flag))
-            with pytest.raises(ValueError, match="parity_check"):
-                newton_fit(d, IG_START, SeriesConfig(R=10, parity_check=not flag), prep=prep)
-
     def test_refines_towards_interior_optimum(self):
         d = study_dataset(seed=9)
         cfg = SeriesConfig(R=60)
         start = IndependentGamma((4.0,), (12.0,))
-        res = newton_fit(d, start, cfg, tol=1e-6)
         prep = prepare_dataset(d, cfg)
+        res = newton_fit(prep, start, tol=1e-6)
         ll0 = log_marginal_prepared(prep, start).value
         assert res.loglik >= ll0
         if res.converged:
@@ -413,6 +387,7 @@ class TestNewton:
 
     def test_trace_is_monotone(self):
         d = study_dataset(seed=9)
-        res = newton_fit(d, IndependentGamma((4.5,), (13.0,)), SeriesConfig(R=60))
+        prep = prepare_dataset(d, SeriesConfig(R=60))
+        res = newton_fit(prep, IndependentGamma((4.5,), (13.0,)))
         values = [v for _, v in res.trace]
         assert all(b >= a for a, b in zip(values, values[1:]))
