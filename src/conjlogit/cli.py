@@ -256,12 +256,13 @@ def cmd_precompute(args) -> int:
         path = _cache_path(cache_dir, x_hash, args.R)
         if os.path.exists(path):
             try:
-                load_cache(path, expect_x_vectors=xv, expect_hash=x_hash)  # hash check
+                R = load_cache(path, expect_x_vectors=xv, expect_hash=x_hash).R  # hash check
             except CacheFileError:
-                rebuilt += 1  # old format, truncated or corrupt: overwrite it
-            else:
+                R = None  # old format, truncated or corrupt
+            if R == args.R:
                 reused += 1
                 continue
+            rebuilt += 1  # unreadable, or built at another budget: overwrite it
         missing.setdefault(canonical_x_vectors(xv), []).append((xv, path))
     for canon, files in missing.items():
         # one knapsack run per canonical signature; each ordering's file
@@ -329,7 +330,7 @@ def cmd_oracle_check(args) -> int:
     d = _load_data(args)
     spec = load_spec(args.spec)
     cfg = SeriesConfig(R=args.R)
-    prep = prepare_dataset(d, cfg)
+    prep = _prepare(d, cfg, _cache_dir(args))
     H, _ = group_h(prep, spec)
     picked = prep.groups[: args.max_households]
     # a household of each picked group, found in one pass on the order-free key

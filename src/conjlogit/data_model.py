@@ -8,17 +8,23 @@ by the likelihood (real value = ``x_scale`` * stored integer).
 A dataset's store is its panel columns (:class:`PanelColumns`): the household
 ids in order of first appearance, row offsets per household, and int64
 outcome and covariate columns with each household's rows contiguous.
-``load_dataset`` fills the columns directly, and validation and grouping read
-them with no Python object per observation.  ``Dataset.households`` is a
-read-only sequence view that builds :class:`Household`/:class:`Observation`
-objects only when something reads it.  All types are immutable after
-construction and safe to share across threads.
+A panel enters by one of two routes, and both fill the columns at once:
+``load_dataset`` parses a CSV file and ``Dataset(households, P)`` converts
+``Household`` objects; a value the columns cannot hold raises DataError
+there.  Validation and grouping read the columns with no Python object per
+observation.  ``Dataset.households`` is a read-only sequence view that builds
+:class:`Household`/:class:`Observation` objects only when something reads it.
+All types are immutable after construction and safe to share across threads.
+
+A prior enters from JSON through :func:`spec_from_dict`, which reads each
+family's dataclass fields and raises SpecError for anything else.
 """
 
 from __future__ import annotations
 
 import bisect
 import csv
+import dataclasses
 import json
 import math
 from collections.abc import Sequence
@@ -81,44 +87,20 @@ class Households(Sequence):
     """Read-only sequence view of a dataset's households.
 
     The store is a :class:`PanelColumns`.  The ``Household`` objects are
-    built from it on the first read that needs them (iteration, indexing,
-    comparison) and kept; ``len`` reads the columns.  A view made from
-    ``Household`` objects keeps those and derives its columns once, on first
-    use.  Views compare equal to views and tuples of equal households.
+    those the dataset was built from, if any; otherwise they are built from
+    the columns on the first read that needs them (iteration, indexing,
+    comparison) and kept.  ``len`` reads the columns.  Views compare equal to
+    views and tuples of equal households.
     """
 
-    __slots__ = ("P", "_cols", "_objs", "_bad")
+    __slots__ = ("P", "_cols", "_objs")
 
-    def __init__(
-        self,
-        P: int,
-        columns: PanelColumns | None = None,
-        objects: tuple[Household, ...] | None = None,
-    ):
+    def __init__(self, P: int, columns: PanelColumns, objects: tuple[Household, ...] | None = None):
         self.P = P
         self._cols, self._objs = columns, objects
-        self._bad: dict[int, list[Violation]] = {}
 
     def columns(self) -> PanelColumns:
-        """The panel columns; raises DataError when rows built from objects
-        have the wrong length or values no int64 column holds exactly."""
-        cols, bad = self._checked_columns()
-        if bad:
-            v = next(iter(bad.values()))[0]
-            raise DataError(
-                f"household {v.household} obs {v.obs_index}: {v.message}"
-                " (run validate_dataset first)"
-            )
-        return cols
-
-    def _checked_columns(self) -> tuple[PanelColumns, dict[int, list[Violation]]]:
-        # the columns, and the violations of every row that needed the
-        # per-value checks (object-built rows with non-int values or a
-        # length other than P), keyed by row
-        if self._cols is None:
-            cols, self._bad = _columns_from_objects(self._objs, self.P)
-            self._cols = cols  # last: a thread that sees the columns sees their violations
-        return self._cols, self._bad
+        return self._cols
 
     def _objects(self) -> tuple[Household, ...]:
         if self._objs is None:
@@ -131,7 +113,7 @@ class Households(Sequence):
         return self._objs
 
     def __len__(self) -> int:
-        return len(self._objs) if self._objs is not None else len(self._cols.ids)
+        return len(self._cols.ids)
 
     def __getitem__(self, i):
         return self._objects()[i]
@@ -164,48 +146,48 @@ def _panel_columns(ids, offsets, y, X) -> PanelColumns:
     return PanelColumns(tuple(ids), offsets, y, X)
 
 
-def _columns_from_objects(
-    hs: tuple[Household, ...], P: int
-) -> tuple[PanelColumns, dict[int, list[Violation]]]:
-    ys: list[int] = []
-    xs: list[tuple[int, ...]] = []
-    bad: dict[int, list[Violation]] = {}
+def _row_name(ids, offsets: np.ndarray, r: int) -> str:
+    """``household <id> obs <k>`` for row r of the panel columns."""
+    h = int(np.searchsorted(offsets, r, side="right")) - 1
+    return f"household {ids[h]} obs {r - int(offsets[h])}"
+
+
+def _columns_from_objects(hs: tuple[Household, ...], P: int) -> PanelColumns:
+    """The households' rows as int64 columns.  A row the columns cannot hold
+    raises DataError naming its household, observation and value."""
+    ys: list = []
+    xs: list = []
     for h in hs:
         for idx, o in enumerate(h.observations):
             y, x = o.y, o.x
             if type(y) is not int or len(x) != P or any([type(v) is not int for v in x]):
-                # a row with a violation is kept out of the columns; one
-                # without has a y that is a bool or an integral number
-                out = _row_violations(h.id, idx, o, P)
-                if out:
-                    bad[len(ys)] = out
-                    y, x = 0, (0,) * P
-                else:
-                    y = int(y)
+                why = _unheld(y, x, P)
+                if why:
+                    raise DataError(f"household {h.id} obs {idx}: {why}")
+                y = int(y)  # a bool or a number equal to 0 or 1
             ys.append(y)
             xs.append(x)
+    ids = [h.id for h in hs]
     offsets = np.zeros(len(hs) + 1, dtype=np.int64)
     np.cumsum([h.n_obs for h in hs], out=offsets[1:])
-    X = np.array(xs, dtype=np.int64).reshape(len(xs), P)
-    return _panel_columns([h.id for h in hs], offsets, ys, X), bad
+    try:
+        return _panel_columns(ids, offsets, ys, np.array(xs, dtype=np.int64).reshape(len(xs), P))
+    except OverflowError:
+        r, v = next((r, v) for r, row in enumerate(zip(ys, xs))
+                    for v in (row[0], *row[1]) if not _I64.min <= v <= _I64.max)
+        raise DataError(f"{_row_name(ids, offsets, r)}: value {v} is outside the int64 range") from None
 
 
-def _row_violations(hid: str, idx: int, obs: Observation, P: int) -> list[Violation]:
-    """Every rule on one observation, value by value (rows from objects)."""
-    out = []
-    if obs.y not in (0, 1):
-        out.append(Violation(hid, idx, "y-binary", f"y={obs.y} not in {{0,1}}"))
-    if len(obs.x) != P:
-        out.append(Violation(hid, idx, "P-uniform", f"len(x)={len(obs.x)} != P={P}"))
-        return out
-    for p, xv in enumerate(obs.x):
-        if not isinstance(xv, int) or isinstance(xv, bool):
-            out.append(Violation(hid, idx, "x-integer", f"x[{p}]={xv!r} is not an integer"))
-        elif xv < 0:
-            out.append(Violation(hid, idx, "x-nonnegative", f"x[{p}]={xv} < 0"))
-    if all(isinstance(xv, int) and xv == 0 for xv in obs.x):
-        out.append(Violation(hid, idx, "x-nonzero", "all covariates are zero"))
-    return out
+def _unheld(y, x, P: int) -> str | None:
+    """Why an int64 row cannot hold (y, x), or None if it can."""
+    if not (isinstance(y, int) or y in (0, 1)):  # bool is an int
+        return f"y={y!r} not in {{0,1}}"
+    if len(x) != P:
+        return f"len(x)={len(x)} != P={P}"
+    for p, v in enumerate(x):
+        if not isinstance(v, int) or isinstance(v, bool):
+            return f"x[{p}]={v!r} is not an integer"
+    return None
 
 
 @dataclass(frozen=True)
@@ -214,8 +196,11 @@ class Dataset:
 
     The panel is stored as int64 columns (:meth:`columns`); ``households``
     is a read-only :class:`Households` view over them.  A dataset built from
-    a sequence of ``Household`` objects keeps the objects and derives its
-    columns on first use.
+    a sequence of ``Household`` objects converts them to columns here: a row
+    with the wrong length, a covariate that is not an int (bools included),
+    a y that is not an int, a bool or a number equal to 0 or 1, or a value
+    outside int64 raises DataError naming its household, observation and
+    value.  Every other rule is checked by :func:`validate_dataset`.
 
     ``x_scale`` is the factor applied to the stored integer covariates to
     recover the real covariate values; ``scale_note`` records how the integer
@@ -230,7 +215,10 @@ class Dataset:
     def __post_init__(self):
         hs = self.households
         if not (isinstance(hs, Households) and hs.P == self.P):
-            object.__setattr__(self, "households", Households(self.P, objects=tuple(hs)))
+            hs = tuple(hs)
+            object.__setattr__(
+                self, "households", Households(self.P, _columns_from_objects(hs, self.P), hs)
+            )
 
     @classmethod
     def from_columns(
@@ -239,10 +227,10 @@ class Dataset:
         """A dataset whose store is the given panel columns (see :class:`PanelColumns`)."""
         cols = _panel_columns(ids, offsets, y, X)
         P = cols.X.shape[1]
-        return cls(Households(P, columns=cols), P, x_scale, scale_note)
+        return cls(Households(P, cols), P, x_scale, scale_note)
 
     def columns(self) -> PanelColumns:
-        """The panel's int64 columns (see :meth:`Households.columns`)."""
+        """The panel's int64 columns."""
         return self.households.columns()
 
 
@@ -250,12 +238,13 @@ def validate_dataset(d: Dataset) -> list[Violation]:
     """Check every observation against the model's data restrictions.
 
     Returns a list of violations (empty iff the dataset is acceptable to all
-    downstream operations): y must be 0 or 1, covariates must be non-negative
-    integers, each observation needs at least one positive covariate, and all
-    observations must share the dataset's attribute count.  Violations come
-    household by household, observation by observation.
+    downstream operations): the dataset and each household need an
+    observation, y must be 0 or 1, covariates must be non-negative, and each
+    observation needs at least one positive covariate.  (What the int64
+    columns cannot hold is rejected when the dataset is built.)  Violations
+    come household by household, observation by observation.
     """
-    (ids, offsets, y, X), bad = d.households._checked_columns()
+    ids, offsets, y, X = d.columns()
 
     def at(row, rule, message):
         h = int(np.searchsorted(offsets, row, side="right")) - 1
@@ -269,19 +258,15 @@ def validate_dataset(d: Dataset) -> list[Violation]:
     for h in np.flatnonzero(offsets[1:] == offsets[:-1]).tolist():
         v = Violation(ids[h], None, "nonempty", "household has no observations")
         found.append((int(offsets[h]), -1, v))
-    checked = np.ones(len(y), dtype=bool)  # rows with bad values were checked one by one
-    checked[list(bad)] = False
-    for r in np.flatnonzero(checked & (y != 0) & (y != 1)).tolist():
+    for r in np.flatnonzero((y != 0) & (y != 1)).tolist():
         found.append((r, 0, at(r, "y-binary", f"y={int(y[r])} not in {{0,1}}")))
-    rows, ps = np.nonzero(checked[:, None] & (X < 0))
+    rows, ps = np.nonzero(X < 0)
     for r, p in zip(rows.tolist(), ps.tolist()):
         found.append((r, 1 + p, at(r, "x-nonnegative", f"x[{p}]={int(X[r, p])} < 0")))
-    for r in np.flatnonzero(checked & ~X.any(axis=1)).tolist():
+    for r in np.flatnonzero(~X.any(axis=1)).tolist():
         # An all-zero row would expand 1/(1+1); rejected rather than
         # special-cased (use drop_degenerate to remove such rows).
         found.append((r, 1 + X.shape[1], at(r, "x-nonzero", "all covariates are zero")))
-    for r, vs in bad.items():
-        found += [(r, k, v) for k, v in enumerate(vs)]
     found.sort(key=lambda f: f[:2])
     return [v for _, _, v in found]
 
@@ -305,8 +290,7 @@ def recode_negative(d: Dataset, flip: set[int]) -> Dataset:
 
     Works on the panel columns.  A negated value that is negative or leaves
     int64 (x = -2^63) raises DataError naming its household and
-    observation, as do rows built from objects that the columns cannot hold
-    (see :meth:`Dataset.columns`).
+    observation.
     """
     bad = [p for p in flip if p < 0 or p >= d.P]
     if bad:
@@ -322,10 +306,9 @@ def recode_negative(d: Dataset, flip: set[int]) -> Dataset:
     hits = np.flatnonzero(neg < 0)  # row-major over (row, position in ps)
     if hits.size:
         r, k = divmod(int(hits[0]), len(ps))
-        h = int(np.searchsorted(offsets, r, side="right")) - 1
         v = -int(X[r, ps[k]])
         raise DataError(
-            f"household {ids[h]} obs {r - int(offsets[h])}: transformed x[{ps[k]}]={v} "
+            f"{_row_name(ids, offsets, r)}: transformed x[{ps[k]}]={v} "
             + ("is negative" if v < 0 else "is not an int64 value")
         )
     X = X.copy()
@@ -466,9 +449,8 @@ def rescale_covariates(d: Dataset, factor: float) -> Dataset:
     if not ok.all():
         rows, ps = np.nonzero(~ok)
         r, p = int(rows[0]), int(ps[0])
-        h = int(np.searchsorted(offsets, r, side="right")) - 1
         raise DataError(
-            f"household {ids[h]} obs {r - int(offsets[h])}: rescaled x[{p}]="
+            f"{_row_name(ids, offsets, r)}: rescaled x[{p}]="
             f"{scaled[r, p]} is not an int64 value"
         )
     note = f"rescaled by {factor}"
@@ -489,8 +471,8 @@ class SpecError(ValueError):
 
 def _check_positive(name: str, values: Iterable[float]) -> None:
     for v in values:
-        if not v > 0:
-            raise SpecError(f"{name} must be strictly positive, got {v}")
+        if not 0 < v < math.inf:  # NaN fails too
+            raise SpecError(f"{name} must be a finite number > 0, got {v}")
 
 
 @dataclass(frozen=True)
@@ -506,8 +488,8 @@ class IndependentGamma:
             raise SpecError("b and n must have the same length")
         _check_positive("b", self.b)
         _check_positive("n", self.n)
-        if self.eps < 0:
-            raise SpecError("eps must be non-negative")
+        if not 0 <= self.eps < math.inf:  # NaN fails too
+            raise SpecError(f"eps must be a finite number >= 0, got {self.eps}")
 
     @property
     def P(self) -> int:
@@ -533,14 +515,14 @@ class GammaMixture:
         for p, (w, bb, nn) in enumerate(zip(self.weights, self.b, self.n)):
             if not (len(w) == len(bb) == len(nn)):
                 raise SpecError(f"attribute {p}: component counts disagree")
-            if any(wc < 0 or wc > 1 for wc in w):
+            if not all(0 <= wc <= 1 for wc in w):
                 raise SpecError(f"attribute {p}: weights must lie in [0,1]")
-            if abs(sum(w) - 1.0) > 1e-12:
+            if not abs(sum(w) - 1.0) <= 1e-12:
                 raise SpecError(f"attribute {p}: weights sum to {sum(w)}, not 1")
             _check_positive(f"b[{p}]", bb)
             _check_positive(f"n[{p}]", nn)
-        if self.eps < 0:
-            raise SpecError("eps must be non-negative")
+        if not 0 <= self.eps < math.inf:  # NaN fails too
+            raise SpecError(f"eps must be a finite number >= 0, got {self.eps}")
 
     @property
     def P(self) -> int:
@@ -561,6 +543,8 @@ class PointMassGamma:
     def __post_init__(self):
         if not 0.0 <= self.w <= 1.0:
             raise SpecError("w must lie in [0,1]")
+        if not isinstance(self.inner, IndependentGamma):
+            raise SpecError("point_mass_gamma inner spec must be independent_gamma")
 
     @property
     def P(self) -> int:
@@ -584,8 +568,8 @@ class GeneralizedMVGamma:
         for p, row in enumerate(self.loadings):
             if len(row) != M:
                 raise SpecError(f"loadings row {p} has length {len(row)}, expected {M}")
-            if any(v < 0 for v in row):
-                raise SpecError(f"loadings row {p} has a negative entry")
+            if not all(v >= 0 for v in row):
+                raise SpecError(f"loadings row {p} has a negative or NaN entry")
         _check_positive("lam", self.lam)
         _check_positive("theta0", self.theta0)
         _check_positive("theta", self.theta)
@@ -658,67 +642,50 @@ _FAMILIES = {
 
 
 def spec_to_dict(spec: HeterogeneitySpec) -> dict:
-    name = next(k for k, cls in _FAMILIES.items() if type(spec) is cls)
-    d: dict = {"family": name}
-    if isinstance(spec, IndependentGamma):
-        d.update(b=list(spec.b), n=list(spec.n), eps=spec.eps)
-    elif isinstance(spec, GammaMixture):
-        d.update(
-            weights=[list(w) for w in spec.weights],
-            b=[list(b) for b in spec.b],
-            n=[list(n) for n in spec.n],
-            eps=spec.eps,
-        )
-    elif isinstance(spec, PointMassGamma):
-        d.update(w=spec.w, inner=spec_to_dict(spec.inner))
-    elif isinstance(spec, GeneralizedMVGamma):
-        d.update(
-            loadings=[list(r) for r in spec.loadings],
-            lam=list(spec.lam),
-            theta0=list(spec.theta0),
-            theta=list(spec.theta),
-        )
-    elif isinstance(spec, CheriyanRamabhadran):
-        d.update(theta0=spec.theta0, theta1=spec.theta1, theta2=spec.theta2)
-    elif isinstance(spec, Freund):
-        d.update(
-            alpha1=spec.alpha1, alpha2=spec.alpha2,
-            alpha1p=spec.alpha1p, alpha2p=spec.alpha2p,
-        )
-    elif isinstance(spec, ArnoldStrauss):
-        d.update(lam1=spec.lam1, lam2=spec.lam2, lam12=spec.lam12)
+    """The spec as JSON-ready data: its family name and its fields, tuples as lists."""
+    d: dict = {"family": next(k for k, cls in _FAMILIES.items() if type(spec) is cls)}
+    for f in dataclasses.fields(spec):
+        d[f.name] = _to_json(getattr(spec, f.name))
     return d
 
 
-def spec_from_dict(d: dict) -> HeterogeneitySpec:
-    try:
-        family = d["family"]
-    except KeyError:
-        raise SpecError("spec JSON missing 'family' discriminator") from None
-    if family not in _FAMILIES:
+def _to_json(v):
+    if isinstance(v, (tuple, list)):
+        return [_to_json(e) for e in v]
+    return spec_to_dict(v) if dataclasses.is_dataclass(v) else v
+
+
+def spec_from_dict(d) -> HeterogeneitySpec:
+    """Inverse of :func:`spec_to_dict`.  Raises SpecError for data that is not
+    an object, a missing or unknown family, a missing or unknown key, or a
+    value of the wrong shape."""
+    if not isinstance(d, dict):
+        raise SpecError(f"spec must be a JSON object, got {type(d).__name__}")
+    if "family" not in d:
+        raise SpecError("spec JSON missing 'family' discriminator")
+    family = d["family"]
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise SpecError(f"unknown family {family!r}")
-    body = {k: v for k, v in d.items() if k != "family"}
+    fields = dataclasses.fields(_FAMILIES[family])
+    names = [f.name for f in fields]
+    unknown = [k for k in d if k not in names and k != "family"]
+    missing = [f.name for f in fields if f.name not in d and f.default is dataclasses.MISSING]
+    for what, keys in (("unknown", unknown), ("missing", missing)):
+        if keys:
+            raise SpecError(f"{family}: {what} key(s) {', '.join(map(repr, keys))}"
+                            f" (its keys are {', '.join(names)})")
+    try:
+        return _FAMILIES[family](**{k: _from_json(v) for k, v in d.items() if k != "family"})
+    except TypeError as e:  # a value of the wrong shape, e.g. a number for a list
+        raise SpecError(f"{family}: a value has the wrong shape ({e})") from None
 
-    def tup(v):
-        return tuple(tuple(row) for row in v) if v and isinstance(v[0], list) else tuple(v)
 
-    if family == "independent_gamma":
-        return IndependentGamma(tuple(body["b"]), tuple(body["n"]), body.get("eps", 0.0))
-    if family == "gamma_mixture":
-        return GammaMixture(
-            tup(body["weights"]), tup(body["b"]), tup(body["n"]), body.get("eps", 0.0)
-        )
-    if family == "point_mass_gamma":
-        inner = spec_from_dict(body["inner"])
-        if not isinstance(inner, IndependentGamma):
-            raise SpecError("point_mass_gamma inner spec must be independent_gamma")
-        return PointMassGamma(body["w"], inner)
-    if family == "generalized_mv_gamma":
-        return GeneralizedMVGamma(
-            tup(body["loadings"]), tuple(body["lam"]),
-            tuple(body["theta0"]), tuple(body["theta"]),
-        )
-    return _FAMILIES[family](**body)
+def _from_json(v):
+    if isinstance(v, list):
+        return tuple(map(_from_json, v))
+    if isinstance(v, bool):  # an int to Python, but no parameter is a bool
+        raise TypeError(f"{json.dumps(v)} is not a number")
+    return spec_from_dict(v) if isinstance(v, dict) else v
 
 
 def load_spec(path: str) -> HeterogeneitySpec:

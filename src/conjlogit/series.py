@@ -383,8 +383,10 @@ def prepare_dataset(
     of their observations are merged.  ``caches`` may hold caches keyed by
     any ordering of a signature; each is relabelled to the canonical one
     rather than rebuilt, and the knapsack DP runs once per canonical
-    signature still missing.  The budget-R caches carry their own parity
-    companion, so ``parity_check`` builds nothing extra.
+    signature still missing.  A given cache that the panel uses must have
+    been built at ``cfg.R``; one of another budget raises ValueError.  The
+    budget-R caches carry their own parity companion, so ``parity_check``
+    builds nothing extra.
     """
     if groups is None:
         groups = group_households(d)
@@ -399,10 +401,13 @@ def prepare_dataset(
         given.setdefault(canonical_x_vectors(xv), cache)
     kept = {}
     for xv in dict.fromkeys(canon.values()):
-        if xv in given:
-            kept[xv] = given[xv].relabel(xv)
-        else:
+        if xv not in given:
             kept[xv] = build_cache(xv, cfg.R)
+        elif given[xv].R != cfg.R:
+            raise ValueError(f"cache for signature {xv} was built at R={given[xv].R}, "
+                             f"but the evaluation asks for R={cfg.R}")
+        else:
+            kept[xv] = given[xv].relabel(xv)
     return PreparedDataset(
         [(HouseholdSums(Y, xv), m) for (Y, xv), m in merged.items()],
         kept, cfg.parity_check, total_obs, d.x_scale, cfg.R, d.P,

@@ -43,8 +43,8 @@ class SimDesign:
             raise ValueError("need I, J, N >= 1")
         if self.true_spec.P != self.P:
             raise ValueError("true_spec dimension must match P")
-        if self.c <= 0:
-            raise ValueError("covariate scale must be positive")
+        if not 0 < self.c < math.inf:  # NaN fails too
+            raise ValueError(f"covariate scale must be a finite number > 0, got {self.c}")
 
 
 def _rng(seed: int, rep: int):

@@ -164,6 +164,17 @@ class TestSimulate:
         assert blob["b"] == [5.0]
 
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-0.5"])
+    def test_bad_scale_exits_2(self, tmp_path, capsys, scale):
+        out = tmp_path / "d.csv"
+        code, stdout, err = run(["simulate", "--I", "3", "--b", "5", "--n", "14",
+                                 f"--scale={scale}", "-o", str(out)], capsys)
+        assert (code, stdout) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["message"] == f"covariate scale must be a finite number > 0, got {float(scale)}"
+        assert not out.exists()
+
+
 class TestPrecompute:
     def test_dry_run_prints_feasibility_estimate(self, tmp_path, capsys):
         # one household with 40 observations: R=9 gives the ~10^9.2 row
@@ -244,6 +255,30 @@ class TestPrecompute:
         assert code == 0, err
         assert "built 1 cache(s), reused 1, rebuilt 1 unreadable" in out
         assert files[0].read_bytes() == good
+
+    def test_cache_of_another_budget_is_rebuilt(self, tmp_path, sim_csv, capsys):
+        # budget-4 files renamed to the budget-30 names: eval must not read
+        # them, and precompute rebuilds them
+        spec_p = tmp_path / "spec.json"
+        save_spec(IndependentGamma((5.0,), (14.0,)), str(spec_p))
+        ev = ["eval", "--data", str(sim_csv), "--spec", str(spec_p), "--R", "30"]
+        code, fresh, err = run(ev + ["--cache-dir", str(tmp_path / "fresh")], capsys)
+        assert code == 0, err
+        cdir = tmp_path / "c"
+        pre = ["precompute", "--data", str(sim_csv), "--cache-dir", str(cdir)]
+        assert run(pre + ["--R", "4"], capsys)[0] == 0
+        files = sorted(cdir.glob("*_R4.bin"))
+        for f in files:
+            f.rename(str(f).replace("_R4.bin", "_R30.bin"))
+        code, out, err = run(ev + ["--cache-dir", str(cdir)], capsys)
+        assert (code, out) == (2, "")
+        assert "built at R=4, but the evaluation asks for R=30" in json.loads(err)["error"]["message"]
+        code, out, err = run(pre + ["--R", "30"], capsys)
+        assert code == 0, err
+        assert f"built {len(files)} cache(s), reused 0, rebuilt {len(files)} unreadable" in out
+        code, warm, err = run(ev + ["--cache-dir", str(cdir)], capsys)
+        assert code == 0, err
+        assert warm == fresh
 
     def test_each_signature_is_hashed_once(self, tmp_path, sim_csv, capsys, monkeypatch):
         cdir = tmp_path / "caches"
@@ -646,6 +681,29 @@ class TestOrderFreeSignatures:
         assert len(builds) == ordered_builds + 3
         assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
 
+    def test_oracle_check_reads_the_cache_dir(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "d.csv"
+        save_dataset(permuted_panel(), str(data))
+        spec_p = tmp_path / "spec.json"
+        save_spec(IndependentGamma((5.0, 5.0), (14.0, 14.0)), str(spec_p))
+        check = ["oracle-check", "--data", str(data), "--spec", str(spec_p), "--R", "60",
+                 "--mc-draws", "20000", "--max-households", "2"]
+        code, fresh, err = run(check + ["--cache-dir", str(tmp_path / "fresh")], capsys)
+        assert code == 0, err
+        cdir = tmp_path / "c"
+        code, _, err = run(["precompute", "--data", str(data), "--R", "60",
+                            "--cache-dir", str(cdir)], capsys)
+        assert code == 0, err
+        builds = count_calls(monkeypatch, diophantine, "_shell_states")
+        code, warm, err = run(check + ["--cache-dir", str(cdir)], capsys)
+        assert code == 0, err
+        assert warm == fresh and builds == []
+        for f in cdir.glob("*.bin"):
+            f.write_bytes(b"garbage")
+        code, _, err = run(check + ["--cache-dir", str(cdir)], capsys)
+        assert code == 2
+        assert "bad magic" in json.loads(err)["error"]["message"]
+
     def test_oracle_check_on_permuted_households(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         save_dataset(permuted_panel(), str(data))
@@ -816,3 +874,33 @@ def test_fit_newton_reports_non_convergence(tmp_path, sim_csv, capsys, monkeypat
     assert code == 0
     assert json.loads((tmp_path / "nt.json").read_text())["converged"] is False
     assert out.splitlines()[-1] == "newton: not converged after 0 iteration(s)"
+
+
+GAMMA_5_14 = '"family": "independent_gamma", "b": [5.0], "n": [14.0]'
+
+
+@pytest.mark.parametrize("text, words", [
+    ('{"family": "independent_gamma", "b": [5]}', "independent_gamma: missing key(s) 'n'"),
+    ('{"family": "freund", "alpha1": 1.0, "alpha2": 2.0, "alpha1p": 1.5}',
+     "freund: missing key(s) 'alpha2p'"),
+    ("{" + GAMMA_5_14 + ', "eps": 0.0, "bogus": 1}', "independent_gamma: unknown key(s) 'bogus'"),
+    ('{"family": "independent_gamma", "b": 5, "n": 14}', "independent_gamma: a value has"),
+    ("[1]", "spec must be a JSON object, got list"),
+    ('{"family": "point_mass_gamma", "w": 0.2}', "point_mass_gamma: missing key(s) 'inner'"),
+    ('{"family": "independent_gamma", "b": ["x"], "n": [14.0]}', "independent_gamma: a value has"),
+    ('{"family": "point_mass_gamma", "w": 0.2, "inner": {"family": "gamma_mixture", '
+     '"weights": [[1.0]], "b": [[5.0]], "n": [[14.0]]}}',
+     "point_mass_gamma inner spec must be independent_gamma"),
+], ids=["short", "freund-missing", "extra-key", "scalars", "array", "no-inner", "string",
+        "mixture-inner"])
+def test_malformed_spec_exits_2_with_one_line(tmp_path, capsys, text, words):
+    p = tmp_path / "d.csv"
+    save_dataset(Dataset((Household("a", (Observation(1, (1,)),)),), P=1, x_scale=0.1), str(p))
+    spec = tmp_path / "s.json"
+    spec.write_text(text)
+    code, out, err = run(["eval", "--data", str(p), "--spec", str(spec), "--R", "10",
+                          "--cache-dir", str(tmp_path / "c")], capsys)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "SpecError" and error["message"].startswith(words)

@@ -154,27 +154,49 @@ class TestEquivalence:
 
 
 def test_validation_of_object_built_data_is_pinned():
+    # rows the int64 columns can hold are checked by validate_dataset
     d = Dataset((
         Household("a", (Observation(2, (1, 1)), Observation(0, (-1, 2)))),
         Household("b", ()),
-        Household("c", (Observation(1, (0, 0)), Observation(0, (1.5, -1)),
-                         Observation(1, (False, 0)))),
-        Household("d", (Observation(2, (1,)), Observation(1, (0, 3)))),
+        Household("c", (Observation(1, (0, 0)), Observation(1, (0, 3)))),
     ), P=2)
     assert validate_dataset(d) == [
         Violation("a", 0, "y-binary", "y=2 not in {0,1}"),
         Violation("a", 1, "x-nonnegative", "x[0]=-1 < 0"),
         Violation("b", None, "nonempty", "household has no observations"),
         Violation("c", 0, "x-nonzero", "all covariates are zero"),
-        Violation("c", 1, "x-integer", "x[0]=1.5 is not an integer"),
-        Violation("c", 1, "x-nonnegative", "x[1]=-1 < 0"),
-        Violation("c", 2, "x-integer", "x[0]=False is not an integer"),
-        Violation("c", 2, "x-nonzero", "all covariates are zero"),
-        Violation("d", 0, "y-binary", "y=2 not in {0,1}"),
-        Violation("d", 0, "P-uniform", "len(x)=1 != P=2"),
     ]
-    with pytest.raises(DataError, match="household c obs 1"):
-        group_households(d)
+    # a row they cannot hold raises at construction, naming the value that
+    # keeps it out, however many other rules it breaks
+    for obs, message in [
+        (Observation(0, (1.5, -1)), "x[0]=1.5 is not an integer"),
+        (Observation(1, (False, 0)), "x[0]=False is not an integer"),
+        (Observation(1, (3, "1")), "x[1]='1' is not an integer"),
+        (Observation(2, (1,)), "len(x)=1 != P=2"),
+        (Observation(2.0, (1, 1)), "y=2.0 not in {0,1}"),
+        (Observation("1", (1, 1)), "y='1' not in {0,1}"),
+        (Observation(1, (1, 2**63)), "value 9223372036854775808 is outside the int64 range"),
+        (Observation(-(2**63) - 1, (1, 1)),
+         "value -9223372036854775809 is outside the int64 range"),
+    ]:
+        hs = (Household("a", (Observation(1, (1, 1)),)),
+              Household("c", (Observation(0, (2, 1)), obs)))
+        with pytest.raises(DataError) as e:
+            Dataset(hs, P=2)
+        assert str(e.value) == f"household c obs 1: {message}"
+
+
+def test_object_rows_the_columns_hold_are_stored_as_ints():
+    # a y that is a bool or a number equal to 0 or 1, and covariates of an
+    # int subclass other than bool, are stored as plain ints
+    class Count(int):
+        pass
+
+    d = Dataset((Household("a", (Observation(True, (Count(2), 1)), Observation(1.0, (0, 1)),
+                                 Observation(False, (1, Count(0))))),), P=2)
+    cols = d.columns()
+    assert cols.y.tolist() == [1, 1, 0] and cols.X.tolist() == [[2, 1], [0, 1], [1, 0]]
+    assert validate_dataset(d) == []
 
 
 def test_validation_of_loaded_data_is_pinned(tmp_path):
@@ -258,8 +280,10 @@ class TestHouseholdsView:
         one = dataclasses.replace(got, households=got.households[:1])
         assert one.columns().offsets.tolist() == [0, 2]
         assert Dataset(got.households, P=2, x_scale=0.25) == d
-        # a different P re-checks the rows: every one is now too short
-        assert {v.rule for v in validate_dataset(Dataset(got.households, P=3))} == {"P-uniform"}
+        # a different P converts the rows again, and the first is too short
+        with pytest.raises(DataError) as e:
+            Dataset(got.households, P=3)
+        assert str(e.value) == "household a obs 0: len(x)=2 != P=3"
 
 
 def test_load_validate_group_allocate_no_object_per_row(tmp_path):
@@ -381,17 +405,13 @@ class TestPanelTransforms:
         assert str(got.value) == str(want.value) == "household a obs 0: transformed x[0]=-3 is negative"
 
     def test_recode_negative_value_route_cases(self):
-        # a row the columns cannot hold raises as Dataset.columns does, and
-        # -2**63, whose negation leaves int64, raises naming its row
-        floats = Dataset((Household("a", (Observation(1, (-2, 1.5)),)),), P=2)
-        with pytest.raises(DataError) as want:
-            floats.columns()
-        for flip in ({0}, {1}):
-            with pytest.raises(DataError) as got:
-                recode_negative(floats, flip)
-            assert str(got.value) == str(want.value) == (
-                "household a obs 0: x[0]=-2 < 0 (run validate_dataset first)"
-            )
+        # a row the columns cannot hold never reaches recode_negative: it
+        # raises at construction, naming the non-integer and not the -2 that
+        # a flip would fix; -2**63, whose negation leaves int64, raises
+        # naming its row
+        with pytest.raises(DataError) as got:
+            Dataset((Household("a", (Observation(1, (-2, 1.5)),)),), P=2)
+        assert str(got.value) == "household a obs 0: x[1]=1.5 is not an integer"
         low = Dataset.from_columns(["a", "b"], [0, 1, 2], [1, 0], [[-1, 1], [-(2**63), 1]])
         with pytest.raises(DataError) as got:
             recode_negative(low, {0})

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -57,9 +58,9 @@ class TestValidation:
         assert "x-nonzero" in rules
 
     def test_wrong_width_flagged(self):
-        d = Dataset((Household("a", (Observation(0, (1,)),)),), P=2)
-        rules = {v.rule for v in validate_dataset(d)}
-        assert "P-uniform" in rules
+        # the int64 columns cannot hold a short row, so construction rejects it
+        with pytest.raises(DataError, match=r"^household a obs 0: len\(x\)=1 != P=2$"):
+            Dataset((Household("a", (Observation(0, (1,)),)),), P=2)
 
     def test_empty_dataset_flagged(self):
         assert validate_dataset(Dataset((), P=1))
@@ -171,10 +172,29 @@ ALL_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
-def test_spec_json_round_trip(spec, tmp_path):
+
+
+SAVED_SPECS = [
+    {"family": "independent_gamma", "b": [5.0, 2.0], "n": [14.0, 3.0], "eps": 0.001},
+    {"family": "gamma_mixture", "weights": [[0.3, 0.7]], "b": [[1.0, 2.0]],
+     "n": [[3.0, 4.0]], "eps": 0.0},
+    {"family": "point_mass_gamma", "w": 0.2,
+     "inner": {"family": "independent_gamma", "b": [1.0], "n": [2.0], "eps": 0.0}},
+    {"family": "generalized_mv_gamma", "loadings": [[0.5, 0.0], [0.1, 0.2]], "lam": [1.0, 2.0],
+     "theta0": [1.5, 0.5], "theta": [2.0, 3.0]},
+    {"family": "cheriyan_ramabhadran", "theta0": 1.0, "theta1": 2.0, "theta2": 3.0},
+    {"family": "freund", "alpha1": 1.0, "alpha2": 2.0, "alpha1p": 1.5, "alpha2p": 0.8},
+    {"family": "arnold_strauss", "lam1": 1.0, "lam2": 1.5, "lam12": 0.5},
+]
+
+
+@pytest.mark.parametrize("spec, saved", zip(ALL_SPECS, SAVED_SPECS),
+                         ids=[type(s).__name__ for s in ALL_SPECS])
+def test_spec_json_round_trip(spec, saved, tmp_path):
+    # the file holds every field in declaration order, tuples as lists
     p = tmp_path / "spec.json"
     save_spec(spec, str(p))
+    assert p.read_text() == json.dumps(saved, indent=2) + "\n"
     assert load_spec(str(p)) == spec
 
 
@@ -188,6 +208,32 @@ def test_spec_from_dict_rejects_unknown_family():
         spec_from_dict({"family": "unheard_of"})
     with pytest.raises(SpecError):
         spec_from_dict({"b": [1.0]})
+
+
+@pytest.mark.parametrize("d, words", [
+    ({"family": ["freund"]}, "unknown family ['freund']"),
+    ("independent_gamma", "spec must be a JSON object, got str"),
+    ({"family": "arnold_strauss", "lam1": 1.0, "lam2": 1.5}, "arnold_strauss: missing key(s) 'lam12'"),
+    ({"family": "independent_gamma", "b": [1.0], "n": [1.0], "N": [1.0]},
+     "independent_gamma: unknown key(s) 'N'"),
+    ({"family": "gamma_mixture", "weights": [1.0], "b": [1.0], "n": [1.0]},
+     "gamma_mixture: a value has the wrong shape"),
+    ({"family": "independent_gamma", "b": [1.0], "n": [1.0], "eps": None},
+     "independent_gamma: a value has the wrong shape"),
+    ({"family": "point_mass_gamma", "w": 0.5, "inner": 5},
+     "point_mass_gamma inner spec must be independent_gamma"),
+    ({"family": "point_mass_gamma", "w": 0.5, "inner": {"family": "independent_gamma"}},
+     "independent_gamma: missing key(s) 'b', 'n'"),
+    ({"family": "independent_gamma", "b": [True], "n": [1.0]},
+     "independent_gamma: a value has the wrong shape (true is not a number)"),
+    ({"family": "freund", "alpha1": 1.0, "alpha2": math.inf, "alpha1p": 1.0, "alpha2p": 1.0},
+     "alpha must be a finite number > 0, got inf"),
+], ids=["family-not-a-string", "not-an-object", "missing-key", "unknown-key", "scalar-rows",
+        "null-eps", "scalar-inner", "bad-inner", "bool", "infinite"])
+def test_spec_from_dict_rejects_what_no_family_holds(d, words):
+    with pytest.raises(SpecError) as e:
+        spec_from_dict(d)
+    assert str(e.value).startswith(words)
 
 
 class TestSpecValidation:
@@ -211,6 +257,10 @@ class TestSpecValidation:
         with pytest.raises(SpecError):
             PointMassGamma(1.5, IndependentGamma((1.0,), (1.0,)))
 
+    def test_point_mass_inner_must_be_independent_gamma(self):
+        with pytest.raises(SpecError, match="inner spec must be independent_gamma"):
+            PointMassGamma(0.5, GammaMixture(((1.0,),), ((1.0,),), ((1.0,),)))
+
     def test_gmv_loading_shape(self):
         with pytest.raises(SpecError):
             GeneralizedMVGamma(((0.5,),), (1.0, 2.0), (1.0,), (1.0, 1.0))
@@ -218,3 +268,13 @@ class TestSpecValidation:
     def test_gmv_negative_loading(self):
         with pytest.raises(SpecError):
             GeneralizedMVGamma(((-0.5,),), (1.0,), (1.0,), (1.0,))
+
+    def test_nan_and_infinite_parameters_rejected(self):
+        nan = math.nan
+        for make in (lambda: IndependentGamma((1.0,), (1.0,), eps=nan),
+                     lambda: IndependentGamma((1.0,), (1.0,), eps=math.inf),
+                     lambda: GammaMixture(((nan,),), ((1.0,),), ((1.0,),)),
+                     lambda: GammaMixture(((0.5, 0.5),), ((1.0, 1.0),), ((1.0, 1.0),), eps=nan),
+                     lambda: GeneralizedMVGamma(((nan,),), (1.0,), (1.0,), (1.0,))):
+            with pytest.raises(SpecError):
+                make()
