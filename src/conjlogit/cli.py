@@ -273,7 +273,7 @@ def cmd_precompute(args) -> int:
         built += len(files)
     summary = f"built {built} cache(s), reused {reused}"
     if rebuilt:
-        summary += f", rebuilt {rebuilt} unreadable"
+        summary += f", rebuilt {rebuilt} unreadable or of another budget"
     print(f"{summary}, {len(missing)} knapsack run(s), dir {cache_dir}")
     return EXIT_OK
 

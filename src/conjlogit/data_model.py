@@ -87,17 +87,16 @@ class Households(Sequence):
     """Read-only sequence view of a dataset's households.
 
     The store is a :class:`PanelColumns`.  The ``Household`` objects are
-    those the dataset was built from, if any; otherwise they are built from
-    the columns on the first read that needs them (iteration, indexing,
-    comparison) and kept.  ``len`` reads the columns.  Views compare equal to
-    views and tuples of equal households.
+    built from the columns on the first read that needs them (iteration,
+    indexing, comparison) and kept.  ``len`` reads the columns.  Views
+    compare equal to views and tuples of equal households.
     """
 
     __slots__ = ("P", "_cols", "_objs")
 
-    def __init__(self, P: int, columns: PanelColumns, objects: tuple[Household, ...] | None = None):
+    def __init__(self, P: int, columns: PanelColumns):
         self.P = P
-        self._cols, self._objs = columns, objects
+        self._cols, self._objs = columns, None
 
     def columns(self) -> PanelColumns:
         return self._cols
@@ -215,10 +214,8 @@ class Dataset:
     def __post_init__(self):
         hs = self.households
         if not (isinstance(hs, Households) and hs.P == self.P):
-            hs = tuple(hs)
-            object.__setattr__(
-                self, "households", Households(self.P, _columns_from_objects(hs, self.P), hs)
-            )
+            cols = _columns_from_objects(tuple(hs), self.P)
+            object.__setattr__(self, "households", Households(self.P, cols))
 
     @classmethod
     def from_columns(

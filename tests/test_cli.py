@@ -275,7 +275,8 @@ class TestPrecompute:
         assert "built at R=4, but the evaluation asks for R=30" in json.loads(err)["error"]["message"]
         code, out, err = run(pre + ["--R", "30"], capsys)
         assert code == 0, err
-        assert f"built {len(files)} cache(s), reused 0, rebuilt {len(files)} unreadable" in out
+        n = len(files)
+        assert f"built {n} cache(s), reused 0, rebuilt {n} unreadable or of another budget" in out
         code, warm, err = run(ev + ["--cache-dir", str(cdir)], capsys)
         assert code == 0, err
         assert warm == fresh

@@ -172,8 +172,6 @@ ALL_SPECS = [
 ]
 
 
-
-
 SAVED_SPECS = [
     {"family": "independent_gamma", "b": [5.0, 2.0], "n": [14.0, 3.0], "eps": 0.001},
     {"family": "gamma_mixture", "weights": [[0.3, 0.7]], "b": [[1.0, 2.0]],

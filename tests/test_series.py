@@ -418,6 +418,7 @@ class TestCountMatrixKernel:
             ref = log_marginal_prepared(cold, IG2)
             assert ev.parity_spread is not None
             assert ev.value == ref.value
+            assert ev.parity_spread == ref.parity_spread
 
     def test_cache_of_another_budget_is_rejected(self):
         # a budget-4 cache would give another value while the result said R=100
@@ -425,7 +426,6 @@ class TestCountMatrixKernel:
         xv = next(iter(prepare_dataset(d, SeriesConfig(R=4)).caches))
         with pytest.raises(ValueError, match=r"built at R=4, but the evaluation asks for R=100"):
             log_marginal(d, IG2, SeriesConfig(R=100), {xv: build_cache(xv, 4)})
-            assert ev.parity_spread == ref.parity_spread
 
 
 class TestGroupH:
