@@ -55,6 +55,7 @@ from .series import (
     HouseholdSums,
     SeriesConfig,
     TruncationFailure,
+    group_spread,
     h_naive,
     log_marginal,
     prepare_dataset,
@@ -93,6 +94,7 @@ __all__ = [
     "compositions_count",
     "compositions_cum",
     "grid_fit",
+    "group_spread",
     "h_naive",
     "load_cache",
     "load_dataset",

@@ -65,6 +65,7 @@ from .series import (
     TruncationFailure,
     group_h,
     group_households,
+    group_spread,
     log_marginal_prepared,
     prepare_dataset,
 )
@@ -191,7 +192,7 @@ def _prepare(d: Dataset, cfg: SeriesConfig, cache_dir: str) -> PreparedDataset:
     groups = group_households(d)
     caches = {}
     found = set()
-    for xv in _signatures(groups):
+    for xv in _signatures(groups[0]):
         canon = canonical_x_vectors(xv)
         if canon in found:
             continue
@@ -228,7 +229,7 @@ def cmd_precompute(args) -> int:
     d = _load_data(args)
     cache_dir = _cache_dir(args)
     plans = []
-    for xv, n_households in _signatures(group_households(d)).items():
+    for xv, n_households in _signatures(group_households(d)[0]).items():
         M = len(xv[0])
         admitted = compositions_cum(args.R, M)
         shell = compositions_count(args.R, M)
@@ -279,12 +280,9 @@ def cmd_precompute(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    if args.family != "gamma":
-        raise SpecError(f"fit supports --family gamma, got {args.family!r}")
     d = _load_data(args)
     grid = _grid_from_args(args, d.P)
-    cfg = SeriesConfig(R=args.R, parity_check=args.parity_check)
-    prep = _prepare(d, cfg, _cache_dir(args))
+    prep = _prepare(d, SeriesConfig(R=args.R), _cache_dir(args))
     res = grid_fit(prep, grid, eps=args.eps)
     if args.newton:
         res = replace(
@@ -298,10 +296,8 @@ def cmd_fit(args) -> int:
     print("param  estimate")
     for name, v in zip(names, res.omega_hat):
         print(f"{name:>5}  {v:.6g}")
-    line = f"loglik {res.loglik:.6f}  boundary={res.boundary_flag}"
-    if res.parity_spread is not None:
-        line += f"  parity_spread={res.parity_spread:.3g}"
-    print(line)
+    print(f"loglik {res.loglik:.6f}  boundary={res.boundary_flag}  "
+          f"parity_spread={res.parity_spread:.3g}")
     if res.dropped:
         print(f"dropped {res.dropped} of {grid.cardinality} grid point(s) for truncation")
     if not res.converged:
@@ -312,12 +308,12 @@ def cmd_fit(args) -> int:
 def cmd_eval(args) -> int:
     d = _load_data(args)
     spec = load_spec(args.spec)
-    cfg = SeriesConfig(R=args.R, parity_check=args.parity_check)
-    ev = log_marginal_prepared(_prepare(d, cfg, _cache_dir(args)), spec)
+    prep = _prepare(d, SeriesConfig(R=args.R), _cache_dir(args))
+    ev = log_marginal_prepared(prep, spec)
     out = {
         "loglik": ev.value,
         "terms": ev.terms,
-        "parity_spread": ev.parity_spread,
+        "parity_spread": float(group_spread(prep, spec).max(initial=0.0)),
         "R": args.R,
     }
     print(json.dumps(out, indent=2))
@@ -331,22 +327,11 @@ def cmd_oracle_check(args) -> int:
     spec = load_spec(args.spec)
     cfg = SeriesConfig(R=args.R)
     prep = _prepare(d, cfg, _cache_dir(args))
-    H, _ = group_h(prep, spec)
-    picked = prep.groups[: args.max_households]
-    # a household of each picked group, found in one pass on the order-free key
-    wanted = {sums for sums, _ in picked}
-    first = {}
-    for hh in d.households:
-        sums = HouseholdSums.from_household(hh, d.P)
-        key = HouseholdSums(sums.Y, canonical_x_vectors(sums.x_vectors))
-        if key in wanted:
-            first.setdefault(key, hh)
-            if len(first) == len(wanted):
-                break
+    H = group_h(prep, spec)
     rows = []
     all_ok = True
-    for (sums, _), series in zip(picked, H.tolist()):
-        h = first[sums]
+    for i, series in zip(prep.first[: args.max_households], H.tolist()):
+        h = d.households[i]
         try:
             quad = quadrature_h(h, spec, QuadConfig(rel_tol=1e-10), d.x_scale)
         except (SpecError, ToleranceNotMet):
@@ -474,10 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="grid (optionally Newton-refined) fit")
     _add_data_flags(p)
     _add_grid_flags(p)
-    p.add_argument("--family", default="gamma")
     p.add_argument("--R", type=int, default=100)
     p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--parity-check", action="store_true")
     p.add_argument("--newton", action="store_true")
     p.add_argument("-o", "--output", default=None, help="FitResult JSON path")
     p.set_defaults(func=cmd_fit)
@@ -486,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     p.add_argument("--spec", required=True, help="heterogeneity spec JSON")
     p.add_argument("--R", type=int, default=100)
-    p.add_argument("--parity-check", action="store_true")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("oracle-check",
@@ -537,7 +519,7 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
     defaults; explicit flags win.
 
     Subcommands parse into a fresh namespace, so each subparser gets the
-    keys that are its own flags.  A switch such as ``parity-check`` takes
+    keys that are its own flags.  A switch such as ``newton`` takes
     true or false; any other value is passed as a string, so the flag's
     type parses it as it would on the command line.  OSError or ValueError
     for an unreadable file, a file that is not a JSON object, a switch that

@@ -9,7 +9,8 @@ per-column knapsack recurrence over the reachable (shell, r) states, so the
 cost follows the number of states rather than the C(R+M, M) k-tuples counted.
 The counts from the final shells k.1 == R and k.1 == R-1 are kept as well, so
 the series can return the Euler mean of its last two shell partial sums, and
-the same mean one budget lower for the parity spread.  The resulting cache is
+the same mean one budget lower for the parity spread, the error estimate that
+every reported value carries.  The resulting cache is
 the parameter-independent half of the series evaluation and is persisted to
 disk.
 
@@ -176,8 +177,11 @@ class DioCache:
     @property
     def companion_array(self) -> np.ndarray:
         """The Euler-mean weights one budget lower, aligned with ``r_array``."""
-        _, raw, last, prev = self.columns()
-        return (raw - last) - 0.5 * prev
+        arr = self.__dict__.get("_companion_array")
+        if arr is None:
+            _, raw, last, prev = self.columns()
+            self.__dict__["_companion_array"] = arr = (raw - last) - 0.5 * prev
+        return arr
 
     def relabel(self, x_vectors) -> "DioCache":
         """The same counts for ``x_vectors``, a column permutation of this

@@ -20,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from .data_model import IndependentGamma, SpecError
-from .series import PreparedDataset, TruncationFailure, log_marginal_prepared
+from .series import PreparedDataset, TruncationFailure, group_spread
 
 
 class FitError(RuntimeError):
@@ -75,10 +75,10 @@ class FitResult:
     omega_hat: tuple[float, ...]
     loglik: float
     trace: list[tuple[tuple[float, ...], float]]
+    parity_spread: float  # the worst group's, at omega_hat (series.group_spread)
     boundary_flag: bool = False
     newton_iters: int = 0
     converged: bool = True
-    parity_spread: float | None = None  # at omega_hat; None without a parity check
     dropped: int = 0  # grid points that failed truncation, left out of a grid trace
 
     def to_json(self) -> str:
@@ -165,8 +165,8 @@ def grid_fit(prep: PreparedDataset, grid: GridSpec, eps: float = 0.0) -> FitResu
     dataset.  Points that fail truncation are left out of the trace and
     counted in ``dropped``.  Ties break to the lexicographically smallest
     parameter tuple; ``boundary_flag`` is set when the argmax touches a grid
-    edge on any axis with count > 1.  With ``prep.parity_check`` the result
-    carries the argmax's parity spread.
+    edge on any axis with count > 1.  The result carries the argmax's
+    parity spread.
     """
     values = grid_logliks(prep, grid, eps)
     kept = np.flatnonzero(~np.isnan(values))
@@ -181,13 +181,10 @@ def grid_fit(prep: PreparedDataset, grid: GridSpec, eps: float = 0.0) -> FitResu
         ax.count > 1 and (i == 0 or i == ax.count - 1)
         for ax, i in zip(grid.axes, best_idx)
     )
-    spread = None
-    if prep.parity_check:
-        spec = params_to_spec(points[best], prep.P, eps)
-        spread = log_marginal_prepared(prep, spec).parity_spread
+    spread = group_spread(prep, params_to_spec(points[best], prep.P, eps))
     return FitResult(
-        points[best], float(values[best]), trace, boundary_flag=boundary,
-        parity_spread=spread, dropped=grid.cardinality - len(trace),
+        points[best], float(values[best]), trace, float(spread.max(initial=0.0)),
+        boundary_flag=boundary, dropped=grid.cardinality - len(trace),
     )
 
 
@@ -267,8 +264,8 @@ def newton_fit(
 
     Iterates x + p with H p = -g, halving the step until the log likelihood
     does not decrease and projecting onto the positive orthant.  Stops when
-    the gradient sup-norm drops below ``tol``.  With ``prep.parity_check``
-    the result carries the parity spread at the final point.
+    the gradient sup-norm drops below ``tol``.  The result carries the
+    parity spread at the final point.
     """
     P = prep.P
     theta = np.empty(2 * P)
@@ -306,10 +303,8 @@ def newton_fit(
         theta, ll, g, Hm = cand, new_ll, new_g, new_H
         trace.append((tuple(theta), ll))
         converged = np.max(np.abs(g)) < tol
-    spread = None
-    if prep.parity_check:
-        spread = log_marginal_prepared(prep, params_to_spec(theta, P, eps)).parity_spread
+    spread = group_spread(prep, params_to_spec(theta, P, eps))
     return FitResult(
-        tuple(theta), ll, trace, newton_iters=iters, converged=bool(converged),
-        parity_spread=spread,
+        tuple(theta), ll, trace, float(spread.max(initial=0.0)),
+        newton_iters=iters, converged=bool(converged),
     )

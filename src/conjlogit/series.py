@@ -19,6 +19,10 @@ partial sums S_0, S_1, ... alternate.  Every route returns their first Euler
 mean (S_{R-1} + S_R) / 2, with S_{-1} = 0, instead of the raw S_R: the final
 shell enters with weight 1/2.  For an alternating series the raw partial sum
 is off by about half the next shell; the mean is far closer to the limit.
+Its error estimate is the parity spread, the relative gap between the means
+at budgets R and R - 1 (:func:`group_spread`; :func:`h_naive` returns it
+too).  It is computed apart from the evaluation, once per reported value,
+so a grid of evaluations pays nothing for it.
 """
 
 from __future__ import annotations
@@ -44,20 +48,15 @@ from .gamma_kernels import attribute_marginals, log_mgf
 class TruncationFailure(RuntimeError):
     """A truncated H_i came out non-positive; the budget R is too small."""
 
-    def __init__(self, household: str, value: float, parity_spread: float | None):
+    def __init__(self, household: str, value: float):
         self.household = household
         self.value = value
-        self.parity_spread = parity_spread
-        msg = f"household {household}: truncated H = {value} <= 0 (R too small)"
-        if parity_spread is not None:
-            msg += f"; parity spread {parity_spread:.3g}"
-        super().__init__(msg)
+        super().__init__(f"household {household}: truncated H = {value} <= 0 (R too small)")
 
 
 @dataclass(frozen=True)
 class SeriesConfig:
     R: int
-    parity_check: bool = False
 
     def __post_init__(self):
         if self.R < 0:
@@ -86,7 +85,11 @@ class HouseholdSums:
 class Evaluation:
     value: float
     terms: int
-    parity_spread: float | None = None
+
+
+@dataclass(frozen=True)
+class NaiveEvaluation(Evaluation):
+    parity_spread: float  # |E(R) - E(R-1)| / max(|E(R)|, |E(R-1)|)
 
 
 def _rel_spread(a, b):
@@ -103,13 +106,14 @@ def h_naive(
     spec: IndependentGamma,
     cfg: SeriesConfig,
     x_scale: float = 1.0,
-) -> Evaluation:
+) -> NaiveEvaluation:
     """Direct simplex enumeration of the alternating series for H_i: the
-    brute-force oracle for the count sums of :func:`group_h`.
+    brute-force oracle for the count sums of :func:`group_h` and the spreads
+    of :func:`group_spread`.
 
     Returns the Euler mean (S_{R-1} + S_R) / 2 of the shell partial sums,
-    i.e. terms with k.1 == R weighted by 1/2.  With ``parity_check`` the
-    spread compares that mean at budgets R and R - 1.
+    i.e. terms with k.1 == R weighted by 1/2, and the parity spread that
+    compares that mean at budgets R and R - 1.
     """
     if not isinstance(spec, IndependentGamma):
         raise SpecError("h_naive supports the independent-Gamma family only")
@@ -156,8 +160,7 @@ def h_naive(
         )
 
     value = euler_mean(R)
-    spread = float(_rel_spread(value, euler_mean(R - 1))) if cfg.parity_check else None
-    return Evaluation(value, len(terms), spread)
+    return NaiveEvaluation(value, len(terms), float(_rel_spread(value, euler_mean(R - 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +298,13 @@ class PreparedDataset:
     point or optimizer step then costs only the cheap r-sums.  This is the
     amortization that makes grid search over the prior parameters practical.
     The groups' counts are gathered into one :class:`CountMatrix` on first
-    use (``counts``).  With ``parity_check`` the caches' budget-(R-1)
-    weights are gathered on the same sparsity pattern (``companion``).
+    use (``counts``), and the caches' budget-(R-1) weights on the same
+    sparsity pattern on the first :func:`group_spread` (``companion``).
     """
 
     groups: list[tuple[HouseholdSums, int]]  # distinct order-free sums with multiplicity
+    first: list[int]  # each group's first household: its index in the dataset's households
     caches: dict[tuple[tuple[int, ...], ...], DioCache]  # by canonical signature
-    parity_check: bool
     total_obs: int
     x_scale: float
     R: int
@@ -319,22 +322,19 @@ class PreparedDataset:
         data = np.concatenate(blocks) if blocks else np.zeros(0)
         return sparse.csr_matrix((data, C.indices, C.indptr), shape=C.shape)
 
-    def raise_on_truncation(self, H: np.ndarray, spread: np.ndarray | None = None) -> None:
+    def raise_on_truncation(self, H: np.ndarray) -> None:
         """Raise :class:`TruncationFailure` for the first group whose H is
         not a positive finite number."""
         ok = H > 0.0
         ok &= H < np.inf  # NaN fails both
         if not ok.all():
             g = int(np.argmin(ok))
-            raise TruncationFailure(
-                _group_label(self.groups[g][0]),
-                float(H[g]),
-                None if spread is None else float(spread[g]),
-            )
+            raise TruncationFailure(_group_label(self.groups[g][0]), float(H[g]))
 
 
-def group_households(d: Dataset) -> dict[HouseholdSums, int]:
-    """Households grouped by (x signature, Y): multiplicities in order of first appearance.
+def group_households(d: Dataset) -> tuple[dict[HouseholdSums, int], list[int]]:
+    """Households grouped by (x signature, Y): multiplicities in order of first
+    appearance, and each group's first household (its index in ``d.households``).
 
     Works on the panel columns: households of one length n share a key
     array (the n * P covariates attribute by attribute, then Y = sum y * x)
@@ -367,35 +367,36 @@ def group_households(d: Dataset) -> dict[HouseholdSums, int]:
     for _, mult, row, n in found:
         xv = tuple([tuple(row[p * n:(p + 1) * n]) for p in range(P)])
         groups[HouseholdSums(tuple(row[n * P:]), xv)] = mult
-    return groups
+    return groups, [g[0] for g in found]
 
 
 def prepare_dataset(
     d: Dataset,
     cfg: SeriesConfig,
     caches: dict | None = None,
-    groups: dict[HouseholdSums, int] | None = None,
+    groups: tuple[dict[HouseholdSums, int], list[int]] | None = None,
 ) -> PreparedDataset:
     """Group households by order-free (x signature, Y) and build any missing caches.
 
     ``groups`` may pass in :func:`group_households` of ``d`` when the
     caller has it already; groups whose signatures differ only in the order
-    of their observations are merged.  ``caches`` may hold caches keyed by
+    of their observations are merged, and a merged group's first household
+    is that of its first part.  ``caches`` may hold caches keyed by
     any ordering of a signature; each is relabelled to the canonical one
     rather than rebuilt, and the knapsack DP runs once per canonical
     signature still missing.  A given cache that the panel uses must have
     been built at ``cfg.R``; one of another budget raises ValueError.  The
-    budget-R caches carry their own parity companion, so ``parity_check``
-    builds nothing extra.
+    budget-R caches carry their own parity companion, so the spread of
+    :func:`group_spread` builds nothing extra.
     """
-    if groups is None:
-        groups = group_households(d)
+    groups, first = group_households(d) if groups is None else groups
     total_obs = sum([sums.n_obs * m for sums, m in groups.items()])
     canon = {xv: canonical_x_vectors(xv) for xv in dict.fromkeys(s.x_vectors for s in groups)}
-    merged: dict[tuple, int] = {}  # (Y, canonical x_vectors) -> households
-    for sums, mult in groups.items():
-        key = (sums.Y, canon[sums.x_vectors])
-        merged[key] = merged.get(key, 0) + mult
+    # (Y, canonical x_vectors) -> [households, first household]; groups come
+    # in order of first appearance, so a key's first part has its first household
+    merged: dict[tuple, list[int]] = {}
+    for (sums, mult), i in zip(groups.items(), first, strict=True):
+        merged.setdefault((sums.Y, canon[sums.x_vectors]), [0, i])[0] += mult
     given: dict = {}
     for xv, cache in (caches or {}).items():
         given.setdefault(canonical_x_vectors(xv), cache)
@@ -409,49 +410,57 @@ def prepare_dataset(
         else:
             kept[xv] = given[xv].relabel(xv)
     return PreparedDataset(
-        [(HouseholdSums(Y, xv), m) for (Y, xv), m in merged.items()],
-        kept, cfg.parity_check, total_obs, d.x_scale, cfg.R, d.P,
+        [(HouseholdSums(Y, xv), m) for (Y, xv), (m, _) in merged.items()],
+        [i for _, i in merged.values()], kept, total_obs, d.x_scale, cfg.R, d.P,
     )
 
 
-def group_h(prep: PreparedDataset, spec) -> tuple[np.ndarray, np.ndarray | None]:
-    """Every group's H_i, in ``prep.groups`` order, and with ``parity_check``
-    each group's parity spread (else None).
+def _inner(spec):
+    # the prior that goes through the series
+    return spec.inner if isinstance(spec, PointMassGamma) else spec
 
-    H is one sparse mat-vec, ``counts.C @ counts.mgf(spec)``, and the spread
-    compares it with the budget-(R-1) means ``companion @ mgf``.  For the
+
+def group_h(prep: PreparedDataset, spec) -> np.ndarray:
+    """Every group's H_i, in ``prep.groups`` order.
+
+    H is one sparse mat-vec, ``counts.C @ counts.mgf(spec)``.  For the
     point-mass family only the inner prior goes through the series: each
-    household's H_i is its own mixture w * 2^(-n_obs) + (1 - w) * H_inner,
-    and the spread is that of H_inner.
+    household's H_i is its own mixture w * 2^(-n_obs) + (1 - w) * H_inner.
     """
-    inner = spec.inner if isinstance(spec, PointMassGamma) else spec
-    mgf = prep.counts.mgf(inner)
-    H = prep.counts.C @ mgf
-    spread = _rel_spread(H, prep.companion @ mgf) if prep.parity_check else None
+    H = prep.counts.C @ prep.counts.mgf(_inner(spec))
     if isinstance(spec, PointMassGamma):
         n_obs = np.array([sums.n_obs for sums, _ in prep.groups])
         H = spec.w * 2.0 ** -n_obs + (1.0 - spec.w) * H
-    return H, spread
+    return H
+
+
+def group_spread(prep: PreparedDataset, spec) -> np.ndarray:
+    """Every group's parity spread, in ``prep.groups`` order: the truncation
+    error estimate |E(R) - E(R-1)| / max(|E(R)|, |E(R-1)|) of its H_i.
+
+    E(R) is the Euler mean of :func:`group_h`, ``counts.C @ mgf``, and
+    E(R-1) the same mean one budget lower, ``companion @ mgf``.  For the
+    point-mass family the spread is that of the inner prior's H_inner.
+    """
+    mgf = prep.counts.mgf(_inner(spec))
+    return _rel_spread(prep.counts.C @ mgf, prep.companion @ mgf)
 
 
 def log_marginal_prepared(prep: PreparedDataset, spec) -> Evaluation:
     """Log marginal likelihood from a prepared dataset.
 
     Every group's H_i comes from :func:`group_h`; a group whose H_i is not
-    positive raises :class:`TruncationFailure`.  With ``parity_check`` the
-    worst group's parity spread comes with the value.  For the point-mass
-    family the series runs on the inner prior and the all-or-nothing mixture
-    is combined at the dataset level: with weight w every Bernoulli factor
-    is 1/2.
+    positive raises :class:`TruncationFailure`.  For the point-mass family
+    the series runs on the inner prior and the all-or-nothing mixture is
+    combined at the dataset level: with weight w every Bernoulli factor is
+    1/2.
     """
-    inner = spec.inner if isinstance(spec, PointMassGamma) else spec
-    H, spread = group_h(prep, inner)
-    prep.raise_on_truncation(H, spread)
+    H = group_h(prep, _inner(spec))
+    prep.raise_on_truncation(H)
     total = float(prep.counts.mult @ np.log(H))
     if isinstance(spec, PointMassGamma):
         total = _point_mass_combine(spec.w, total, prep.total_obs)
-    worst = None if spread is None else float(spread.max(initial=0.0))
-    return Evaluation(total, prep.counts.terms, worst)
+    return Evaluation(total, prep.counts.terms)
 
 
 def _group_label(sums: HouseholdSums) -> str:

@@ -18,7 +18,7 @@ from scipy import stats
 
 from .data_model import Dataset, IndependentGamma
 from .optimizer import GridSpec, grid_fit
-from .series import SeriesConfig, group_h, group_households, prepare_dataset
+from .series import SeriesConfig, group_households, group_spread, prepare_dataset
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,9 @@ class SimDesign:
             raise ValueError("true_spec dimension must match P")
         if not 0 < self.c < math.inf:  # NaN fails too
             raise ValueError(f"covariate scale must be a finite number > 0, got {self.c}")
+        if not self.x_support or not all(isinstance(v, int) and v > 0 for v in self.x_support):
+            raise ValueError(f"covariate support must be one or more positive integers, "
+                             f"got {self.x_support}")
 
 
 def _rng(seed: int, rep: int):
@@ -183,8 +186,8 @@ def parity_study(d: Dataset, spec: IndependentGamma, r_values) -> list[ParityRow
     groups = group_households(d)
     rows = []
     for R in r_values:
-        prep = prepare_dataset(d, SeriesConfig(R=R, parity_check=True), groups=groups)
-        _, spreads = group_h(prep, spec)
+        prep = prepare_dataset(d, SeriesConfig(R=R), groups=groups)
+        spreads = group_spread(prep, spec)
         rows.append(ParityRow(
             R, float(spreads.max()), float(np.average(spreads, weights=prep.counts.mult))
         ))

@@ -53,8 +53,8 @@ def report(n, ok, detail=""):
 def group_value(sums, spec, R, x_scale, caches=None):
     """H of the one group ``sums`` from the count matrix (:func:`group_h`)."""
     d = Dataset((), P=len(sums.Y), x_scale=x_scale)
-    prep = prepare_dataset(d, SeriesConfig(R=R), caches, groups={sums: 1})
-    return float(group_h(prep, spec)[0][0])
+    prep = prepare_dataset(d, SeriesConfig(R=R), caches, groups=({sums: 1}, [0]))
+    return float(group_h(prep, spec)[0])
 
 
 def study1_design(b, n, **kw):

@@ -174,6 +174,18 @@ class TestSimulate:
         assert error["message"] == f"covariate scale must be a finite number > 0, got {float(scale)}"
         assert not out.exists()
 
+    @pytest.mark.parametrize("support, shown", [("0", "(0,)"), ("-1,2", "(-1, 2)")])
+    def test_bad_x_support_exits_2(self, tmp_path, capsys, support, shown):
+        # all-zero rows that eval rejects, or negative covariates
+        out = tmp_path / "d.csv"
+        code, stdout, err = run(["simulate", "--I", "3", "--b", "5", "--n", "14",
+                                 f"--x-support={support}", "-o", str(out)], capsys)
+        assert (code, stdout) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["message"] == ("covariate support must be one or more positive "
+                                    f"integers, got {shown}")
+        assert not out.exists()
+
 
 class TestPrecompute:
     def test_dry_run_prints_feasibility_estimate(self, tmp_path, capsys):
@@ -333,11 +345,13 @@ class TestEvalAndFit:
         )
         assert code == 0
         d = load_dataset(str(sim_csv))
-        naive = math.fsum(
-            math.log(h_naive(h, spec, SeriesConfig(R=40), d.x_scale).value)
-            for h in d.households
-        )
-        assert json.loads(out)["loglik"] == pytest.approx(naive, rel=1e-12)
+        naive = [h_naive(h, spec, SeriesConfig(R=40), d.x_scale) for h in d.households]
+        blob = json.loads(out)
+        assert blob["loglik"] == pytest.approx(math.fsum(math.log(ev.value) for ev in naive),
+                                               rel=1e-12)
+        # the worst household's spread
+        assert blob["parity_spread"] == pytest.approx(max(ev.parity_spread for ev in naive),
+                                                      rel=1e-9)
 
     def test_eval_mode_flag_is_rejected(self, tmp_path, sim_csv, capsys):
         spec_p = tmp_path / "spec.json"
@@ -348,32 +362,41 @@ class TestEvalAndFit:
         assert e.value.code == 2
         assert "usage:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--spec", "s.json", "--parity-check"],
+        ["fit", "--center", "5,14", "--parity-check"],
+        ["fit", "--center", "5,14", "--family", "gamma"],
+    ], ids=["eval-parity-check", "fit-parity-check", "fit-family"])
+    def test_removed_flags_are_rejected(self, sim_csv, capsys, argv):
+        with pytest.raises(SystemExit) as e:
+            main(argv + ["--data", str(sim_csv)])
+        assert e.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_eval_parity_check_reads_the_cache_dir(self, tmp_path, sim_csv, capsys):
         spec_p = tmp_path / "spec.json"
         save_spec(IndependentGamma((5.0,), (14.0,)), str(spec_p))
         ev = ["eval", "--data", str(sim_csv), "--spec", str(spec_p), "--R", "30"]
-        code, cold, err = run(ev + ["--parity-check", "--cache-dir", str(tmp_path / "e")],
-                              capsys)
+        code, cold, err = run(ev + ["--cache-dir", str(tmp_path / "e")], capsys)
         assert code == 0, err
         cdir = tmp_path / "c"
         code, _, err = run(["precompute", "--data", str(sim_csv), "--R", "30",
                             "--cache-dir", str(cdir)], capsys)
         assert code == 0, err
-        code, warm, err = run(ev + ["--parity-check", "--cache-dir", str(cdir)], capsys)
+        code, warm, err = run(ev + ["--cache-dir", str(cdir)], capsys)
         assert code == 0, err
         assert json.loads(warm) == json.loads(cold)
         assert json.loads(warm)["parity_spread"] > 0.0
         for f in cdir.glob("*.bin"):
             f.write_bytes(b"garbage")
-        for check in ([], ["--parity-check"]):
-            code, _, err = run(ev + check + ["--cache-dir", str(cdir)], capsys)
-            assert code == 2
-            assert "bad magic" in json.loads(err)["error"]["message"]
+        code, _, err = run(ev + ["--cache-dir", str(cdir)], capsys)
+        assert code == 2
+        assert "bad magic" in json.loads(err)["error"]["message"]
 
     def test_fit_writes_result_within_grid(self, tmp_path, sim_csv, capsys):
         out_p = tmp_path / "fit.json"
         code, out, _ = run(
-            ["fit", "--data", str(sim_csv), "--family", "gamma",
+            ["fit", "--data", str(sim_csv),
              "--grid", "3x3", "--spacing", "0.5", "--center", "5,14",
              "--R", "50", "-o", str(out_p), "--cache-dir", str(tmp_path / "c")],
             capsys,
@@ -479,8 +502,9 @@ def test_config_value_is_parsed_by_the_flag_type(tmp_path, sim_csv, capsys):
     ("{R: 7", "is not JSON"),
     ("[7]", "JSON object"),
     ('{"mode": "naive", "parity-chek": true, "R": 7}', "'mode', 'parity-chek'"),
-    ('{"parity-check": "yes"}', "true or false"),
-], ids=["missing", "not-json", "not-object", "unknown-keys", "not-a-switch"])
+    ('{"parity-check": true, "family": "gamma"}', "'parity-check', 'family'"),
+    ('{"newton": "yes"}', "true or false"),
+], ids=["missing", "not-json", "not-object", "unknown-keys", "removed-flags", "not-a-switch"])
 def test_bad_config_exits_2_with_one_line(tmp_path, sim_csv, capsys, content, words):
     cfg = tmp_path / "cfg.json"
     if content is not None:
@@ -612,7 +636,7 @@ def test_fit_parity_check_over_precomputed_caches(tmp_path, capsys, precomputed)
     cdir = tmp_path / "c"
     assert main(["precompute", "--data", str(part), "--R", "30", "--cache-dir", str(cdir)]) == 0
     fit = ["fit", "--data", str(data), "--grid", "3x3", "--spacing", "0.5",
-           "--center", "5,14", "--R", "30", "--parity-check"]
+           "--center", "5,14", "--R", "30"]
     code, _, err = run(fit + ["--cache-dir", str(cdir), "-o", str(tmp_path / "a.json")], capsys)
     assert code == 0, err
     code, _, _ = run(fit + ["--cache-dir", str(tmp_path / "empty"),
@@ -623,7 +647,7 @@ def test_fit_parity_check_over_precomputed_caches(tmp_path, capsys, precomputed)
 
 def test_fit_parity_check_builds_no_cache_after_precompute(tmp_path, perm_csv, capsys,
                                                          monkeypatch):
-    # the budget-R caches carry the parity companion, so the check needs no
+    # the budget-R caches carry the parity companion, so the spread needs no
     # knapsack run once every signature is on disk, and one per canonical
     # signature without them
     cdir = tmp_path / "c"
@@ -633,7 +657,7 @@ def test_fit_parity_check_builds_no_cache_after_precompute(tmp_path, perm_csv, c
     assert len(canonical) < len(files)
     calls = count_calls(monkeypatch, diophantine, "_shell_states")
     fit = ["fit", "--data", str(perm_csv), "--grid", "3x3", "--spacing", "0.5",
-           "--center", "5,14", "--R", "30", "--parity-check"]
+           "--center", "5,14", "--R", "30"]
     code, out, err = run(fit + ["--cache-dir", str(cdir)], capsys)
     assert code == 0, err
     assert "parity_spread=" in out
@@ -789,17 +813,12 @@ def test_grid_commands_need_center(tmp_path, sim_csv, capsys, command):
 def test_fit_reports_parity_spread(tmp_path, sim_csv, capsys):
     fit = ["fit", "--data", str(sim_csv), "--grid", "3x3", "--spacing", "0.5",
            "--center", "5,14", "--R", "30", "--cache-dir", str(tmp_path / "c")]
-    code, out, _ = run(fit + ["-o", str(tmp_path / "plain.json")], capsys)
+    code, out, _ = run(fit + ["-o", str(tmp_path / "grid.json")], capsys)
     assert code == 0
-    assert "parity_spread" not in out
-    assert json.loads((tmp_path / "plain.json").read_text())["parity_spread"] is None
-    code, out, _ = run(fit + ["--parity-check", "-o", str(tmp_path / "pc.json")], capsys)
-    assert code == 0
-    blob = json.loads((tmp_path / "pc.json").read_text())
+    blob = json.loads((tmp_path / "grid.json").read_text())
     assert 0.0 < blob["parity_spread"] < 1.0
     assert f"parity_spread={blob['parity_spread']:.3g}" in out
-    code, out, _ = run(fit + ["--parity-check", "--newton", "-o", str(tmp_path / "nt.json")],
-                       capsys)
+    code, out, _ = run(fit + ["--newton", "-o", str(tmp_path / "nt.json")], capsys)
     assert code == 0
     assert 0.0 < json.loads((tmp_path / "nt.json").read_text())["parity_spread"] < 1.0
 

@@ -135,7 +135,7 @@ class TestEquivalence:
         assert load_dataset(str(tmp / "saved.csv")) == expected
 
         for d in (got, expected):
-            assert list(group_households(d).items()) == reference_groups(d)
+            assert list(group_households(d)[0].items()) == reference_groups(d)
 
     def test_group_counts_and_order_on_a_larger_panel(self):
         rng = np.random.default_rng(11)
@@ -147,8 +147,10 @@ class TestEquivalence:
             for i in range(300)
         )
         d = Dataset(hs, P=2)
-        groups = group_households(d)
+        groups, first = group_households(d)
         assert list(groups.items()) == reference_groups(d)
+        sums = [HouseholdSums.from_household(h, d.P) for h in d.households]
+        assert first == [sums.index(key) for key in groups]  # each group's first household
         assert sum(groups.values()) == 300
         assert len(groups) < 150  # households do share groups
 
@@ -298,7 +300,7 @@ def test_load_validate_group_allocate_no_object_per_row(tmp_path):
 
     def load_validate_group():
         d = load_dataset(str(p))
-        return d, validate_dataset(d), group_households(d)
+        return d, validate_dataset(d), group_households(d)[0]
 
     load_validate_group()  # first-call work inside numpy
     gc.collect()

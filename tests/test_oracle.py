@@ -91,7 +91,7 @@ class TestQuadrature:
         h = Household("c", (Observation(1, (1, 1)),))
         q = quadrature_h(h, spec, QuadConfig(rel_tol=1e-8), x_scale=0.2)
         prep = prepare_dataset(Dataset((h,), P=2, x_scale=0.2), SeriesConfig(R=200))
-        (s,), _ = group_h(prep, spec)
+        (s,) = group_h(prep, spec)
         assert abs(s - q) / q < 1e-3
 
     def test_unsupported_dimension(self):
@@ -230,6 +230,6 @@ class TestMonteCarlo:
         # the truncated sum converges slowly here; R=300 brings its own bias
         # well below the Monte Carlo standard error
         prep = prepare_dataset(Dataset((h,), P=2, x_scale=0.1), SeriesConfig(R=300))
-        (s,), _ = group_h(prep, spec)
+        (s,) = group_h(prep, spec)
         est, se = mc_h(h, spec, 400_000, seed=9, x_scale=0.1)
         assert abs(s - est) < 5 * se

@@ -26,6 +26,7 @@ from conjlogit.series import (
     TruncationFailure,
     group_h,
     group_households,
+    group_spread,
     h_naive,
     log_marginal,
     log_marginal_prepared,
@@ -39,10 +40,10 @@ def single_obs(y):
     return Household(id=f"y{y}", observations=(Observation(y, (1,)),))
 
 
-def one_group(sums, R, x_scale=1.0, parity_check=False):
+def one_group(sums, R, x_scale=1.0):
     """A prepared dataset whose one group is ``sums``, with a budget-R cache."""
     d = Dataset((), P=len(sums.Y), x_scale=x_scale)
-    return prepare_dataset(d, SeriesConfig(R, parity_check), groups={sums: 1})
+    return prepare_dataset(d, SeriesConfig(R), groups=({sums: 1}, [0]))
 
 
 def cache_h(sums, cache, spec, x_scale):
@@ -89,56 +90,49 @@ class TestGroupedNaiveEquivalence:
         for _ in range(60):
             sums, spec, R = random_instance(rng)
             naive = h_naive(sums, spec, SeriesConfig(R=R), x_scale=0.2)
-            (grouped,), _ = group_h(one_group(sums, R, 0.2), spec)
+            (grouped,) = group_h(one_group(sums, R, 0.2), spec)
             assert grouped == pytest.approx(naive.value, rel=1e-12, abs=1e-300)
 
     def test_translated_prior(self):
         sums = HouseholdSums((2,), ((1, 2),))
         spec = IndependentGamma((2.0,), (3.0,), eps=0.05)
         naive = h_naive(sums, spec, SeriesConfig(R=9))
-        (grouped,), _ = group_h(one_group(sums, 9), spec)
+        (grouped,) = group_h(one_group(sums, 9), spec)
         assert grouped == pytest.approx(naive.value, rel=1e-12)
 
 
 class TestParityDiagnostics:
     def test_naive_parity_spread(self):
-        cfg = SeriesConfig(R=20, parity_check=True)
-        ev = h_naive(single_obs(0), UNIT_PRIOR, cfg)
-        plain = h_naive(single_obs(0), UNIT_PRIOR, SeriesConfig(R=20))
+        ev = h_naive(single_obs(0), UNIT_PRIOR, SeriesConfig(R=20))
         prev = h_naive(single_obs(0), UNIT_PRIOR, SeriesConfig(R=19))
-        assert ev.value == pytest.approx(plain.value, rel=1e-15)
         assert ev.parity_spread == pytest.approx(
-            abs(plain.value - prev.value) / max(plain.value, prev.value), rel=1e-12
+            abs(ev.value - prev.value) / max(ev.value, prev.value), rel=1e-12
         )
 
     def test_grouped_spread_matches_naive_spread(self):
         sums = HouseholdSums((1,), ((1, 2),))
-        cfg = SeriesConfig(R=10, parity_check=True)
+        cfg = SeriesConfig(R=10)
         ref = h_naive(sums, UNIT_PRIOR, cfg)
         h = Household("h", (Observation(1, (1,)), Observation(0, (2,))))
         prep = prepare_dataset(Dataset((h,), P=1), cfg)
         assert prep.groups == [(sums, 1)]
-        (value,), (spread,) = group_h(prep, UNIT_PRIOR)
+        (value,) = group_h(prep, UNIT_PRIOR)
+        (spread,) = group_spread(prep, UNIT_PRIOR)
         assert value == pytest.approx(ref.value, rel=1e-12)
         assert spread == pytest.approx(ref.parity_spread, rel=1e-9)
-        worst = log_marginal_prepared(prep, UNIT_PRIOR).parity_spread
-        assert worst == pytest.approx(ref.parity_spread, rel=1e-9)
 
     def test_spread_is_one_at_zero_budget(self):
         # the budget -1 mean is the empty sum, so the companion weights are 0
-        cfg = SeriesConfig(R=0, parity_check=True)
         d = tiny_dataset()
-        assert log_marginal_prepared(prepare_dataset(d, cfg), UNIT_PRIOR).parity_spread == 1.0
+        assert (group_spread(prepare_dataset(d, SeriesConfig(R=0)), UNIT_PRIOR) == 1.0).all()
         sums = HouseholdSums((1,), ((1, 2),))
-        assert group_h(one_group(sums, 0, parity_check=True), UNIT_PRIOR)[1][0] == 1.0
-        naive = SeriesConfig(R=0, parity_check=True)
-        assert h_naive(sums, UNIT_PRIOR, naive).parity_spread == 1.0
+        assert group_spread(one_group(sums, 0), UNIT_PRIOR)[0] == 1.0
+        assert h_naive(sums, UNIT_PRIOR, SeriesConfig(R=0)).parity_spread == 1.0
 
     def test_spread_contracts_with_budget(self):
         spreads = []
         for R in (50, 100, 200):
-            cfg = SeriesConfig(R=R, parity_check=True)
-            spreads.append(h_naive(single_obs(0), UNIT_PRIOR, cfg).parity_spread)
+            spreads.append(h_naive(single_obs(0), UNIT_PRIOR, SeriesConfig(R=R)).parity_spread)
         assert spreads[0] > spreads[1] > spreads[2]
 
 
@@ -177,7 +171,7 @@ class TestMgfRoute:
         spec = CheriyanRamabhadran(1.0, 0.5, 2.0)
         sums = HouseholdSums((1, 0), ((1,), (1,)))
         cache = build_cache(sums.x_vectors, 3)
-        (value,), _ = group_h(one_group(sums, 3, 0.5), spec)
+        (value,) = group_h(one_group(sums, 3, 0.5), spec)
         expected = sum(
             cnt * math.exp(log_mgf(spec, [(-0.5 * (1 + r[0]), -0.5 * (0 + r[1]))])[0])
             for r, cnt in zip(cache.r_array, cache.count_array)
@@ -406,7 +400,7 @@ class TestCountMatrixKernel:
 
     def test_parity_spread_with_preloaded_caches(self):
         d = two_attribute_dataset()
-        cfg = SeriesConfig(R=10, parity_check=True)
+        cfg = SeriesConfig(R=10)
         cold = prepare_dataset(d, cfg)
         signatures = list(cold.caches)
         for preloaded in (signatures[:1], signatures):
@@ -416,9 +410,8 @@ class TestCountMatrixKernel:
             assert all(c.R == 10 for c in prep.caches.values())
             ev = log_marginal_prepared(prep, IG2)
             ref = log_marginal_prepared(cold, IG2)
-            assert ev.parity_spread is not None
             assert ev.value == ref.value
-            assert ev.parity_spread == ref.parity_spread
+            assert group_spread(prep, IG2).max() == group_spread(cold, IG2).max()
 
     def test_cache_of_another_budget_is_rejected(self):
         # a budget-4 cache would give another value while the result said R=100
@@ -433,8 +426,7 @@ class TestGroupH:
     def test_each_group_matches_its_cache_sum(self, spec):
         d = two_attribute_dataset()
         prep = prepare_dataset(d, SeriesConfig(R=12))
-        H, spread = group_h(prep, spec)
-        assert spread is None
+        H = group_h(prep, spec)
         inner = spec.inner if isinstance(spec, PointMassGamma) else spec
         for (sums, _), h in zip(prep.groups, H):
             ref = cache_h(sums, prep.caches[sums.x_vectors], inner, d.x_scale)
@@ -443,26 +435,25 @@ class TestGroupH:
             assert h == pytest.approx(ref, rel=1e-12)
 
     def test_point_mass_is_each_households_mixture(self):
-        prep = prepare_dataset(two_attribute_dataset(), SeriesConfig(R=12, parity_check=True))
+        prep = prepare_dataset(two_attribute_dataset(), SeriesConfig(R=12))
         n_obs = [sums.n_obs for sums, _ in prep.groups]
         assert sorted(set(n_obs)) == [1, 2, 3]
-        inner, inner_spread = group_h(prep, IG2)
+        inner, inner_spread = group_h(prep, IG2), group_spread(prep, IG2)
         for w in (0.0, 0.3, 1.0):
-            H, spread = group_h(prep, PointMassGamma(w, IG2))
-            for h, n, h_inner in zip(H, n_obs, inner):
+            spec = PointMassGamma(w, IG2)
+            for h, n, h_inner in zip(group_h(prep, spec), n_obs, inner):
                 assert h == pytest.approx(w * 2.0 ** -n + (1 - w) * h_inner, rel=1e-15)
-            assert spread.tobytes() == inner_spread.tobytes()
+            assert group_spread(prep, spec).tobytes() == inner_spread.tobytes()
 
     def test_spread_matches_naive_per_group(self):
-        cfg = SeriesConfig(R=10, parity_check=True)
+        cfg = SeriesConfig(R=10)
         d = two_attribute_dataset()
         prep = prepare_dataset(d, cfg)
-        H, spread = group_h(prep, IG2)
+        H, spread = group_h(prep, IG2), group_spread(prep, IG2)
         for (sums, _), h, sp in zip(prep.groups, H, spread):
             ref = h_naive(sums, IG2, cfg, d.x_scale)
             assert h == pytest.approx(ref.value, rel=1e-12)
             assert sp == pytest.approx(ref.parity_spread, rel=1e-9)
-        assert log_marginal_prepared(prep, IG2).parity_spread == spread.max()
 
     @pytest.mark.parametrize("P, spec", [
         (1, CheriyanRamabhadran(1.0, 2.0, 3.0)),
@@ -475,16 +466,14 @@ class TestGroupH:
         h = Household("h", (Observation(1, (1,) * P), Observation(0, (2,) * P)))
         prep = prepare_dataset(Dataset((h,), P=P), SeriesConfig(R=4))
         message = f"prior has P=2 attributes but the panel has P={P}"
-        with pytest.raises(SpecError, match=message):
-            group_h(prep, spec)
-        with pytest.raises(SpecError, match=message):
-            log_marginal_prepared(prep, spec)
+        for route in (group_h, group_spread, log_marginal_prepared):
+            with pytest.raises(SpecError, match=message):
+                route(prep, spec)
 
     def test_no_groups(self):
-        prep = prepare_dataset(Dataset((), P=1), SeriesConfig(R=4, parity_check=True))
+        prep = prepare_dataset(Dataset((), P=1), SeriesConfig(R=4))
         for spec in (UNIT_PRIOR, PointMassGamma(0.5, UNIT_PRIOR)):
-            H, spread = group_h(prep, spec)
-            assert H.shape == spread.shape == (0,)
+            assert group_h(prep, spec).shape == group_spread(prep, spec).shape == (0,)
 
 
 @st.composite
@@ -523,7 +512,7 @@ class TestOrderFreeGroups:
         # the order-dependent groups, each with a cache of its own ordering
         ordered = math.fsum(
             m * math.log(cache_h(sums, build_cache(sums.x_vectors, 12), IG2, d.x_scale))
-            for sums, m in group_households(shuffled).items()
+            for sums, m in group_households(shuffled)[0].items()
         )
         assert log_marginal_prepared(b, IG2).value == pytest.approx(ordered, rel=1e-12)
         assert log_marginal_prepared(a, IG2).value == pytest.approx(
@@ -582,8 +571,9 @@ class TestInfrastructure:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SeriesConfig(R=-1)
-        with pytest.raises(TypeError):  # R and parity_check are the only settings
-            SeriesConfig(R=1, mode="naive")
+        for removed in ({"mode": "naive"}, {"parity_check": True}):
+            with pytest.raises(TypeError):  # R is the only setting
+                SeriesConfig(R=1, **removed)
 
     @given(st.integers(0, 6), st.integers(1, 3))
     @settings(max_examples=20, deadline=None)

@@ -134,7 +134,7 @@ class TestParityStudy:
         spec = IndependentGamma((5.0,), (14.0,))
         d = Dataset(tuple(hs), P=1, x_scale=0.1)
         (row,) = parity_study(d, spec, [12])
-        cfg = SeriesConfig(R=12, parity_check=True)
+        cfg = SeriesConfig(R=12)
         per_household = [h_naive(h, spec, cfg, d.x_scale).parity_spread for h in hs]
         assert row.mean_spread == pytest.approx(np.mean(per_household), rel=1e-9)
         assert row.max_spread == pytest.approx(max(per_household), rel=1e-9)
