@@ -2,8 +2,10 @@
 
 Subcommands: simulate, precompute, fit, eval, oracle-check, study, plotdata.
 Every run is deterministic given its flags and seed.  Exit codes: 0 success,
-2 usage/validation error, 3 resource limit, 4 numerical failure.  Failures
-print a machine-readable JSON object on stderr:
+2 usage/validation error, 3 a count cache too large to build (``BudgetError``:
+more knapsack states than ``diophantine.MAX_STATES``, or counts beyond
+int64), 4 numerical failure.  Failures print a machine-readable JSON object
+on stderr:
 
     {"error": {"type": "<exception class>", "message": "...", "exit_code": N}}
 
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -42,8 +43,6 @@ from .diophantine import (
     CacheFileError,
     build_cache,
     canonical_x_vectors,
-    compositions_count,
-    compositions_cum,
     fnv1a_x_vectors,
     load_cache,
     save_cache,
@@ -104,35 +103,31 @@ def _cache_path(cache_dir: str, x_hash: int, R: int) -> str:
     return os.path.join(cache_dir, f"dio_{x_hash:016x}_R{R}.bin")
 
 
-def _parse_floats(s: str) -> list[float]:
-    return [float(v) for v in s.split(",") if v != ""]
+def _parse_list(flag: str, text: str, kind=float, sep: str = ",") -> list:
+    """The ``sep``-separated values of ``flag``, each converted by ``kind``.
 
-
-def _parse_indices(s: str) -> set[int]:
+    Raises DataError naming the flag and its value when the value is empty,
+    has an empty item, or has an item that ``kind`` does not parse.
+    """
     try:
-        return {int(v) for v in s.split(",") if v.strip() != ""}
+        return [kind(v) for v in text.split(sep)]
     except ValueError:
-        raise DataError(
-            f"--recode-negative needs comma-separated attribute indices, got {s!r}"
-        ) from None
-
-
-def _parse_counts(s: str) -> list[int]:
-    return [int(v) for v in s.lower().split("x") if v != ""]
+        what = "integers" if kind is int else "numbers"
+        raise DataError(f"{flag} needs {what} separated by {sep!r}, got {text!r}") from None
 
 
 def _grid_from_args(args, P: int) -> GridSpec:
     if args.center is None:
         raise SpecError("--center is required (or --center-at-truth)")
-    counts = _parse_counts(args.grid)
+    counts = _parse_list("--grid", args.grid.lower(), int, "x")
     if len(counts) == 1:
         counts = counts * (2 * P)
     if len(counts) == 2 and P > 1:
         counts = counts * P
-    spacings = _parse_floats(args.spacing)
+    spacings = _parse_list("--spacing", args.spacing)
     if len(spacings) == 1:
         spacings = spacings * (2 * P)
-    centers = _parse_floats(args.center)
+    centers = _parse_list("--center", args.center)
     if len(centers) != 2 * P or len(counts) != 2 * P or len(spacings) != 2 * P:
         raise SpecError(
             f"grid needs {2*P} axes (b1,n1,...,b{P},n{P}); "
@@ -146,8 +141,8 @@ def _grid_from_args(args, P: int) -> GridSpec:
 def _true_spec(args) -> IndependentGamma:
     """The prior of ``--b``, ``--n`` and ``--eps``; a single b or n applies
     to all ``--P`` attributes."""
-    b = _parse_floats(args.b)
-    n = _parse_floats(args.n)
+    b = _parse_list("--b", args.b)
+    n = _parse_list("--n", args.n)
     if len(b) == 1:
         b = b * args.P
     if len(n) == 1:
@@ -162,7 +157,7 @@ def _load_data(args) -> Dataset:
     if getattr(args, "drop_degenerate", False):
         d = drop_degenerate(d)
     if getattr(args, "recode_negative", None):
-        d = recode_negative(d, _parse_indices(args.recode_negative))
+        d = recode_negative(d, set(_parse_list("--recode-negative", args.recode_negative, int)))
     violations = validate_dataset(d)
     if violations:
         raise DataError(
@@ -214,8 +209,8 @@ def cmd_simulate(args) -> int:
     design = SimDesign(
         I=args.I, J=args.J, N=args.N, P=P, true_spec=spec,
         grid=GridSpec((GridAxis(spec.b[0], 1, 1.0),) * (2 * P)),  # unused by simulate
-        R=1, c=args.scale, x_support=tuple(int(v) for v in args.x_support.split(",")),
-        replicates=max(args.replicate + 1, 1), seed=args.seed,
+        R=1, c=args.scale, x_support=tuple(_parse_list("--x-support", args.x_support, int)),
+        seed=args.seed,
     )
     d = simulate_dataset(design, args.replicate)
     save_dataset(d, args.output)
@@ -226,34 +221,20 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_precompute(args) -> int:
+    SeriesConfig(R=args.R)  # rejects a negative budget, dry run or not
     d = _load_data(args)
     cache_dir = _cache_dir(args)
     plans = []
     for xv, n_households in _signatures(group_households(d)[0]).items():
-        M = len(xv[0])
-        admitted = compositions_cum(args.R, M)
-        shell = compositions_count(args.R, M)
         x_hash = fnv1a_x_vectors(xv)
-        plans.append((xv, x_hash, admitted))
-        print(
-            f"signature {x_hash:016x}: {n_households} households, "
-            f"M={M}, admitted k-tuples C({args.R + M},{M}) = {admitted}, "
-            f"feasibility estimate C({args.R + M - 1},{M - 1}) ~ "
-            f"10^{math.log10(shell):.1f}"
-        )
+        plans.append((xv, x_hash))
+        print(f"signature {x_hash:016x}: {n_households} households, M={len(xv[0])}")
     if args.dry_run:
         print("dry run: no caches built")
         return EXIT_OK
-    over = [admitted for _, _, admitted in plans if admitted > args.limit]
-    if over:
-        raise BudgetError(
-            f"{len(over)} signature(s) exceed the admission limit {args.limit}; "
-            f"largest C(R+M,M) = {max(over)}"
-        )
-    os.makedirs(cache_dir, exist_ok=True)
     built = reused = rebuilt = 0
     missing: dict[tuple, list] = {}  # canonical signature -> (xv, path) of files to write
-    for xv, x_hash, _ in plans:
+    for xv, x_hash in plans:
         path = _cache_path(cache_dir, x_hash, args.R)
         if os.path.exists(path):
             try:
@@ -265,12 +246,14 @@ def cmd_precompute(args) -> int:
                 continue
             rebuilt += 1  # unreadable, or built at another budget: overwrite it
         missing.setdefault(canonical_x_vectors(xv), []).append((xv, path))
+    # one knapsack run per canonical signature, all before any file is
+    # written, so a BudgetError leaves the directory as it was; each
+    # ordering's file holds the same counts under its own x_vectors
+    caches = {canon: build_cache(canon, args.R) for canon in missing}
+    os.makedirs(cache_dir, exist_ok=True)
     for canon, files in missing.items():
-        # one knapsack run per canonical signature; each ordering's file
-        # holds the same counts under its own x_vectors
-        cache = build_cache(canon, args.R, args.limit)
         for xv, path in files:
-            save_cache(cache.relabel(xv), path)
+            save_cache(caches[canon].relabel(xv), path)
         built += len(files)
     summary = f"built {built} cache(s), reused {reused}"
     if rebuilt:
@@ -364,7 +347,7 @@ def cmd_study(args) -> int:
     design = SimDesign(
         I=args.I, J=args.J, N=args.N, P=P, true_spec=spec, grid=grid,
         R=args.R, c=args.scale,
-        x_support=tuple(int(v) for v in args.x_support.split(",")),
+        x_support=tuple(_parse_list("--x-support", args.x_support, int)),
         replicates=args.replicates, seed=args.seed,
     )
     report = run_study(design, n_tests=args.n_tests)
@@ -450,10 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("precompute", help="build per-signature count caches")
     _add_data_flags(p)
     p.add_argument("--R", type=int, required=True)
-    p.add_argument("--dry-run", action="store_true")
-    p.add_argument("--limit", type=int, default=10**9,
-                   help="admission limit on C(R+M, M), the number of k-tuples "
-                        "a signature's counts cover")
+    p.add_argument("--dry-run", action="store_true",
+                   help="list each signature's hash, household count and M; build nothing")
     p.set_defaults(func=cmd_precompute)
 
     p = sub.add_parser("fit", help="grid (optionally Newton-refined) fit")

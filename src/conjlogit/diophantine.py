@@ -6,7 +6,9 @@ k_1+...+k_M <= R contributes the parity sign (-1)^(k.1) to the r-tuple of its
 dot products r_p = k . x_p.  Those signed counts are the coefficients of
 prod_m 1/(1 + u z^{x_m}) truncated at u-degree R.  They are built by a
 per-column knapsack recurrence over the reachable (shell, r) states, so the
-cost follows the number of states rather than the C(R+M, M) k-tuples counted.
+cost follows the number of states rather than the C(R+M, M) k-tuples counted,
+and the one resource guard is on those states: a column that would hold more
+than ``MAX_STATES`` of them raises :class:`BudgetError` before it is built.
 The counts from the final shells k.1 == R and k.1 == R-1 are kept as well, so
 the series can return the Euler mean of its last two shell partial sums, and
 the same mean one budget lower for the parity spread, the error estimate that
@@ -33,17 +35,21 @@ import numpy as np
 
 
 class BudgetError(RuntimeError):
-    """Truncation budget admits more k-tuples than the admission limit."""
+    """The knapsack DP would build more than ``MAX_STATES`` states, or the
+    signed counts of the budget could leave the int64 range."""
 
 
 class CacheFileError(RuntimeError):
     """Corrupt, truncated, mismatched or unsupported cache file."""
 
 
-DEFAULT_ADMISSION_LIMIT = 10**9
-CACHE_FORMAT_VERSION = 3
+CACHE_FORMAT_VERSION = 4
+# (shell, r) states one DP column may hold; about 157 bytes each at the peak
+# of a build, so 2**24 states is about 2.6 GB
+MAX_STATES = 2**24
 
 _MAGIC = b"DIOC"
+_HEADER = "<HIIIQQ"  # version, M, P, R, x_vectors hash, record count
 _I64_MAX = 2**63 - 1
 
 
@@ -146,7 +152,6 @@ class DioCache:
     x_vectors: tuple[tuple[int, ...], ...]
     R: int
     entries: Mapping[tuple[int, ...], int]
-    admitted: int  # number of k-tuples the counts cover, == C(R+M, M)
     final_shell: Mapping[tuple[int, ...], int]
     prev_shell: Mapping[tuple[int, ...], int]
 
@@ -202,7 +207,7 @@ class DioCache:
             raise ValueError(
                 f"x_vectors {xv} are not a column permutation of the cache's {self.x_vectors}"
             )
-        return _cache_from_arrays(xv, self.R, self.admitted, *self.columns())
+        return _cache_from_arrays(xv, self.R, *self.columns())
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The int64 columns (r-tuples, c(r), c_R(r), c_{R-1}(r)) in r-total order.
@@ -242,30 +247,26 @@ def _check_x_vectors(x_vectors) -> tuple[tuple[int, ...], ...]:
     return xv
 
 
-def build_cache(
-    x_vectors,
-    R: int,
-    admission_limit: int = DEFAULT_ADMISSION_LIMIT,
-) -> DioCache:
-    """Signed counts per r-tuple over the truncation simplex k.1 <= R."""
+def build_cache(x_vectors, R: int) -> DioCache:
+    """Signed counts per r-tuple over the truncation simplex k.1 <= R.
+
+    Raises :class:`BudgetError` when C(R+M, M) exceeds the int64 range or a
+    DP column would hold more than ``MAX_STATES`` states.
+    """
     xv = _check_x_vectors(x_vectors)
     M = len(xv[0])
     if R < 0:
         raise ValueError("R must be non-negative")
-    admitted = compositions_cum(R, M)
-    if admitted > admission_limit:
-        raise BudgetError(
-            f"C(R+M, M) = C({R+M},{M}) = {admitted} exceeds admission limit {admission_limit}"
-        )
-    if admitted > _I64_MAX:
+    tuples = compositions_cum(R, M)
+    if tuples > _I64_MAX:
         # every partial sum of the DP is at most C(R+M, M), so i64 is exact below this
         raise BudgetError(
-            f"C(R+M, M) = C({R+M},{M}) = {admitted} exceeds the i64 range of the signed counts"
+            f"C(R+M, M) = C({R+M},{M}) = {tuples} exceeds the i64 range of the signed counts"
         )
     s, r, n = _shell_states(np.array(xv, dtype=np.int64).T, R)
     signed = np.where(s & 1, -n, n)
     order = np.lexsort((*r[:, ::-1].T, r.sum(axis=1)))  # the (total, tuple) order of r_array
-    return _cache_from_states(xv, R, admitted, s[order], r[order], signed[order])
+    return _cache_from_states(xv, R, s[order], r[order], signed[order])
 
 
 def _shell_states(cols: np.ndarray, R: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -280,13 +281,15 @@ def _shell_states(cols: np.ndarray, R: int) -> tuple[np.ndarray, np.ndarray, np.
     column groups the states into chains (keyed by where they reach shell R),
     extends every chain from its first state up to shell R and takes one
     cumsum.  Only reachable states are stored, so the work grows with their
-    number, not with the C(R+M, M) k-tuples they count.  Returns (s, r, N)
-    with N > 0 everywhere.
+    number, not with the C(R+M, M) k-tuples they count; a column that would
+    hold more than ``MAX_STATES`` raises :class:`BudgetError` before it is
+    allocated.  Returns (s, r, N) with N > 0 everywhere.
     """
+    _check_states(R + 1, 1, len(cols), R)
     s = np.arange(R + 1, dtype=np.int64)  # the first column alone: one chain from 0
     r = s[:, None] * cols[0]
     n = np.ones(R + 1, dtype=np.int64)
-    for x in cols[1:]:
+    for m, x in enumerate(cols[1:], 2):
         end = r + (R - s)[:, None] * x  # where each state's chain meets shell R
         order = np.lexsort((s, *end.T[::-1]))
         s, end, n = s[order], end[order], n[order]
@@ -297,6 +300,7 @@ def _shell_states(cols: np.ndarray, R: int) -> tuple[np.ndarray, np.ndarray, np.
         offset = np.cumsum(length) - length
         chain = np.cumsum(first) - 1
         total = int(offset[-1] + length[-1])
+        _check_states(total, m, len(cols), R)
         delta = np.zeros(total, dtype=np.int64)
         delta[offset[chain] + s - s0[chain]] = n
         c = np.cumsum(delta)
@@ -304,6 +308,14 @@ def _shell_states(cols: np.ndarray, R: int) -> tuple[np.ndarray, np.ndarray, np.
         s = np.repeat(s0 - offset, length) + np.arange(total)
         r = np.repeat(end[heads], length, axis=0) - (R - s)[:, None] * x
     return s, r, n
+
+
+def _check_states(total: int, m: int, M: int, R: int) -> None:
+    if total > MAX_STATES:
+        raise BudgetError(
+            f"the knapsack DP needs {total} (shell, r) states for column {m} of {M} "
+            f"at R={R}, more than MAX_STATES = {MAX_STATES}"
+        )
 
 
 def _new_rows(a: np.ndarray) -> np.ndarray:
@@ -314,7 +326,7 @@ def _new_rows(a: np.ndarray) -> np.ndarray:
     return new
 
 
-def _cache_from_states(xv, R, admitted, s, r, signed) -> DioCache:
+def _cache_from_states(xv, R, s, r, signed) -> DioCache:
     # states sorted by r in the r_array order; one entry per distinct r,
     # kept even where its shells cancel to a net count of 0
     new = _new_rows(r)
@@ -325,16 +337,14 @@ def _cache_from_states(xv, R, admitted, s, r, signed) -> DioCache:
     final, before = s == R, s == R - 1
     last[row[final]] = signed[final]
     prev[row[before]] = signed[before]
-    return _cache_from_arrays(
-        xv, R, admitted, r[heads], np.add.reduceat(signed, heads), last, prev
-    )
+    return _cache_from_arrays(xv, R, r[heads], np.add.reduceat(signed, heads), last, prev)
 
 
-def _cache_from_arrays(xv, R, admitted, r, raw, last, prev) -> DioCache:
+def _cache_from_arrays(xv, R, r, raw, last, prev) -> DioCache:
     """A cache over its r_array-ordered int64 columns: r-tuples, raw counts,
     and the shell-R and shell-(R-1) counts."""
     return DioCache(
-        xv, R, CountView(r, raw), admitted,
+        xv, R, CountView(r, raw),
         CountView(r, last, skip_zeros=True), CountView(r, prev, skip_zeros=True),
     )
 
@@ -446,11 +456,12 @@ def tail_sum_direct(inp: TailBoundInput, rel_tol: float = 1e-16) -> float:
 # Cache persistence
 #
 # Layout (little-endian): magic "DIOC", u16 version, u32 M, u32 P, u32 R,
-# u64 FNV-1a hash of x_vectors, u64 admitted count, u64 record count, the
-# x_vectors themselves (P*M i64), then sorted (r-tuple i64*P, count i64,
-# shell-R count i64, shell-(R-1) count i64) records, then u32 CRC32 of the
-# record body.  Version 1 files lack both shell columns and version 2 files
-# the shell-(R-1) column; both are rejected.
+# u64 FNV-1a hash of x_vectors (at byte 18), u64 record count, the
+# x_vectors themselves (P*M i64, from byte 34), then sorted (r-tuple i64*P,
+# count i64, shell-R count i64, shell-(R-1) count i64) records, then u32
+# CRC32 of the record body.  Version 1 files lack both shell columns,
+# version 2 files the shell-(R-1) column, and version 3 files carry an
+# unused u64 k-tuple count before the record count; all are rejected.
 # ---------------------------------------------------------------------------
 
 def save_cache(cache: DioCache, path: str) -> None:
@@ -459,14 +470,7 @@ def save_cache(cache: DioCache, path: str) -> None:
     except OverflowError as e:  # a dict-built cache with a count beyond int64
         raise CacheFileError(f"a signed count exceeds the i64 file range ({e})") from None
     header = _MAGIC + struct.pack(
-        "<HIIIQQQ",
-        CACHE_FORMAT_VERSION,
-        cache.M,
-        cache.P,
-        cache.R,
-        cache.x_hash,
-        cache.admitted,
-        len(raw),
+        _HEADER, CACHE_FORMAT_VERSION, cache.M, cache.P, cache.R, cache.x_hash, len(raw)
     )
     xdata = struct.pack(f"<{cache.P * cache.M}q", *(v for vec in cache.x_vectors for v in vec))
     rec = np.empty((len(raw), cache.P + 3), dtype="<i8")
@@ -492,10 +496,10 @@ def load_cache(path: str, expect_x_vectors=None, expect_hash: int | None = None)
     """
     with open(path, "rb") as f:
         raw = f.read()
-    hdr_size = 4 + struct.calcsize("<HIIIQQQ")
+    hdr_size = 4 + struct.calcsize(_HEADER)
     if len(raw) < hdr_size or raw[:4] != _MAGIC:
         raise CacheFileError(f"{path}: not a cache file (bad magic)")
-    version, M, P, R, xh, admitted, n_rec = struct.unpack("<HIIIQQQ", raw[4:hdr_size])
+    version, M, P, R, xh, n_rec = struct.unpack(_HEADER, raw[4:hdr_size])
     if version != CACHE_FORMAT_VERSION:
         raise CacheFileError(
             f"{path}: format version {version}, expected {CACHE_FORMAT_VERSION}"
@@ -522,4 +526,4 @@ def load_cache(path: str, expect_x_vectors=None, expect_hash: int | None = None)
     # Records are stored sorted by (total, tuple), the order of r_array; the
     # cache's columns are read-only views of the record bytes.
     rec = np.frombuffer(body, dtype="<i8").reshape(n_rec, P + 3)
-    return _cache_from_arrays(xv, R, admitted, rec[:, :P], *rec[:, P:].T)
+    return _cache_from_arrays(xv, R, rec[:, :P], *rec[:, P:].T)

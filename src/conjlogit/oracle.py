@@ -286,10 +286,13 @@ def mc_h(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of H_i with its standard error.
 
-    ``n_draws`` must be at least 2, or there is no standard error.
+    ``n_draws`` must be at least 2, or there is no standard error, and
+    ``seed`` an integer in [0, 2**64).
     """
     if n_draws < 2:
         raise ValueError(f"Monte Carlo needs at least 2 draws, got {n_draws}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"Monte Carlo seed must be an integer in [0, 2**64), got {seed}")
     rng = _rng_for(seed, h.id)
     betas = sample_prior(spec, n_draws, rng)
     X = np.array([obs.x for obs in h.observations], dtype=float) * x_scale

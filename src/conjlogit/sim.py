@@ -48,6 +48,8 @@ class SimDesign:
         if not self.x_support or not all(isinstance(v, int) and v > 0 for v in self.x_support):
             raise ValueError(f"covariate support must be one or more positive integers, "
                              f"got {self.x_support}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed}")
 
 
 def _rng(seed: int, rep: int):
@@ -61,8 +63,10 @@ def simulate_dataset(design: SimDesign, rep: int) -> Dataset:
 
     Coefficients are Gamma draws per household; covariates are uniform on the
     integer support; the purchase probability is exp(-v) / (1 + exp(-v)) with
-    v the scaled covariate index.
+    v the scaled covariate index.  ``rep`` is an integer in [0, 2**64).
     """
+    if not 0 <= rep < 2**64:
+        raise ValueError(f"replicate must be an integer in [0, 2**64), got {rep}")
     rng = _rng(design.seed, rep)
     spec = design.true_spec
     M = design.J * design.N
@@ -133,8 +137,13 @@ def run_study(design: SimDesign, n_tests: int | None = None) -> SimReport:
 
     ``n_tests`` sets the Bonferroni family size (defaults to the number of
     parameters in this study, 2P); studies reported jointly should share one
-    family size.
+    family size.  Needs at least 2 replicates, for a standard deviation, and
+    n_tests >= 1.
     """
+    if design.replicates < 2:
+        raise ValueError(f"a study needs at least 2 replicates, got {design.replicates}")
+    if n_tests is not None and n_tests < 1:
+        raise ValueError(f"n_tests, the Bonferroni family size, must be at least 1, got {n_tests}")
     cfg = SeriesConfig(R=design.R)
     ests = np.empty((design.replicates, 2 * design.P))
     boundary = 0

@@ -4,6 +4,7 @@ import os
 import struct
 import zlib
 
+import numpy as np
 import pytest
 
 from conjlogit import __version__, cli, diophantine
@@ -188,20 +189,19 @@ class TestSimulate:
 
 
 class TestPrecompute:
-    def test_dry_run_prints_feasibility_estimate(self, tmp_path, capsys):
-        # one household with 40 observations: R=9 gives the ~10^9.2 row
+    def test_dry_run_lists_signatures(self, tmp_path, capsys):
         h = Household("a", tuple(Observation(0, (1,)) for _ in range(40)))
         p = tmp_path / "d.csv"
         save_dataset(Dataset((h,), P=1), str(p))
-        code, out, _ = run(
-            ["precompute", "--data", str(p), "--R", "9", "--dry-run",
-             "--cache-dir", str(tmp_path / "c")],
-            capsys,
-        )
+        argv = ["precompute", "--data", str(p), "--dry-run", "--cache-dir", str(tmp_path / "c")]
+        code, out, _ = run(argv + ["--R", "9"], capsys)
         assert code == 0
-        assert "10^9.2" in out
-        assert "dry run" in out
+        x_hash = fnv1a_x_vectors(((1,) * 40,))
+        assert out == f"signature {x_hash:016x}: 1 households, M=40\ndry run: no caches built\n"
         assert not (tmp_path / "c").exists()
+        code, out, err = run(argv + ["--R", "-1"], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["message"] == "R must be non-negative"
 
     def test_identical_signatures_share_one_cache(self, tmp_path, sim_csv, capsys):
         # force identical covariates so all households share a signature
@@ -224,20 +224,29 @@ class TestPrecompute:
         assert code == 0
         assert "reused 1" in out
 
-    def test_admission_limit_exit_3(self, tmp_path, capsys):
-        h = Household("a", tuple(Observation(0, (1,)) for _ in range(40)))
+    def test_state_cap_exit_3(self, tmp_path, capsys, monkeypatch):
+        # at R=9 the one-observation signature needs 10 states, and the
+        # three-observation one 55 in its second column; under a cap of 20 the
+        # second is refused, and precompute writes nothing, not even the first file
+        hs = (Household("a", (Observation(1, (2,)),)),
+              Household("b", tuple(Observation(0, (v,)) for v in (1, 2, 3))))
         p = tmp_path / "d.csv"
-        save_dataset(Dataset((h,), P=1), str(p))
-        code, out, err = run(
-            ["precompute", "--data", str(p), "--R", "9", "--limit", "1000",
-             "--cache-dir", str(tmp_path / "c")],
-            capsys,
-        )
-        assert code == 3
-        blob = json.loads(err)
-        assert blob["error"]["exit_code"] == 3
+        save_dataset(Dataset(hs, P=1), str(p))
+        spec_p = tmp_path / "spec.json"
+        save_spec(IndependentGamma((5.0,), (14.0,)), str(spec_p))
+        monkeypatch.setattr(diophantine, "MAX_STATES", 20)
+        cdir = tmp_path / "c"
+        for argv in (["precompute"], ["eval", "--spec", str(spec_p)]):
+            code, out, err = run(argv + ["--data", str(p), "--R", "9", "--cache-dir", str(cdir)],
+                                 capsys)
+            assert code == 3 and "built" not in out and "loglik" not in out
+            error = json.loads(err)["error"]
+            assert error["type"] == "BudgetError" and error["exit_code"] == 3
+            assert "needs 55 (shell, r) states for column 2 of 3" in error["message"]
+            assert "MAX_STATES = 20" in error["message"]
+            assert not cdir.exists()
 
-    @pytest.mark.parametrize("damage", ["v1", "v2", "truncated"])
+    @pytest.mark.parametrize("damage", ["v1", "v2", "v3", "truncated"])
     def test_unreadable_cache_file_is_rebuilt(self, tmp_path, capsys, damage):
         hs = (Household("a", (Observation(1, (2,)),)), Household("b", (Observation(0, (1,)),)))
         p = tmp_path / "d.csv"
@@ -247,19 +256,18 @@ class TestPrecompute:
         assert run(argv, capsys)[0] == 0
         files = sorted(cdir.glob("*.bin"))
         good = files[0].read_bytes()
-        if damage in ("v1", "v2"):
+        if damage != "truncated":
             # v1 records are (r-tuple, count) without the final-shell column,
-            # v2 records (r-tuple, count, final-shell count) without shell R-1
+            # v2 records (r-tuple, count, final-shell count) without shell R-1,
+            # and v1 to v3 headers hold the k-tuple count C(R+M, M)
             c = load_cache(str(files[0]))
             version = int(damage[1])
             header = b"DIOC" + struct.pack(
-                "<HIIIQQQ", version, c.M, c.P, c.R, c.x_hash, c.admitted, len(c.entries)
+                "<HIIIQQQ", version, c.M, c.P, c.R, c.x_hash, math.comb(c.R + c.M, c.M),
+                len(c.entries),
             )
             xdata = struct.pack(f"<{c.M}q", *c.x_vectors[0])
-            r_col, raw = c.columns()[:2]
-            rows = [(*r, n, c.final_shell.get(r, 0))[:version + 1]
-                    for r, n in zip(map(tuple, r_col.tolist()), raw.tolist())]
-            body = b"".join(struct.pack(f"<{version + 1}q", *row) for row in rows)
+            body = np.column_stack(c.columns()[:version + 1]).astype("<i8").tobytes()
             files[0].write_bytes(header + xdata + body + struct.pack("<I", zlib.crc32(body)))
         else:
             files[0].write_bytes(good[:-10])
@@ -366,7 +374,8 @@ class TestEvalAndFit:
         ["eval", "--spec", "s.json", "--parity-check"],
         ["fit", "--center", "5,14", "--parity-check"],
         ["fit", "--center", "5,14", "--family", "gamma"],
-    ], ids=["eval-parity-check", "fit-parity-check", "fit-family"])
+        ["precompute", "--R", "5", "--limit", "5"],
+    ], ids=["eval-parity-check", "fit-parity-check", "fit-family", "precompute-limit"])
     def test_removed_flags_are_rejected(self, sim_csv, capsys, argv):
         with pytest.raises(SystemExit) as e:
             main(argv + ["--data", str(sim_csv)])
@@ -503,8 +512,10 @@ def test_config_value_is_parsed_by_the_flag_type(tmp_path, sim_csv, capsys):
     ("[7]", "JSON object"),
     ('{"mode": "naive", "parity-chek": true, "R": 7}', "'mode', 'parity-chek'"),
     ('{"parity-check": true, "family": "gamma"}', "'parity-check', 'family'"),
+    ('{"limit": 5}', "no subcommand has a flag for key(s) 'limit'"),
     ('{"newton": "yes"}', "true or false"),
-], ids=["missing", "not-json", "not-object", "unknown-keys", "removed-flags", "not-a-switch"])
+], ids=["missing", "not-json", "not-object", "unknown-keys", "removed-flags", "removed-limit",
+        "not-a-switch"])
 def test_bad_config_exits_2_with_one_line(tmp_path, sim_csv, capsys, content, words):
     cfg = tmp_path / "cfg.json"
     if content is not None:
@@ -924,3 +935,68 @@ def test_malformed_spec_exits_2_with_one_line(tmp_path, capsys, text, words):
     assert len(err.splitlines()) == 1
     error = json.loads(err)["error"]
     assert error["type"] == "SpecError" and error["message"].startswith(words)
+
+
+def bad_value_argv(tmp_path, sim_csv, command):
+    """A run of ``command`` that succeeds until a flag appended to it is bad;
+    its output file is ``tmp_path / "out"``."""
+    out = str(tmp_path / "out")
+    spec_p = tmp_path / "spec.json"
+    save_spec(IndependentGamma((5.0,), (14.0,)), str(spec_p))
+    return {
+        "simulate": ["simulate", "--I", "3", "--b", "5", "--n", "14", "-o", out],
+        "fit": ["fit", "--data", str(sim_csv), "--R", "10", "--center", "5,14", "-o", out,
+                "--cache-dir", str(tmp_path / "c")],
+        "precompute": ["precompute", "--data", str(sim_csv), "--R", "10",
+                       "--cache-dir", out],
+        "oracle-check": ["oracle-check", "--data", str(sim_csv), "--spec", str(spec_p),
+                         "--R", "10", "--cache-dir", out],
+        "study": ["study", "--I", "20", "--R", "10", "--replicates", "2",
+                  "--center-at-truth", "-o", out],
+    }[command]
+
+
+@pytest.mark.parametrize("command, flag, value, sep, what", [
+    ("simulate", "--x-support", "", ",", "integers"),
+    ("simulate", "--x-support", "1.5", ",", "integers"),
+    ("simulate", "--x-support", "1,,2", ",", "integers"),
+    ("simulate", "--b", "5,x", ",", "numbers"),
+    ("simulate", "--n", "", ",", "numbers"),
+    ("fit", "--grid", "5xa", "x", "integers"),
+    ("fit", "--grid", "5x", "x", "integers"),
+    ("fit", "--center", "5,abc", ",", "numbers"),
+    ("fit", "--spacing", "0.1,", ",", "numbers"),
+    ("precompute", "--recode-negative", "0,x", ",", "integers"),
+    ("study", "--x-support", "1,a", ",", "integers"),
+])
+def test_bad_list_value_exits_2_naming_the_flag(tmp_path, sim_csv, capsys, command, flag,
+                                                 value, sep, what):
+    argv = bad_value_argv(tmp_path, sim_csv, command) + [f"{flag}={value}"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["message"] == f"{flag} needs {what} separated by {sep!r}, got {value!r}"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("simulate", "--seed", "-1", "seed must be an integer in [0, 2**64), got -1"),
+    ("simulate", "--seed", str(2**64),
+     f"seed must be an integer in [0, 2**64), got {2**64}"),
+    ("simulate", "--replicate", "-1", "replicate must be an integer in [0, 2**64), got -1"),
+    ("oracle-check", "--seed", "-1",
+     "Monte Carlo seed must be an integer in [0, 2**64), got -1"),
+    ("study", "--seed", "-1", "seed must be an integer in [0, 2**64), got -1"),
+    ("study", "--replicates", "0", "a study needs at least 2 replicates, got 0"),
+    ("study", "--replicates", "1", "a study needs at least 2 replicates, got 1"),
+    ("study", "--n-tests", "0",
+     "n_tests, the Bonferroni family size, must be at least 1, got 0"),
+])
+def test_bad_seed_or_count_is_a_usage_error(tmp_path, sim_csv, capsys, command, flag, value,
+                                            message):
+    argv = bad_value_argv(tmp_path, sim_csv, command) + [f"{flag}={value}"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert (error["type"], error["message"]) == ("ValueError", message)
+    assert not (tmp_path / "out").exists()

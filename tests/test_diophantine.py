@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conjlogit import diophantine
 from conjlogit.diophantine import (
     BudgetError,
     CACHE_FORMAT_VERSION,
@@ -60,7 +61,6 @@ class TestBuildCache:
         # k=(0,0)->r=0 (+), k=(1,0),(0,1)->r=1 (-), k=(2,0),(1,1),(0,2)->r=2 (+)
         c = build_cache(((1, 1),), 2)
         assert c.entries == {(0,): 1, (1,): -2, (2,): 3}
-        assert c.admitted == compositions_cum(2, 2)
 
     def test_all_ones_specialization(self):
         # With every covariate equal to 1, r = k.1 so the signed count at r
@@ -118,9 +118,18 @@ class TestBuildCache:
         assert not c.prev_shell
         assert np.array_equal(c.companion_array, [0.0])
 
-    def test_admission_limit(self):
-        with pytest.raises(BudgetError):
-            build_cache(((1,) * 40,), 9, admission_limit=10**6)
+    def test_state_cap(self, monkeypatch):
+        # x = (1, 2) at R=4: the second column holds the 15 states (s, r)
+        # with s <= r <= 2s, over the 9 r-tuples 0..8
+        monkeypatch.setattr(diophantine, "MAX_STATES", 15)
+        assert len(build_cache(((1, 2),), 4).entries) == 9
+        monkeypatch.setattr(diophantine, "MAX_STATES", 14)
+        with pytest.raises(BudgetError, match=r"needs 15 \(shell, r\) states for column 2 "
+                                              r"of 2 at R=4, more than MAX_STATES = 14"):
+            build_cache(((1, 2),), 4)
+        monkeypatch.setattr(diophantine, "MAX_STATES", 4)
+        with pytest.raises(BudgetError, match="needs 5 .* column 1 of 2"):
+            build_cache(((1, 2),), 4)  # the first column alone: one chain of R+1 states
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -133,8 +142,10 @@ class TestBuildCache:
     @given(st.integers(0, 10), st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
     def test_admitted_always_matches_formula(self, R, M):
+        # with all-ones covariates r = k.1, so each stored count is one
+        # shell's, and their sizes add up to the C(R+M, M) k-tuples of the budget
         c = build_cache(((1,) * M,), R)
-        assert c.admitted == compositions_cum(R, M)
+        assert sum(abs(v) for v in c.entries.values()) == compositions_cum(R, M)
 
 
 # zero covariates in one row, P=3, and the R=0 budget
@@ -154,7 +165,6 @@ def assert_companion_matches_direct_build(xv, R):
     c = build_cache(xv, R)
     below = build_cache(xv, R - 1)
     assert below.R == R - 1
-    assert below.admitted == compositions_cum(R - 1, c.M)
     rows = {r: i for i, r in enumerate(c.entries)}
     shared = np.array([rows[r] for r in below.entries])
     assert np.array_equal(c.r_array[shared], below.r_array)
@@ -201,7 +211,6 @@ class TestShellCountDP:
         xv = ((1, 2, 3, 1, 2, 3, 2, 1),)
         R, M = 40, 8
         c = build_cache(xv, R)
-        assert c.admitted == compositions_cum(R, M)
         assert sum(c.entries.values()) == sum(
             (-1) ** s * compositions_count(s, M) for s in range(R + 1)
         )
@@ -209,14 +218,25 @@ class TestShellCountDP:
         assert min(r for (r,) in c.final_shell) == R
         assert max(r for (r,) in c.entries) == 3 * R
 
-    def test_i64_guard_ignores_raised_admission_limit(self):
-        # C(240, 40) ~ 6.3e45: above 10**40, and above 2**63 under 10**50
-        with pytest.raises(BudgetError):
-            build_cache(((1,) * 40,), 200, admission_limit=10**40)
-        with pytest.raises(BudgetError, match="i64"):
-            build_cache(((1,) * 40,), 200, admission_limit=10**50)
-        with pytest.raises(BudgetError, match="i64"):
-            build_cache(((1,) * 24,), 200, admission_limit=10**50)
+    def test_all_ones_beyond_enumeration(self):
+        # C(108, 8) ~ 3.5e11 k-tuples, but only 101 states per column
+        M, R = 8, 100
+        c = build_cache(((1,) * M,), R)
+        assert len(c.entries) == R + 1
+        for r in range(R + 1):
+            assert c.entries[(r,)] == (-1) ** r * compositions_count(r, M)
+        assert sum(c.entries.values()) == sum(
+            (-1) ** s * compositions_count(s, M) for s in range(R + 1)
+        )
+        assert c.final_shell == {(R,): compositions_count(R, M)}
+        assert c.prev_shell == {(R - 1,): -compositions_count(R - 1, M)}
+
+    def test_i64_guard(self):
+        # C(80, 40) ~ 1.1e23, C(240, 40) ~ 6.3e45 and C(224, 24) ~ 3.4e31
+        # all exceed 2**63 - 1, while every state count stays far below the cap
+        for M, R in ((40, 40), (40, 200), (24, 200)):
+            with pytest.raises(BudgetError, match="i64"):
+                build_cache(((1,) * M,), R)
 
 
 class TestCanonicalSignatures:
@@ -267,8 +287,8 @@ class TestPersistence:
         assert c2.entries == c.entries
         assert np.array_equal(c2.count_array, c.count_array)
         assert c2.R == c.R
-        assert c2.admitted == c.admitted
         assert c2.x_vectors == c.x_vectors
+        assert c2 == c
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "c.bin"
@@ -308,10 +328,13 @@ class TestPersistence:
     def write_old_format(self, path, version):
         # v1 records are (r-tuple, count) and v2 records add the final-shell
         # count; v1 would silently give the raw partial sum instead of the
-        # mean, and v2 lacks the shell-(R-1) column of the parity companion
+        # mean, and v2 lacks the shell-(R-1) column of the parity companion.
+        # v1 to v3 headers hold the k-tuple count C(R+M, M) before the
+        # record count.
         c = self.make()
         header = b"DIOC" + struct.pack(
-            "<HIIIQQQ", version, c.M, c.P, c.R, c.x_hash, c.admitted, len(c.entries)
+            "<HIIIQQQ", version, c.M, c.P, c.R, c.x_hash, math.comb(c.R + c.M, c.M),
+            len(c.entries),
         )
         xdata = struct.pack(f"<{c.P * c.M}q", *(v for vec in c.x_vectors for v in vec))
         body = np.column_stack(c.columns()[:version + 1]).astype("<i8").tobytes()
@@ -326,7 +349,14 @@ class TestPersistence:
     def test_v2_file_rejected(self, tmp_path):
         p = tmp_path / "c.bin"
         self.write_old_format(p, 2)
-        with pytest.raises(CacheFileError, match="format version 2, expected 3"):
+        with pytest.raises(CacheFileError, match="format version 2, expected 4"):
+            load_cache(str(p))
+
+    def test_v3_file_rejected(self, tmp_path):
+        # v3 records are today's; only the header's k-tuple count is gone
+        p = tmp_path / "c.bin"
+        self.write_old_format(p, 3)
+        with pytest.raises(CacheFileError, match="format version 3, expected 4"):
             load_cache(str(p))
 
     def test_signature_mismatch(self, tmp_path):
@@ -344,7 +374,7 @@ class TestPersistence:
         p = tmp_path / "c.bin"
         save_cache(c, str(p))
         data = bytearray(p.read_bytes())
-        data[18 if damage == "header hash" else 50] ^= 0x01  # hash at 18, x_vectors at 50
+        data[18 if damage == "header hash" else 34] ^= 0x01  # hash at 18, x_vectors at 34
         p.write_bytes(bytes(data))
         with pytest.raises(CacheFileError, match="hash mismatch"):
             load_cache(str(p), expect_x_vectors=c.x_vectors, expect_hash=c.x_hash)
