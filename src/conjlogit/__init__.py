@@ -45,6 +45,7 @@ from .optimizer import (
     FitError,
     FitResult,
     GridAxis,
+    GridError,
     GridSpec,
     grid_fit,
     newton_fit,
@@ -78,6 +79,7 @@ __all__ = [
     "GammaMixture",
     "GeneralizedMVGamma",
     "GridAxis",
+    "GridError",
     "GridSpec",
     "Household",
     "HouseholdSums",

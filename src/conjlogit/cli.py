@@ -50,6 +50,7 @@ from .diophantine import (
 from .optimizer import (
     FitError,
     GridAxis,
+    GridError,
     GridSpec,
     grid_fit,
     grid_logliks,
@@ -116,6 +117,13 @@ def _parse_list(flag: str, text: str, kind=float, sep: str = ",") -> list:
         raise DataError(f"{flag} needs {what} separated by {sep!r}, got {text!r}") from None
 
 
+def _param_names(P: int) -> list[str]:
+    return [f"{k}{p + 1}" for p in range(P) for k in ("b", "n")]
+
+
+GRID_FLAGS = {"center": "--center", "count": "--grid", "spacing": "--spacing"}
+
+
 def _grid_from_args(args, P: int) -> GridSpec:
     if args.center is None:
         raise SpecError("--center is required (or --center-at-truth)")
@@ -133,9 +141,14 @@ def _grid_from_args(args, P: int) -> GridSpec:
             f"grid needs {2*P} axes (b1,n1,...,b{P},n{P}); "
             f"got {len(counts)} counts, {len(spacings)} spacings, {len(centers)} centers"
         )
-    return GridSpec(
-        tuple(GridAxis(c, k, s) for c, k, s in zip(centers, counts, spacings))
-    )
+    axes = []
+    for name, c, k, s in zip(_param_names(P), centers, counts, spacings):
+        try:
+            axes.append(GridAxis(c, k, s))
+        except GridError as e:
+            flags = " and ".join(GRID_FLAGS[f] for f in e.fields)
+            raise SpecError(f"{flags}, axis {name}: {e}") from None
+    return GridSpec(tuple(axes))
 
 
 def _true_spec(args) -> IndependentGamma:
@@ -275,9 +288,8 @@ def cmd_fit(args) -> int:
     if args.output:
         with open(args.output, "w") as f:
             f.write(res.to_json())
-    names = [f"{k}{p+1}" for p in range(d.P) for k in ("b", "n")]
     print("param  estimate")
-    for name, v in zip(names, res.omega_hat):
+    for name, v in zip(_param_names(d.P), res.omega_hat):
         print(f"{name:>5}  {v:.6g}")
     print(f"loglik {res.loglik:.6f}  boundary={res.boundary_flag}  "
           f"parity_spread={res.parity_spread:.3g}")
@@ -367,9 +379,8 @@ def cmd_plotdata(args) -> int:
     grid = _grid_from_args(args, d.P)
     cfg = SeriesConfig(R=args.R)
     values = grid_logliks(_prepare(d, cfg, _cache_dir(args)), grid, args.eps)
-    names = [f"{k}{p+1}" for p in range(d.P) for k in ("b", "n")]
     with open(args.output, "w") as f:
-        f.write(",".join(names) + ",loglik\n")
+        f.write(",".join(_param_names(d.P)) + ",loglik\n")
         for params, ll in zip(grid.points(), values.tolist()):
             # a point that failed truncation is NaN, which prints as nan
             f.write(",".join(f"{v:.10g}" for v in params) + f",{ll:.10g}\n")
@@ -400,20 +411,7 @@ def _add_grid_flags(p):
     p.add_argument("--center", default=None, help="axis centers b1,n1,...")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="conjlogit",
-        description="Closed-form marginal likelihood for heterogeneous binary logit panels",
-    )
-    ap.add_argument(
-        "--version", action="version",
-        version=f"conjlogit {__version__} (cache-format {CACHE_FORMAT_VERSION})",
-    )
-    ap.add_argument("--config", default=None,
-                    help="JSON file of flag defaults (explicit flags win)")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="draw a synthetic panel dataset")
+def _simulate_flags(p):
     p.add_argument("--I", type=int, required=True)
     p.add_argument("--J", type=int, default=1)
     p.add_argument("--N", type=int, default=1)
@@ -430,14 +428,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", default=None, help="write the true spec JSON here")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("precompute", help="build per-signature count caches")
+
+def _precompute_flags(p):
     _add_data_flags(p)
     p.add_argument("--R", type=int, required=True)
     p.add_argument("--dry-run", action="store_true",
                    help="list each signature's hash, household count and M; build nothing")
     p.set_defaults(func=cmd_precompute)
 
-    p = sub.add_parser("fit", help="grid (optionally Newton-refined) fit")
+
+def _fit_flags(p):
     _add_data_flags(p)
     _add_grid_flags(p)
     p.add_argument("--R", type=int, default=100)
@@ -446,14 +446,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None, help="FitResult JSON path")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("eval", help="log marginal likelihood with diagnostics")
+
+def _eval_flags(p):
     _add_data_flags(p)
     p.add_argument("--spec", required=True, help="heterogeneity spec JSON")
     p.add_argument("--R", type=int, default=100)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("oracle-check",
-                       help="series vs quadrature vs Monte Carlo table")
+
+def _oracle_check_flags(p):
     _add_data_flags(p)
     p.add_argument("--spec", required=True)
     p.add_argument("--R", type=int, default=200)
@@ -463,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-households", type=int, default=10)
     p.set_defaults(func=cmd_oracle_check)
 
-    p = sub.add_parser("study", help="parameter-recovery simulation study")
+
+def _study_flags(p):
     p.add_argument("--I", type=int, default=1000)
     p.add_argument("--J", type=int, default=1)
     p.add_argument("--N", type=int, default=1)
@@ -484,7 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default="study.csv")
     p.set_defaults(func=cmd_study)
 
-    p = sub.add_parser("plotdata", help="CSV of the log-likelihood grid surface")
+
+def _plotdata_flags(p):
     _add_data_flags(p)
     _add_grid_flags(p)
     p.add_argument("--R", type=int, default=100)
@@ -492,7 +495,56 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_plotdata)
 
+
+# name: (help line, function that adds the flags), in help order
+SUBCOMMANDS = {
+    "simulate": ("draw a synthetic panel dataset", _simulate_flags),
+    "precompute": ("build per-signature count caches", _precompute_flags),
+    "fit": ("grid (optionally Newton-refined) fit", _fit_flags),
+    "eval": ("log marginal likelihood with diagnostics", _eval_flags),
+    "oracle-check": ("series vs quadrature vs Monte Carlo table", _oracle_check_flags),
+    "study": ("parameter-recovery simulation study", _study_flags),
+    "plotdata": ("CSV of the log-likelihood grid surface", _plotdata_flags),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``conjlogit`` argument parser, with every subcommand, or with
+    ``command`` only.
+
+    Building a subcommand's flags costs far more than parsing them, so
+    :func:`main` builds only the invoked one.  That parser reads the
+    subcommand's arguments as the full one does, and its usage line names
+    every subcommand, so its usage errors read the same.
+    """
+    ap = argparse.ArgumentParser(
+        prog="conjlogit",
+        description="Closed-form marginal likelihood for heterogeneous binary logit panels",
+    )
+    ap.add_argument(
+        "--version", action="version",
+        version=f"conjlogit {__version__} (cache-format {CACHE_FORMAT_VERSION})",
+    )
+    ap.add_argument("--config", default=None,
+                    help="JSON file of flag defaults (explicit flags win)")
+    # the full parser shows its choices as {simulate,...} itself
+    choices = None if command is None else "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=choices)
+    for name, (help_line, add_flags) in SUBCOMMANDS.items():
+        if command in (None, name):
+            add_flags(sub.add_parser(name, help=help_line))
     return ap
+
+
+def _invoked(argv: list[str]) -> str | None:
+    """The subcommand when ``argv`` starts with it, after at most a
+    ``--config FILE``; None otherwise, and the full parser reads ``argv``."""
+    i = 0
+    if argv[:1] == ["--config"]:
+        i = 2
+    elif argv and argv[0].startswith("--config="):
+        i = 1
+    return argv[i] if i < len(argv) and argv[i] in SUBCOMMANDS else None
 
 
 def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
@@ -537,10 +589,11 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser(_invoked(argv)).parse_args(argv)
     if args.config is not None:
-        # the file's values become defaults, so the flags are parsed again
+        # the file's values become defaults, so the flags are parsed again;
+        # the file's keys are checked against every subcommand's flags
+        parser = build_parser()
         try:
             _apply_config(parser, args.config)
         except (OSError, ValueError) as e:

@@ -497,8 +497,11 @@ def load_cache(path: str, expect_x_vectors=None, expect_hash: int | None = None)
     with open(path, "rb") as f:
         raw = f.read()
     hdr_size = 4 + struct.calcsize(_HEADER)
-    if len(raw) < hdr_size or raw[:4] != _MAGIC:
+    if raw[:4] != _MAGIC[:len(raw)]:
         raise CacheFileError(f"{path}: not a cache file (bad magic)")
+    if len(raw) < hdr_size:  # cut inside the header
+        raise CacheFileError(f"{path}: truncated file ({len(raw)} bytes, "
+                             f"the header alone is {hdr_size})")
     version, M, P, R, xh, n_rec = struct.unpack(_HEADER, raw[4:hdr_size])
     if version != CACHE_FORMAT_VERSION:
         raise CacheFileError(

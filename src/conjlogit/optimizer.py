@@ -3,8 +3,10 @@
 Grid search is the default estimator: the Diophantine caches are built once,
 and the whole grid is scored in one batched pass (:func:`grid_logliks`).
 Each attribute's MGF factor is computed once per grid pair at that
-attribute's few distinct arguments, and a block of points costs one sparse
-product of the count matrix with their weight columns.  Newton's method
+attribute's few distinct arguments.  Both the factors and the grid are
+products over attributes, so the counts are contracted one attribute at a
+time: one sparse product with the last attribute's factors, then one dense
+batched product per other attribute.  Newton's method
 with the closed-form gradient and Hessian of the series is available as an
 opt-in refiner; the likelihood surface can be flat and multi-modal, so it
 is best seeded from a grid optimum.
@@ -33,15 +35,35 @@ class SingularHessian(FitError):
         super().__init__(f"Hessian is numerically singular (cond ~ {cond:.3g})")
 
 
+class GridError(ValueError):
+    """An invalid grid axis; ``fields`` names the :class:`GridAxis` fields
+    at fault."""
+
+    def __init__(self, message: str, *fields: str):
+        super().__init__(message)
+        self.fields = fields
+
+
 @dataclass(frozen=True)
 class GridAxis:
+    """``count`` points ``spacing`` apart, centered on ``center``; every
+    point is a Gamma scale or shape, so it must be positive."""
+
     center: float
     count: int
     spacing: float
 
     def __post_init__(self):
-        if self.count < 1 or self.spacing <= 0:
-            raise ValueError("need count >= 1 and spacing > 0")
+        if self.count < 1:
+            raise GridError(f"count must be at least 1, got {self.count}", "count")
+        if not (math.isfinite(self.spacing) and self.spacing > 0):
+            raise GridError(f"spacing must be a finite number > 0, got {self.spacing}",
+                            "spacing")
+        if not math.isfinite(self.center):
+            raise GridError(f"center must be a finite number, got {self.center}", "center")
+        if self.points()[0] <= 0:
+            raise GridError(f"the lowest point must be > 0, got {self.points()[0]:.6g}",
+                            "center", "spacing")
 
     def points(self) -> list[float]:
         half = (self.count - 1) / 2.0
@@ -53,11 +75,6 @@ class GridSpec:
     """Axes ordered (b_1, n_1, ..., b_P, n_P) for the Gamma family."""
 
     axes: tuple[GridAxis, ...]
-
-    def __post_init__(self):
-        for ax in self.axes:
-            if min(ax.points()) <= 0:
-                raise ValueError("grid extends into non-positive parameter values")
 
     def points(self):
         return product(*(ax.points() for ax in self.axes))
@@ -108,8 +125,9 @@ def params_to_spec(params, P: int, eps: float = 0.0) -> IndependentGamma:
     return IndependentGamma(b, n, eps)
 
 
-# Cells (distinct K x grid points) of one block of weight columns.
-BLOCK_CELLS = 1 << 18
+# Cells of the largest array one block of grid points makes
+# (``FactoredCounts.cells``); the only bound on the grid's memory.
+BLOCK_CELLS = 1 << 16
 
 
 def grid_logliks(prep: PreparedDataset, grid: GridSpec, eps: float = 0.0) -> np.ndarray:
@@ -121,10 +139,11 @@ def grid_logliks(prep: PreparedDataset, grid: GridSpec, eps: float = 0.0) -> np.
     attributes, and so is the grid, so each attribute's factor is computed
     once per (b_p, n_p) pair, and only at that attribute's distinct t_p
     (``CountMatrix.axis_log_mgf``, which ``CountMatrix.mgf`` uses for one
-    spec).  The points go in blocks: one block holds every pair of the
-    last attribute for one pair of each other attribute.  Its
-    weight columns are products of gathered factors, and one sparse product
-    with the count matrix gives every group's H at all of its points.
+    spec).  The sum over K is contracted one attribute at a time
+    (``CountMatrix.factored``): one sparse product takes the counts to the
+    last attribute's pairs, and a dense batched product per other attribute
+    takes in its pairs.  The last attribute's pairs go in blocks of at most
+    ``BLOCK_CELLS`` cells.
     """
     if len(grid.axes) != 2 * prep.P:
         raise SpecError(f"grid needs {2 * prep.P} axes for P={prep.P}")
@@ -137,24 +156,18 @@ def grid_logliks(prep: PreparedDataset, grid: GridSpec, eps: float = 0.0) -> np.
             counts.axis_log_mgf(p, IndependentGamma((b,), (n,), eps))
             for b, n in product(grid.axes[2 * p].points(), grid.axes[2 * p + 1].points())
         ])
-        for p in range(len(counts.t_axes))
+        for p in range(prep.P)
     ]
-    *outer, last = factors
-    *outer_index, last_index = counts.t_index
-    step = max(1, BLOCK_CELLS // len(last_index))
-    # the last attribute's pair varies fastest: one row of ``out`` per block
-    for row, pairs in zip(out.reshape(-1, len(last)), product(*(range(len(f)) for f in outer))):
-        prefix = np.ones(len(last_index))
-        for f, j, index in zip(outer, pairs, outer_index):
-            prefix *= f[j][index]
-        for start in range(0, len(last), step):
-            W = np.take(last[start:start + step].T, last_index, axis=0)  # (distinct K, points)
-            W *= prefix[:, None]
-            H = counts.C @ W
-            ok = ((H > 0.0) & (H < np.inf)).all(axis=0)  # NaN fails both
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ll = counts.mult @ np.log(H)
-            row[start:start + step] = np.where(ok, ll, np.nan)
+    last = np.ascontiguousarray(factors[-1].T)  # (distinct t, pairs) of the last attribute
+    view = counts.factored
+    step = max(1, BLOCK_CELLS // view.cells([len(f) for f in factors]))
+    table = out.reshape(-1, last.shape[1])  # the last attribute's pair varies fastest
+    for start in range(0, last.shape[1], step):
+        H = view.h(factors, last[:, start:start + step])
+        ok = ((H > 0.0) & (H < np.inf)).all(axis=0)  # NaN fails both
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ll = counts.mult @ np.log(H)
+        table[:, start:start + step] = np.where(ok, ll, np.nan).reshape(len(table), -1)
     return out
 
 

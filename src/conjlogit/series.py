@@ -240,10 +240,11 @@ class CountMatrix:
             distinct_K, indices = np.unique(K.T, axis=0, return_inverse=True)
             offsets = tuple(distinct_K.T - lo[:, None])
         else:
-            keys = K[0] - lo[0]
+            K -= lo[:, None]  # in place: past here K is only its keys
+            keys = K[0]
             for p in range(1, len(dims)):
                 keys *= dims[p]
-                keys += K[p] - lo[p]
+                keys += K[p]
             distinct, indices = _distinct(keys, box, limit)
             offsets = np.unravel_index(distinct, tuple(dims))
             distinct_K = np.stack(offsets, axis=1) + lo
@@ -284,6 +285,91 @@ class CountMatrix:
             for p, (marginal, index) in enumerate(zip(marginals, self.t_index, strict=True)):
                 v += self.axis_log_mgf(p, marginal)[index]
         return np.exp(v, out=v)
+
+    @cached_property
+    def factored(self) -> "FactoredCounts":
+        """``C`` regrouped by attribute (:class:`FactoredCounts`), built on
+        first use; only the grid path (``optimizer.grid_logliks``) uses it."""
+        return FactoredCounts.build(self)
+
+
+@dataclass(frozen=True)
+class FactoredCounts:
+    """The count matrix regrouped so that a grid of product-form priors is
+    scored one attribute at a time.
+
+    With attributes p = 0..P-1, let R_p be the distinct (group, K_0, ...,
+    K_{p-1}) among the entries of ``C``; R_0 is the groups.  A slot of R_p
+    is a row of R_p and an index into ``t_axes[p]``.  Row s of ``B`` is the
+    slot s of R_{P-2}, and an entry's column is its index into the last
+    attribute's axis, so ``B`` holds the counts of ``C`` regrouped; when
+    P = 1 that is ``C`` itself.  For 0 < p < P-1, ``scatter[p-1]`` is the
+    slot of R_{p-1} that each row of R_p fills.  :meth:`h` contracts the
+    last attribute through ``B`` and every other attribute with a dense
+    batched product.
+    """
+
+    B: sparse.csr_matrix            # slots of R_{P-2} x distinct K_{P-1}
+    sizes: tuple[int, ...]          # len(t_axes[p]) per attribute
+    rows: tuple[int, ...]           # |R_p| for p < P-1
+    scatter: tuple[np.ndarray, ...]
+
+    @classmethod
+    def build(cls, counts: CountMatrix) -> "FactoredCounts":
+        C = counts.C
+        sizes = tuple(len(a) for a in counts.t_axes)
+        if len(sizes) == 1:  # C's columns are the one attribute's axis, in order
+            return cls(C, sizes, (), ())
+        limit = max(CountMatrix.MAX_BOX_PER_ROW * C.nnz, 1024)
+        columns = C.indices
+        n = C.shape[0]
+        row = np.repeat(np.arange(n, dtype=np.int32), np.diff(C.indptr))  # each entry's row of R_0
+        rows, scatter = [], []
+        for p, size in enumerate(sizes[:-1]):
+            rows.append(n)
+            n *= size
+            if n > np.iinfo(row.dtype).max:
+                row = row.astype(np.int64)
+            row *= size
+            row += counts.t_index[p][columns]  # the entry's slot of R_p
+            if p < len(sizes) - 2:  # R_{p+1} is the slots in use
+                used, row = _distinct(row, n, limit)
+                scatter.append(used)
+                n = len(used)
+        # scipy's COO to CSR conversion is a counting sort.  Within one row
+        # the entries keep their r-total order, which, with every attribute
+        # but the last fixed, is the order of K_{P-1}: the indices come out
+        # sorted and no second pass is made.
+        B = sparse.csr_matrix((C.data, (row, counts.t_index[-1][columns])), shape=(n, sizes[-1]))
+        return cls(B, sizes, tuple(rows), tuple(scatter))
+
+    def cells(self, pairs) -> int:
+        """Cells of the largest array :meth:`h` makes per column of the last
+        factor table, when attribute p's table has ``pairs[p]`` rows."""
+        cells, width = self.B.shape[0], 1
+        for p in reversed(range(len(self.rows))):
+            width *= pairs[p]
+            cells = max(cells, self.rows[p] * width,
+                        self.rows[p - 1] * self.sizes[p - 1] * width if p else 0)
+        return cells
+
+    def h(self, factors, last_columns) -> np.ndarray:
+        """Every group's H at every grid point of a block, (groups, points).
+
+        ``factors[p]`` holds attribute p's MGF factor at its distinct t_p,
+        one row per grid pair; the last attribute's is given transposed, as
+        the columns ``last_columns`` of the block.  The points run in
+        lexicographic order of their pairs, the last attribute's fastest.
+        """
+        Z = self.B @ last_columns  # (slots of R_{P-2}, block)
+        for p in reversed(range(len(self.rows))):
+            Z = np.matmul(factors[p], Z.reshape(-1, self.sizes[p], Z.shape[1]))
+            Z = Z.reshape(self.rows[p], -1)  # one row per row of R_p
+            if p:
+                D = np.zeros((self.rows[p - 1] * self.sizes[p - 1], Z.shape[1]))
+                D[self.scatter[p - 1]] = Z
+                Z = D
+        return Z
 
 
 @dataclass

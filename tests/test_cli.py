@@ -1000,3 +1000,88 @@ def test_bad_seed_or_count_is_a_usage_error(tmp_path, sim_csv, capsys, command, 
     error = json.loads(err)["error"]
     assert (error["type"], error["message"]) == ("ValueError", message)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "study"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--spacing", "nan", "--spacing, axis b1: spacing must be a finite number > 0, got nan"),
+    ("--spacing", "inf", "--spacing, axis b1: spacing must be a finite number > 0, got inf"),
+    ("--spacing", "-0.1", "--spacing, axis b1: spacing must be a finite number > 0, got -0.1"),
+    ("--spacing", "0.1,nan", "--spacing, axis n1: spacing must be a finite number > 0, got nan"),
+    ("--grid", "0x7", "--grid, axis b1: count must be at least 1, got 0"),
+    ("--grid", "5x0", "--grid, axis n1: count must be at least 1, got 0"),
+    ("--center", "5,inf", "--center, axis n1: center must be a finite number, got inf"),
+    ("--center", "0.1,14", "--center and --spacing, axis b1: the lowest point must be > 0, "
+                           "got -0.1"),
+])
+def test_bad_grid_axis_names_the_flag_and_the_axis(tmp_path, sim_csv, capsys, command, flag,
+                                                   value, message):
+    argv = bad_value_argv(tmp_path, sim_csv, command) + [f"{flag}={value}"]
+    if command == "study":
+        argv.remove("--center-at-truth")
+        argv += ["--center", "5,14"] if flag != "--center" else []
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert (error["type"], error["message"]) == ("SpecError", message)
+    assert not (tmp_path / "out").exists()
+
+
+# one run of each subcommand, flags in both forms
+PARSER_ARGV = {
+    "simulate": ["--I", "5", "--b", "5", "--n", "14", "-o", "x.csv", "--x-support=1,2"],
+    "precompute": ["--data", "d.csv", "--R", "30", "--dry-run"],
+    "fit": ["--data", "d.csv", "--center", "5,14", "--grid=3x3", "--newton", "-o", "f.json"],
+    "eval": ["--data", "d.csv", "--spec", "s.json", "--cache-dir", "c"],
+    "oracle-check": ["--data", "d.csv", "--spec", "s.json", "--mc-draws", "10"],
+    "study": ["--center-at-truth", "--P", "2"],
+    "plotdata": ["--data", "d.csv", "-o", "p.csv", "--rescale", "2"],
+}
+
+
+def subparser(parser, command):
+    return parser._subparsers._group_actions[0].choices[command]
+
+
+@pytest.mark.parametrize("command", list(cli.SUBCOMMANDS))
+def test_lean_parser_reads_its_subcommand_as_the_full_parser(command):
+    assert set(PARSER_ARGV) == set(cli.SUBCOMMANDS)
+    full, lean = cli.build_parser(), cli.build_parser(command)
+    argv = [command] + PARSER_ARGV[command]
+    assert cli._invoked(argv) == command
+    assert lean.parse_args(argv) == full.parse_args(argv)
+    assert subparser(lean, command).format_help() == subparser(full, command).format_help()
+    assert lean.format_usage() == full.format_usage()
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["fit", "-h"], ["eval", "--help"], ["-h", "fit"], [], ["fitt"],
+    ["fit"], ["fit", "--bogus"], ["--threads", "2", "fit"], ["--config"], ["--version"],
+    ["--config", "fit", "eval", "-h"], ["plotdata", "--grid"], ["--config", "-h", "fit"],
+    ["-", "fit"], ["-1", "fit"], ["--cache-dir", "x", "fit"], ["--config=c.json", "eval"],
+], ids=repr)
+def test_main_prints_what_the_full_parser_prints(argv, capsys):
+    with pytest.raises(SystemExit) as want:
+        cli.build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as got:
+        main(argv)
+    assert got.value.code == want.value.code
+    assert capsys.readouterr() == expected
+
+
+@pytest.mark.parametrize("argv, command", [
+    (["fit", "--data", "d.csv"], "fit"),
+    (["--config", "c.json", "fit"], "fit"),
+    (["--config=c.json", "eval"], "eval"),
+    (["--config", "fit", "study"], "study"),
+    (["--conf", "c.json", "fit"], None),
+    (["--version", "fit"], None),
+    (["-h", "fit"], None),
+    (["-", "fit"], None),
+    (["--config", "c.json"], None),
+    (["fitt"], None),
+    ([], None),
+])
+def test_invoked_subcommand(argv, command):
+    assert cli._invoked(argv) == command

@@ -296,6 +296,20 @@ class TestPersistence:
         with pytest.raises(CacheFileError, match="magic"):
             load_cache(str(p))
 
+    @pytest.mark.parametrize("keep", [0, 2, 4, 20, 33])
+    def test_file_cut_inside_the_header_is_truncated(self, tmp_path, keep):
+        p = tmp_path / "c.bin"
+        save_cache(self.make(), str(p))
+        p.write_bytes(p.read_bytes()[:keep])
+        with pytest.raises(CacheFileError, match=rf"truncated file \({keep} bytes"):
+            load_cache(str(p))
+
+    def test_short_file_of_other_bytes_has_bad_magic(self, tmp_path):
+        p = tmp_path / "c.bin"
+        p.write_bytes(b"DX")
+        with pytest.raises(CacheFileError, match="bad magic"):
+            load_cache(str(p))
+
     def test_truncated_file(self, tmp_path):
         c = self.make()
         p = tmp_path / "c.bin"

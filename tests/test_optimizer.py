@@ -8,6 +8,7 @@ from conjlogit.data_model import Dataset, Household, IndependentGamma, Observati
 from conjlogit.optimizer import (
     FitError,
     GridAxis,
+    GridError,
     GridSpec,
     grid_fit,
     grid_logliks,
@@ -50,6 +51,20 @@ class TestGridGeometry:
     def test_grid_rejects_nonpositive_points(self):
         with pytest.raises(ValueError):
             GridSpec((GridAxis(0.1, 5, 0.1),))  # leftmost point would be <= 0
+
+    @pytest.mark.parametrize("center, count, spacing, fields", [
+        (1.0, 0, 0.1, ("count",)),
+        (1.0, 3, 0.0, ("spacing",)),
+        (1.0, 3, math.nan, ("spacing",)),
+        (1.0, 3, math.inf, ("spacing",)),
+        (math.nan, 3, 0.1, ("center",)),
+        (math.inf, 1, 0.1, ("center",)),
+        (0.1, 5, 0.1, ("center", "spacing")),
+    ])
+    def test_invalid_axis_names_its_fields(self, center, count, spacing, fields):
+        with pytest.raises(GridError) as e:
+            GridAxis(center, count, spacing)
+        assert e.value.fields == fields
 
     def test_cardinality(self):
         g = GridSpec((GridAxis(5, 5, 0.1), GridAxis(14, 7, 0.1)))
@@ -97,6 +112,20 @@ def two_attribute_dataset():
     return Dataset(hs, P=2, x_scale=0.05)
 
 
+def three_attribute_dataset():
+    hs = tuple(
+        Household(f"h{i}", tuple(Observation(y, x) for y, x in obs))
+        for i, obs in enumerate([
+            ((1, (1, 2, 1)), (0, (2, 1, 3))),
+            ((0, (1, 2, 1)), (1, (2, 1, 3))),
+            ((1, (3, 3, 2)),),
+            ((0, (1, 1, 2)), (0, (2, 3, 1)), (1, (1, 1, 2))),
+            ((1, (2, 2, 2)), (1, (1, 3, 1))),
+        ])
+    )
+    return Dataset(hs, P=3, x_scale=0.05)
+
+
 def loglik_or_nan(prep, params, P, eps):
     try:
         return log_marginal_prepared(prep, params_to_spec(params, P, eps)).value
@@ -117,9 +146,17 @@ GRID_CASES = {
     "P2-one-point-last-pair": (two_attribute_dataset, 20,
                                axes((1.2, 2, 0.2), (2.0, 3, 0.5), (0.7, 1, 1.0), (1.5, 1, 1.0)),
                                0.0),
+    "P2-625-points": (two_attribute_dataset, 20,
+                      axes((1.2, 5, 0.2), (2.0, 5, 0.3), (0.7, 5, 0.1), (1.5, 5, 0.25)), 0.0),
+    "P3-eps": (three_attribute_dataset, 12,
+               axes((1.2, 2, 0.2), (2.0, 1, 1.0), (0.7, 2, 0.2), (1.5, 3, 0.5),
+                    (0.9, 3, 0.3), (1.1, 2, 0.4)), 0.01),
     "P1-truncating": (truncating_dataset, 1, axes((1.0, 3, 0.5), (0.5, 5, 0.2)), 0.0),
     "P2-truncating": (lambda: truncating_dataset(2), 1,
                       axes((1.0, 2, 0.5), (0.5, 3, 0.3), (1.0, 1, 1.0), (0.5, 3, 0.3)), 0.02),
+    "P3-truncating": (lambda: truncating_dataset(3), 1,
+                      axes((1.0, 2, 0.5), (0.3, 3, 0.2), (1.0, 1, 1.0), (0.3, 2, 0.2),
+                           (1.0, 2, 0.5), (0.3, 3, 0.2)), 0.0),
 }
 
 
@@ -184,7 +221,7 @@ class TestGridFit:
             grid_fit(prepare_dataset(truncating_dataset(), SeriesConfig(R=1)),
                      axes((1.0, 1, 1.0), (0.3, 2, 0.2)))
 
-    @pytest.mark.parametrize("case", ["P1-one-point-axis-eps", "P2-eps", "P2-truncating"])
+    @pytest.mark.parametrize("case", ["P1-one-point-axis-eps", "P2-eps", "P2-truncating", "P3-eps"])
     def test_parity_spread_at_argmax_matches_series(self, case):
         make, R, grid, eps = GRID_CASES[case]
         d = make()
@@ -220,7 +257,7 @@ class TestGridLogliks:
         if case.endswith("truncating"):
             assert not ok.all()
 
-    @pytest.mark.parametrize("case", ["P1-one-point-axis-eps", "P2-eps"])
+    @pytest.mark.parametrize("case", ["P1-one-point-axis-eps", "P2-eps", "P3-eps"])
     def test_matches_the_joint_mgf(self, case):
         # every point's H from log_mgf over all distinct K, as one spec
         make, R, grid, eps = GRID_CASES[case]
@@ -234,13 +271,52 @@ class TestGridLogliks:
         np.testing.assert_allclose(grid_logliks(prep, grid, eps), expected, rtol=1e-12, atol=0)
 
     def test_block_size_does_not_change_values(self, monkeypatch):
+        for case in ("P2-eps", "P3-eps", "P3-truncating"):
+            make, R, grid, eps = GRID_CASES[case]
+            prep = prepare_dataset(make(), SeriesConfig(R=R))
+            whole = grid_logliks(prep, grid, eps)
+            pairs = [a.count * b.count for a, b in zip(grid.axes[0::2], grid.axes[1::2])]
+            assert pairs[-1] == 6
+            per_pair = prep.counts.factored.cells(pairs)
+            # blocks of one pair of the last attribute, and of four with a remainder
+            for cells in (1, 4 * per_pair):
+                monkeypatch.setattr(optimizer, "BLOCK_CELLS", cells)
+                np.testing.assert_allclose(grid_logliks(prep, grid, eps), whole, rtol=1e-14)
+            monkeypatch.undo()
+
+    def test_only_the_grid_builds_the_factored_view(self):
         make, R, grid, eps = GRID_CASES["P2-eps"]
         prep = prepare_dataset(make(), SeriesConfig(R=R))
-        whole = grid_logliks(prep, grid, eps)
-        columns = len(prep.counts.T)
-        for cells in (1, 2 * columns):  # blocks of one point, and of two with a remainder
-            monkeypatch.setattr(optimizer, "BLOCK_CELLS", cells)
-            np.testing.assert_allclose(grid_logliks(prep, grid, eps), whole, rtol=1e-14)
+        spec = params_to_spec(next(iter(grid.points())), prep.P, eps)
+        log_marginal_prepared(prep, spec)
+        group_spread(prep, spec)
+        loglik_grad_hess(prep, spec)
+        assert "factored" not in vars(prep.counts)
+        grid_logliks(prep, grid, eps)
+        assert "factored" in vars(prep.counts)
+
+    @pytest.mark.parametrize("case", ["P1-even-axis", "P2-eps", "P3-eps"])
+    def test_factored_view_holds_the_counts(self, case):
+        # B's rows, read back through the slots, are C's rows over (K_0..K_{P-1})
+        make, R, _, _ = GRID_CASES[case]
+        counts = prepare_dataset(make(), SeriesConfig(R=R)).counts
+        view = counts.factored
+        row, coords = np.arange(view.B.shape[0]), []
+        for p in reversed(range(len(view.rows))):
+            row, a = np.divmod(row, view.sizes[p])  # a slot of R_p: a row of R_p, a K_p
+            coords.insert(0, a)
+            if p:
+                row = view.scatter[p - 1][row]
+        dense = np.zeros((counts.C.shape[0],) + view.sizes)
+        B = view.B.tocoo()
+        index = tuple(c[B.row] for c in [row] + coords)
+        dense[index + (B.col,)] = B.data
+        want = np.zeros_like(dense)
+        C = counts.C.tocoo()
+        want[(C.row,) + tuple(counts.t_index[:, C.col])] = C.data
+        assert view.B.nnz == counts.C.nnz
+        assert view.B.has_sorted_indices
+        np.testing.assert_array_equal(dense, want)
 
     def test_no_households_scores_zero_everywhere(self):
         prep = prepare_dataset(Dataset((), P=1), SeriesConfig(R=3))
