@@ -142,8 +142,9 @@ def grid_logliks(prep: PreparedDataset, grid: GridSpec, eps: float = 0.0) -> np.
     spec).  The sum over K is contracted one attribute at a time
     (``CountMatrix.factored``): one sparse product takes the counts to the
     last attribute's pairs, and a dense batched product per other attribute
-    takes in its pairs.  The last attribute's pairs go in blocks of at most
-    ``BLOCK_CELLS`` cells.
+    takes in its pairs.  The last attribute's pairs go in blocks whose
+    largest array has at most ``BLOCK_CELLS`` cells, or one pair if a single
+    pair needs more.
     """
     if len(grid.axes) != 2 * prep.P:
         raise SpecError(f"grid needs {2 * prep.P} axes for P={prep.P}")
