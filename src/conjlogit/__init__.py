@@ -45,7 +45,6 @@ from .optimizer import (
     FitError,
     FitResult,
     GridAxis,
-    GridError,
     GridSpec,
     grid_fit,
     newton_fit,
@@ -79,7 +78,6 @@ __all__ = [
     "GammaMixture",
     "GeneralizedMVGamma",
     "GridAxis",
-    "GridError",
     "GridSpec",
     "Household",
     "HouseholdSums",

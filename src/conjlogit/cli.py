@@ -513,9 +513,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     ``command`` only.
 
     Building a subcommand's flags costs far more than parsing them, so
-    :func:`main` builds only the invoked one.  That parser reads the
-    subcommand's arguments as the full one does, and its usage line names
-    every subcommand, so its usage errors read the same.
+    :func:`main` builds only the invoked one's.  Every subcommand is still
+    registered with its help line, so usage, top-level help and errors read
+    as the full parser's do.
     """
     ap = argparse.ArgumentParser(
         prog="conjlogit",
@@ -527,12 +527,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     ap.add_argument("--config", default=None,
                     help="JSON file of flag defaults (explicit flags win)")
-    # the full parser shows its choices as {simulate,...} itself
-    choices = None if command is None else "{" + ",".join(SUBCOMMANDS) + "}"
-    sub = ap.add_subparsers(dest="command", required=True, metavar=choices)
+    sub = ap.add_subparsers(dest="command", required=True)
     for name, (help_line, add_flags) in SUBCOMMANDS.items():
+        parser = sub.add_parser(name, help=help_line)
         if command in (None, name):
-            add_flags(sub.add_parser(name, help=help_line))
+            add_flags(parser)
     return ap
 
 

@@ -22,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from .data_model import IndependentGamma, SpecError
-from .series import PreparedDataset, TruncationFailure, group_spread
+from .series import FactoredCounts, PreparedDataset, TruncationFailure, group_spread
 
 
 class FitError(RuntimeError):
@@ -140,7 +140,7 @@ def grid_logliks(prep: PreparedDataset, grid: GridSpec, eps: float = 0.0) -> np.
     once per (b_p, n_p) pair, and only at that attribute's distinct t_p
     (``CountMatrix.axis_log_mgf``, which ``CountMatrix.mgf`` uses for one
     spec).  The sum over K is contracted one attribute at a time
-    (``CountMatrix.factored``): one sparse product takes the counts to the
+    (:class:`FactoredCounts`): one sparse product takes the counts to the
     last attribute's pairs, and a dense batched product per other attribute
     takes in its pairs.  The last attribute's pairs go in blocks whose
     largest array has at most ``BLOCK_CELLS`` cells, or one pair if a single
@@ -160,7 +160,7 @@ def grid_logliks(prep: PreparedDataset, grid: GridSpec, eps: float = 0.0) -> np.
         for p in range(prep.P)
     ]
     last = np.ascontiguousarray(factors[-1].T)  # (distinct t, pairs) of the last attribute
-    view = counts.factored
+    view = FactoredCounts.build(counts)
     step = max(1, BLOCK_CELLS // view.cells([len(f) for f in factors]))
     table = out.reshape(-1, last.shape[1])  # the last attribute's pair varies fastest
     for start in range(0, last.shape[1], step):

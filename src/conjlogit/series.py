@@ -286,12 +286,6 @@ class CountMatrix:
                 v += self.axis_log_mgf(p, marginal)[index]
         return np.exp(v, out=v)
 
-    @cached_property
-    def factored(self) -> "FactoredCounts":
-        """``C`` regrouped by attribute (:class:`FactoredCounts`), built on
-        first use; only the grid path (``optimizer.grid_logliks``) uses it."""
-        return FactoredCounts.build(self)
-
 
 @dataclass(frozen=True)
 class FactoredCounts:
@@ -306,7 +300,8 @@ class FactoredCounts:
     P = 1 that is ``C`` itself.  For 0 < p < P-1, ``scatter[p-1]`` is the
     slot of R_{p-1} that each row of R_p fills.  :meth:`h` contracts the
     last attribute through ``B`` and every other attribute with a dense
-    batched product.
+    batched product.  Only ``optimizer.grid_logliks`` builds one, for the
+    length of its call.
     """
 
     B: sparse.csr_matrix            # slots of R_{P-2} x distinct K_{P-1}

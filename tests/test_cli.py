@@ -1054,13 +1054,13 @@ def test_lean_parser_reads_its_subcommand_as_the_full_parser(command):
     assert lean.format_usage() == full.format_usage()
 
 
+# argv that main reads with the lean parser (any other gets the full one)
 @pytest.mark.parametrize("argv", [
-    ["-h"], ["--help"], ["fit", "-h"], ["eval", "--help"], ["-h", "fit"], [], ["fitt"],
-    ["fit"], ["fit", "--bogus"], ["--threads", "2", "fit"], ["--config"], ["--version"],
-    ["--config", "fit", "eval", "-h"], ["plotdata", "--grid"], ["--config", "-h", "fit"],
-    ["-", "fit"], ["-1", "fit"], ["--cache-dir", "x", "fit"], ["--config=c.json", "eval"],
+    ["fit", "-h"], ["eval", "--help"], ["fit"], ["fit", "--bogus"], ["plotdata", "--grid"],
+    ["--config", "fit", "eval", "-h"], ["--config=c.json", "eval"], ["fit", "eval"],
 ], ids=repr)
 def test_main_prints_what_the_full_parser_prints(argv, capsys):
+    assert cli._invoked(argv) is not None
     with pytest.raises(SystemExit) as want:
         cli.build_parser().parse_args(argv)
     expected = capsys.readouterr()

@@ -20,6 +20,7 @@ from conjlogit import optimizer
 from conjlogit.gamma_kernels import log_mgf
 from conjlogit.series import (
     CountMatrix,
+    FactoredCounts,
     SeriesConfig,
     TruncationFailure,
     group_h,
@@ -277,30 +278,37 @@ class TestGridLogliks:
             whole = grid_logliks(prep, grid, eps)
             pairs = [a.count * b.count for a, b in zip(grid.axes[0::2], grid.axes[1::2])]
             assert pairs[-1] == 6
-            per_pair = prep.counts.factored.cells(pairs)
+            per_pair = FactoredCounts.build(prep.counts).cells(pairs)
             # blocks of one pair of the last attribute, and of four with a remainder
             for cells in (1, 4 * per_pair):
                 monkeypatch.setattr(optimizer, "BLOCK_CELLS", cells)
                 np.testing.assert_allclose(grid_logliks(prep, grid, eps), whole, rtol=1e-14)
             monkeypatch.undo()
 
-    def test_only_the_grid_builds_the_factored_view(self):
+    def test_only_the_grid_builds_the_factored_view(self, monkeypatch):
         make, R, grid, eps = GRID_CASES["P2-eps"]
         prep = prepare_dataset(make(), SeriesConfig(R=R))
         spec = params_to_spec(next(iter(grid.points())), prep.P, eps)
+        build = FactoredCounts.build
+
+        def refuse(counts):
+            raise AssertionError("the factored view was built")
+
+        monkeypatch.setattr(FactoredCounts, "build", refuse)
         log_marginal_prepared(prep, spec)
         group_spread(prep, spec)
         loglik_grad_hess(prep, spec)
-        assert "factored" not in vars(prep.counts)
-        grid_logliks(prep, grid, eps)
-        assert "factored" in vars(prep.counts)
+        with pytest.raises(AssertionError, match="factored view"):
+            grid_logliks(prep, grid, eps)
+        monkeypatch.setattr(FactoredCounts, "build", build)
+        assert np.isfinite(grid_logliks(prep, grid, eps)).any()
 
     @pytest.mark.parametrize("case", ["P1-even-axis", "P2-eps", "P3-eps"])
     def test_factored_view_holds_the_counts(self, case):
         # B's rows, read back through the slots, are C's rows over (K_0..K_{P-1})
         make, R, _, _ = GRID_CASES[case]
         counts = prepare_dataset(make(), SeriesConfig(R=R)).counts
-        view = counts.factored
+        view = FactoredCounts.build(counts)
         row, coords = np.arange(view.B.shape[0]), []
         for p in reversed(range(len(view.rows))):
             row, a = np.divmod(row, view.sizes[p])  # a slot of R_p: a row of R_p, a K_p
