@@ -304,7 +304,7 @@ class FactoredCounts:
     length of its call.
     """
 
-    B: sparse.csr_matrix            # slots of R_{P-2} x distinct K_{P-1}
+    B: sparse.spmatrix              # slots of R_{P-2} x distinct K_{P-1}
     sizes: tuple[int, ...]          # len(t_axes[p]) per attribute
     rows: tuple[int, ...]           # |R_p| for p < P-1
     scatter: tuple[np.ndarray, ...]
@@ -331,11 +331,9 @@ class FactoredCounts:
                 used, row = _distinct(row, n, limit)
                 scatter.append(used)
                 n = len(used)
-        # scipy's COO to CSR conversion is a counting sort.  Within one row
-        # the entries keep their r-total order, which, with every attribute
-        # but the last fixed, is the order of K_{P-1}: the indices come out
-        # sorted and no second pass is made.
-        B = sparse.csr_matrix((C.data, (row, counts.t_index[-1][columns])), shape=(n, sizes[-1]))
+        # B keeps C's entries in C's order and shares C's data, so only its
+        # two index arrays are new
+        B = sparse.coo_matrix((C.data, (row, counts.t_index[-1][columns])), shape=(n, sizes[-1]))
         return cls(B, sizes, tuple(rows), tuple(scatter))
 
     def cells(self, pairs) -> int:

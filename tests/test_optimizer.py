@@ -323,7 +323,6 @@ class TestGridLogliks:
         C = counts.C.tocoo()
         want[(C.row,) + tuple(counts.t_index[:, C.col])] = C.data
         assert view.B.nnz == counts.C.nnz
-        assert view.B.has_sorted_indices
         np.testing.assert_array_equal(dense, want)
 
     def test_no_households_scores_zero_everywhere(self):
