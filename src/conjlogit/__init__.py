@@ -34,6 +34,7 @@ from .diophantine import (
     CacheFileError,
     DioCache,
     build_cache,
+    build_caches,
     compositions_count,
     compositions_cum,
     load_cache,
@@ -91,6 +92,7 @@ __all__ = [
     "SpecError",
     "TruncationFailure",
     "build_cache",
+    "build_caches",
     "compositions_count",
     "compositions_cum",
     "grid_fit",

@@ -41,7 +41,7 @@ from .diophantine import (
     BudgetError,
     CACHE_FORMAT_VERSION,
     CacheFileError,
-    build_cache,
+    build_caches,
     canonical_x_vectors,
     fnv1a_x_vectors,
     load_cache,
@@ -259,10 +259,10 @@ def cmd_precompute(args) -> int:
                 continue
             rebuilt += 1  # unreadable, or built at another budget: overwrite it
         missing.setdefault(canonical_x_vectors(xv), []).append((xv, path))
-    # one knapsack run per canonical signature, all before any file is
+    # every canonical signature is built, in one call, before any file is
     # written, so a BudgetError leaves the directory as it was; each
     # ordering's file holds the same counts under its own x_vectors
-    caches = {canon: build_cache(canon, args.R) for canon in missing}
+    caches = dict(zip(missing, build_caches(list(missing), args.R)))
     os.makedirs(cache_dir, exist_ok=True)
     for canon, files in missing.items():
         for xv, path in files:
@@ -271,7 +271,7 @@ def cmd_precompute(args) -> int:
     summary = f"built {built} cache(s), reused {reused}"
     if rebuilt:
         summary += f", rebuilt {rebuilt} unreadable or of another budget"
-    print(f"{summary}, {len(missing)} knapsack run(s), dir {cache_dir}")
+    print(f"{summary}, {len(missing)} canonical signature(s) counted, dir {cache_dir}")
     return EXIT_OK
 
 

@@ -352,7 +352,10 @@ def load_dataset(path: str) -> Dataset:
             header_line = first
         if not header_line.strip():
             raise DataError(f"{path}: no households (empty file)")
-        header = next(csv.reader([header_line]))
+        try:
+            header = next(csv.reader([header_line]))
+        except csv.Error as e:  # e.g. a field over the csv module's size limit
+            raise DataError(f"{path}:{lineno}: {e}") from None
         if header[:4] != ["household", "category", "occasion", "y"]:
             raise DataError(
                 f"{path}:{lineno}: bad header, expected household,category,occasion,y,x1,..."
@@ -369,16 +372,20 @@ def load_dataset(path: str) -> Dataset:
         def line_of(row: int) -> int:
             return first_data_line + row + bisect.bisect_right(blanks, row)
 
-        for row in csv.reader(f):
-            if not row:
-                blanks.append(len(households))
-                continue
-            if len(row) != 4 + P:
-                _int_cells(cells, P + 1, path, line_of)  # an earlier bad value comes first
-                line = line_of(len(households))
-                raise DataError(f"{path}:{line}: expected {4+P} columns, got {len(row)}")
-            households.append(index.setdefault(row[0], len(index)))
-            cells += row[3:]
+        reader = csv.reader(f)
+        try:
+            for row in reader:
+                if not row:
+                    blanks.append(len(households))
+                    continue
+                if len(row) != 4 + P:
+                    _int_cells(cells, P + 1, path, line_of)  # an earlier bad value comes first
+                    line = line_of(len(households))
+                    raise DataError(f"{path}:{line}: expected {4+P} columns, got {len(row)}")
+                households.append(index.setdefault(row[0], len(index)))
+                cells += row[3:]
+        except csv.Error as e:
+            raise DataError(f"{path}:{lineno + reader.line_num}: {e}") from None
     if not households:
         raise DataError(f"{path}: no households")
     cols = _int_cells(cells, P + 1, path, line_of).reshape(len(households), P + 1)

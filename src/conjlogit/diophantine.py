@@ -9,12 +9,18 @@ per-column knapsack recurrence over the reachable (shell, r) states, so the
 cost follows the number of states rather than the C(R+M, M) k-tuples counted,
 and the one resource guard is on those states: a column that would hold more
 than ``MAX_STATES`` of them raises :class:`BudgetError` before it is built.
-The counts from the final shells k.1 == R and k.1 == R-1 are kept as well, so
-the series can return the Euler mean of its last two shell partial sums, and
-the same mean one budget lower for the parity spread, the error estimate that
-every reported value carries.  The resulting cache is
-the parameter-independent half of the series evaluation and is persisted to
-disk.
+:func:`build_caches` runs that recurrence for many signatures of one shape
+at once: every state carries its signature, so a DP column and the final
+grouping by r cost a fixed number of numpy calls for the whole batch, and
+each cache's columns are sliced out at the end.  Each grouping packs its
+keys into one int64 and reads them off a lookup table where the states are
+dense, or sorts them where they are sparse (:func:`_distinct`).
+:func:`build_cache` is the batch of one.  The counts from the final shells
+k.1 == R and k.1 == R-1 are kept as well, so the series can return the Euler
+mean of its last two shell partial sums, and the same mean one budget lower
+for the parity spread, the error estimate that every reported value carries.
+The resulting cache is the parameter-independent half of the series
+evaluation and is persisted to disk.
 
 A cache stores its counts as int64 columns (r-tuples, raw counts, shell-R and
 shell-(R-1) counts) from the builder to the file and back; building, saving
@@ -27,6 +33,7 @@ from __future__ import annotations
 import math
 import struct
 import zlib
+from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import product
@@ -47,6 +54,14 @@ CACHE_FORMAT_VERSION = 4
 # (shell, r) states one DP column may hold; about 157 bytes each at the peak
 # of a build, so 2**24 states is about 2.6 GB
 MAX_STATES = 2**24
+# Signatures of one shape are built together while their k-tuples, which
+# bound the states of every DP column, add up to at most this many.  A run's
+# temporaries then peak near 0.25 MB: larger batches were a little faster,
+# but left the heap in a state that made later allocations page-fault.
+BATCH_STATES = 2**12
+# Above this many cells per row of data, a lookup table over the range of
+# the keys is too sparse, and _distinct sorts the keys instead.
+MAX_BOX_PER_ROW = 16
 
 _MAGIC = b"DIOC"
 _HEADER = "<HIIIQQ"  # version, M, P, R, x_vectors hash, record count
@@ -248,66 +263,149 @@ def _check_x_vectors(x_vectors) -> tuple[tuple[int, ...], ...]:
 
 
 def build_cache(x_vectors, R: int) -> DioCache:
-    """Signed counts per r-tuple over the truncation simplex k.1 <= R.
+    """Signed counts per r-tuple over the truncation simplex k.1 <= R:
+    ``build_caches([x_vectors], R)[0]``."""
+    return build_caches([x_vectors], R)[0]
 
-    Raises :class:`BudgetError` when C(R+M, M) exceeds the int64 range or a
-    DP column would hold more than ``MAX_STATES`` states.
+
+def build_caches(signatures, R: int) -> list[DioCache]:
+    """:func:`build_cache` of every signature, in order, from batched knapsack runs.
+
+    Signatures of one shape (P, M) are built together, as many at a time as
+    keep their k-tuples, which bound the states of every DP column, within
+    ``BATCH_STATES``.  Each cache equals its one-at-a-time build column for
+    column.  Raises :class:`BudgetError` when C(R+M, M) exceeds the int64
+    range or a DP column would hold more than ``MAX_STATES`` states, naming
+    the first signature in order that a one-at-a-time build would refuse.
     """
-    xv = _check_x_vectors(x_vectors)
-    M = len(xv[0])
+    xvs = [_check_x_vectors(xv) for xv in signatures]
     if R < 0:
         raise ValueError("R must be non-negative")
-    tuples = compositions_cum(R, M)
-    if tuples > _I64_MAX:
-        # every partial sum of the DP is at most C(R+M, M), so i64 is exact below this
-        raise BudgetError(
-            f"C(R+M, M) = C({R+M},{M}) = {tuples} exceeds the i64 range of the signed counts"
-        )
-    s, r, n = _shell_states(np.array(xv, dtype=np.int64).T, R)
-    signed = np.where(s & 1, -n, n)
-    order = np.lexsort((*r[:, ::-1].T, r.sum(axis=1)))  # the (total, tuple) order of r_array
-    return _cache_from_states(xv, R, s[order], r[order], signed[order])
+    first, error = len(xvs), None  # the first refused signature, and why
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for i, xv in enumerate(xvs):
+        M = len(xv[0])
+        tuples = compositions_cum(R, M)
+        if tuples > _I64_MAX and i < first:
+            # every partial sum of the DP is at most C(R+M, M), so i64 is exact below this
+            first, error = i, BudgetError(
+                f"C(R+M, M) = C({R+M},{M}) = {tuples} exceeds the i64 range of the signed counts"
+            )
+        shapes.setdefault((len(xv), M), []).append(i)
+    pending = deque()
+    for (_, M), members in shapes.items():
+        size = max(1, BATCH_STATES // compositions_cum(R, M))
+        pending.extend(members[k:k + size] for k in range(0, len(members), size))
+    caches: list = [None] * len(xvs)
+    while pending:
+        batch = [i for i in pending.popleft() if i < first]
+        if not batch:
+            continue
+        try:
+            for i, cache in zip(batch, _build_batch([xvs[i] for i in batch], R)):
+                caches[i] = cache
+        except BudgetError as e:
+            if len(batch) > 1:  # the guard on the batch: build its members one at a time
+                pending.extendleft([i] for i in reversed(batch))
+            else:
+                first, error = batch[0], e
+    if error is not None:
+        raise error
+    return caches
 
 
-def _shell_states(cols: np.ndarray, R: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every reachable (shell s = k.1, r = k.x) of the budget-R simplex with its k-tuple count.
+def _build_batch(xvs, R: int) -> list[DioCache]:
+    """The caches of signatures of one shape, from one knapsack run."""
+    X = np.array(xvs, dtype=np.int64)  # (signature, p, m)
+    G, P, M = X.shape
+    g, s, r, signed = _shell_states(X, R)
+    np.negative(signed, out=signed, where=(s & 1).astype(bool))
+    # the rows of r_array, per signature: by r-total, then tuple, and the
+    # total with all but the last r_p determines r
+    keys = np.empty((P + 1, len(s)), dtype=np.int64)
+    keys[0] = g
+    r.sum(axis=0, out=keys[1])
+    keys[2:] = r[:-1]
+    del g, r  # each array of states is freed once used: they set the batch's peak memory
+    xmax = [R * v for v in X.max(axis=(0, 2)).tolist()]
+    (g, total, *head), row = _group(keys, [G, sum(xmax) + 1, *(v + 1 for v in xmax[:-1])])
+    del keys
+    # one row per distinct r, kept even where its shells cancel to a net count of 0
+    counts = np.zeros((3, len(g)), dtype=np.int64)  # c(r), c_R(r), c_{R-1}(r)
+    np.add.at(counts[0], row, signed)
+    for col, shell in ((counts[1], R), (counts[2], R - 1)):
+        at = s == shell
+        col[row[at]] = signed[at]
+    del s, signed, row, at
+    r = np.empty((len(g), P), dtype=np.int64)
+    r[:, -1] = total
+    for p, r_p in enumerate(head):
+        r[:, p] = r_p
+        r[:, -1] -= r_p
+    bounds = np.searchsorted(g, np.arange(G + 1)).tolist()
+    # each cache owns copies of its rows, as a one-at-a-time build's does;
+    # views would keep the batch's arrays alive as long as any of its caches
+    return [
+        _cache_from_arrays(xv, R, r[a:b].copy(), *counts[:, a:b].copy())
+        for xv, a, b in zip(xvs, bounds, bounds[1:])
+    ]
 
-    ``cols`` holds one observation column x_m (a P-vector) per row.  The
-    counts N are the coefficients of prod_m 1/(1 - u z^{x_m}) up to u-degree
-    R (a state's signed count is (-1)^s N), built one column at a time by
-    the knapsack recurrence N_m[s, r] = N_{m-1}[s, r] + N_m[s-1, r-x_m].
-    Every partial sum stays below C(R+M, M).  Along a chain of states
-    spaced (1, x_m) apart that recurrence is a cumulative sum, so each
-    column groups the states into chains (keyed by where they reach shell R),
-    extends every chain from its first state up to shell R and takes one
-    cumsum.  Only reachable states are stored, so the work grows with their
-    number, not with the C(R+M, M) k-tuples they count; a column that would
-    hold more than ``MAX_STATES`` raises :class:`BudgetError` before it is
-    allocated.  Returns (s, r, N) with N > 0 everywhere.
+
+def _shell_states(X: np.ndarray, R: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every reachable (shell s = k.1, r = k.x) of the budget-R simplex with its
+    k-tuple count, for a batch of signatures of one shape.
+
+    ``X[g]`` is signature g's P x M covariates.  The counts N are the
+    coefficients of prod_m 1/(1 - u z^{x_m}) up to u-degree R (a state's
+    signed count is (-1)^s N), built one column at a time by the knapsack
+    recurrence N_m[s, r] = N_{m-1}[s, r] + N_m[s-1, r-x_m].  Every partial
+    sum stays below C(R+M, M).  Along a chain of states spaced (1, x_m)
+    apart that recurrence is a cumulative sum, so each column groups the
+    states of the whole batch into chains, keyed by their signature and by
+    where they reach shell R, extends every chain from its first state up to
+    shell R and takes one cumsum.  Only reachable states are stored, so the
+    work grows with their number, not with the C(R+M, M) k-tuples they
+    count; a column that would hold more than ``MAX_STATES`` raises
+    :class:`BudgetError` before it is allocated.  Returns (g, s, r, N), one
+    entry per state, with r of shape (P, states) and N > 0 everywhere.
     """
-    _check_states(R + 1, 1, len(cols), R)
-    s = np.arange(R + 1, dtype=np.int64)  # the first column alone: one chain from 0
-    r = s[:, None] * cols[0]
-    n = np.ones(R + 1, dtype=np.int64)
-    for m, x in enumerate(cols[1:], 2):
-        end = r + (R - s)[:, None] * x  # where each state's chain meets shell R
-        order = np.lexsort((s, *end.T[::-1]))
-        s, end, n = s[order], end[order], n[order]
-        first = _new_rows(end)
-        heads = np.flatnonzero(first)
-        s0 = s[heads]
+    G, P, M = X.shape
+    dims = [G, *(R * v + 1 for v in X.max(axis=(0, 2)).tolist())]  # bounds g and every r_p
+    _check_states(G * (R + 1), 1, M, R)
+    g = np.repeat(np.arange(G), R + 1)  # the first column alone: one chain from 0 each
+    s = np.tile(np.arange(R + 1, dtype=np.int64), G)
+    r = X[g, :, 0].T * s
+    n = np.ones(len(s), dtype=np.int64)
+    for m in range(1, M):
+        ends = np.empty((P + 1, len(s)), dtype=np.int64)
+        ends[0] = g
+        np.multiply(X[g, :, m].T, R - s, out=ends[1:])
+        ends[1:] += r  # where each state's chain meets shell R
+        (g, *end), chain = _group(ends, dims)
+        del ends, r  # the states of column m-1 are freed as soon as they are used
+        s0 = np.full(len(g), R, dtype=np.int64)  # each chain's first shell
+        np.minimum.at(s0, chain, s)
         length = R - s0 + 1
         offset = np.cumsum(length) - length
-        chain = np.cumsum(first) - 1
         total = int(offset[-1] + length[-1])
-        _check_states(total, m, len(cols), R)
+        _check_states(total, m + 1, M, R)
         delta = np.zeros(total, dtype=np.int64)
         delta[offset[chain] + s - s0[chain]] = n
-        c = np.cumsum(delta)
-        n = c - np.repeat(np.concatenate(([0], c))[offset], length)
-        s = np.repeat(s0 - offset, length) + np.arange(total)
-        r = np.repeat(end[heads], length, axis=0) - (R - s)[:, None] * x
-    return s, r, n
+        del chain, s, n
+        n = np.cumsum(delta, out=delta)
+        before = n[offset - 1]  # each chain's cumsum before its first state
+        before[0] = 0
+        n -= np.repeat(before, length)
+        s = np.repeat(s0 - offset, length)
+        s += np.arange(total)
+        g = np.repeat(g, length)
+        r = np.repeat(np.stack(end), length, axis=1)
+        back = R - s
+        for p, r_p in enumerate(r):
+            step = X[:, p, m][g]
+            step *= back
+            r_p -= step
+    return g, s, r, n
 
 
 def _check_states(total: int, m: int, M: int, R: int) -> None:
@@ -318,26 +416,46 @@ def _check_states(total: int, m: int, M: int, R: int) -> None:
         )
 
 
-def _new_rows(a: np.ndarray) -> np.ndarray:
-    """True where a row of the sorted 2-D array ``a`` differs from the row before."""
-    new = np.empty(len(a), dtype=bool)
-    new[0] = True
-    np.any(a[1:] != a[:-1], axis=1, out=new[1:])
-    return new
+def _distinct(keys: np.ndarray, size: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values of the non-negative integers ``keys`` (all below
+    ``size``) and each key's index among them.
+
+    Up to ``MAX_BOX_PER_ROW`` cells per row of the caller's data (``rows``),
+    and at least 1024, a lookup table over 0..size-1 marks the values
+    present, numbers them in order, and reads each key's number off the
+    table; past that the table would be too sparse and np.unique sorts the
+    keys instead.
+    """
+    if size <= max(MAX_BOX_PER_ROW * rows, 1024):
+        present = np.zeros(size, dtype=bool)
+        present[keys] = True
+        return np.flatnonzero(present), (np.cumsum(present, dtype=np.int32) - 1)[keys]
+    # return_index makes np.unique sort stably; its default quicksort is
+    # separate code that pages in about 0.3 MB in a process that uses no other
+    distinct, _, index = np.unique(keys, return_index=True, return_inverse=True)
+    return distinct, index
 
 
-def _cache_from_states(xv, R, s, r, signed) -> DioCache:
-    # states sorted by r in the r_array order; one entry per distinct r,
-    # kept even where its shells cancel to a net count of 0
-    new = _new_rows(r)
-    heads = np.flatnonzero(new)
-    row = np.cumsum(new) - 1
-    last = np.zeros(len(heads), dtype=np.int64)
-    prev = np.zeros(len(heads), dtype=np.int64)
-    final, before = s == R, s == R - 1
-    last[row[final]] = signed[final]
-    prev[row[before]] = signed[before]
-    return _cache_from_arrays(xv, R, r[heads], np.add.reduceat(signed, heads), last, prev)
+def _group(cols: np.ndarray, dims) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The distinct columns of ``cols``, in lexicographic order, as one array
+    per row, and each column's index among them.
+
+    ``cols`` holds non-negative integers, row i below ``dims[i]``; it is
+    overwritten.  Its columns are packed into one int64 key each for
+    :func:`_distinct`, or, where the keys would overflow int64, sorted
+    whole by np.unique.
+    """
+    dims = [int(d) for d in dims]
+    box = math.prod(dims)
+    if box >= 2**63:
+        distinct, index = np.unique(cols.T, axis=0, return_inverse=True)
+        return tuple(distinct.T), index.ravel()
+    keys = cols[0]
+    for row, d in zip(cols[1:], dims[1:]):
+        keys *= d
+        keys += row
+    distinct, index = _distinct(keys, box, len(keys))
+    return np.unravel_index(distinct, dims), index
 
 
 def _cache_from_arrays(xv, R, r, raw, last, prev) -> DioCache:

@@ -87,9 +87,7 @@ def log_mgf(spec, T) -> np.ndarray:
     """
     T = np.asarray(T, dtype=float)
     if isinstance(spec, IndependentGamma):
-        log_base = T * -np.asarray(spec.b)
-        np.log1p(log_base, out=log_base)
-        out = log_base @ -np.asarray(spec.n)
+        out = gamma_log_bases(spec, T) @ -np.asarray(spec.n)
         if spec.eps:
             out += T @ np.full(T.shape[1], spec.eps)
         return out
@@ -125,6 +123,17 @@ def log_mgf(spec, T) -> np.ndarray:
         a_0 = spec.lam1 * spec.lam2 / spec.lam12
         return log_scaled_e1(a_t) - log_scaled_e1(a_0)[()]
     raise SpecError(f"no MGF for {type(spec).__name__}")
+
+
+def gamma_log_bases(spec: IndependentGamma, T) -> np.ndarray:
+    """log(1 - b_p t_p) at every row t of ``T``, one column per attribute p.
+
+    The independent-Gamma MGF is exp(sum_p -n_p log(1 - b_p t_p) + eps sum_p t_p):
+    :func:`log_mgf` reduces these columns with -n, and the grid search
+    scales each by its own -n_p to get one factor per (b_p, n_p) pair.
+    """
+    out = T * -np.asarray(spec.b)
+    return np.log1p(out, out=out)
 
 
 def attribute_marginals(spec):

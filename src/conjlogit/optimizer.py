@@ -22,7 +22,8 @@ from itertools import product
 import numpy as np
 
 from .data_model import IndependentGamma, SpecError
-from .series import FactoredCounts, PreparedDataset, TruncationFailure, group_spread
+from .gamma_kernels import gamma_log_bases
+from .series import CountMatrix, FactoredCounts, PreparedDataset, TruncationFailure, group_spread
 
 
 class FitError(RuntimeError):
@@ -130,6 +131,27 @@ def params_to_spec(params, P: int, eps: float = 0.0) -> IndependentGamma:
 BLOCK_CELLS = 1 << 16
 
 
+def gamma_factor_tables(counts: CountMatrix, grid: GridSpec, eps: float) -> list[np.ndarray]:
+    """Each attribute's independent-Gamma MGF factor at its distinct t_p
+    (``counts.t_axes[p]``), one row per (b_p, n_p) pair of the grid, the
+    n_p fastest: a (pairs, distinct t_p) table per attribute.
+
+    An attribute's pairs are checked as one :class:`IndependentGamma` whose
+    attributes are the pairs, so a bad pair raises :class:`SpecError`.  The
+    factor of pair (b, n) at t is exp(-n log(1 - b t) + eps t), on the log
+    bases of :func:`~conjlogit.gamma_kernels.gamma_log_bases`, bit for bit
+    what ``log_mgf`` gives for that pair alone.
+    """
+    tables = []
+    for p, t in enumerate(counts.t_axes):
+        b, n = zip(*product(grid.axes[2 * p].points(), grid.axes[2 * p + 1].points()))
+        log = gamma_log_bases(IndependentGamma(b, n, eps), t[:, None]) * -np.asarray(n)
+        if eps:
+            log += t[:, None] * eps
+        tables.append(np.exp(np.ascontiguousarray(log.T)))
+    return tables
+
+
 def grid_logliks(prep: PreparedDataset, grid: GridSpec, eps: float = 0.0) -> np.ndarray:
     """The log marginal likelihood at every grid point, in ``grid.points()`` order.
 
@@ -138,13 +160,12 @@ def grid_logliks(prep: PreparedDataset, grid: GridSpec, eps: float = 0.0) -> np.
     :class:`TruncationFailure`.  The independent-Gamma MGF is a product over
     attributes, and so is the grid, so each attribute's factor is computed
     once per (b_p, n_p) pair, and only at that attribute's distinct t_p
-    (``CountMatrix.axis_log_mgf``, which ``CountMatrix.mgf`` uses for one
-    spec).  The sum over K is contracted one attribute at a time
-    (:class:`FactoredCounts`): one sparse product takes the counts to the
-    last attribute's pairs, and a dense batched product per other attribute
-    takes in its pairs.  The last attribute's pairs go in blocks whose
-    largest array has at most ``BLOCK_CELLS`` cells, or one pair if a single
-    pair needs more.
+    (:func:`gamma_factor_tables`).  The sum over K is contracted one
+    attribute at a time (:class:`FactoredCounts`): one sparse product takes
+    the counts to the last attribute's pairs, and a dense batched product
+    per other attribute takes in its pairs.  The last attribute's pairs go
+    in blocks whose largest array has at most ``BLOCK_CELLS`` cells, or one
+    pair if a single pair needs more.
     """
     if len(grid.axes) != 2 * prep.P:
         raise SpecError(f"grid needs {2 * prep.P} axes for P={prep.P}")
@@ -152,13 +173,7 @@ def grid_logliks(prep: PreparedDataset, grid: GridSpec, eps: float = 0.0) -> np.
     out = np.zeros(grid.cardinality)
     if counts.C.shape[0] == 0:
         return out  # no households: every point is log 1
-    factors = [  # (pairs, distinct t_p) per attribute
-        np.exp([
-            counts.axis_log_mgf(p, IndependentGamma((b,), (n,), eps))
-            for b, n in product(grid.axes[2 * p].points(), grid.axes[2 * p + 1].points())
-        ])
-        for p in range(prep.P)
-    ]
+    factors = gamma_factor_tables(counts, grid, eps)
     last = np.ascontiguousarray(factors[-1].T)  # (distinct t, pairs) of the last attribute
     view = FactoredCounts.build(counts)
     step = max(1, BLOCK_CELLS // view.cells([len(f) for f in factors]))

@@ -41,7 +41,7 @@ from .data_model import (
     PointMassGamma,
     SpecError,
 )
-from .diophantine import DioCache, build_cache, canonical_x_vectors
+from .diophantine import DioCache, _distinct, _group, build_caches, canonical_x_vectors
 from .gamma_kernels import attribute_marginals, log_mgf
 
 
@@ -167,21 +167,6 @@ def h_naive(
 # Dataset-level log marginal likelihood
 # ---------------------------------------------------------------------------
 
-def _distinct(keys: np.ndarray, size: int, limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct values of the non-negative integers ``keys`` (all below
-    ``size``) and each key's index among them.
-
-    Up to ``limit``, a lookup table over 0..size-1 marks the values present,
-    numbers them in order, and reads each key's number off the table; past
-    it the table would be too sparse and np.unique sorts the keys instead.
-    """
-    if size <= limit:
-        present = np.zeros(size, dtype=bool)
-        present[keys] = True
-        return np.flatnonzero(present), (np.cumsum(present, dtype=np.int32) - 1)[keys]
-    return np.unique(keys, return_inverse=True)
-
-
 @dataclass(frozen=True)
 class CountMatrix:
     """Every group's signed counts over the dataset's distinct K = r + Y.
@@ -205,10 +190,6 @@ class CountMatrix:
     t_axes: tuple[np.ndarray, ...]  # per attribute, its distinct t_p in order
     t_index: np.ndarray             # (P, distinct K): each column's index in t_axes[p]
 
-    # Above this many cells per stored row, the bounding box of K is too
-    # sparse for a lookup table and the columns come from np.unique.
-    MAX_BOX_PER_ROW = 16
-
     @classmethod
     def build(
         cls, groups: list[tuple[HouseholdSums, int]], caches: dict, x_scale: float
@@ -230,28 +211,17 @@ class CountMatrix:
         np.concatenate([c.r_array.T for c in blocks], axis=1, out=K)
         for p, Yp in enumerate(Y.T):
             K[p] += np.repeat(Yp, lens)
-        # Bounding box of K over all groups; K tuples are keyed by their
-        # raveled index in it.
+        # Bounding box of K over all groups; K tuples are grouped by their
+        # offsets in it.
         lo = K.min(axis=1)
         dims = K.max(axis=1) - lo + 1
-        box = math.prod(int(v) for v in dims)
-        limit = max(cls.MAX_BOX_PER_ROW * len(data), 1024)
-        if box >= 2**63:  # raveled keys would overflow: deduplicate whole rows
-            distinct_K, indices = np.unique(K.T, axis=0, return_inverse=True)
-            offsets = tuple(distinct_K.T - lo[:, None])
-        else:
-            K -= lo[:, None]  # in place: past here K is only its keys
-            keys = K[0]
-            for p in range(1, len(dims)):
-                keys *= dims[p]
-                keys += K[p]
-            distinct, indices = _distinct(keys, box, limit)
-            offsets = np.unravel_index(distinct, tuple(dims))
-            distinct_K = np.stack(offsets, axis=1) + lo
+        K -= lo[:, None]  # in place: past here K is only its offsets
+        offsets, indices = _group(K, dims)
+        distinct_K = np.stack(offsets, axis=1) + lo
         # each attribute's distinct K_p, and every column's index among them
-        axes, t_index = zip(*(_distinct(o, int(n), limit) for o, n in zip(offsets, dims)))
+        axes, t_index = zip(*(_distinct(o, int(n), len(data)) for o, n in zip(offsets, dims)))
         C = sparse.csr_matrix(
-            (data, indices.astype(np.int32, copy=False).ravel(), indptr),
+            (data, indices.astype(np.int32, copy=False), indptr),
             shape=(len(blocks), len(distinct_K)),
         )
         return cls(
@@ -315,7 +285,6 @@ class FactoredCounts:
         sizes = tuple(len(a) for a in counts.t_axes)
         if len(sizes) == 1:  # C's columns are the one attribute's axis, in order
             return cls(C, sizes, (), ())
-        limit = max(CountMatrix.MAX_BOX_PER_ROW * C.nnz, 1024)
         columns = C.indices
         n = C.shape[0]
         row = np.repeat(np.arange(n, dtype=np.int32), np.diff(C.indptr))  # each entry's row of R_0
@@ -328,7 +297,7 @@ class FactoredCounts:
             row *= size
             row += counts.t_index[p][columns]  # the entry's slot of R_p
             if p < len(sizes) - 2:  # R_{p+1} is the slots in use
-                used, row = _distinct(row, n, limit)
+                used, row = _distinct(row, n, C.nnz)
                 scatter.append(used)
                 n = len(used)
         # B keeps C's entries in C's order and shares C's data, so only its
@@ -462,11 +431,12 @@ def prepare_dataset(
     of their observations are merged, and a merged group's first household
     is that of its first part.  ``caches`` may hold caches keyed by
     any ordering of a signature; each is relabelled to the canonical one
-    rather than rebuilt, and the knapsack DP runs once per canonical
-    signature still missing.  A given cache that the panel uses must have
-    been built at ``cfg.R``; one of another budget raises ValueError.  The
-    budget-R caches carry their own parity companion, so the spread of
-    :func:`group_spread` builds nothing extra.
+    rather than rebuilt, and the canonical signatures still missing are
+    built together by one :func:`~conjlogit.diophantine.build_caches` call.
+    A given cache that the panel uses must have been built at ``cfg.R``; one
+    of another budget raises ValueError.  The budget-R caches carry their
+    own parity companion, so the spread of :func:`group_spread` builds
+    nothing extra.
     """
     groups, first = group_households(d) if groups is None else groups
     total_obs = sum([sums.n_obs * m for sums, m in groups.items()])
@@ -482,12 +452,14 @@ def prepare_dataset(
     kept = {}
     for xv in dict.fromkeys(canon.values()):
         if xv not in given:
-            kept[xv] = build_cache(xv, cfg.R)
+            kept[xv] = None  # built below, with every other missing signature
         elif given[xv].R != cfg.R:
             raise ValueError(f"cache for signature {xv} was built at R={given[xv].R}, "
                              f"but the evaluation asks for R={cfg.R}")
         else:
             kept[xv] = given[xv].relabel(xv)
+    missing = [xv for xv, cache in kept.items() if cache is None]
+    kept.update(zip(missing, build_caches(missing, cfg.R)))
     return PreparedDataset(
         [(HouseholdSums(Y, xv), m) for (Y, xv), (m, _) in merged.items()],
         [i for _, i in merged.values()], kept, total_obs, d.x_scale, cfg.R, d.P,

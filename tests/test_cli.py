@@ -98,6 +98,19 @@ def count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
+def built_signatures(monkeypatch) -> list:
+    """Record (x_vectors, R) of every signature handed to a knapsack run,
+    which builds a batch of them."""
+    built, original = [], diophantine._shell_states
+
+    def counting(X, R):
+        built.extend((tuple(map(tuple, x.tolist())), R) for x in X)
+        return original(X, R)
+
+    monkeypatch.setattr(diophantine, "_shell_states", counting)
+    return built
+
+
 def test_version_embeds_cache_format(capsys):
     with pytest.raises(SystemExit) as e:
         main(["--version"])
@@ -225,10 +238,12 @@ class TestPrecompute:
         assert "reused 1" in out
 
     def test_state_cap_exit_3(self, tmp_path, capsys, monkeypatch):
-        # at R=9 the one-observation signature needs 10 states, and the
-        # three-observation one 55 in its second column; under a cap of 20 the
-        # second is refused, and precompute writes nothing, not even the first file
+        # at R=9 the one-observation signature needs 10 states, x = (1, 1, 1)
+        # 10 per column, and x = (1, 2, 3) 55 in its second column; under a cap
+        # of 20 the last is refused, though it shares a batch with (1, 1, 1),
+        # and precompute writes nothing, not even the other files
         hs = (Household("a", (Observation(1, (2,)),)),
+              Household("c", tuple(Observation(1, (1,)) for _ in range(3))),
               Household("b", tuple(Observation(0, (v,)) for v in (1, 2, 3))))
         p = tmp_path / "d.csv"
         save_dataset(Dataset(hs, P=1), str(p))
@@ -659,14 +674,14 @@ def test_fit_parity_check_over_precomputed_caches(tmp_path, capsys, precomputed)
 def test_fit_parity_check_builds_no_cache_after_precompute(tmp_path, perm_csv, capsys,
                                                          monkeypatch):
     # the budget-R caches carry the parity companion, so the spread needs no
-    # knapsack run once every signature is on disk, and one per canonical
-    # signature without them
+    # knapsack run once every signature is on disk; without them, each
+    # canonical signature goes to a run once
     cdir = tmp_path / "c"
     assert main(["precompute", "--data", str(perm_csv), "--R", "30", "--cache-dir", str(cdir)]) == 0
     files = list(cdir.glob("*.bin"))
     canonical = {canonical_x_vectors(load_cache(str(f)).x_vectors) for f in files}
     assert len(canonical) < len(files)
-    calls = count_calls(monkeypatch, diophantine, "_shell_states")
+    calls = built_signatures(monkeypatch)
     fit = ["fit", "--data", str(perm_csv), "--grid", "3x3", "--spacing", "0.5",
            "--center", "5,14", "--R", "30"]
     code, out, err = run(fit + ["--cache-dir", str(cdir)], capsys)
@@ -677,7 +692,7 @@ def test_fit_parity_check_builds_no_cache_after_precompute(tmp_path, perm_csv, c
     assert code == 0, err
     # one build at budget 30 for each canonical signature, and no other
     assert [R for _, R in calls] == [30] * len(canonical)
-    assert {tuple(map(tuple, cols.T.tolist())) for cols, _ in calls} == canonical
+    assert {xv for xv, _ in calls} == canonical
 
 
 class TestOrderFreeSignatures:
@@ -689,11 +704,11 @@ class TestOrderFreeSignatures:
         ordered = {h.x_vectors(2) for h in d.households}
         assert len(ordered) == 6 and len({canonical_x_vectors(xv) for xv in ordered}) == 3
         cdir = tmp_path / "c"
-        builds = count_calls(monkeypatch, diophantine, "_shell_states")
+        builds = built_signatures(monkeypatch)
         code, out, err = run(["precompute", "--data", str(data), "--R", "8",
                               "--cache-dir", str(cdir)], capsys)
         assert code == 0, err
-        assert "built 6 cache(s), reused 0, 3 knapsack run(s)," in out
+        assert "built 6 cache(s), reused 0, 3 canonical signature(s) counted," in out
         assert [R for _, R in builds] == [8] * 3
         # one file per ordered signature, byte-identical to a direct build
         files = sorted(cdir.glob("*.bin"))
@@ -774,6 +789,17 @@ def test_recode_negative_takes_attribute_indices(tmp_path, capsys):
         code, _, err = run(argv + ["--recode-negative", bad], capsys)
         assert code == 2
         assert json.loads(err)["error"]["type"] == "DataError"
+
+
+def test_over_long_csv_field_exits_2(tmp_path, capsys):
+    # the csv module refuses a field over 131,072 characters
+    p = tmp_path / "d.csv"
+    p.write_text("household,category,occasion,y,x1\na,1,1,0,1\n" + "h" * 200_000 + ",1,1,1,2\n")
+    code, out, err = run(["fit", "--data", str(p), "--grid", "3x3", "--R", "10"], capsys)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "DataError"
+    assert error["message"] == f"{p}:3: field larger than field limit (131072)"
 
 
 def test_recode_negative_beyond_int64_exits_2(tmp_path, capsys):

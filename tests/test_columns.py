@@ -226,7 +226,11 @@ HEADER = "household,category,occasion,y,x1\n"
     (HEADER + '"a\nb",1,1,0,1\nc,1,1,0, z \n', "d.csv:3: value 'z' is not an integer"),
     (HEADER + "a,1,1,0,99999999999999999999\n",
      "d.csv:2: value '99999999999999999999' is outside the int64 range"),
-], ids=["last-line", "short-row", "bad-before-short", "blank-lines", "quoted-newline", "int64"])
+    (HEADER + "a,1,1,0,1\n\n" + "b" * 200_000 + ",1,1,0,1\n",
+     "d.csv:4: field larger than field limit (131072)"),
+    ("h" * 200_000 + HEADER, "d.csv:1: field larger than field limit (131072)"),
+], ids=["last-line", "short-row", "bad-before-short", "blank-lines", "quoted-newline", "int64",
+        "over-long-field", "over-long-header"])
 def test_bad_csv_names_line_and_value(tmp_path, text, message):
     p = tmp_path / "d.csv"
     p.write_text(text, newline="")

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import math
 import struct
 import sys
@@ -18,6 +19,7 @@ from conjlogit.diophantine import (
     TailBound,
     TailBoundInput,
     build_cache,
+    build_caches,
     canonical_x_vectors,
     compositions_count,
     compositions_cum,
@@ -237,6 +239,58 @@ class TestShellCountDP:
         for M, R in ((40, 40), (40, 200), (24, 200)):
             with pytest.raises(BudgetError, match="i64"):
                 build_cache(((1,) * M,), R)
+
+
+@st.composite
+def signature_lists(draw):
+    """Signatures of one P and mixed M, some repeated, with covariates either
+    small or large enough that no packed int64 key holds a state."""
+    P = draw(st.integers(1, 3))
+    value = st.integers(0, 2**40 if draw(st.booleans()) else 3)
+    column = st.lists(value, min_size=P, max_size=P).filter(any)
+    sigs = [tuple(zip(*draw(st.lists(column, min_size=M, max_size=M))))
+            for M in draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))]
+    return draw(st.permutations(sigs + draw(st.lists(st.sampled_from(sigs), max_size=3))))
+
+
+class TestBatchedBuild:
+    @given(signature_lists(), st.sampled_from([0, 1, 2, 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_batch_equals_one_at_a_time_and_the_oracle(self, sigs, R):
+        batch = build_caches(sigs, R)
+        assert [c.x_vectors for c in batch] == sigs
+        for xv, cache in zip(sigs, batch):
+            single = build_cache(xv, R)
+            assert cache.R == R
+            for got, want in zip(cache.columns(), single.columns(), strict=True):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            covered = 0
+            for r_t, cnt in cache.entries.items():
+                kp, km = signed_count_oracle(xv, r_t, R)
+                assert kp - km == cnt
+                covered += kp + km
+            assert covered == compositions_cum(R, len(xv[0]))
+
+    def test_refusal_names_the_first_refused_signature(self, monkeypatch):
+        # at R=6 under a cap of 20 states, x = (1, 2) needs 28 in column 2 of
+        # 2 and x = (1, 2, 3) 28 in column 2 of 3, x = (1, 1) fits, and
+        # C(4406, 6) k-tuples leave the int64 range
+        monkeypatch.setattr(diophantine, "MAX_STATES", 20)
+        sigs = [((1, 1),), ((1, 2),), ((1, 2, 3),), ((1,) * 4400,)]
+        for order in itertools.permutations(sigs + [((1, 1),)]):
+            with pytest.raises(BudgetError) as batch:
+                build_caches(order, 6)
+            for xv in order:
+                try:
+                    build_cache(xv, 6)
+                except BudgetError as e:
+                    assert str(batch.value) == str(e)
+                    break
+            else:
+                raise AssertionError("no signature was refused")
+        # three x = (1, 1) hold 21 states in their first column: the batch is
+        # over the cap, each signature is not, so each is built on its own
+        assert [c.x_vectors for c in build_caches(sigs[:1] * 3, 6)] == sigs[:1] * 3
 
 
 class TestCanonicalSignatures:

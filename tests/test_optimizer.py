@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conjlogit.optimizer import (
     GridAxis,
     GridError,
     GridSpec,
+    gamma_factor_tables,
     grid_fit,
     grid_logliks,
     loglik_grad_hess,
@@ -250,6 +252,12 @@ class TestGridLogliks:
         values = grid_logliks(prep, grid, eps)
         expected = np.array([loglik_or_nan(prep, p, d.P, eps) for p in grid.points()])
         assert values.shape == (grid.cardinality,)
+        # each attribute's factor table, bit for bit what log_mgf gives one pair at a time
+        for p, table in enumerate(gamma_factor_tables(prep.counts, grid, eps)):
+            pairs = product(grid.axes[2 * p].points(), grid.axes[2 * p + 1].points())
+            one_at_a_time = np.exp([prep.counts.axis_log_mgf(p, IndependentGamma((b,), (n,), eps))
+                                    for b, n in pairs])
+            assert table.tobytes() == one_at_a_time.tobytes()
         # NaN exactly where the per-point route raises TruncationFailure
         assert np.array_equal(np.isnan(values), np.isnan(expected))
         ok = ~np.isnan(expected)
@@ -333,6 +341,13 @@ class TestGridLogliks:
         prep = prepare_dataset(study_dataset(), SeriesConfig(R=60))
         with pytest.raises(SpecError):
             grid_logliks(prep, axes(*[(5.0, 3, 0.5)] * 4))
+
+    @pytest.mark.parametrize("eps", [-0.1, math.nan, math.inf])
+    def test_bad_eps_is_a_spec_error(self, eps):
+        # the factor tables check every (b, n) pair as one IndependentGamma
+        prep = prepare_dataset(study_dataset(), SeriesConfig(R=60))
+        with pytest.raises(SpecError, match="eps must be a finite number"):
+            grid_logliks(prep, axes((5.0, 3, 0.5), (14.0, 3, 0.5)), eps)
 
 
 def cache_h(sums, cache, spec, x_scale):

@@ -17,7 +17,8 @@ from conjlogit.data_model import (
     PointMassGamma,
     SpecError,
 )
-from conjlogit.diophantine import build_cache, canonical_x_vectors
+from conjlogit import diophantine
+from conjlogit.diophantine import build_cache, build_caches, canonical_x_vectors
 from conjlogit.gamma_kernels import log_mgf
 from conjlogit.series import (
     CountMatrix,
@@ -291,7 +292,7 @@ def route_counts(route, monkeypatch):
             Household("b", (Observation(1, (3, 1)),)),
         )
         d = Dataset(hs, P=2, x_scale=1e-3)
-        monkeypatch.setattr(CountMatrix, "MAX_BOX_PER_ROW", 0)
+        monkeypatch.setattr(diophantine, "MAX_BOX_PER_ROW", 0)
     elif route == "table-P1":
         hs = (
             Household("a", (Observation(1, (1,)), Observation(0, (3,)))),
@@ -341,7 +342,7 @@ class TestCountMatrixKernel:
         d = two_attribute_dataset()
         prep = prepare_dataset(d, SeriesConfig(R=12))
         table = CountMatrix.build(prep.groups, prep.caches, d.x_scale)
-        monkeypatch.setattr(CountMatrix, "MAX_BOX_PER_ROW", 0)
+        monkeypatch.setattr(diophantine, "MAX_BOX_PER_ROW", 0)
         unique = CountMatrix.build(prep.groups, prep.caches, d.x_scale)
         assert len(table.T) < table.C.nnz  # groups share K tuples
         assert np.array_equal(table.T, unique.T)
@@ -527,8 +528,8 @@ class TestOrderFreeGroups:
         given = {((2, 1), (1, 2)): build_cache(((2, 1), (1, 2)), 12),
                  ((2, 1, 1), (3, 1, 1)): build_cache(((2, 1, 1), (3, 1, 1)), 12)}
         calls = []
-        monkeypatch.setattr("conjlogit.series.build_cache",
-                            lambda xv, R: calls.append(xv) or build_cache(xv, R))
+        monkeypatch.setattr("conjlogit.series.build_caches",
+                            lambda sigs, R: calls.extend(sigs) or build_caches(sigs, R))
         prep = prepare_dataset(d, cfg, given)
         assert calls == [((3,), (3,))]
         assert list(prep.caches) == list(cold.caches)
