@@ -605,7 +605,7 @@ def main(argv=None) -> int:
     except (TruncationFailure, FitError, ToleranceNotMet,
             OverflowError, ZeroDivisionError) as e:
         return _fail(e, EXIT_NUMERIC)
-    except (DataError, SpecError, ValueError, FileNotFoundError, CacheFileError) as e:
+    except (DataError, SpecError, ValueError, OSError, CacheFileError) as e:
         return _fail(e, EXIT_USAGE)
 
 

@@ -22,21 +22,26 @@ for the parity spread, the error estimate that every reported value carries.
 The resulting cache is the parameter-independent half of the series
 evaluation and is persisted to disk.
 
-A cache stores its counts as int64 columns (r-tuples, raw counts, shell-R and
-shell-(R-1) counts) from the builder to the file and back; building, saving
-and loading make no Python object per r-tuple.  The ``entries``,
-``final_shell`` and ``prev_shell`` mappings are lazy read-only views over
-those columns for tests and oracles."""
+A cache is one read-only int64 array in the cache file's record layout,
+one row per reachable r-tuple (the r-tuple, its raw count, its shell-R and
+shell-(R-1) counts), from the builder to the file and back; building,
+saving and loading make no Python object per r-tuple.  The ``entries``,
+``final_shell`` and ``prev_shell`` dicts are built from it on first use,
+for tests and oracles."""
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 import zlib
 from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import product
+from types import MappingProxyType
 
 import numpy as np
 
@@ -104,56 +109,19 @@ def canonical_x_vectors(x_vectors) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*sorted(zip(*x_vectors))))
 
 
-class CountView(Mapping):
-    """Read-only mapping r-tuple -> signed count over a cache's int64 columns.
-
-    ``r`` holds one r-tuple per row and ``counts`` the matching counts.  With
-    ``skip_zeros`` rows whose count is 0 are left out.  The dict of tuple
-    keys is built only when a key is looked up or the view is iterated or
-    compared; ``len`` reads the columns.
-    """
-
-    __slots__ = ("_r", "_counts", "_skip_zeros", "_dict")
-
-    def __init__(self, r: np.ndarray, counts: np.ndarray, skip_zeros: bool = False):
-        self._r, self._counts, self._skip_zeros = r, counts, skip_zeros
-        self._dict = None
-
-    def _mapping(self) -> dict[tuple[int, ...], int]:
-        if self._dict is None:
-            r, c = self._r, self._counts
-            if self._skip_zeros:
-                keep = np.flatnonzero(c)
-                r, c = r[keep], c[keep]
-            self._dict = dict(zip(map(tuple, r.tolist()), c.tolist()))
-        return self._dict
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self._counts)) if self._skip_zeros else len(self._counts)
-
-    def __getitem__(self, key):
-        return self._mapping()[key]
-
-    def __iter__(self):
-        return iter(self._mapping())
-
-    def __repr__(self) -> str:
-        return f"CountView({self._mapping()!r})"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DioCache:
     """Signed solution counts K+(r) - K-(r) for one covariate signature.
 
-    The counts are stored as four int64 columns, one row per reachable
-    r-tuple, sorted by (r-total, tuple): the r-tuples (``r_array``), their
-    raw signed counts c(r) over the simplex k.1 <= R, and the signed counts
+    ``records`` is a read-only int64 array of shape (rows, P + 3) in the
+    cache file's record layout, one row per reachable r-tuple, sorted by
+    (r-total, tuple): the r-tuple r_1..r_P (``r_array``, a view), its raw
+    signed count c(r) over the simplex k.1 <= R, and the signed counts
     c_R(r) and c_{R-1}(r) contributed by the shells k.1 == R and k.1 == R-1
     alone.  ``entries`` (r -> c(r)), ``final_shell`` (r -> c_R(r)) and
     ``prev_shell`` (r -> c_{R-1}(r)), the last two over non-zero rows only,
-    are read-only :class:`CountView` mappings over those columns.  A cache
-    built from plain dicts (e.g. by ``dataclasses.replace``) derives its
-    columns from them on first use.
+    are read-only dicts built from it on first use.  Two caches are equal
+    when their x_vectors, R and records are.
 
     The shell partial sums S_s of the series alternate in sign, so the
     evaluators return their first Euler mean (S_{R-1} + S_R) / 2 (with
@@ -166,9 +134,13 @@ class DioCache:
 
     x_vectors: tuple[tuple[int, ...], ...]
     R: int
-    entries: Mapping[tuple[int, ...], int]
-    final_shell: Mapping[tuple[int, ...], int]
-    prev_shell: Mapping[tuple[int, ...], int]
+    records: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, DioCache):
+            return NotImplemented
+        return (self.x_vectors == other.x_vectors and self.R == other.R
+                and np.array_equal(self.records, other.records))
 
     @property
     def M(self) -> int:
@@ -184,32 +156,47 @@ class DioCache:
 
     @property
     def r_array(self) -> np.ndarray:
-        return self.columns()[0]
+        return self.records[:, :self.P]
 
-    @property
+    @cached_property
     def count_array(self) -> np.ndarray:
-        arr = self.__dict__.get("_count_array")
-        if arr is None:
-            _, raw, last, _ = self.columns()
-            self.__dict__["_count_array"] = arr = raw - 0.5 * last
-        return arr
+        raw, last, _ = self.records[:, self.P:].T
+        return raw - 0.5 * last
 
-    @property
+    @cached_property
     def companion_array(self) -> np.ndarray:
         """The Euler-mean weights one budget lower, aligned with ``r_array``."""
-        arr = self.__dict__.get("_companion_array")
-        if arr is None:
-            _, raw, last, prev = self.columns()
-            self.__dict__["_companion_array"] = arr = (raw - last) - 0.5 * prev
-        return arr
+        raw, last, prev = self.records[:, self.P:].T
+        return (raw - last) - 0.5 * prev
+
+    @cached_property
+    def entries(self) -> Mapping[tuple[int, ...], int]:
+        return self._mapping(0)
+
+    @cached_property
+    def final_shell(self) -> Mapping[tuple[int, ...], int]:
+        return self._mapping(1)
+
+    @cached_property
+    def prev_shell(self) -> Mapping[tuple[int, ...], int]:
+        return self._mapping(2)
+
+    def _mapping(self, column: int) -> Mapping[tuple[int, ...], int]:
+        """r -> count of ``column`` (0: c(r), 1: c_R(r), 2: c_{R-1}(r)); the
+        shell counts over their non-zero rows only."""
+        r, counts = self.r_array, self.records[:, self.P + column]
+        if column:
+            keep = counts != 0
+            r, counts = r[keep], counts[keep]
+        return MappingProxyType(dict(zip(map(tuple, r.tolist()), counts.tolist())))
 
     def relabel(self, x_vectors) -> "DioCache":
         """The same counts for ``x_vectors``, a column permutation of this
         cache's own.
 
         The counts depend on the multiset of observation columns only, so a
-        permuted signature shares every column of the cache.  Raises
-        ValueError when ``x_vectors`` is not such a permutation.
+        permuted signature shares the cache's records.  Raises ValueError
+        when ``x_vectors`` is not such a permutation.
         """
         xv = tuple(tuple(int(v) for v in vec) for vec in x_vectors)
         if xv == self.x_vectors:
@@ -222,29 +209,7 @@ class DioCache:
             raise ValueError(
                 f"x_vectors {xv} are not a column permutation of the cache's {self.x_vectors}"
             )
-        return _cache_from_arrays(xv, self.R, *self.columns())
-
-    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The int64 columns (r-tuples, c(r), c_R(r), c_{R-1}(r)) in r-total order.
-
-        Raises OverflowError when a dict-built cache holds a count outside
-        the int64 range.
-        """
-        cols = self.__dict__.get("_columns")
-        if cols is None:
-            e, f, g = self.entries, self.final_shell, self.prev_shell
-            if all(isinstance(v, CountView) and v._r is e._r for v in (e, f, g)):
-                cols = (e._r, e._counts, f._counts, g._counts)
-            else:
-                n = len(e)
-                r = np.array(list(e), dtype=np.int64).reshape(n, self.P)
-                raw = np.fromiter(e.values(), dtype=np.int64, count=n)
-                last = np.fromiter((f.get(k, 0) for k in e), dtype=np.int64, count=n)
-                prev = np.fromiter((g.get(k, 0) for k in e), dtype=np.int64, count=n)
-                order = np.lexsort((*r[:, ::-1].T, r.sum(axis=1)))
-                cols = (r[order], raw[order], last[order], prev[order])
-            self.__dict__["_columns"] = cols
-        return cols
+        return replace(self, x_vectors=xv)
 
 
 def _check_x_vectors(x_vectors) -> tuple[tuple[int, ...], ...]:
@@ -330,25 +295,27 @@ def _build_batch(xvs, R: int) -> list[DioCache]:
     xmax = [R * v for v in X.max(axis=(0, 2)).tolist()]
     (g, total, *head), row = _group(keys, [G, sum(xmax) + 1, *(v + 1 for v in xmax[:-1])])
     del keys
-    # one row per distinct r, kept even where its shells cancel to a net count of 0
-    counts = np.zeros((3, len(g)), dtype=np.int64)  # c(r), c_R(r), c_{R-1}(r)
-    np.add.at(counts[0], row, signed)
-    for col, shell in ((counts[1], R), (counts[2], R - 1)):
+    # one row per distinct r, kept even where its shells cancel to a net
+    # count of 0: r_1..r_P, c(r), c_R(r), c_{R-1}(r), the file's record layout
+    rec = np.zeros((len(g), P + 3), dtype=np.int64)
+    np.add.at(rec[:, P], row, signed)
+    for col, shell in ((P + 1, R), (P + 2, R - 1)):
         at = s == shell
-        col[row[at]] = signed[at]
+        rec[row[at], col] = signed[at]
     del s, signed, row, at
-    r = np.empty((len(g), P), dtype=np.int64)
-    r[:, -1] = total
+    rec[:, P - 1] = total
     for p, r_p in enumerate(head):
-        r[:, p] = r_p
-        r[:, -1] -= r_p
+        rec[:, p] = r_p
+        rec[:, P - 1] -= r_p
     bounds = np.searchsorted(g, np.arange(G + 1)).tolist()
-    # each cache owns copies of its rows, as a one-at-a-time build's does;
-    # views would keep the batch's arrays alive as long as any of its caches
-    return [
-        _cache_from_arrays(xv, R, r[a:b].copy(), *counts[:, a:b].copy())
-        for xv, a, b in zip(xvs, bounds, bounds[1:])
-    ]
+    # each cache owns a copy of its rows, as a one-at-a-time build's does;
+    # views would keep the batch's block alive as long as any of its caches
+    caches = []
+    for xv, a, b in zip(xvs, bounds, bounds[1:]):
+        block = rec[a:b].copy()
+        block.flags.writeable = False
+        caches.append(DioCache(xv, R, block))
+    return caches
 
 
 def _shell_states(X: np.ndarray, R: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -456,15 +423,6 @@ def _group(cols: np.ndarray, dims) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         keys += row
     distinct, index = _distinct(keys, box, len(keys))
     return np.unravel_index(distinct, dims), index
-
-
-def _cache_from_arrays(xv, R, r, raw, last, prev) -> DioCache:
-    """A cache over its r_array-ordered int64 columns: r-tuples, raw counts,
-    and the shell-R and shell-(R-1) counts."""
-    return DioCache(
-        xv, R, CountView(r, raw),
-        CountView(r, last, skip_zeros=True), CountView(r, prev, skip_zeros=True),
-    )
 
 
 def signed_count_oracle(
@@ -577,31 +535,35 @@ def tail_sum_direct(inp: TailBoundInput, rel_tol: float = 1e-16) -> float:
 # u64 FNV-1a hash of x_vectors (at byte 18), u64 record count, the
 # x_vectors themselves (P*M i64, from byte 34), then sorted (r-tuple i64*P,
 # count i64, shell-R count i64, shell-(R-1) count i64) records, then u32
-# CRC32 of the record body.  Version 1 files lack both shell columns,
+# CRC32 of the record body.  The record block is also a DioCache's
+# in-memory store: save_cache writes ``records`` as it is, and load_cache
+# wraps the file's bytes.  Version 1 files lack both shell columns,
 # version 2 files the shell-(R-1) column, and version 3 files carry an
 # unused u64 k-tuple count before the record count; all are rejected.
 # ---------------------------------------------------------------------------
 
 def save_cache(cache: DioCache, path: str) -> None:
-    try:
-        r, raw, last, prev = cache.columns()
-    except OverflowError as e:  # a dict-built cache with a count beyond int64
-        raise CacheFileError(f"a signed count exceeds the i64 file range ({e})") from None
+    """Write ``cache`` to ``path`` through a temporary file in the same
+    directory, which replaces ``path`` only once it is complete, so a write
+    that fails or is interrupted leaves ``path`` as it was."""
     header = _MAGIC + struct.pack(
-        _HEADER, CACHE_FORMAT_VERSION, cache.M, cache.P, cache.R, cache.x_hash, len(raw)
+        _HEADER, CACHE_FORMAT_VERSION, cache.M, cache.P, cache.R, cache.x_hash,
+        len(cache.records),
     )
     xdata = struct.pack(f"<{cache.P * cache.M}q", *(v for vec in cache.x_vectors for v in vec))
-    rec = np.empty((len(raw), cache.P + 3), dtype="<i8")
-    rec[:, :cache.P] = r
-    rec[:, cache.P] = raw
-    rec[:, cache.P + 1] = last
-    rec[:, cache.P + 2] = prev
-    body = rec.tobytes()
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(xdata)
-        f.write(body)
-        f.write(struct.pack("<I", zlib.crc32(body)))
+    body = cache.records.astype("<i8", copy=False).tobytes()
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(header)
+            f.write(xdata)
+            f.write(body)
+            f.write(struct.pack("<I", zlib.crc32(body)))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_cache(path: str, expect_x_vectors=None, expect_hash: int | None = None) -> DioCache:
@@ -644,7 +606,5 @@ def load_cache(path: str, expect_x_vectors=None, expect_hash: int | None = None)
     (crc,) = struct.unpack("<I", raw[-4:])
     if zlib.crc32(body) != crc:
         raise CacheFileError(f"{path}: checksum failure")
-    # Records are stored sorted by (total, tuple), the order of r_array; the
-    # cache's columns are read-only views of the record bytes.
-    rec = np.frombuffer(body, dtype="<i8").reshape(n_rec, P + 3)
-    return _cache_from_arrays(xv, R, rec[:, :P], *rec[:, P:].T)
+    # the records, sorted by (total, tuple), are the cache's read-only store
+    return DioCache(xv, R, np.frombuffer(body, dtype="<i8").reshape(n_rec, P + 3))

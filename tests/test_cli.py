@@ -279,10 +279,10 @@ class TestPrecompute:
             version = int(damage[1])
             header = b"DIOC" + struct.pack(
                 "<HIIIQQQ", version, c.M, c.P, c.R, c.x_hash, math.comb(c.R + c.M, c.M),
-                len(c.entries),
+                len(c.records),
             )
             xdata = struct.pack(f"<{c.M}q", *c.x_vectors[0])
-            body = np.column_stack(c.columns()[:version + 1]).astype("<i8").tobytes()
+            body = c.records[:, :c.P + version].astype("<i8").tobytes()
             files[0].write_bytes(header + xdata + body + struct.pack("<I", zlib.crc32(body)))
         else:
             files[0].write_bytes(good[:-10])
@@ -449,6 +449,37 @@ class TestEvalAndFit:
         assert code == 2
         blob = json.loads(err)
         assert blob["error"]["type"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize("argv,error", [
+    pytest.param(["precompute", "--data", "{data}", "--R", "10", "--cache-dir", "{file}"],
+                 "FileExistsError", id="precompute-cache-dir-is-a-file"),
+    pytest.param(["precompute", "--data", "{data}", "--R", "10", "--cache-dir", "{file}/sub"],
+                 "NotADirectoryError", id="precompute-cache-dir-under-a-file"),
+    pytest.param(["fit", "--data", "{data}", "--grid", "2x2", "--spacing", "0.5",
+                  "--center", "5,14", "--R", "10", "--cache-dir", "{c}", "-o", "{dir}"],
+                 "IsADirectoryError", id="fit-output-is-a-dir"),
+    pytest.param(["plotdata", "--data", "{data}", "--grid", "2x2", "--spacing", "0.5",
+                  "--center", "5,14", "--R", "10", "--cache-dir", "{c}", "-o", "{dir}"],
+                 "IsADirectoryError", id="plotdata-output-is-a-dir"),
+    pytest.param(["simulate", "--I", "5", "--b", "5", "--n", "14", "-o", "{dir}"],
+                 "IsADirectoryError", id="simulate-output-is-a-dir"),
+    pytest.param(["study", "--I", "20", "--replicates", "2", "--R", "10", "--grid", "2x2",
+                  "--spacing", "0.5", "--center-at-truth", "-o", "{dir}"],
+                 "IsADirectoryError", id="study-output-is-a-dir"),
+    pytest.param(["eval", "--data", "{data}", "--spec", "{dir}", "--cache-dir", "{c}"],
+                 "IsADirectoryError", id="eval-spec-is-a-dir"),
+])
+def test_os_errors_exit_2_with_json_stderr(tmp_path, sim_csv, capsys, argv, error):
+    # a path that is a file where a directory is needed, or the reverse
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    argv = [a.format(data=sim_csv, file=tmp_path / "file", dir=tmp_path / "dir",
+                     c=tmp_path / "c") for a in argv]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert json.loads(err)["error"]["type"] == error
 
 
 class TestPlotdataAndStudy:

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import gc
 import itertools
 import math
@@ -262,8 +263,8 @@ class TestBatchedBuild:
         for xv, cache in zip(sigs, batch):
             single = build_cache(xv, R)
             assert cache.R == R
-            for got, want in zip(cache.columns(), single.columns(), strict=True):
-                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert cache.records.dtype == single.records.dtype
+            assert np.array_equal(cache.records, single.records)
             covered = 0
             for r_t, cnt in cache.entries.items():
                 kp, km = signed_count_oracle(xv, r_t, R)
@@ -344,6 +345,41 @@ class TestPersistence:
         assert c2.x_vectors == c.x_vectors
         assert c2 == c
 
+    @pytest.mark.parametrize("error", [OSError(errno.ENOSPC, "No space left on device"),
+                                       KeyboardInterrupt()], ids=["disk-full", "interrupt"])
+    def test_failed_write_leaves_no_file_behind(self, tmp_path, monkeypatch, error):
+        good = tmp_path / "good.bin"
+        save_cache(self.make(), str(good))
+        before = good.read_bytes()
+
+        class FailingFile:  # fails on its second write, after the header
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 2:
+                    raise error
+                return self.f.write(data)
+
+        monkeypatch.setattr(diophantine, "open", lambda *a: FailingFile(open(*a)), raising=False)
+        other = build_cache(((1, 2), (2, 1)), 4)
+        for target in (good, tmp_path / "new.bin"):
+            with pytest.raises(type(error)):
+                save_cache(other, str(target))
+        assert good.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["good.bin"]
+        monkeypatch.undo()
+        save_cache(other, str(tmp_path / "new.bin"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["good.bin", "new.bin"]
+        assert load_cache(str(tmp_path / "new.bin")) == other
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "c.bin"
         p.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -402,10 +438,10 @@ class TestPersistence:
         c = self.make()
         header = b"DIOC" + struct.pack(
             "<HIIIQQQ", version, c.M, c.P, c.R, c.x_hash, math.comb(c.R + c.M, c.M),
-            len(c.entries),
+            len(c.records),
         )
         xdata = struct.pack(f"<{c.P * c.M}q", *(v for vec in c.x_vectors for v in vec))
-        body = np.column_stack(c.columns()[:version + 1]).astype("<i8").tobytes()
+        body = c.records[:, :c.P + version].astype("<i8").tobytes()
         path.write_bytes(header + xdata + body + struct.pack("<I", zlib.crc32(body)))
 
     def test_v1_file_rejected(self, tmp_path):
@@ -453,8 +489,9 @@ class TestPersistence:
         assert a != fnv1a_x_vectors(((2, 1), (1, 2)))
 
 
-class TestCountViews:
-    """``entries`` and ``final_shell`` are read-only mappings over the int64 columns."""
+class TestRecordStore:
+    """A cache is its read-only int64 record block; ``entries``, ``final_shell``
+    and ``prev_shell`` are read-only dicts built from it."""
 
     XV = ((1, 2), (2, 1))
 
@@ -463,7 +500,7 @@ class TestCountViews:
         save_cache(build_cache(self.XV, R), str(p))
         return load_cache(str(p), expect_x_vectors=self.XV)
 
-    def test_loaded_views_equal_the_dicts_of_a_fresh_build(self, tmp_path):
+    def test_loaded_mappings_equal_the_dicts_of_a_fresh_build(self, tmp_path):
         c = self.loaded(tmp_path)
         built = build_cache(self.XV, 6)
         want = dict(built.entries.items())
@@ -479,11 +516,12 @@ class TestCountViews:
         assert all(cnt != 0 for cnt in want_shell.values())
         assert c.entries != {**want, (0, 0): 2}
 
-    def test_views_behave_like_dicts(self, tmp_path):
+    def test_mappings_behave_like_dicts(self, tmp_path):
         c = self.loaded(tmp_path)
         want = dict(c.entries.items())
-        assert len(c.entries) == len(want) == len(c.r_array)
-        assert len(c.final_shell) == np.count_nonzero(c.columns()[2])
+        assert len(c.entries) == len(want) == len(c.r_array) == len(c.records)
+        assert len(c.final_shell) == np.count_nonzero(c.records[:, c.P + 1])
+        assert len(c.prev_shell) == np.count_nonzero(c.records[:, c.P + 2])
         assert {**c.entries} == want
         assert list(c.entries) == [tuple(r) for r in c.r_array.tolist()]
         assert sorted(c.entries.items()) == sorted(want.items())
@@ -493,35 +531,53 @@ class TestCountViews:
         assert c.final_shell.get((0, 0), 0) == 0
         with pytest.raises(KeyError):
             c.entries[(10**6, 0)]
-        with pytest.raises(TypeError):
-            c.entries[(0, 0)] = 5
+        for mapping in (c.entries, c.final_shell, c.prev_shell):
+            with pytest.raises(TypeError):
+                mapping[(0, 0)] = 5
         assert all(type(k) is tuple and all(type(v) is int for v in k) for k in c.entries)
         assert all(type(v) is int for v in c.entries.values())
 
-    def test_replaced_entries_are_saved(self, tmp_path):
-        c = self.loaded(tmp_path)
-        r, cnt = next((r, cnt) for r, cnt in sorted(c.entries.items()) if cnt)
-        flipped = dataclasses.replace(c, entries={**c.entries, r: -cnt})
-        p = tmp_path / "flipped.bin"
-        save_cache(flipped, str(p))
-        back = load_cache(str(p))
-        assert back.entries[r] == -cnt
-        assert back.entries == {**c.entries, r: -cnt}
-        assert back.final_shell == c.final_shell
-        assert back.prev_shell == c.prev_shell
-        assert np.array_equal(back.r_array, c.r_array)
-        moved = c.companion_array.copy()
-        moved[list(c.entries).index(r)] -= 2 * cnt
-        assert np.array_equal(back.companion_array, moved)
-        assert back != c
+    def test_weights_are_folds_of_the_shell_counts(self, tmp_path):
+        # the Euler-mean weights at R and R - 1, row by row from the mappings
+        for c in (build_cache(self.XV, 6), self.loaded(tmp_path)):
+            rows = [tuple(r) for r in c.r_array.tolist()]
+            raw = np.array([c.entries[r] for r in rows])
+            last = np.array([c.final_shell.get(r, 0) for r in rows])
+            prev = np.array([c.prev_shell.get(r, 0) for r in rows])
+            assert np.array_equal(c.count_array, raw - 0.5 * last)
+            assert np.array_equal(c.companion_array, (raw - last) - 0.5 * prev)
+            assert np.array_equal(c.r_array, c.records[:, :c.P])
+            assert np.array_equal(c.records[:, c.P:], np.column_stack((raw, last, prev)))
 
-    @pytest.mark.parametrize("field", ["entries", "final_shell", "prev_shell"])
-    @pytest.mark.parametrize("count", [2**63, -(2**63) - 1])
-    def test_count_beyond_i64_fails_on_save(self, tmp_path, field, count):
-        c = build_cache(self.XV, 6)
-        big = dataclasses.replace(c, **{field: {**getattr(c, field), (0, 0): count}})
-        with pytest.raises(CacheFileError, match="i64"):
-            save_cache(big, str(tmp_path / "big.bin"))
+    @given(st.integers(1, 3).flatmap(lambda P: st.lists(
+        st.tuples(*[st.integers(0, 3)] * P).filter(any), min_size=1, max_size=3
+    )), st.integers(0, 5), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equality_and_read_only_records(self, tmp_path_factory, cols, R, data):
+        xv = tuple(zip(*cols))
+        c = build_cache(xv, R)
+        p = tmp_path_factory.mktemp("eq") / "c.bin"
+        save_cache(c, str(p))
+        loaded = load_cache(str(p))
+        assert loaded == c == DioCache(xv, R, c.records.copy())
+        assert c != xv
+        for cache in (c, loaded):
+            assert not cache.records.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                cache.records[0, -3] += 1
+        # one count of one row changed
+        row = data.draw(st.integers(0, len(c.records) - 1))
+        col = data.draw(st.integers(c.P, c.P + 2))
+        changed = c.records.copy()
+        changed[row, col] += data.draw(st.sampled_from([-1, 1]))
+        assert DioCache(xv, R, changed) != c and c != DioCache(xv, R, changed)
+        assert dataclasses.replace(c, R=R + 1) != c
+        # the same records under another order of the observation columns
+        order = data.draw(st.permutations(range(c.M)))
+        perm = tuple(tuple(vec[m] for m in order) for vec in xv)
+        relabelled = c.relabel(perm)
+        assert relabelled.records is c.records
+        assert (relabelled == c) == (perm == xv)
 
     def test_load_and_count_matrix_allocate_no_object_per_rtuple(self, tmp_path):
         xv = ((1, 2, 3), (3, 1, 2))

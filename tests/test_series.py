@@ -535,7 +535,7 @@ class TestOrderFreeGroups:
         assert list(prep.caches) == list(cold.caches)
         for xv, cache in prep.caches.items():
             assert cache.x_vectors == xv
-            assert cache.columns()[0].tobytes() == cold.caches[xv].columns()[0].tobytes()
+            assert cache.records.tobytes() == cold.caches[xv].records.tobytes()
         assert log_marginal_prepared(prep, IG2).value == log_marginal_prepared(cold, IG2).value
         wrong = {((1, 2), (2, 1)): build_cache(((1, 1), (2, 2)), 12)}
         with pytest.raises(ValueError, match="not a column permutation"):
