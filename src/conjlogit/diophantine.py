@@ -120,7 +120,11 @@ class DioCache:
     c_R(r) and c_{R-1}(r) contributed by the shells k.1 == R and k.1 == R-1
     alone.  ``entries`` (r -> c(r)), ``final_shell`` (r -> c_R(r)) and
     ``prev_shell`` (r -> c_{R-1}(r)), the last two over non-zero rows only,
-    are read-only dicts built from it on first use.  Two caches are equal
+    are read-only dicts built from it on first use.  A writable ``records``
+    is copied, so a cache never shares a block that can still change.
+    ``entries``, if given, replaces the raw counts c(r) of the rows, whose
+    r-tuples it must key exactly: ``dataclasses.replace(cache, entries=...)``
+    then gives the cache with those counts edited.  Two caches are equal
     when their x_vectors, R and records are.
 
     The shell partial sums S_s of the series alternate in sign, so the
@@ -135,6 +139,26 @@ class DioCache:
     x_vectors: tuple[tuple[int, ...], ...]
     R: int
     records: np.ndarray
+
+    def __init__(self, x_vectors, R: int, records: np.ndarray, entries=None):
+        P = len(x_vectors)
+        records = np.asarray(records)
+        if not (records.dtype.kind == "i" and records.dtype.itemsize == 8
+                and records.ndim == 2 and records.shape[1] == P + 3):
+            raise ValueError(f"records must be an int64 (rows, P+3) = (rows, {P + 3}) "
+                             f"array, not {records.dtype} of shape {records.shape}")
+        if entries is not None:
+            rows = list(map(tuple, records[:, :P].tolist()))
+            if len(entries) != len(rows) or not all(r in entries for r in rows):
+                raise ValueError("entries must key exactly the r-tuples of the records")
+            records = records.copy()
+            records[:, P] = [entries[r] for r in rows]
+        elif records.flags.writeable:
+            records = records.copy()
+        records.flags.writeable = False
+        object.__setattr__(self, "x_vectors", x_vectors)
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "records", records)
 
     def __eq__(self, other):
         if not isinstance(other, DioCache):
@@ -154,20 +178,20 @@ class DioCache:
     def x_hash(self) -> int:
         return fnv1a_x_vectors(self.x_vectors)
 
-    @property
+    @cached_property
     def r_array(self) -> np.ndarray:
         return self.records[:, :self.P]
 
     @cached_property
     def count_array(self) -> np.ndarray:
-        raw, last, _ = self.records[:, self.P:].T
-        return raw - 0.5 * last
+        rec, P = self.records, self.P
+        return rec[:, P] - 0.5 * rec[:, P + 1]
 
     @cached_property
     def companion_array(self) -> np.ndarray:
         """The Euler-mean weights one budget lower, aligned with ``r_array``."""
-        raw, last, prev = self.records[:, self.P:].T
-        return (raw - last) - 0.5 * prev
+        rec, P = self.records, self.P
+        return (rec[:, P] - rec[:, P + 1]) - 0.5 * rec[:, P + 2]
 
     @cached_property
     def entries(self) -> Mapping[tuple[int, ...], int]:
@@ -308,14 +332,9 @@ def _build_batch(xvs, R: int) -> list[DioCache]:
         rec[:, p] = r_p
         rec[:, P - 1] -= r_p
     bounds = np.searchsorted(g, np.arange(G + 1)).tolist()
-    # each cache owns a copy of its rows, as a one-at-a-time build's does;
-    # views would keep the batch's block alive as long as any of its caches
-    caches = []
-    for xv, a, b in zip(xvs, bounds, bounds[1:]):
-        block = rec[a:b].copy()
-        block.flags.writeable = False
-        caches.append(DioCache(xv, R, block))
-    return caches
+    # DioCache copies each writable slice, so every cache owns its rows, as a
+    # one-at-a-time build's does, and none keeps the batch's block alive
+    return [DioCache(xv, R, rec[a:b]) for xv, a, b in zip(xvs, bounds, bounds[1:])]
 
 
 def _shell_states(X: np.ndarray, R: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

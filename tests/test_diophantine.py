@@ -537,6 +537,28 @@ class TestRecordStore:
         assert all(type(k) is tuple and all(type(v) is int for v in k) for k in c.entries)
         assert all(type(v) is int for v in c.entries.values())
 
+    def test_replaced_entries_are_saved(self, tmp_path):
+        c = self.loaded(tmp_path)
+        r, cnt = next((r, cnt) for r, cnt in sorted(c.entries.items()) if cnt)
+        flipped = dataclasses.replace(c, entries={**c.entries, r: -cnt})
+        p = tmp_path / "flipped.bin"
+        save_cache(flipped, str(p))
+        back = load_cache(str(p))
+        assert back.entries[r] == -cnt
+        assert back.entries == {**c.entries, r: -cnt}
+        assert back.final_shell == c.final_shell
+        assert back.prev_shell == c.prev_shell
+        assert np.array_equal(back.r_array, c.r_array)
+        moved = c.companion_array.copy()
+        moved[list(c.entries).index(r)] -= 2 * cnt
+        assert np.array_equal(back.companion_array, moved)
+        assert back != c
+        # the replacement must key exactly the cache's r-tuples
+        with pytest.raises(ValueError, match="r-tuples"):
+            dataclasses.replace(c, entries={**c.entries, (10**6, 0): 1})
+        with pytest.raises(ValueError, match="r-tuples"):
+            dataclasses.replace(c, entries={k: v for k, v in c.entries.items() if k != r})
+
     def test_weights_are_folds_of_the_shell_counts(self, tmp_path):
         # the Euler-mean weights at R and R - 1, row by row from the mappings
         for c in (build_cache(self.XV, 6), self.loaded(tmp_path)):
@@ -565,6 +587,16 @@ class TestRecordStore:
             assert not cache.records.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 cache.records[0, -3] += 1
+        # a writable block is copied, so writing to it leaves the cache as it was
+        mine = c.records.copy()
+        own = DioCache(xv, R, mine)
+        mine[0, -3] += 1
+        assert own == c and not own.records.flags.writeable
+        wide = np.hstack([c.records, c.records[:, :1]])
+        for bad in (c.records[:, :-1], wide, c.records[0], c.records.astype(np.int32),
+                    c.records.astype(np.float64)):
+            with pytest.raises(ValueError, match="int64"):
+                DioCache(xv, R, bad)
         # one count of one row changed
         row = data.draw(st.integers(0, len(c.records) - 1))
         col = data.draw(st.integers(c.P, c.P + 2))
