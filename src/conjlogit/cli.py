@@ -69,7 +69,7 @@ from .series import (
     log_marginal_prepared,
     prepare_dataset,
 )
-from .sim import SimDesign, run_study, simulate_dataset
+from .sim import SimDesign, check_study, run_study, simulate_dataset
 
 from . import __version__
 
@@ -154,6 +154,8 @@ def _grid_from_args(args, P: int) -> GridSpec:
 def _true_spec(args) -> IndependentGamma:
     """The prior of ``--b``, ``--n`` and ``--eps``; a single b or n applies
     to all ``--P`` attributes."""
+    if args.P < 1:
+        raise SpecError(f"--P must be at least 1, got {args.P}")
     b = _parse_list("--b", args.b)
     n = _parse_list("--n", args.n)
     if len(b) == 1:
@@ -165,7 +167,7 @@ def _true_spec(args) -> IndependentGamma:
 
 def _load_data(args) -> Dataset:
     d = load_dataset(args.data)
-    if getattr(args, "rescale", None):
+    if getattr(args, "rescale", None) is not None:
         d = rescale_covariates(d, args.rescale)
     if getattr(args, "drop_degenerate", False):
         d = drop_degenerate(d)
@@ -362,8 +364,10 @@ def cmd_study(args) -> int:
         x_support=tuple(_parse_list("--x-support", args.x_support, int)),
         replicates=args.replicates, seed=args.seed,
     )
-    report = run_study(design, n_tests=args.n_tests)
-    report.write_csv(args.output)
+    check_study(design, args.n_tests)
+    with open(args.output, "w", newline="") as f:  # an unwritable -o fails before the study
+        report = run_study(design, n_tests=args.n_tests)
+        report.write_csv(f)
     print(f"{'param':>6} {'truth':>8} {'mean':>10} {'sd':>10} {'t':>8} "
           f"{'crit':>6} pass")
     for r in report.rows:
@@ -512,10 +516,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The ``conjlogit`` argument parser, with every subcommand, or with
     ``command`` only.
 
-    Building a subcommand's flags costs far more than parsing them, so
-    :func:`main` builds only the invoked one's.  Every subcommand is still
-    registered with its help line, so usage, top-level help and errors read
-    as the full parser's do.
+    Building a subcommand's parser costs far more than parsing its flags,
+    so :func:`main` registers only the invoked one.  Its usage names every
+    subcommand (a metavar built from ``SUBCOMMANDS``, as argparse builds the
+    full parser's), so usage, help and errors read as the full parser's do.
     """
     ap = argparse.ArgumentParser(
         prog="conjlogit",
@@ -527,11 +531,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     ap.add_argument("--config", default=None,
                     help="JSON file of flag defaults (explicit flags win)")
-    sub = ap.add_subparsers(dest="command", required=True)
+    # The full parser keeps argparse's own metavar: a missing subcommand,
+    # which only the full parser sees, is then reported as "command".
+    metavar = None if command is None else "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (help_line, add_flags) in SUBCOMMANDS.items():
-        parser = sub.add_parser(name, help=help_line)
         if command in (None, name):
-            add_flags(parser)
+            add_flags(sub.add_parser(name, help=help_line))
     return ap
 
 

@@ -11,8 +11,11 @@ outcome and covariate columns with each household's rows contiguous.
 A panel enters by one of two routes, and both fill the columns at once:
 ``load_dataset`` parses a CSV file and ``Dataset(households, P)`` converts
 ``Household`` objects; a value the columns cannot hold raises DataError
-there.  Validation and grouping read the columns with no Python object per
-observation.  ``Dataset.households`` is a read-only sequence view that builds
+there.  ``load_dataset`` reads a file's rows with numpy's C tokenizer, and
+a file the tokenizer refuses, or might read otherwise, with the ``csv``
+module and ``int``, which name the line of a bad value.  Validation and
+grouping read the columns with no Python object per observation.
+``Dataset.households`` is a read-only sequence view that builds
 :class:`Household`/:class:`Observation` objects only when something reads it.
 All types are immutable after construction and safe to share across threads.
 
@@ -25,8 +28,10 @@ from __future__ import annotations
 import bisect
 import csv
 import dataclasses
+import io
 import json
 import math
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -335,10 +340,14 @@ def save_dataset(d: Dataset, path: str) -> None:
 def load_dataset(path: str) -> Dataset:
     """Load a dataset from its CSV form; inverse of :func:`save_dataset`.
 
-    Fills the panel columns directly: the rows' y and x cells are parsed by
-    one ``int`` pass over all of them, and a household's rows, which may be
-    interleaved with other households' in the file, are gathered in file
-    order.  A bad value raises DataError naming its line.
+    Fills the panel columns directly.  The body below the header is read by
+    numpy's C tokenizer in one ``np.loadtxt`` call; a body it refuses, or
+    might read otherwise than Python's ``csv`` and ``int`` do, is read by
+    the ``csv`` module and one ``int`` pass over the y and x cells instead
+    (see :func:`_tokenized`), so both routes load the same dataset and a bad
+    value raises the same DataError naming its line.  A household's rows,
+    which may be interleaved with other households' in the file, are
+    gathered in file order.
     """
     x_scale = 1.0
     with open(path, encoding="utf-8") as f:
@@ -363,39 +372,90 @@ def load_dataset(path: str) -> Dataset:
         P = len(header) - 4
         if P < 1 or header[4:] != [f"x{p+1}" for p in range(P)]:
             raise DataError(f"{path}:{lineno}: bad covariate columns {header[4:]}")
-        first_data_line = lineno + 1
-        index: dict[str, int] = {}  # household id -> number, in order of first appearance
-        households: list[int] = []  # household number of every row
-        cells: list[str] = []       # the y, x1, ..., xP cells of every row, flattened
-        blanks: list[int] = []      # rows read before each blank line
-
-        def line_of(row: int) -> int:
-            return first_data_line + row + bisect.bisect_right(blanks, row)
-
-        reader = csv.reader(f)
-        try:
-            for row in reader:
-                if not row:
-                    blanks.append(len(households))
-                    continue
-                if len(row) != 4 + P:
-                    _int_cells(cells, P + 1, path, line_of)  # an earlier bad value comes first
-                    line = line_of(len(households))
-                    raise DataError(f"{path}:{line}: expected {4+P} columns, got {len(row)}")
-                households.append(index.setdefault(row[0], len(index)))
-                cells += row[3:]
-        except csv.Error as e:
-            raise DataError(f"{path}:{lineno + reader.line_num}: {e}") from None
-    if not households:
-        raise DataError(f"{path}: no households")
-    cols = _int_cells(cells, P + 1, path, line_of).reshape(len(households), P + 1)
-    del cells
-    number = np.array(households, dtype=np.int64)
+        body = f.read()
+    rows = _tokenized(body, P)
+    ids, cols = rows if rows is not None else _csv_rows(body, P, path, lineno)
+    index = dict.fromkeys(ids)  # household ids in order of first appearance
+    index.update(zip(index, range(len(index))))
+    number = np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
     offsets = np.zeros(len(index) + 1, dtype=np.int64)
     np.cumsum(np.bincount(number, minlength=len(index)), out=offsets[1:])
     if np.any(number[1:] < number[:-1]):  # interleaved households: gather their rows
         cols = cols[np.argsort(number, kind="stable")]
     return Dataset.from_columns(index, offsets, cols[:, 0], cols[:, 1:], x_scale=x_scale)
+
+
+# numpy's integer parser skips \x1c-\x1f as white space and reads some
+# non-ASCII letters (U+01FE, for one) as digits, where int() rejects both;
+# the csv module of Python 3.10 rejects NUL
+_UNTOKENIZED = "\0\x1c\x1d\x1e\x1f"
+
+
+def _tokenized(body: str, P: int) -> tuple[list[str], np.ndarray] | None:
+    """The body's household id per row and its (n, P+1) y, x1..xP cells,
+    read by numpy's C tokenizer; None where the ``csv`` route must read it.
+
+    The tokenizer's reading is taken only when it is the one the ``csv``
+    route would give: the body is ASCII with none of ``_UNTOKENIZED``, the
+    tokenizer raises no ValueError and no warning (numpy < 2 reads ``3.0``
+    as an int with a DeprecationWarning, and an empty body warns), and no
+    field is longer than ``csv.field_size_limit()``.  Every other body,
+    a bad one or one with cells only ``int`` reads (``1_0``, ``٣``), goes
+    to the ``csv`` route.  The warnings filter is process-wide, so the
+    call turns warnings into errors in every thread while numpy reads.
+    """
+    if not body.isascii() or any(c in body for c in _UNTOKENIZED):
+        return None
+    text = ("id", "category", "occasion")
+    dtype = [(k, object) for k in text] + [("values", np.int64, (P + 1,))]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",", quotechar='"',
+                              comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    limit = csv.field_size_limit()
+    if len(body) > limit:
+        # A cell numpy reads as an int holds no comma, so it is no longer
+        # than the body's longest stretch without one; a text field may
+        # hold commas inside quotes, so it is measured.
+        commas = np.flatnonzero(np.frombuffer(body.encode("ascii"), np.uint8) == ord(","))
+        if (np.diff(commas, prepend=-1, append=len(body)).max() - 1 > limit
+                or any(max(map(len, rows[k].tolist())) > limit for k in text)):
+            return None
+    return rows["id"].tolist(), rows["values"]
+
+
+def _csv_rows(body: str, P: int, path: str, header_line: int) -> tuple[list[str], np.ndarray]:
+    """:func:`_tokenized`'s result read by the ``csv`` module and ``int``;
+    DataError naming the line of a bad row or value, or for a body with no
+    rows.  ``header_line`` is the line number of the header above the body."""
+    first_data_line = header_line + 1
+    ids: list[str] = []    # household id of every row
+    cells: list[str] = []  # the y, x1, ..., xP cells of every row, flattened
+    blanks: list[int] = []  # rows read before each blank line
+
+    def line_of(row: int) -> int:
+        return first_data_line + row + bisect.bisect_right(blanks, row)
+
+    reader = csv.reader(io.StringIO(body))
+    try:
+        for row in reader:
+            if not row:
+                blanks.append(len(ids))
+                continue
+            if len(row) != 4 + P:
+                _int_cells(cells, P + 1, path, line_of)  # an earlier bad value comes first
+                line = line_of(len(ids))
+                raise DataError(f"{path}:{line}: expected {4+P} columns, got {len(row)}")
+            ids.append(row[0])
+            cells += row[3:]
+    except csv.Error as e:
+        raise DataError(f"{path}:{header_line + reader.line_num}: {e}") from None
+    if not ids:
+        raise DataError(f"{path}: no households")
+    return ids, _int_cells(cells, P + 1, path, line_of).reshape(len(ids), P + 1)
 
 
 def _parse_x_scale(text: str, path: str) -> float:
@@ -429,11 +489,17 @@ def _int_cells(cells: list[str], width: int, path: str, line_of) -> np.ndarray:
 
 
 def _parse_int(s: str) -> int:
+    try:
+        return int(s)
+    except ValueError:
+        pass
     v = s.strip()
     try:
-        return int(v)
+        int(v)
     except ValueError:
         raise ValueError(f"value {v!r} is not an integer") from None
+    # str.strip drops \x1c-\x1f at the ends, where int() does not skip them
+    raise ValueError(f"value {s!r} is not an integer")
 
 
 def rescale_covariates(d: Dataset, factor: float) -> Dataset:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 from scipy import stats
@@ -116,15 +117,15 @@ class SimReport:
     def all_pass(self) -> bool:
         return all(r.passed for r in self.rows)
 
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["param", "truth", "mean", "sd", "t", "crit", "pass"])
-            for r in self.rows:
-                w.writerow(
-                    [r.param, r.truth, f"{r.mean:.6g}", f"{r.sd:.6g}",
-                     f"{r.t:.4f}", f"{r.crit:.4f}", int(r.passed)]
-                )
+    def write_csv(self, f: TextIO) -> None:
+        """Write the report's rows to ``f``, a text file opened with ``newline=""``."""
+        w = csv.writer(f)
+        w.writerow(["param", "truth", "mean", "sd", "t", "crit", "pass"])
+        for r in self.rows:
+            w.writerow(
+                [r.param, r.truth, f"{r.mean:.6g}", f"{r.sd:.6g}",
+                 f"{r.t:.4f}", f"{r.crit:.4f}", int(r.passed)]
+            )
 
 
 def bonferroni_crit(alpha: float, n_tests: int, df: int) -> float:
@@ -132,18 +133,24 @@ def bonferroni_crit(alpha: float, n_tests: int, df: int) -> float:
     return float(stats.t.ppf(1.0 - alpha / (2.0 * n_tests), df))
 
 
+def check_study(design: SimDesign, n_tests: int | None = None) -> None:
+    """ValueError unless :func:`run_study` can run ``design`` with ``n_tests``:
+    a study needs at least 2 replicates, for a standard deviation, and
+    n_tests >= 1."""
+    if design.replicates < 2:
+        raise ValueError(f"a study needs at least 2 replicates, got {design.replicates}")
+    if n_tests is not None and n_tests < 1:
+        raise ValueError(f"n_tests, the Bonferroni family size, must be at least 1, got {n_tests}")
+
+
 def run_study(design: SimDesign, n_tests: int | None = None) -> SimReport:
     """Fit every replicate on the design grid and test recovery of the truth.
 
     ``n_tests`` sets the Bonferroni family size (defaults to the number of
     parameters in this study, 2P); studies reported jointly should share one
-    family size.  Needs at least 2 replicates, for a standard deviation, and
-    n_tests >= 1.
+    family size.  The arguments are checked by :func:`check_study` first.
     """
-    if design.replicates < 2:
-        raise ValueError(f"a study needs at least 2 replicates, got {design.replicates}")
-    if n_tests is not None and n_tests < 1:
-        raise ValueError(f"n_tests, the Bonferroni family size, must be at least 1, got {n_tests}")
+    check_study(design, n_tests)
     cfg = SeriesConfig(R=design.R)
     ests = np.empty((design.replicates, 2 * design.P))
     boundary = 0

@@ -878,6 +878,38 @@ def test_grid_commands_need_center(tmp_path, sim_csv, capsys, command):
     assert not (tmp_path / "out").exists() and not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "study"])
+@pytest.mark.parametrize("P", ["0", "-1"])
+def test_attribute_count_below_one_is_a_usage_error(tmp_path, capsys, command, P):
+    argv = {"simulate": ["simulate", "--I", "3", "--b", "5", "--n", "14"],
+            "study": ["study", "--I", "20", "--replicates", "2", "--center-at-truth"]}[command]
+    code, out, err = run(argv + ["--P", P, "-o", str(tmp_path / "out")], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"type": "SpecError", "exit_code": 2,
+                                        "message": f"--P must be at least 1, got {P}"}
+    assert not (tmp_path / "out").exists()
+
+
+def test_study_output_is_opened_before_the_study_runs(tmp_path, capsys, monkeypatch):
+    def study_ran(*args, **kwargs):
+        raise AssertionError("run_study was called")
+
+    monkeypatch.setattr(cli, "run_study", study_ran)
+    (tmp_path / "dir").mkdir()
+    code, out, err = run(["study", "--I", "20", "--replicates", "2", "--center-at-truth",
+                          "-o", str(tmp_path / "dir")], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["type"] == "IsADirectoryError"
+
+
+def test_rescale_zero_is_rejected(tmp_path, sim_csv, capsys):
+    code, out, err = run(["fit", "--data", str(sim_csv), "--center", "5,14", "--rescale", "0",
+                          "--cache-dir", str(tmp_path / "c")], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"type": "DataError", "exit_code": 2,
+                                        "message": "rescale factor must be positive"}
+
+
 def test_fit_reports_parity_spread(tmp_path, sim_csv, capsys):
     fit = ["fit", "--data", str(sim_csv), "--grid", "3x3", "--spacing", "0.5",
            "--center", "5,14", "--R", "30", "--cache-dir", str(tmp_path / "c")]

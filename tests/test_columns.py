@@ -8,11 +8,13 @@ import csv
 import dataclasses
 import gc
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conjlogit import data_model
 from conjlogit.data_model import (
     DataError,
     Dataset,
@@ -95,7 +97,7 @@ def panels(draw, lo=0):
     the order in which their rows are interleaved in a file.  Covariates lie
     in [lo, 4]."""
     P = draw(st.sampled_from([1, 2, 3]))
-    ids = draw(st.lists(st.text(alphabet='ab,"\n x', max_size=4), min_size=1, max_size=6,
+    ids = draw(st.lists(st.text(alphabet='ab,"\n x#', max_size=4), min_size=1, max_size=6,
                         unique=True))
     obs = st.builds(Observation, st.integers(0, 1), st.tuples(*[st.integers(lo, 4)] * P))
     households = [Household(i, tuple(draw(st.lists(obs, min_size=1, max_size=4))))
@@ -229,11 +231,24 @@ HEADER = "household,category,occasion,y,x1\n"
     (HEADER + "a,1,1,0,1\n\n" + "b" * 200_000 + ",1,1,0,1\n",
      "d.csv:4: field larger than field limit (131072)"),
     ("h" * 200_000 + HEADER, "d.csv:1: field larger than field limit (131072)"),
+    (HEADER, "d.csv: no households"),
+    (HEADER + "\n\n", "d.csv: no households"),
+    (HEADER + "a,1,1,0,1\nb,1,1,0,3.0\n", "d.csv:3: value '3.0' is not an integer"),
+    (HEADER + "a,1,1,0,9223372036854775808\n",
+     "d.csv:2: value '9223372036854775808' is outside the int64 range"),
+    (HEADER + "a," + "c" * 200_000 + ",1,0,1\n", "d.csv:2: field larger than field limit (131072)"),
+    (HEADER + "a,1,1,0," + "0" * 131_072 + "1\n",
+     "d.csv:2: field larger than field limit (131072)"),
+    (HEADER + '"' + "a," * 70_000 + '",1,1,0,1\n', "d.csv:2: field larger than field limit (131072)"),
+    (HEADER + "a,1,1,0,\x1c1\n", "d.csv:2: value '\\x1c1' is not an integer"),
+    (HEADER + "a,1,1,0,1\na,1,2,0,\u01fe\n", "d.csv:3: value '\u01fe' is not an integer"),
 ], ids=["last-line", "short-row", "bad-before-short", "blank-lines", "quoted-newline", "int64",
-        "over-long-field", "over-long-header"])
+        "over-long-field", "over-long-header", "header-only", "header-and-blank-lines",
+        "float-cell", "int64-max-plus-one", "over-long-category", "over-long-cell",
+        "over-long-quoted-id", "separator-control-cell", "letter-cell"])
 def test_bad_csv_names_line_and_value(tmp_path, text, message):
     p = tmp_path / "d.csv"
-    p.write_text(text, newline="")
+    p.write_text(text, encoding="utf-8", newline="")
     with pytest.raises(DataError) as e:
         load_dataset(str(p))
     assert str(e.value) == f"{p.parent}/{message}"
@@ -248,6 +263,76 @@ def test_crlf_signs_and_spaces_parse(tmp_path):
         Household("a", (Observation(1, (3, 3)), Observation(0, (1, 1)))),
         Household("b,c", (Observation(0, (3, 2)),)),
     ), P=2, x_scale=0.5)
+
+
+@pytest.mark.parametrize("body, ids, X", [
+    ("a,1,1,0,1_0\nb,1,1,1,\u0663\n", ("a", "b"), [[10], [3]]),
+    ('#a,1,1,0,1\n b ,1,1,0,2\n"a""b",1,1,1,3\na"b,1,2,0,4\n', ("#a", " b ", 'a"b'),
+     [[1], [2], [3], [4]]),
+], ids=["cells-only-int-reads", "ids-with-hash-spaces-and-quotes"])
+def test_cells_and_ids_load_as_csv_and_int_read_them(tmp_path, body, ids, X):
+    p = tmp_path / "d.csv"
+    p.write_text(HEADER + body, encoding="utf-8")
+    cols = load_dataset(str(p)).columns()
+    assert (cols.ids, cols.X.tolist()) == (ids, X)
+
+
+ODD_TEXT = 'ab01 \t\n\r,"#+-._'  # ASCII that the parsers treat differently, or not
+EXOTIC_TEXT = ODD_TEXT + "\x00\x1c\u0663\u01fe"  # characters the tokenizer route turns away
+
+
+@st.composite
+def csv_bodies(draw):
+    """P and a panel body: rows of 4 + P cells, most of them well formed,
+    some with the characters on which the csv module, int() and numpy's
+    tokenizer could part, some rows a cell short or long; or free text."""
+    P = draw(st.sampled_from([1, 2]))
+
+    def one(*weighted):  # a draw from one of the strategies, picked by weight
+        return draw(draw(st.sampled_from([s for s, w in weighted for _ in range(w)])))
+
+    def odd():
+        return one((st.text(alphabet=ODD_TEXT, max_size=4), 3),
+                   (st.text(alphabet=EXOTIC_TEXT, max_size=4), 1))
+
+    def number():
+        spaced = st.tuples(st.sampled_from(["", " ", "\t", '"', "+", "-", "0"]),
+                           st.integers(0, 12), st.sampled_from(["", " ", '"']))
+        return one((st.integers(0, 3).map(str), 12),
+                   (spaced.map(lambda t: f"{t[0]}{t[1]}{t[2]}"), 3),
+                   (st.just(None), 1)) or odd()
+
+    def row():
+        text = one((st.text(alphabet='ab #"\t,', max_size=4), 6), (st.just(None), 1)) or odd()
+        cells = [text] + [number() for _ in range(P + 3)]
+        cut = draw(st.sampled_from([0] * 12 + [1, -1]))
+        return ",".join(cells[:-1] if cut < 0 else cells + [number() for _ in range(cut)])
+
+    kind = draw(st.sampled_from(["\n"] * 4 + ["\r\n", "free"]))
+    if kind == "free":
+        return P, draw(st.text(alphabet=EXOTIC_TEXT, max_size=40))
+    return P, "".join(row() + kind for _ in range(draw(st.integers(1, 5))))
+
+
+@given(csv_bodies())
+@settings(max_examples=150, deadline=None)
+def test_both_load_routes_read_a_body_alike(tmp_path_factory, panel_body):
+    # numpy's tokenizer reads a body only where the csv module and int()
+    # read it alike: the same dataset, or the same DataError
+    P, body = panel_body
+    p = tmp_path_factory.getbasetemp() / "routes.csv"  # rewritten by each example
+    header = "household,category,occasion,y," + ",".join(f"x{k + 1}" for k in range(P))
+    p.write_text(header + "\n" + body, encoding="utf-8", newline="")
+
+    def load():
+        try:
+            return load_dataset(str(p))
+        except DataError as e:
+            return str(e)
+
+    got = load()
+    with mock.patch.object(data_model, "_tokenized", lambda body, P: None):
+        assert got == load()
 
 
 class TestHouseholdsView:

@@ -96,7 +96,8 @@ class TestRunStudy:
             assert np.isfinite(r.mean) and np.isfinite(r.sd)
             assert r.crit > 0
         p = tmp_path / "rep.csv"
-        rep.write_csv(str(p))
+        with open(p, "w", newline="") as f:
+            rep.write_csv(f)
         with open(p) as f:
             rows = list(csv.reader(f))
         assert rows[0] == ["param", "truth", "mean", "sd", "t", "crit", "pass"]
