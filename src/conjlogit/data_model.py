@@ -347,8 +347,16 @@ def load_dataset(path: str) -> Dataset:
     (see :func:`_tokenized`), so both routes load the same dataset and a bad
     value raises the same DataError naming its line.  A household's rows,
     which may be interleaved with other households' in the file, are
-    gathered in file order.
+    gathered in file order.  A file that is not UTF-8 text raises DataError
+    naming the line of its first bad byte.
     """
+    try:
+        return _load_dataset(path)
+    except UnicodeDecodeError as e:
+        raise DataError(_not_utf8(path, e)) from None
+
+
+def _load_dataset(path: str) -> Dataset:
     x_scale = 1.0
     with open(path, encoding="utf-8") as f:
         first = f.readline()
@@ -383,6 +391,21 @@ def load_dataset(path: str) -> Dataset:
     if np.any(number[1:] < number[:-1]):  # interleaved households: gather their rows
         cols = cols[np.argsort(number, kind="stable")]
     return Dataset.from_columns(index, offsets, cols[:, 0], cols[:, 1:], x_scale=x_scale)
+
+
+def _not_utf8(path: str, e: UnicodeDecodeError) -> str:
+    """The message for a file that is not UTF-8 text, naming the line of the
+    first byte that is not.  The reader decodes a text file in chunks, so
+    ``e`` places the byte only within its chunk; the file is read again."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        head = raw[:whole.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        line = head.count(b"\n") + 1
+        return f"{path}:{line}: not UTF-8 text ({whole.reason}: byte 0x{raw[whole.start]:02x})"
+    return f"{path}: not UTF-8 text ({e.reason})"  # the file changed since
 
 
 # numpy's integer parser skips \x1c-\x1f as white space and reads some
@@ -759,8 +782,17 @@ def _from_json(v):
 
 
 def load_spec(path: str) -> HeterogeneitySpec:
-    with open(path, encoding="utf-8") as f:
-        return spec_from_dict(json.load(f))
+    """The spec in the JSON file ``path``.  SpecError naming the path for a
+    file that is not UTF-8 text or not JSON, and :func:`spec_from_dict`'s
+    SpecError for JSON that is no valid spec."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            data = json.load(f)
+    except UnicodeDecodeError as e:
+        raise SpecError(_not_utf8(path, e)) from None
+    except json.JSONDecodeError as e:
+        raise SpecError(f"{path}:{e.lineno}: not JSON ({e.msg}, column {e.colno})") from None
+    return spec_from_dict(data)
 
 
 def save_spec(spec: HeterogeneitySpec, path: str) -> None:

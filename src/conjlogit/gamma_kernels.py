@@ -4,16 +4,21 @@ Everything here is a pure function of its arguments.  The workhorse is
 :func:`log_mgf`, the one vectorized implementation of every prior family's
 moment generating function.  It does no domain checks: the series needs it
 only on the non-positive orthant, where every formula is finite.
-:func:`attribute_marginals` splits a prior that is a product over
-attributes (independent Gammas, per-attribute Gamma mixtures) into
-one-attribute specs; the series evaluates those with ``log_mgf`` on each
-attribute's few distinct t_p and sums the logs, and evaluates every other
-family with ``log_mgf`` at all of a dataset's distinct t = -x_scale * K at
-once.  Gamma-type factors are evaluated in log space, e.g. (1 - b*t)^(-n)
-as exp(-n * log1p(-b*t)), so large shapes do not overflow.
+:func:`mgf_split` writes each prior's log MGF as a sum of one-attribute
+marginals and at most one joint term (:class:`GammaFactors` for the
+shared-factor and Cheriyan-Ramabhadran priors, the prior itself for the
+point-mass, Freund and Arnold-Strauss ones); ``log_mgf`` is that sum, and
+the series evaluates each marginal only on its attribute's few distinct t_p
+and the joint at a dataset's distinct t = -x_scale * K.  Gamma-type factors
+are evaluated in log space, e.g. (1 - b*t)^(-n) as exp(-n * log1p(-b*t)),
+so large shapes do not overflow.
 """
 
 from __future__ import annotations
+
+import math
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,81 +82,161 @@ def log_scaled_e1(a) -> np.ndarray:
 # Moment generating functions
 # ---------------------------------------------------------------------------
 
+class GammaFactors(NamedTuple):
+    """Gamma factors along directions: the MGF prod_f (1 - d_f . t)^(-shape_f),
+    where d_f is row f of the (F, P) array ``directions``.
+
+    The joint term of the shared-factor prior (d_f is its loadings' column
+    f) and of the Cheriyan-Ramabhadran prior (one factor along (1, 1)); see
+    :func:`mgf_split`.  It is no prior family, so it is not validated.
+    """
+
+    directions: np.ndarray
+    shapes: np.ndarray
+
+
+def mgf_split(spec) -> tuple[tuple, object]:
+    """A prior's MGF as factors of one attribute each and one joint term.
+
+    Returns ``(marginals, joint)`` with log M(t) = sum_p log_mgf(marginals[p],
+    t_p) + log_mgf(joint, t).  A marginal is a one-attribute spec, or None
+    where attribute p has no factor of its own; the joint is None where M
+    is a product over attributes.
+
+    - Independent Gammas and per-attribute Gamma mixtures are products; a
+      translation eps shifts every attribute, so each marginal keeps it.
+    - The shared-factor prior is X_p = sum_f loadings[p][f] Y0_f + lam_p Y_p:
+      its marginals are the Gamma(lam_p, theta_p) of Y_p, and its joint is
+      the Gamma factors of the Y0_f along the loadings' columns.
+    - Cheriyan-Ramabhadran is X_p = Y0 + Y_p with unit scales: marginals
+      Gamma(1, theta_p), joint (1 - t1 - t2)^(-theta0).
+    - Every other prior is its own joint.
+
+    Memoized by value, so evaluating a prior again (its value and its
+    spread, or one sweep point in every round) builds no validated spec.
+    """
+    try:
+        return _split(spec)
+    except TypeError:  # a spec built from lists is not hashable
+        return _split.__wrapped__(spec)
+
+
+@lru_cache(maxsize=256)
+def _split(spec) -> tuple[tuple, object]:
+    if isinstance(spec, IndependentGamma):
+        return tuple(IndependentGamma((b,), (n,), spec.eps)
+                     for b, n in zip(spec.b, spec.n)), None
+    if isinstance(spec, GammaMixture):
+        return tuple(GammaMixture((w,), (b,), (n,), spec.eps)
+                     for w, b, n in zip(spec.weights, spec.b, spec.n)), None
+    if isinstance(spec, GeneralizedMVGamma):
+        return (
+            tuple(IndependentGamma((lam,), (th,)) for lam, th in zip(spec.lam, spec.theta)),
+            GammaFactors(_frozen(np.transpose(spec.loadings)), _frozen(spec.theta0)),
+        )
+    if isinstance(spec, CheriyanRamabhadran):
+        return (
+            (IndependentGamma((1.0,), (spec.theta1,)), IndependentGamma((1.0,), (spec.theta2,))),
+            GammaFactors(_frozen(((1.0, 1.0),)), _frozen((spec.theta0,))),
+        )
+    if isinstance(spec, GammaFactors):
+        return (None,) * spec.directions.shape[1], spec
+    if isinstance(spec, (PointMassGamma, Freund, ArnoldStrauss)):
+        return (None,) * spec.P, spec
+    raise SpecError(f"no MGF for {type(spec).__name__}")
+
+
+def _frozen(values) -> np.ndarray:
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 def log_mgf(spec, T) -> np.ndarray:
     """log M(t) of a heterogeneity distribution at every row t of ``T``.
 
-    ``T`` has shape (n, P); the result has shape (n,).  This is the single
-    implementation of every family's MGF; it does no domain checks (each
-    formula is finite on the non-positive orthant, where the series needs
-    it).  The point-mass family's MGF is w + (1 - w) * M_inner(t).
+    ``T`` has shape (n, P); the result has shape (n,).  The prior is split
+    by :func:`mgf_split`, and its terms are added by :func:`add_logs`: each
+    marginal's log factor at the column t_p, in attribute order, then the
+    joint's at every row, so this is what
+    :meth:`~conjlogit.series.CountMatrix.mgf` computes on its attribute
+    axes.  Each family's formula is written once, in :func:`term_log_mgf`.
+    It does no domain checks: each formula is finite on the non-positive
+    orthant, where the series needs it.
     """
     T = np.asarray(T, dtype=float)
+    marginals, joint = mgf_split(spec)
+    terms = [term_log_mgf(m, T[:, p]) for p, m in enumerate(marginals) if m is not None]
+    if joint is not None:
+        terms.append(term_log_mgf(joint, T))
+    return add_logs(terms, len(T))
+
+
+def add_logs(terms: list[np.ndarray], n: int) -> np.ndarray:
+    """The sum of a split's log terms, left to right, in place in the first
+    (each term is a fresh array); zeros of length ``n`` for no terms."""
+    if not terms:
+        return np.zeros(n)
+    out = terms[0]
+    for v in terms[1:]:
+        out += v
+    return out
+
+
+def term_log_mgf(spec, t) -> np.ndarray:
+    """log M of one term of a split: a one-attribute marginal at every
+    entry of the 1-D ``t``, or a joint at every row of the 2-D ``t``."""
     if isinstance(spec, IndependentGamma):
-        out = gamma_log_bases(spec, T) @ -np.asarray(spec.n)
+        # exp(-n log(1 - b t) + eps t), as in the grid's factor tables
+        out = gamma_log_bases(spec, t)
+        out *= -spec.n[0]
         if spec.eps:
-            out += T @ np.full(T.shape[1], spec.eps)
+            out += t * spec.eps
         return out
     if isinstance(spec, GammaMixture):
-        out = np.zeros(T.shape[0])
-        for p, (w, b, n) in enumerate(zip(spec.weights, spec.b, spec.n)):
-            t = T[:, p:p + 1]
-            comp = np.exp(spec.eps * t - np.log1p(-t * np.asarray(b)) * np.asarray(n))
-            out += np.log(comp @ np.asarray(w))
-        return out
+        (w,), (b,), (n,) = spec.weights, spec.b, spec.n
+        t = t[:, None]
+        comp = np.exp(spec.eps * t - np.log1p(-t * np.asarray(b)) * np.asarray(n))
+        return np.log(comp @ np.asarray(w))
+    if isinstance(spec, GammaFactors):
+        terms = []
+        for d, shape in zip(spec.directions, spec.shapes.tolist()):
+            v = t @ d
+            np.negative(v, out=v)
+            np.log1p(v, out=v)
+            v *= -shape
+            terms.append(v)
+        return add_logs(terms, len(t))
     if isinstance(spec, PointMassGamma):
-        return np.log(spec.w + (1.0 - spec.w) * np.exp(log_mgf(spec.inner, T)))
-    if isinstance(spec, GeneralizedMVGamma):
-        shared = np.log1p(-(T @ np.asarray(spec.loadings, dtype=float)))
-        own = np.log1p(-T * np.asarray(spec.lam))
-        return -(shared @ np.asarray(spec.theta0)) - own @ np.asarray(spec.theta)
-    t1, t2 = T[:, 0], T[:, 1]
-    if isinstance(spec, CheriyanRamabhadran):
-        return (
-            -spec.theta0 * np.log1p(-(t1 + t2))
-            - spec.theta1 * np.log1p(-t1)
-            - spec.theta2 * np.log1p(-t2)
-        )
+        # w + (1 - w) M_inner(t) as a log-sum-exp, so an M_inner that
+        # underflows still leaves log(1 - w) + log M_inner
+        inner = log_mgf(spec.inner, t)
+        if spec.w <= 0.0:
+            return inner
+        if spec.w >= 1.0:
+            return np.zeros(len(inner))
+        inner += math.log1p(-spec.w)
+        return np.logaddexp(math.log(spec.w), inner, out=inner)
+    t1, t2 = t[:, 0], t[:, 1]
     if isinstance(spec, Freund):
         a1, a2, a1p, a2p = spec.alpha1, spec.alpha2, spec.alpha1p, spec.alpha2p
         return np.log(a1p * a2 / (a1p - t1) + a1 * a2p / (a2p - t2)) - np.log(
             a1 + a2 - t1 - t2
         )
-    if isinstance(spec, ArnoldStrauss):
-        # M(0, 0) = 1 pins the normalization, so the MGF is the ratio of
-        # exp(a) E1(a) at a(t) = (lam1 - t1)(lam2 - t2)/lam12 and at a(0).
-        a_t = (spec.lam1 - t1) * (spec.lam2 - t2) / spec.lam12
-        a_0 = spec.lam1 * spec.lam2 / spec.lam12
-        return log_scaled_e1(a_t) - log_scaled_e1(a_0)[()]
-    raise SpecError(f"no MGF for {type(spec).__name__}")
+    # Arnold-Strauss: M(0, 0) = 1 pins the normalization, so the MGF is the
+    # ratio of exp(a) E1(a) at a(t) = (lam1 - t1)(lam2 - t2)/lam12 and at a(0).
+    a_t = (spec.lam1 - t1) * (spec.lam2 - t2) / spec.lam12
+    a_0 = spec.lam1 * spec.lam2 / spec.lam12
+    return log_scaled_e1(a_t) - log_scaled_e1(a_0)[()]
 
 
 def gamma_log_bases(spec: IndependentGamma, T) -> np.ndarray:
     """log(1 - b_p t_p) at every row t of ``T``, one column per attribute p.
 
     The independent-Gamma MGF is exp(sum_p -n_p log(1 - b_p t_p) + eps sum_p t_p):
-    :func:`log_mgf` reduces these columns with -n, and the grid search
-    scales each by its own -n_p to get one factor per (b_p, n_p) pair.
+    :func:`log_mgf` scales one attribute's column by its -n_p, and the grid
+    search scales each column by its own -n_p to get one factor per (b_p,
+    n_p) pair.
     """
     out = T * -np.asarray(spec.b)
     return np.log1p(out, out=out)
-
-
-def attribute_marginals(spec):
-    """The one-attribute marginal specs of a prior that is a product over
-    attributes, in attribute order; None for any other family.
-
-    The MGF of such a prior is the product of its marginals' MGFs, M(t) =
-    prod_p M_p(t_p), so log M(t) is the sum over p of ``log_mgf`` of the
-    p-th marginal at t_p.  Independent Gammas and per-attribute Gamma
-    mixtures are products (a translation eps shifts every attribute, so each
-    marginal keeps it); the point-mass, shared-factor and bivariate families
-    are not.
-    """
-    if isinstance(spec, IndependentGamma):
-        return [IndependentGamma((b,), (n,), spec.eps) for b, n in zip(spec.b, spec.n)]
-    if isinstance(spec, GammaMixture):
-        return [
-            GammaMixture((w,), (b,), (n,), spec.eps)
-            for w, b, n in zip(spec.weights, spec.b, spec.n)
-        ]
-    return None

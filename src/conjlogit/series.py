@@ -7,9 +7,10 @@ prior's moment generating function at t = -x_scale * (r + Y), from
 :func:`~conjlogit.gamma_kernels.log_mgf`.  The groups' counts are gathered
 into one :class:`CountMatrix` over the dataset's distinct t, so every
 group's H_i is one sparse mat-vec (:func:`group_h`), and
-:func:`log_marginal_prepared` sums their logs.  A prior that is a product
-over attributes is evaluated on each attribute's distinct t_p and its log
-factors summed; every other prior is evaluated at each distinct t.  The one
+:func:`log_marginal_prepared` sums their logs.  Every prior's MGF is split
+into factors of one attribute each, evaluated on that attribute's few
+distinct t_p, and at most one joint term, evaluated at each distinct t
+(:func:`~conjlogit.gamma_kernels.mgf_split`).  The one
 exception is :func:`h_naive`, which enumerates the k-tuples of the same
 budget simplex k.1 <= R directly for the independent-Gamma family; it is
 kept as the brute-force oracle that the count sums are checked against.
@@ -42,7 +43,7 @@ from .data_model import (
     SpecError,
 )
 from .diophantine import DioCache, _distinct, _group, build_caches, canonical_x_vectors
-from .gamma_kernels import attribute_marginals, log_mgf
+from .gamma_kernels import add_logs, mgf_split, term_log_mgf
 
 
 class TruncationFailure(RuntimeError):
@@ -177,10 +178,10 @@ class CountMatrix:
     evaluation of all the groups' H_i is a single mat-vec,
     H = C @ mgf(spec) (:func:`group_h`), over far fewer columns than there
     are (group, r) rows.  ``T`` is also kept factored by attribute: column
-    j's t_p is ``t_axes[p][t_index[p, j]]``.  :meth:`mgf` evaluates a prior
-    that is a product over attributes (:func:`~conjlogit.gamma_kernels.attribute_marginals`)
-    only at each attribute's few distinct t_p and gathers the factors
-    through ``t_index``; other priors get ``log_mgf`` on every row of ``T``.
+    j's t_p is ``t_axes[p][t_index[p, j]]``.  :meth:`mgf` evaluates each
+    factor of one attribute (:func:`~conjlogit.gamma_kernels.mgf_split`)
+    only at that attribute's few distinct t_p and gathers it through
+    ``t_index``; only a prior's joint term is evaluated on every row of ``T``.
     """
 
     C: sparse.csr_matrix  # groups x distinct K
@@ -188,7 +189,7 @@ class CountMatrix:
     mult: np.ndarray      # households per group
     terms: int            # sum over groups of mult * stored r-tuples
     t_axes: tuple[np.ndarray, ...]  # per attribute, its distinct t_p in order
-    t_index: np.ndarray             # (P, distinct K): each column's index in t_axes[p]
+    t_index: np.ndarray             # (P, distinct K) intp: each column's index in t_axes[p]
 
     @classmethod
     def build(
@@ -196,7 +197,7 @@ class CountMatrix:
     ) -> "CountMatrix":
         if not groups:
             return cls(sparse.csr_matrix((0, 0)), np.zeros((0, 0)), np.zeros(0), 0,
-                       (), np.zeros((0, 0), dtype=np.int32))
+                       (), np.zeros((0, 0), dtype=np.intp))
         blocks = [caches[sums.x_vectors] for sums, _ in groups]
         mult = np.array([m for _, m in groups], dtype=np.int64)
         lens = np.array([len(c.count_array) for c in blocks], dtype=np.int64)
@@ -226,34 +227,39 @@ class CountMatrix:
         )
         return cls(
             C, -x_scale * distinct_K, mult.astype(np.float64), int(mult @ lens),
-            tuple(-x_scale * (a + l) for a, l in zip(axes, lo.tolist())), np.stack(t_index),
+            tuple(-x_scale * (a + l) for a, l in zip(axes, lo.tolist())),
+            np.stack(t_index, dtype=np.intp),
         )
 
     def axis_log_mgf(self, p: int, marginal) -> np.ndarray:
         """log M of the one-attribute prior ``marginal`` at attribute p's
         distinct t_p, ``t_axes[p]``."""
-        return log_mgf(marginal, self.t_axes[p][:, None])
+        return term_log_mgf(marginal, self.t_axes[p])
 
     def mgf(self, spec) -> np.ndarray:
         """The prior's MGF at every column's argument T.
 
-        A prior that is a product over attributes is evaluated per attribute
-        on ``t_axes``, and the log factors are gathered through ``t_index``
-        and summed; any other prior gets ``log_mgf`` on all of ``T``.
-        :class:`SpecError` if the prior's dimension is not the panel's.
+        The prior is split by :func:`~conjlogit.gamma_kernels.mgf_split`:
+        each marginal is evaluated on its attribute's ``t_axes`` and its log
+        factors gathered through ``t_index``, and the joint term, if any, is
+        evaluated on every row of ``T``.  The log terms are summed as
+        :func:`~conjlogit.gamma_kernels.log_mgf` sums them, then
+        exponentiated once, so a product prior's factors are never
+        multiplied in linear space.  :class:`SpecError` if the prior's
+        dimension is not the panel's.
         """
         if self.C.shape[0] == 0:
             return np.zeros(0)
         if spec.P != self.T.shape[1]:
             raise SpecError(f"prior has P={spec.P} attributes but the panel has "
                             f"P={self.T.shape[1]}")
-        marginals = attribute_marginals(spec)
-        if marginals is None:
-            v = log_mgf(spec, self.T)
-        else:
-            v = np.zeros(len(self.T))
-            for p, (marginal, index) in enumerate(zip(marginals, self.t_index, strict=True)):
-                v += self.axis_log_mgf(p, marginal)[index]
+        marginals, joint = mgf_split(spec)
+        terms = [self.axis_log_mgf(p, m).take(index)
+                 for p, (m, index) in enumerate(zip(marginals, self.t_index, strict=True))
+                 if m is not None]
+        if joint is not None:
+            terms.append(term_log_mgf(joint, self.T))
+        v = add_logs(terms, len(self.T))
         return np.exp(v, out=v)
 
 
@@ -286,6 +292,7 @@ class FactoredCounts:
         if len(sizes) == 1:  # C's columns are the one attribute's axis, in order
             return cls(C, sizes, (), ())
         columns = C.indices
+        t_index = counts.t_index.astype(np.int32)  # as narrow as C's own indices
         n = C.shape[0]
         row = np.repeat(np.arange(n, dtype=np.int32), np.diff(C.indptr))  # each entry's row of R_0
         rows, scatter = [], []
@@ -295,14 +302,14 @@ class FactoredCounts:
             if n > np.iinfo(row.dtype).max:
                 row = row.astype(np.int64)
             row *= size
-            row += counts.t_index[p][columns]  # the entry's slot of R_p
+            row += t_index[p][columns]  # the entry's slot of R_p
             if p < len(sizes) - 2:  # R_{p+1} is the slots in use
                 used, row = _distinct(row, n, C.nnz)
                 scatter.append(used)
                 n = len(used)
         # B keeps C's entries in C's order and shares C's data, so only its
         # two index arrays are new
-        B = sparse.coo_matrix((C.data, (row, counts.t_index[-1][columns])), shape=(n, sizes[-1]))
+        B = sparse.coo_matrix((C.data, (row, t_index[-1][columns])), shape=(n, sizes[-1]))
         return cls(B, sizes, tuple(rows), tuple(scatter))
 
     def cells(self, pairs) -> int:

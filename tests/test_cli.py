@@ -1026,6 +1026,35 @@ def test_malformed_spec_exits_2_with_one_line(tmp_path, capsys, text, words):
     assert error["type"] == "SpecError" and error["message"].startswith(words)
 
 
+@pytest.mark.parametrize("raw, words", [
+    (b'{"family": "independent_gamma", "b": [5.0', "s.json:1: not JSON (Expecting"),
+    (b'{"family": "independent_gamma",\n "b": [5.0], "n": [\xff]}',
+     "s.json:2: not UTF-8 text (invalid start byte: byte 0xff)"),
+], ids=["truncated", "not-utf8"])
+def test_unreadable_spec_file_names_its_path(tmp_path, capsys, raw, words):
+    p = tmp_path / "d.csv"
+    save_dataset(Dataset((Household("a", (Observation(1, (1,)),)),), P=1, x_scale=0.1), str(p))
+    spec = tmp_path / "s.json"
+    spec.write_bytes(raw)
+    code, out, err = run(["eval", "--data", str(p), "--spec", str(spec), "--R", "10",
+                          "--cache-dir", str(tmp_path / "c")], capsys)
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "SpecError"
+    assert error["message"].startswith(f"{tmp_path}/{words}")
+
+
+def test_non_utf8_panel_exits_2_naming_path_and_line(tmp_path, capsys):
+    p = tmp_path / "d.csv"
+    p.write_bytes(b"household,category,occasion,y,x1\na,1,1,0,1\n\xff,1,1,1,2\n")
+    code, out, err = run(["fit", "--data", str(p), "--R", "10", "--center", "5,14",
+                          "--cache-dir", str(tmp_path / "c")], capsys)
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "DataError"
+    assert error["message"] == f"{p}:3: not UTF-8 text (invalid start byte: byte 0xff)"
+
+
 def bad_value_argv(tmp_path, sim_csv, command):
     """A run of ``command`` that succeeds until a flag appended to it is bad;
     its output file is ``tmp_path / "out"``."""

@@ -254,6 +254,24 @@ def test_bad_csv_names_line_and_value(tmp_path, text, message):
     assert str(e.value) == f"{p.parent}/{message}"
 
 
+@pytest.mark.parametrize("raw, message", [
+    (b"household,category,occasion,y,x\xe91\na,1,1,0,1\n",
+     "d.csv:1: not UTF-8 text (invalid continuation byte: byte 0xe9)"),
+    (b"household,category,occasion,y,x1\r\na,1,1,0,1\r\n\xffb,1,1,1,2\r\n",
+     "d.csv:3: not UTF-8 text (invalid start byte: byte 0xff)"),
+    # past the text reader's first 8 KB chunk, where its error counts from
+    # the chunk, not the file
+    (b"household,category,occasion,y,x1\n" + b"a,1,1,0,1\n" * 1000 + b"b\xff,1,1,1,2\n",
+     "d.csv:1002: not UTF-8 text (invalid start byte: byte 0xff)"),
+], ids=["header", "id", "past-8KB"])
+def test_non_utf8_file_names_path_and_line(tmp_path, raw, message):
+    p = tmp_path / "d.csv"
+    p.write_bytes(raw)
+    with pytest.raises(DataError) as e:
+        load_dataset(str(p))
+    assert str(e.value) == f"{p.parent}/{message}"
+
+
 def test_crlf_signs_and_spaces_parse(tmp_path):
     p = tmp_path / "d.csv"
     p.write_bytes(b"# x_scale=0.5\r\nhousehold,category,occasion,y,x1,x2\r\n"

@@ -16,7 +16,13 @@ from conjlogit.data_model import (
     PointMassGamma,
     SpecError,
 )
-from conjlogit.gamma_kernels import gmv_gamma_covariance, log_mgf, log_scaled_e1
+from conjlogit.gamma_kernels import (
+    GammaFactors,
+    gmv_gamma_covariance,
+    log_mgf,
+    log_scaled_e1,
+    mgf_split,
+)
 
 
 def mgf_at(spec, t):
@@ -293,3 +299,76 @@ class TestLogMgf:
             ArnoldStrauss(1.0, 1.5, 0.8),
         ):
             assert log_mgf(spec, np.zeros((1, 2)))[0] == pytest.approx(0.0, abs=1e-14)
+
+
+class TestPointMassLogMgf:
+    INNER = IndependentGamma((5.0,), (14.0,))
+
+    @pytest.mark.parametrize("w", [0.0, 1e-300, 0.5, 1.0])
+    def test_inner_mgf_that_underflows(self, w):
+        # M_inner(-1e30) = (1 + 5e30)^-14 ~ exp(-989.6) underflows to 0.0
+        log_inner = -14.0 * math.log1p(5e30)
+        want = {0.0: log_inner, 1e-300: math.log(1e-300), 0.5: math.log(0.5), 1.0: 0.0}[w]
+        got = log_mgf(PointMassGamma(w, self.INNER), [[-1e30]])[0]
+        assert got == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("w", [0.0, 1e-300, 0.5, 1.0])
+    def test_matches_the_mixture_where_nothing_underflows(self, w):
+        t = np.array([[0.0], [-0.1], [-3.0]])
+        want = [math.log(w + (1 - w) * (1 - 5.0 * t1) ** -14.0) for (t1,) in t]
+        assert log_mgf(PointMassGamma(w, self.INNER), t) == pytest.approx(want, rel=1e-14)
+
+
+class TestMgfSplit:
+    T = np.array([[0.0, 0.0], [-0.3, -0.7], [-2.0, -0.1], [-15.0, -40.0]])
+
+    def test_terms(self):
+        ig = IndependentGamma((2.0, 0.5), (3.0, 1.5), 0.02)
+        assert mgf_split(ig) == ((IndependentGamma((2.0,), (3.0,), 0.02),
+                                  IndependentGamma((0.5,), (1.5,), 0.02)), None)
+        mix = GammaMixture(((0.3, 0.7), (1.0,)), ((1.0, 4.0), (2.0,)), ((2.0, 1.0), (3.0,)))
+        assert mgf_split(mix) == ((GammaMixture(((0.3, 0.7),), ((1.0, 4.0),), ((2.0, 1.0),)),
+                                   GammaMixture(((1.0,),), ((2.0,),), ((3.0,),))), None)
+        gmv = GeneralizedMVGamma(((1.0, 0.0), (0.5, 2.0)), (2.0, 3.0), (1.5, 0.4), (2.0, 3.0))
+        marginals, joint = mgf_split(gmv)
+        assert marginals == (IndependentGamma((2.0,), (2.0,)), IndependentGamma((3.0,), (3.0,)))
+        assert isinstance(joint, GammaFactors)
+        assert joint.directions.tolist() == [[1.0, 0.5], [0.0, 2.0]]  # the loadings' columns
+        assert joint.shapes.tolist() == [1.5, 0.4]
+        marginals, joint = mgf_split(CheriyanRamabhadran(1.0, 2.0, 0.5))
+        assert marginals == (IndependentGamma((1.0,), (2.0,)), IndependentGamma((1.0,), (0.5,)))
+        assert joint.directions.tolist() == [[1.0, 1.0]] and joint.shapes.tolist() == [1.0]
+        for spec in (Freund(1.0, 2.0, 1.5, 0.8), ArnoldStrauss(1.0, 1.5, 0.8),
+                     PointMassGamma(0.4, ig)):
+            assert mgf_split(spec) == ((None, None), spec)
+        with pytest.raises(SpecError, match="no MGF for str"):
+            mgf_split("gamma")
+
+    @pytest.mark.parametrize("spec", [
+        IndependentGamma((2.0, 0.5), (3.0, 1.5), 0.02),
+        GammaMixture(((0.3, 0.7), (1.0,)), ((1.0, 4.0), (2.0,)), ((2.0, 1.0), (3.0,)), 0.01),
+        GeneralizedMVGamma(((1.0, 0.0), (0.5, 2.0)), (2.0, 3.0), (1.5, 0.4), (2.0, 3.0)),
+        CheriyanRamabhadran(1.0, 2.0, 0.5),
+        Freund(1.0, 2.0, 1.5, 0.8),
+    ], ids=lambda s: type(s).__name__)
+    def test_log_mgf_is_the_sum_of_the_terms(self, spec):
+        marginals, joint = mgf_split(spec)
+        total = np.zeros(len(self.T))
+        for p, m in enumerate(marginals):
+            if m is not None:
+                total += log_mgf(m, self.T[:, p:p + 1])
+        if joint is not None:
+            total += log_mgf(joint, self.T)
+        assert log_mgf(spec, self.T) == pytest.approx(total, rel=1e-15, abs=1e-300)
+
+    def test_split_is_memoized(self):
+        gmv = GeneralizedMVGamma(((1.0,), (0.5,)), (2.0, 1.0), (1.5,), (2.0, 3.0))
+        assert mgf_split(gmv) is mgf_split(
+            GeneralizedMVGamma(((1.0,), (0.5,)), (2.0, 1.0), (1.5,), (2.0, 3.0)))
+        assert not mgf_split(gmv)[1].directions.flags.writeable
+
+    def test_spec_built_from_lists(self):
+        # not hashable, so it is split without the memo
+        listed = IndependentGamma([2.0, 0.5], [3.0, 1.5])
+        assert np.array_equal(log_mgf(listed, self.T),
+                              log_mgf(IndependentGamma((2.0, 0.5), (3.0, 1.5)), self.T))

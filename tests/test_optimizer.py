@@ -331,6 +331,8 @@ class TestGridLogliks:
         C = counts.C.tocoo()
         want[(C.row,) + tuple(counts.t_index[:, C.col])] = C.data
         assert view.B.nnz == counts.C.nnz
+        if len(view.sizes) > 1:  # B's two index arrays are new, and as narrow as C's
+            assert view.B.row.dtype == view.B.col.dtype == np.int32
         np.testing.assert_array_equal(dense, want)
 
     def test_no_households_scores_zero_everywhere(self):

@@ -305,8 +305,9 @@ def route_counts(route, monkeypatch):
     return d, CountMatrix.build(prep.groups, prep.caches, d.x_scale)
 
 
-# Product-form priors for P attributes, as CountMatrix.mgf receives them
-PRODUCT_PRIORS = {
+# Every family for P attributes, as CountMatrix.mgf receives it (the
+# point-mass prior's inner one); the bivariate ones for P = 2 only
+FAMILIES_FOR_P = {
     "gamma": lambda P: IndependentGamma((1.5,) * P, (2.0,) * P),
     "gamma-eps": lambda P: IndependentGamma(
         tuple(1.0 + 0.5 * p for p in range(P)), (3.0,) * P, 0.2
@@ -317,7 +318,21 @@ PRODUCT_PRIORS = {
     "point-mass-inner": lambda P: PointMassGamma(
         0.3, IndependentGamma((2.0,) * P, (1.5,) * P, 0.05)
     ).inner,
+    "shared-factor": lambda P: GeneralizedMVGamma(
+        tuple((1.0, 0.5 * p) for p in range(P)), tuple(1.0 + 0.5 * p for p in range(P)),
+        (1.5, 0.7), (2.0,) * P
+    ),
+    "cheriyan-ramabhadran": lambda P: CheriyanRamabhadran(1.0, 2.0, 3.0),
+    "freund": lambda P: Freund(1.0, 2.0, 1.5, 0.8),
+    "arnold-strauss": lambda P: ArnoldStrauss(1.0, 1.5, 0.8),
 }
+BIVARIATE = {"cheriyan-ramabhadran", "freund", "arnold-strauss"}
+# The families whose terms are all elementwise numpy, held to bitwise
+# agreement; the shared-factor and Cheriyan-Ramabhadran joints go through a
+# BLAS product and are held to 1e-14.
+SPLIT_BITWISE = {"gamma", "gamma-eps", "mixture-eps", "point-mass-inner", "freund",
+                 "arnold-strauss"}
+ROUTE_P = {"table": 2, "table-P1": 1, "unique": 2, "beyond-int64": 7}
 
 
 class TestCountMatrixKernel:
@@ -353,20 +368,44 @@ class TestCountMatrixKernel:
         d, counts = route_counts(route, monkeypatch)
         assert len(counts.t_axes) == d.P
         assert counts.t_index.shape == (d.P, len(counts.T))
+        assert counts.t_index.dtype == np.intp  # take's own index type
         for p, (axis, index) in enumerate(zip(counts.t_axes, counts.t_index)):
             # each attribute's distinct t_p, K ascending, bit for bit as in T
             assert np.array_equal(axis, np.unique(counts.T[:, p])[::-1])
             assert np.array_equal(axis[index], counts.T[:, p])
 
-    @pytest.mark.parametrize("route", ["table", "table-P1", "unique", "beyond-int64"])
-    @pytest.mark.parametrize("prior", PRODUCT_PRIORS)
-    def test_product_prior_factors_match_the_joint_mgf(self, prior, route, monkeypatch):
+    @pytest.mark.parametrize("route, prior", [
+        (route, prior) for route, P in ROUTE_P.items() for prior in FAMILIES_FOR_P
+        if P == 2 or prior not in BIVARIATE
+    ])
+    def test_split_factors_match_the_mgf_on_every_row(self, prior, route, monkeypatch):
         d, counts = route_counts(route, monkeypatch)
-        spec = PRODUCT_PRIORS[prior](d.P)
-        joint = np.exp(log_mgf(spec, counts.T))
-        assert counts.mgf(spec) == pytest.approx(joint, rel=1e-14)
+        assert d.P == ROUTE_P[route]
+        spec = FAMILIES_FOR_P[prior](d.P)
+        on_rows = np.exp(log_mgf(spec, counts.T))
+        if prior in SPLIT_BITWISE:
+            assert counts.mgf(spec).tobytes() == on_rows.tobytes()
+        else:
+            assert counts.mgf(spec) == pytest.approx(on_rows, rel=1e-14)
 
-    @pytest.mark.parametrize("spec", SEVEN_FAMILIES[2:], ids=lambda s: type(s).__name__)
+    def test_shared_factors_on_three_attributes_match_the_closed_form(self):
+        # two shared factors, and attribute 1 loads on neither
+        loadings = ((1.0, 0.5), (0.0, 0.0), (2.0, 0.25))
+        lam, theta0, theta = (1.5, 0.7, 2.0), (1.2, 3.0), (2.0, 0.5, 1.0)
+        spec = GeneralizedMVGamma(loadings, lam, theta0, theta)
+        rows = [((0, (1, 2, 1)), (1, (2, 1, 3))), ((1, (3, 1, 2)),), ((0, (1, 1, 1)),)]
+        d = Dataset(tuple(Household(f"h{i}", tuple(Observation(y, x) for y, x in obs))
+                          for i, obs in enumerate(rows)), P=3, x_scale=0.1)
+        counts = prepare_dataset(d, SeriesConfig(R=6)).counts
+        want = [
+            math.prod((1 - sum(a[f] * tp for a, tp in zip(loadings, t))) ** -theta0[f]
+                      for f in range(2))
+            * math.prod((1 - lam[p] * t[p]) ** -theta[p] for p in range(3))
+            for t in counts.T.tolist()
+        ]
+        assert counts.mgf(spec) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("spec", SEVEN_FAMILIES[5:], ids=lambda s: type(s).__name__)
     def test_other_priors_use_the_joint_mgf(self, spec):
         counts = prepare_dataset(two_attribute_dataset(), SeriesConfig(R=12)).counts
         assert counts.mgf(spec).tobytes() == np.exp(log_mgf(spec, counts.T)).tobytes()
