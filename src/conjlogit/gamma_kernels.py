@@ -17,7 +17,6 @@ so large shapes do not overflow.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -82,26 +81,45 @@ def log_scaled_e1(a) -> np.ndarray:
 # Moment generating functions
 # ---------------------------------------------------------------------------
 
+class GammaTerm(NamedTuple):
+    """One attribute's Gamma factor (1 - b t)^(-n) exp(eps t)."""
+
+    b: float
+    n: float
+    eps: float = 0.0
+
+
+class MixtureTerm(NamedTuple):
+    """One attribute's Gamma mixture sum_c weights[c] (1 - b[c] t)^(-n[c]) exp(eps t)."""
+
+    weights: tuple[float, ...]
+    b: tuple[float, ...]
+    n: tuple[float, ...]
+    eps: float = 0.0
+
+
 class GammaFactors(NamedTuple):
     """Gamma factors along directions: the MGF prod_f (1 - d_f . t)^(-shape_f),
-    where d_f is row f of the (F, P) array ``directions``.
+    where d_f is ``directions[f]``, a P-tuple.
 
     The joint term of the shared-factor prior (d_f is its loadings' column
     f) and of the Cheriyan-Ramabhadran prior (one factor along (1, 1)); see
-    :func:`mgf_split`.  It is no prior family, so it is not validated.
+    :func:`mgf_split`.
     """
 
-    directions: np.ndarray
-    shapes: np.ndarray
+    directions: tuple[tuple[float, ...], ...]
+    shapes: tuple[float, ...]
 
 
 def mgf_split(spec) -> tuple[tuple, object]:
     """A prior's MGF as factors of one attribute each and one joint term.
 
-    Returns ``(marginals, joint)`` with log M(t) = sum_p log_mgf(marginals[p],
-    t_p) + log_mgf(joint, t).  A marginal is a one-attribute spec, or None
-    where attribute p has no factor of its own; the joint is None where M
-    is a product over attributes.
+    Returns ``(marginals, joint)`` with log M(t) = sum_p term_log_mgf(
+    marginals[p], t_p) + term_log_mgf(joint, t).  A marginal is a
+    :class:`GammaTerm` or :class:`MixtureTerm`, or None where attribute p
+    has no factor of its own; the joint is None where M is a product over
+    attributes.  The terms are plain tuples of the spec's validated
+    numbers, so splitting builds no spec.
 
     - Independent Gammas and per-attribute Gamma mixtures are products; a
       translation eps shifts every attribute, so each marginal keeps it.
@@ -111,45 +129,25 @@ def mgf_split(spec) -> tuple[tuple, object]:
     - Cheriyan-Ramabhadran is X_p = Y0 + Y_p with unit scales: marginals
       Gamma(1, theta_p), joint (1 - t1 - t2)^(-theta0).
     - Every other prior is its own joint.
-
-    Memoized by value, so evaluating a prior again (its value and its
-    spread, or one sweep point in every round) builds no validated spec.
     """
-    try:
-        return _split(spec)
-    except TypeError:  # a spec built from lists is not hashable
-        return _split.__wrapped__(spec)
-
-
-@lru_cache(maxsize=256)
-def _split(spec) -> tuple[tuple, object]:
     if isinstance(spec, IndependentGamma):
-        return tuple(IndependentGamma((b,), (n,), spec.eps)
-                     for b, n in zip(spec.b, spec.n)), None
+        return tuple(GammaTerm(b, n, spec.eps) for b, n in zip(spec.b, spec.n)), None
     if isinstance(spec, GammaMixture):
-        return tuple(GammaMixture((w,), (b,), (n,), spec.eps)
+        return tuple(MixtureTerm(w, b, n, spec.eps)
                      for w, b, n in zip(spec.weights, spec.b, spec.n)), None
     if isinstance(spec, GeneralizedMVGamma):
         return (
-            tuple(IndependentGamma((lam,), (th,)) for lam, th in zip(spec.lam, spec.theta)),
-            GammaFactors(_frozen(np.transpose(spec.loadings)), _frozen(spec.theta0)),
+            tuple(GammaTerm(lam, th) for lam, th in zip(spec.lam, spec.theta)),
+            GammaFactors(tuple(zip(*spec.loadings)), spec.theta0),
         )
     if isinstance(spec, CheriyanRamabhadran):
         return (
-            (IndependentGamma((1.0,), (spec.theta1,)), IndependentGamma((1.0,), (spec.theta2,))),
-            GammaFactors(_frozen(((1.0, 1.0),)), _frozen((spec.theta0,))),
+            (GammaTerm(1.0, spec.theta1), GammaTerm(1.0, spec.theta2)),
+            GammaFactors(((1.0, 1.0),), (spec.theta0,)),
         )
-    if isinstance(spec, GammaFactors):
-        return (None,) * spec.directions.shape[1], spec
     if isinstance(spec, (PointMassGamma, Freund, ArnoldStrauss)):
         return (None,) * spec.P, spec
     raise SpecError(f"no MGF for {type(spec).__name__}")
-
-
-def _frozen(values) -> np.ndarray:
-    out = np.array(values, dtype=float)
-    out.flags.writeable = False
-    return out
 
 
 def log_mgf(spec, T) -> np.ndarray:
@@ -183,24 +181,37 @@ def add_logs(terms: list[np.ndarray], n: int) -> np.ndarray:
     return out
 
 
+def point_mass_log(w: float, log_delta, log_inner):
+    """log(w exp(log_delta) + (1 - w) exp(log_inner)), elementwise.
+
+    The mixture of an atom and an inner prior with weight w on the atom, as
+    a log-sum-exp, so it stays finite where either exp underflows: the MGF
+    of the point-mass prior (log_delta = 0) and its dataset-level
+    likelihood (:func:`~conjlogit.series.log_marginal_prepared`).
+    """
+    log_w = math.log(w) if w > 0.0 else -math.inf
+    log_1mw = math.log1p(-w) if w < 1.0 else -math.inf
+    return np.logaddexp(log_w + log_delta, log_1mw + log_inner)
+
+
 def term_log_mgf(spec, t) -> np.ndarray:
     """log M of one term of a split: a one-attribute marginal at every
     entry of the 1-D ``t``, or a joint at every row of the 2-D ``t``."""
-    if isinstance(spec, IndependentGamma):
-        # exp(-n log(1 - b t) + eps t), as in the grid's factor tables
-        out = gamma_log_bases(spec, t)
-        out *= -spec.n[0]
+    if isinstance(spec, GammaTerm):
+        # exp(-n log(1 - b t) + eps t), on the grid's log bases
+        out = t * -spec.b
+        np.log1p(out, out=out)
+        out *= -spec.n
         if spec.eps:
             out += t * spec.eps
         return out
-    if isinstance(spec, GammaMixture):
-        (w,), (b,), (n,) = spec.weights, spec.b, spec.n
+    if isinstance(spec, MixtureTerm):
         t = t[:, None]
-        comp = np.exp(spec.eps * t - np.log1p(-t * np.asarray(b)) * np.asarray(n))
-        return np.log(comp @ np.asarray(w))
+        comp = np.exp(spec.eps * t - np.log1p(-t * np.asarray(spec.b)) * np.asarray(spec.n))
+        return np.log(comp @ np.asarray(spec.weights))
     if isinstance(spec, GammaFactors):
         terms = []
-        for d, shape in zip(spec.directions, spec.shapes.tolist()):
+        for d, shape in zip(spec.directions, spec.shapes):
             v = t @ d
             np.negative(v, out=v)
             np.log1p(v, out=v)
@@ -208,15 +219,7 @@ def term_log_mgf(spec, t) -> np.ndarray:
             terms.append(v)
         return add_logs(terms, len(t))
     if isinstance(spec, PointMassGamma):
-        # w + (1 - w) M_inner(t) as a log-sum-exp, so an M_inner that
-        # underflows still leaves log(1 - w) + log M_inner
-        inner = log_mgf(spec.inner, t)
-        if spec.w <= 0.0:
-            return inner
-        if spec.w >= 1.0:
-            return np.zeros(len(inner))
-        inner += math.log1p(-spec.w)
-        return np.logaddexp(math.log(spec.w), inner, out=inner)
+        return point_mass_log(spec.w, 0.0, log_mgf(spec.inner, t))
     t1, t2 = t[:, 0], t[:, 1]
     if isinstance(spec, Freund):
         a1, a2, a1p, a2p = spec.alpha1, spec.alpha2, spec.alpha1p, spec.alpha2p
@@ -234,9 +237,9 @@ def gamma_log_bases(spec: IndependentGamma, T) -> np.ndarray:
     """log(1 - b_p t_p) at every row t of ``T``, one column per attribute p.
 
     The independent-Gamma MGF is exp(sum_p -n_p log(1 - b_p t_p) + eps sum_p t_p):
-    :func:`log_mgf` scales one attribute's column by its -n_p, and the grid
-    search scales each column by its own -n_p to get one factor per (b_p,
-    n_p) pair.
+    the grid search scales each column by its own -n_p to get one factor per
+    (b_p, n_p) pair, bit for bit what :func:`term_log_mgf` gives one
+    :class:`GammaTerm` at a time.
     """
     out = T * -np.asarray(spec.b)
     return np.log1p(out, out=out)

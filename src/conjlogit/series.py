@@ -43,7 +43,7 @@ from .data_model import (
     SpecError,
 )
 from .diophantine import DioCache, _distinct, _group, build_caches, canonical_x_vectors
-from .gamma_kernels import add_logs, mgf_split, term_log_mgf
+from .gamma_kernels import add_logs, mgf_split, point_mass_log, term_log_mgf
 
 
 class TruncationFailure(RuntimeError):
@@ -517,25 +517,13 @@ def log_marginal_prepared(prep: PreparedDataset, spec) -> Evaluation:
     prep.raise_on_truncation(H)
     total = float(prep.counts.mult @ np.log(H))
     if isinstance(spec, PointMassGamma):
-        total = _point_mass_combine(spec.w, total, prep.total_obs)
+        # log(w 2^-total_obs + (1 - w) exp(total))
+        total = float(point_mass_log(spec.w, -prep.total_obs * math.log(2.0), total))
     return Evaluation(total, prep.counts.terms)
 
 
 def _group_label(sums: HouseholdSums) -> str:
     return f"x={sums.x_vectors} Y={sums.Y}"
-
-
-def _point_mass_combine(w: float, loglik_gamma: float, total_obs: int) -> float:
-    # log( w * 2^{-total_obs} + (1-w) * exp(loglik_gamma) )
-    log_delta = -total_obs * math.log(2.0)
-    if w <= 0.0:
-        return loglik_gamma
-    if w >= 1.0:
-        return log_delta
-    a = math.log(w) + log_delta
-    b = math.log1p(-w) + loglik_gamma
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi))
 
 
 def log_marginal(

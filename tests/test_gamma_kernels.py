@@ -18,6 +18,8 @@ from conjlogit.data_model import (
 )
 from conjlogit.gamma_kernels import (
     GammaFactors,
+    GammaTerm,
+    MixtureTerm,
     gmv_gamma_covariance,
     log_mgf,
     log_scaled_e1,
@@ -320,55 +322,22 @@ class TestPointMassLogMgf:
 
 
 class TestMgfSplit:
-    T = np.array([[0.0, 0.0], [-0.3, -0.7], [-2.0, -0.1], [-15.0, -40.0]])
-
     def test_terms(self):
         ig = IndependentGamma((2.0, 0.5), (3.0, 1.5), 0.02)
-        assert mgf_split(ig) == ((IndependentGamma((2.0,), (3.0,), 0.02),
-                                  IndependentGamma((0.5,), (1.5,), 0.02)), None)
+        assert mgf_split(ig) == ((GammaTerm(2.0, 3.0, 0.02), GammaTerm(0.5, 1.5, 0.02)), None)
         mix = GammaMixture(((0.3, 0.7), (1.0,)), ((1.0, 4.0), (2.0,)), ((2.0, 1.0), (3.0,)))
-        assert mgf_split(mix) == ((GammaMixture(((0.3, 0.7),), ((1.0, 4.0),), ((2.0, 1.0),)),
-                                   GammaMixture(((1.0,),), ((2.0,),), ((3.0,),))), None)
+        assert mgf_split(mix) == ((MixtureTerm((0.3, 0.7), (1.0, 4.0), (2.0, 1.0)),
+                                   MixtureTerm((1.0,), (2.0,), (3.0,))), None)
         gmv = GeneralizedMVGamma(((1.0, 0.0), (0.5, 2.0)), (2.0, 3.0), (1.5, 0.4), (2.0, 3.0))
         marginals, joint = mgf_split(gmv)
-        assert marginals == (IndependentGamma((2.0,), (2.0,)), IndependentGamma((3.0,), (3.0,)))
+        assert marginals == (GammaTerm(2.0, 2.0), GammaTerm(3.0, 3.0))
         assert isinstance(joint, GammaFactors)
-        assert joint.directions.tolist() == [[1.0, 0.5], [0.0, 2.0]]  # the loadings' columns
-        assert joint.shapes.tolist() == [1.5, 0.4]
+        assert joint == GammaFactors(((1.0, 0.5), (0.0, 2.0)), (1.5, 0.4))  # the loadings' columns
         marginals, joint = mgf_split(CheriyanRamabhadran(1.0, 2.0, 0.5))
-        assert marginals == (IndependentGamma((1.0,), (2.0,)), IndependentGamma((1.0,), (0.5,)))
-        assert joint.directions.tolist() == [[1.0, 1.0]] and joint.shapes.tolist() == [1.0]
+        assert marginals == (GammaTerm(1.0, 2.0), GammaTerm(1.0, 0.5))
+        assert joint == GammaFactors(((1.0, 1.0),), (1.0,))
         for spec in (Freund(1.0, 2.0, 1.5, 0.8), ArnoldStrauss(1.0, 1.5, 0.8),
                      PointMassGamma(0.4, ig)):
             assert mgf_split(spec) == ((None, None), spec)
         with pytest.raises(SpecError, match="no MGF for str"):
             mgf_split("gamma")
-
-    @pytest.mark.parametrize("spec", [
-        IndependentGamma((2.0, 0.5), (3.0, 1.5), 0.02),
-        GammaMixture(((0.3, 0.7), (1.0,)), ((1.0, 4.0), (2.0,)), ((2.0, 1.0), (3.0,)), 0.01),
-        GeneralizedMVGamma(((1.0, 0.0), (0.5, 2.0)), (2.0, 3.0), (1.5, 0.4), (2.0, 3.0)),
-        CheriyanRamabhadran(1.0, 2.0, 0.5),
-        Freund(1.0, 2.0, 1.5, 0.8),
-    ], ids=lambda s: type(s).__name__)
-    def test_log_mgf_is_the_sum_of_the_terms(self, spec):
-        marginals, joint = mgf_split(spec)
-        total = np.zeros(len(self.T))
-        for p, m in enumerate(marginals):
-            if m is not None:
-                total += log_mgf(m, self.T[:, p:p + 1])
-        if joint is not None:
-            total += log_mgf(joint, self.T)
-        assert log_mgf(spec, self.T) == pytest.approx(total, rel=1e-15, abs=1e-300)
-
-    def test_split_is_memoized(self):
-        gmv = GeneralizedMVGamma(((1.0,), (0.5,)), (2.0, 1.0), (1.5,), (2.0, 3.0))
-        assert mgf_split(gmv) is mgf_split(
-            GeneralizedMVGamma(((1.0,), (0.5,)), (2.0, 1.0), (1.5,), (2.0, 3.0)))
-        assert not mgf_split(gmv)[1].directions.flags.writeable
-
-    def test_spec_built_from_lists(self):
-        # not hashable, so it is split without the memo
-        listed = IndependentGamma([2.0, 0.5], [3.0, 1.5])
-        assert np.array_equal(log_mgf(listed, self.T),
-                              log_mgf(IndependentGamma((2.0, 0.5), (3.0, 1.5)), self.T))

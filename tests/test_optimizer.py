@@ -19,7 +19,7 @@ from conjlogit.optimizer import (
     params_to_spec,
 )
 from conjlogit import optimizer
-from conjlogit.gamma_kernels import log_mgf
+from conjlogit.gamma_kernels import GammaTerm, log_mgf
 from conjlogit.series import (
     CountMatrix,
     FactoredCounts,
@@ -252,10 +252,10 @@ class TestGridLogliks:
         values = grid_logliks(prep, grid, eps)
         expected = np.array([loglik_or_nan(prep, p, d.P, eps) for p in grid.points()])
         assert values.shape == (grid.cardinality,)
-        # each attribute's factor table, bit for bit what log_mgf gives one pair at a time
+        # each attribute's factor table, bit for bit what term_log_mgf gives one pair at a time
         for p, table in enumerate(gamma_factor_tables(prep.counts, grid, eps)):
             pairs = product(grid.axes[2 * p].points(), grid.axes[2 * p + 1].points())
-            one_at_a_time = np.exp([prep.counts.axis_log_mgf(p, IndependentGamma((b,), (n,), eps))
+            one_at_a_time = np.exp([prep.counts.axis_log_mgf(p, GammaTerm(b, n, eps))
                                     for b, n in pairs])
             assert table.tobytes() == one_at_a_time.tobytes()
         # NaN exactly where the per-point route raises TruncationFailure
