@@ -65,8 +65,7 @@ from .series import (
     TruncationFailure,
     group_h,
     group_households,
-    group_spread,
-    log_marginal_prepared,
+    log_marginal_and_spread,
     prepare_dataset,
 )
 from .sim import SimDesign, check_study, run_study, simulate_dataset
@@ -306,11 +305,11 @@ def cmd_eval(args) -> int:
     d = _load_data(args)
     spec = load_spec(args.spec)
     prep = _prepare(d, SeriesConfig(R=args.R), _cache_dir(args))
-    ev = log_marginal_prepared(prep, spec)
+    ev, spread = log_marginal_and_spread(prep, spec)
     out = {
         "loglik": ev.value,
         "terms": ev.terms,
-        "parity_spread": float(group_spread(prep, spec).max(initial=0.0)),
+        "parity_spread": float(spread.max(initial=0.0)),
         "R": args.R,
     }
     print(json.dumps(out, indent=2))

@@ -12,7 +12,11 @@ than ``MAX_STATES`` of them raises :class:`BudgetError` before it is built.
 :func:`build_caches` runs that recurrence for many signatures of one shape
 at once: every state carries its signature, so a DP column and the final
 grouping by r cost a fixed number of numpy calls for the whole batch, and
-each cache's columns are sliced out at the end.  Each grouping packs its
+each cache's columns are sliced out at the end.  A batch holds as many
+signatures, in order, as keep the sum of their state bounds within
+``BATCH_STATES``; a signature's bound counts, shell by shell, the fewer of
+its compositions and of the r-tuples in the box its covariates span
+(:func:`_state_bounds`), not the C(R+M, M) k-tuples.  Each grouping packs its
 keys into one int64 and reads them off a lookup table where the states are
 dense, or sorts them where they are sparse (:func:`_distinct`).
 :func:`build_cache` is the batch of one.  The counts from the final shells
@@ -36,6 +40,7 @@ import math
 import os
 import struct
 import zlib
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
@@ -59,11 +64,14 @@ CACHE_FORMAT_VERSION = 4
 # (shell, r) states one DP column may hold; about 157 bytes each at the peak
 # of a build, so 2**24 states is about 2.6 GB
 MAX_STATES = 2**24
-# Signatures of one shape are built together while their k-tuples, which
-# bound the states of every DP column, add up to at most this many.  A run's
-# temporaries then peak near 0.25 MB: larger batches were a little faster,
-# but left the heap in a state that made later allocations page-fault.
-BATCH_STATES = 2**12
+# Signatures of one shape are built together while their state bounds
+# (_state_bounds, at least the states of any one DP column) add up to at
+# most this many.  A build's temporaries then peak near 1 MB, and no set-up
+# of the benchmark's panels page-faults.  At 2**15 the larger arrays of a
+# batch page-faulted 140-380 times (ru_minflt) per set-up, and at 2**16
+# raised the peak RSS by about 2.5 MB, which cost more than the numpy calls
+# the larger batches saved.
+BATCH_STATES = 2**14
 # Above this many cells per row of data, a lookup table over the range of
 # the keys is too sparse, and _distinct sorts the keys instead.
 MAX_BOX_PER_ROW = 16
@@ -260,55 +268,121 @@ def build_cache(x_vectors, R: int) -> DioCache:
 def build_caches(signatures, R: int) -> list[DioCache]:
     """:func:`build_cache` of every signature, in order, from batched knapsack runs.
 
-    Signatures of one shape (P, M) are built together, as many at a time as
-    keep their k-tuples, which bound the states of every DP column, within
-    ``BATCH_STATES``.  Each cache equals its one-at-a-time build column for
-    column.  Raises :class:`BudgetError` when C(R+M, M) exceeds the int64
-    range or a DP column would hold more than ``MAX_STATES`` states, naming
-    the first signature in order that a one-at-a-time build would refuse.
+    Signatures of one shape (P, M) are built together, in order, as many at
+    a time as keep the sum of their state bounds (:func:`_state_bounds`)
+    within ``BATCH_STATES``; a signature over it is built alone.  Each cache
+    equals its one-at-a-time build column for column.  Raises ValueError for
+    the first invalid signature in order, with :func:`_check_x_vectors`'
+    message, and :class:`BudgetError` when C(R+M, M) exceeds the int64 range
+    or a DP column would hold more than ``MAX_STATES`` states, naming the
+    first signature in order that a one-at-a-time build would refuse.
     """
-    xvs = [_check_x_vectors(xv) for xv in signatures]
+    shapes = _by_shape(signatures)
     if R < 0:
         raise ValueError("R must be non-negative")
-    first, error = len(xvs), None  # the first refused signature, and why
-    shapes: dict[tuple[int, int], list[int]] = {}
-    for i, xv in enumerate(xvs):
-        M = len(xv[0])
+    first, error = len(signatures), None  # the first refused signature, and why
+    pending = deque()  # (indices, covariates, x_vectors) of one run each
+    for (_, M), (members, X, xvs) in shapes.items():
         tuples = compositions_cum(R, M)
-        if tuples > _I64_MAX and i < first:
-            # every partial sum of the DP is at most C(R+M, M), so i64 is exact below this
-            first, error = i, BudgetError(
-                f"C(R+M, M) = C({R+M},{M}) = {tuples} exceeds the i64 range of the signed counts"
-            )
-        shapes.setdefault((len(xv), M), []).append(i)
-    pending = deque()
-    for (_, M), members in shapes.items():
-        size = max(1, BATCH_STATES // compositions_cum(R, M))
-        pending.extend(members[k:k + size] for k in range(0, len(members), size))
-    caches: list = [None] * len(xvs)
+        if tuples > _I64_MAX:
+            # every partial sum of the DP is at most C(R+M, M), so i64 is exact
+            # below this; the shape's later members are past its first
+            if members[0] < first:
+                first, error = members[0], BudgetError(
+                    f"C(R+M, M) = C({R+M},{M}) = {tuples} exceeds the i64 range "
+                    "of the signed counts"
+                )
+            continue
+        starts, total = [], math.inf
+        for k, bound in enumerate(_state_bounds(X, R).tolist()):
+            total += bound
+            if total > BATCH_STATES:
+                starts.append(k)
+                total = bound
+        for a, b in zip(starts, starts[1:] + [len(members)]):
+            pending.append((members[a:b], X[a:b], xvs[a:b]))
+    caches: list = [None] * len(signatures)
     while pending:
-        batch = [i for i in pending.popleft() if i < first]
-        if not batch:
+        members, X, xvs = pending.popleft()
+        n = bisect_left(members, first)  # members come in order
+        if not n:
             continue
         try:
-            for i, cache in zip(batch, _build_batch([xvs[i] for i in batch], R)):
+            for i, cache in zip(members[:n], _build_batch(X[:n], xvs[:n], R)):
                 caches[i] = cache
         except BudgetError as e:
-            if len(batch) > 1:  # the guard on the batch: build its members one at a time
-                pending.extendleft([i] for i in reversed(batch))
+            if n > 1:  # the guard on the batch: build its members one at a time
+                pending.extendleft(
+                    (members[k:k + 1], X[k:k + 1], xvs[k:k + 1]) for k in reversed(range(n))
+                )
             else:
-                first, error = batch[0], e
+                first, error = members[0], e
     if error is not None:
         raise error
     return caches
 
 
-def _build_batch(xvs, R: int) -> list[DioCache]:
-    """The caches of signatures of one shape, from one knapsack run."""
-    X = np.array(xvs, dtype=np.int64)  # (signature, p, m)
+def _by_shape(signatures) -> dict[tuple[int, int], tuple[list[int], np.ndarray, list]]:
+    """The signatures of each shape (P, M), in order of first appearance: their
+    indices, their covariates as one int64 array (signature, p, m), and their
+    x_vectors as tuples of ints.
+
+    Checks every signature as :func:`_check_x_vectors` checks one, a few
+    numpy calls per shape, and raises its ValueError for the first invalid
+    signature in order.
+    """
+    rows: dict[tuple[int, ...], list[int]] = {}  # the lengths of a signature's rows
+    for i, xv in enumerate(signatures):
+        rows.setdefault(tuple(map(len, xv)), []).append(i)
+    invalid = []  # (index, message) of each row shape's first invalid signature
+    shapes = {}
+    for lengths, members in rows.items():
+        if not lengths or not lengths[0]:
+            invalid.append((members[0], "x_vectors must be a non-empty P x M array"))
+            continue
+        if any(n != lengths[0] for n in lengths):
+            invalid.append((members[0], "x_vectors rows must share length M"))
+            continue
+        X = np.array([signatures[i] for i in members], dtype=np.int64)
+        negative = (X < 0).any(axis=(1, 2))
+        bad = negative | (X == 0).all(axis=1).any(axis=1)
+        if bad.any():
+            k = int(bad.argmax())
+            invalid.append((members[k], "covariates must be non-negative" if negative[k]
+                            else "every observation needs at least one positive covariate"))
+        shapes[len(lengths), lengths[0]] = (
+            members, X, [tuple(map(tuple, x)) for x in X.tolist()]
+        )
+    if invalid:
+        raise ValueError(min(invalid)[1])
+    return shapes
+
+
+def _state_bounds(X: np.ndarray, R: int) -> np.ndarray:
+    """An upper bound on the (shell, r) states that any DP column of
+    :func:`_shell_states` holds for each signature of ``X`` (signature, p, m).
+
+    A column's states of shell s are distinct r-tuples, each the sum of s
+    of the signature's observation columns taken with repeats, so there are
+    at most C(s+M-1, M-1) of them, and each r_p lies in
+    [s * min_m x_pm, s * max_m x_pm].  The bound is
+    sum over s <= R of min(C(s+M-1, M-1), prod_p (s * (max_m x_pm - min_m x_pm) + 1)),
+    in float64, exact below 2**53.
+    """
+    M = X.shape[2]
+    s = np.arange(R + 1, dtype=np.float64)
+    spans = X.max(axis=2) - X.min(axis=2)  # (signature, p)
+    boxes = np.prod(spans[:, :, None] * s + 1, axis=1)
+    shells = np.array([math.comb(k + M - 1, M - 1) for k in range(R + 1)], dtype=np.float64)
+    return np.minimum(boxes, shells).sum(axis=1)
+
+
+def _build_batch(X: np.ndarray, xvs, R: int) -> list[DioCache]:
+    """The caches of signatures of one shape, from one knapsack run: ``X``
+    holds their covariates (signature, p, m) and ``xvs`` their x_vectors."""
     G, P, M = X.shape
     g, s, r, signed = _shell_states(X, R)
-    np.negative(signed, out=signed, where=(s & 1).astype(bool))
+    signed *= 1 - ((s & 1) << 1)  # the parity sign (-1)^s
     # the rows of r_array, per signature: by r-total, then tuple, and the
     # total with all but the last r_p determines r
     keys = np.empty((P + 1, len(s)), dtype=np.int64)

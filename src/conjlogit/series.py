@@ -23,7 +23,8 @@ is off by about half the next shell; the mean is far closer to the limit.
 Its error estimate is the parity spread, the relative gap between the means
 at budgets R and R - 1 (:func:`group_spread`; :func:`h_naive` returns it
 too).  It is computed apart from the evaluation, once per reported value,
-so a grid of evaluations pays nothing for it.
+so a grid of evaluations pays nothing for it; :func:`log_marginal_and_spread`
+gives one value and its spread from a single evaluation of the MGF.
 """
 
 from __future__ import annotations
@@ -513,7 +514,20 @@ def log_marginal_prepared(prep: PreparedDataset, spec) -> Evaluation:
     combined at the dataset level: with weight w every Bernoulli factor is
     1/2.
     """
-    H = group_h(prep, _inner(spec))
+    return _log_marginal(prep, spec, group_h(prep, _inner(spec)))
+
+
+def log_marginal_and_spread(prep: PreparedDataset, spec) -> tuple[Evaluation, np.ndarray]:
+    """:func:`log_marginal_prepared` and :func:`group_spread` from one
+    evaluation of the prior's MGF."""
+    mgf = prep.counts.mgf(_inner(spec))
+    H = prep.counts.C @ mgf
+    return _log_marginal(prep, spec, H), _rel_spread(H, prep.companion @ mgf)
+
+
+def _log_marginal(prep: PreparedDataset, spec, H: np.ndarray) -> Evaluation:
+    """The log marginal likelihood from the groups' H_i under ``spec``'s
+    inner prior."""
     prep.raise_on_truncation(H)
     total = float(prep.counts.mult @ np.log(H))
     if isinstance(spec, PointMassGamma):

@@ -30,8 +30,10 @@ from conjlogit.diophantine import (
     save_cache,
 )
 from conjlogit.series import (
+    CountMatrix,
     SeriesConfig,
     TruncationFailure,
+    group_spread,
     h_naive,
     log_marginal_prepared,
     prepare_dataset,
@@ -355,6 +357,22 @@ class TestEvalAndFit:
         blob = json.loads(out)
         assert blob["loglik"] < 0
         assert set(blob) == {"loglik", "terms", "parity_spread", "R"}
+
+    def test_eval_evaluates_the_mgf_once(self, tmp_path, sim_csv, capsys, monkeypatch):
+        # the value and the spread share one MGF evaluation, and equal the
+        # separate routes' to the bit
+        spec = IndependentGamma((5.0,), (14.0,))
+        spec_p = tmp_path / "spec.json"
+        save_spec(spec, str(spec_p))
+        calls = count_calls(monkeypatch, CountMatrix, "mgf")
+        code, out, err = run(["eval", "--data", str(sim_csv), "--spec", str(spec_p),
+                              "--R", "30", "--cache-dir", str(tmp_path / "c")], capsys)
+        assert code == 0, err
+        assert [s for _, s in calls] == [spec]
+        blob = json.loads(out)
+        prep = prepare_dataset(load_dataset(str(sim_csv)), SeriesConfig(R=30))
+        assert blob["loglik"] == log_marginal_prepared(prep, spec).value
+        assert blob["parity_spread"] == group_spread(prep, spec).max()
 
     def test_eval_modes_agree(self, tmp_path, sim_csv, capsys):
         # eval's count-based value against the brute-force h_naive per household

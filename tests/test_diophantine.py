@@ -293,6 +293,91 @@ class TestBatchedBuild:
         # over the cap, each signature is not, so each is built on its own
         assert [c.x_vectors for c in build_caches(sigs[:1] * 3, 6)] == sigs[:1] * 3
 
+    def test_state_bounds_of_the_benchmark_signatures(self):
+        # P=2, M=2 on {1, 2, 3} at R=40: every shell's s+1 compositions are
+        # apart; P=1, M=3 spanning 2 at R=100: the r range 2s+1 binds
+        assert state_bound(((1, 3), (2, 1)), 40) == 861
+        assert state_bound(((1, 2, 3),), 100) == 10201
+        assert state_bound(((2, 2, 2),), 100) == 101
+
+    @given(st.lists(st.tuples(st.integers(1, 2), st.integers(1, 4)), min_size=1, max_size=6)
+           .flatmap(lambda shapes: st.tuples(*[
+               st.lists(st.lists(st.integers(0, 3), min_size=P, max_size=P).filter(any),
+                        min_size=M, max_size=M).map(lambda cols: tuple(zip(*cols)))
+               for P, M in shapes])),
+           st.integers(0, 6), st.sampled_from([1, 20, 60]))
+    @settings(max_examples=60, deadline=None)
+    def test_state_bound_holds_and_caps_each_batch(self, sigs, R, cap):
+        columns, batches = [], []
+        check, build = diophantine._check_states, diophantine._build_batch
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diophantine, "_check_states",
+                       lambda total, *a: columns.append(total) or check(total, *a))
+            for xv in sigs:  # one at a time, so a column's states are one signature's
+                columns.clear()
+                build_cache(xv, R)
+                assert len(columns) == len(xv[0])
+                assert max(columns) <= state_bound(xv, R)
+                assert diophantine._state_bounds(np.array([xv]), R).tolist() == [
+                    state_bound(xv, R)
+                ]
+            mp.setattr(diophantine, "BATCH_STATES", cap)
+            mp.setattr(diophantine, "_build_batch",
+                       lambda X, xvs, R: batches.append(list(xvs)) or build(X, xvs, R))
+            build_caches(sigs, R)
+        assert sorted(xv for batch in batches for xv in batch) == sorted(sigs)
+        for batch in batches:
+            assert len(batch) == 1 or sum(state_bound(xv, R) for xv in batch) <= cap
+
+    def test_batching_leaves_no_trace_in_the_files(self, monkeypatch, tmp_path):
+        # at R=4 the bounds are 5 for (1, 1), (1, 1, 1) and ((1, 1), (2, 2)),
+        # 15 for (1, 2), (2, 3) and ((2, 1), (1, 3)), and 25 for (1, 2, 3):
+        # under a cap of 20, (1, 2, 3) goes alone and so, after it, does (1, 1, 1)
+        sigs = [((1, 1),), ((1, 2, 3),), ((1, 2),), ((2, 1), (1, 3)), ((2, 3),),
+                ((1, 1, 1),), ((1, 1),), ((1, 1), (2, 2))]
+        monkeypatch.setattr(diophantine, "BATCH_STATES", 20)
+        batches = []
+        build = diophantine._build_batch
+        monkeypatch.setattr(diophantine, "_build_batch",
+                            lambda X, xvs, R: batches.append(list(xvs)) or build(X, xvs, R))
+        batched = build_caches(sigs, 4)
+        assert batches == [[((1, 1),), ((1, 2),)], [((2, 3),), ((1, 1),)], [((1, 2, 3),)],
+                           [((1, 1, 1),)], [((2, 1), (1, 3)), ((1, 1), (2, 2))]]
+        for k, (xv, cache) in enumerate(zip(sigs, batched)):
+            save_cache(cache, str(tmp_path / f"batched{k}.bin"))
+            save_cache(build_cache(xv, 4), str(tmp_path / f"single{k}.bin"))
+            assert ((tmp_path / f"batched{k}.bin").read_bytes()
+                    == (tmp_path / f"single{k}.bin").read_bytes())
+
+    @pytest.mark.parametrize("bad", [
+        (), ((),), ((1, 2), (1,)), ((1, -2),), ((0, 1), (0, 2)), ((0, -1), (0, 2)),
+    ], ids=["empty", "no-columns", "ragged", "negative", "unobserved", "negative-first"])
+    def test_a_bad_signature_raises_the_one_signature_message(self, bad):
+        with pytest.raises(ValueError) as one:
+            diophantine._check_x_vectors(bad)
+        good = [((1, 2),), ((1, 1), (2, 3)), ((1, 2, 3),)]
+        for k in range(len(good) + 1):
+            with pytest.raises(ValueError) as batch:
+                build_caches(good[:k] + [bad] + good[k:], 3)
+            assert str(batch.value) == str(one.value)
+
+    def test_the_first_bad_signature_in_order_is_named(self):
+        bad = [((1, 2), (1,)), ((1, -2),), ((0, 1), (0, 2)), ()]
+        for order in itertools.permutations(bad):
+            with pytest.raises(ValueError) as one:
+                diophantine._check_x_vectors(order[0])
+            with pytest.raises(ValueError) as batch:
+                build_caches([((1, 2),), *order], 3)
+            assert str(batch.value) == str(one.value)
+
+
+def state_bound(xv, R: int) -> int:
+    """The DP's state bound for one signature, summed shell by shell."""
+    M = len(xv[0])
+    return sum(min(compositions_count(s, M),
+                   math.prod(s * (max(row) - min(row)) + 1 for row in xv))
+               for s in range(R + 1))
+
 
 class TestCanonicalSignatures:
     @given(st.integers(1, 3).flatmap(lambda P: st.lists(
