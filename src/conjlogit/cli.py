@@ -559,9 +559,10 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
     keys that are its own flags.  A switch such as ``newton`` takes
     true or false; any other value is passed as a string, so the flag's
     type parses it as it would on the command line.  OSError or ValueError
-    for an unreadable file, a file that is not a JSON object, a switch that
-    is not true or false, or a key that is no subcommand's flag (a misspelt
-    or removed flag would otherwise change nothing and say nothing).
+    for an unreadable file, a file that is not a JSON object, a null value,
+    a switch that is not true or false, or a key that is no subcommand's
+    flag (a misspelt or removed flag would otherwise change nothing and say
+    nothing).
     """
     with open(path) as f:
         try:
@@ -579,6 +580,9 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
         raise ValueError(f"config file {path}: no subcommand has a flag for key(s) "
                          + ", ".join(map(repr, unknown)))
     for key, value in overlay.items():
+        if value is None:  # str(None) would reach the flag's type as "None"
+            raise ValueError(f"config file {path}: {key!r} is null; give it a value "
+                             "or leave it out")
         dest = key.replace("-", "_")
         for sub, f in zip(subs, flags):
             if dest not in f:

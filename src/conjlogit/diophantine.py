@@ -14,11 +14,13 @@ at once: every state carries its signature, so a DP column and the final
 grouping by r cost a fixed number of numpy calls for the whole batch, and
 each cache's columns are sliced out at the end.  A batch holds as many
 signatures, in order, as keep the sum of their state bounds within
-``BATCH_STATES``; a signature's bound counts, shell by shell, the fewer of
-its compositions and of the r-tuples in the box its covariates span
-(:func:`_state_bounds`), not the C(R+M, M) k-tuples.  Each grouping packs its
-keys into one int64 and reads them off a lookup table where the states are
-dense, or sorts them where they are sparse (:func:`_distinct`).
+``BATCH_STATES`` and ``MAX_STATES``; a signature's bound counts, shell by
+shell, the fewer of its compositions and of the r-tuples in the box its
+covariates span (:func:`_state_bounds`), not the C(R+M, M) k-tuples.  No DP
+column of a batch holds more states than the sum of its signatures' bounds,
+so only a signature built alone can meet the state guard.  Each grouping packs its keys into one int64 and
+reads them off a lookup table where the states are dense, or sorts them
+where they are sparse (:func:`_distinct`).
 :func:`build_cache` is the batch of one.  The counts from the final shells
 k.1 == R and k.1 == R-1 are kept as well, so the series can return the Euler
 mean of its last two shell partial sums, and the same mean one budget lower
@@ -40,8 +42,6 @@ import math
 import os
 import struct
 import zlib
-from bisect import bisect_left
-from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -66,11 +66,12 @@ CACHE_FORMAT_VERSION = 4
 MAX_STATES = 2**24
 # Signatures of one shape are built together while their state bounds
 # (_state_bounds, at least the states of any one DP column) add up to at
-# most this many.  A build's temporaries then peak near 1 MB, and no set-up
-# of the benchmark's panels page-faults.  At 2**15 the larger arrays of a
-# batch page-faulted 140-380 times (ru_minflt) per set-up, and at 2**16
-# raised the peak RSS by about 2.5 MB, which cost more than the numpy calls
-# the larger batches saved.
+# most this many, or MAX_STATES if that is lower, so a batch of two or more
+# never meets the state guard.  A build's temporaries then peak near 1 MB,
+# and no set-up of the benchmark's panels page-faults.  At 2**15 the larger
+# arrays of a batch page-faulted 140-380 times (ru_minflt) per set-up, and
+# at 2**16 raised the peak RSS by about 2.5 MB, which cost more than the
+# numpy calls the larger batches saved.
 BATCH_STATES = 2**14
 # Above this many cells per row of data, a lookup table over the range of
 # the keys is too sparse, and _distinct sorts the keys instead.
@@ -270,55 +271,49 @@ def build_caches(signatures, R: int) -> list[DioCache]:
 
     Signatures of one shape (P, M) are built together, in order, as many at
     a time as keep the sum of their state bounds (:func:`_state_bounds`)
-    within ``BATCH_STATES``; a signature over it is built alone.  Each cache
+    within ``min(BATCH_STATES, MAX_STATES)``; a signature over it is built
+    alone.  A batch's DP columns then hold no more states than that sum, so
+    only a lone signature can be refused by the state guard.  Each cache
     equals its one-at-a-time build column for column.  Raises ValueError for
     the first invalid signature in order, with :func:`_check_x_vectors`'
-    message, and :class:`BudgetError` when C(R+M, M) exceeds the int64 range
-    or a DP column would hold more than ``MAX_STATES`` states, naming the
-    first signature in order that a one-at-a-time build would refuse.
+    message.  Every batch is built; then, if any signature was refused
+    because C(R+M, M) exceeds the int64 range or a DP column would hold more
+    than ``MAX_STATES`` states, raises the :class:`BudgetError` of the first
+    refused signature in order, the one a one-at-a-time build would raise.
     """
     shapes = _by_shape(signatures)
     if R < 0:
         raise ValueError("R must be non-negative")
-    first, error = len(signatures), None  # the first refused signature, and why
-    pending = deque()  # (indices, covariates, x_vectors) of one run each
+    cap = min(BATCH_STATES, MAX_STATES)
+    refused = {}  # index -> BudgetError of each refused shape or lone signature
+    batches = []  # (indices, covariates, x_vectors) of one run each
     for (_, M), (members, X, xvs) in shapes.items():
         tuples = compositions_cum(R, M)
         if tuples > _I64_MAX:
             # every partial sum of the DP is at most C(R+M, M), so i64 is exact
             # below this; the shape's later members are past its first
-            if members[0] < first:
-                first, error = members[0], BudgetError(
-                    f"C(R+M, M) = C({R+M},{M}) = {tuples} exceeds the i64 range "
-                    "of the signed counts"
-                )
+            refused[members[0]] = BudgetError(
+                f"C(R+M, M) = C({R+M},{M}) = {tuples} exceeds the i64 range "
+                "of the signed counts"
+            )
             continue
         starts, total = [], math.inf
         for k, bound in enumerate(_state_bounds(X, R).tolist()):
             total += bound
-            if total > BATCH_STATES:
+            if total > cap:
                 starts.append(k)
                 total = bound
         for a, b in zip(starts, starts[1:] + [len(members)]):
-            pending.append((members[a:b], X[a:b], xvs[a:b]))
+            batches.append((members[a:b], X[a:b], xvs[a:b]))
     caches: list = [None] * len(signatures)
-    while pending:
-        members, X, xvs = pending.popleft()
-        n = bisect_left(members, first)  # members come in order
-        if not n:
-            continue
+    for members, X, xvs in batches:
         try:
-            for i, cache in zip(members[:n], _build_batch(X[:n], xvs[:n], R)):
+            for i, cache in zip(members, _build_batch(X, xvs, R)):
                 caches[i] = cache
-        except BudgetError as e:
-            if n > 1:  # the guard on the batch: build its members one at a time
-                pending.extendleft(
-                    (members[k:k + 1], X[k:k + 1], xvs[k:k + 1]) for k in reversed(range(n))
-                )
-            else:
-                first, error = members[0], e
-    if error is not None:
-        raise error
+        except BudgetError as e:  # only a lone signature reaches the state guard
+            refused[members[0]] = e
+    if refused:
+        raise refused[min(refused)]
     return caches
 
 

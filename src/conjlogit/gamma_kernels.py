@@ -198,7 +198,8 @@ def term_log_mgf(spec, t) -> np.ndarray:
     """log M of one term of a split: a one-attribute marginal at every
     entry of the 1-D ``t``, or a joint at every row of the 2-D ``t``."""
     if isinstance(spec, GammaTerm):
-        # exp(-n log(1 - b t) + eps t), on the grid's log bases
+        # exp(-n log(1 - b t) + eps t); the grid search passes b and n as
+        # columns of its (b, n) pairs, which broadcast against t
         out = t * -spec.b
         np.log1p(out, out=out)
         out *= -spec.n
@@ -232,14 +233,3 @@ def term_log_mgf(spec, t) -> np.ndarray:
     a_0 = spec.lam1 * spec.lam2 / spec.lam12
     return log_scaled_e1(a_t) - log_scaled_e1(a_0)[()]
 
-
-def gamma_log_bases(spec: IndependentGamma, T) -> np.ndarray:
-    """log(1 - b_p t_p) at every row t of ``T``, one column per attribute p.
-
-    The independent-Gamma MGF is exp(sum_p -n_p log(1 - b_p t_p) + eps sum_p t_p):
-    the grid search scales each column by its own -n_p to get one factor per
-    (b_p, n_p) pair, bit for bit what :func:`term_log_mgf` gives one
-    :class:`GammaTerm` at a time.
-    """
-    out = T * -np.asarray(spec.b)
-    return np.log1p(out, out=out)

@@ -22,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from .data_model import IndependentGamma, SpecError
-from .gamma_kernels import gamma_log_bases
+from .gamma_kernels import GammaTerm
 from .series import CountMatrix, FactoredCounts, PreparedDataset, TruncationFailure, group_spread
 
 
@@ -138,17 +138,18 @@ def gamma_factor_tables(counts: CountMatrix, grid: GridSpec, eps: float) -> list
 
     An attribute's pairs are checked as one :class:`IndependentGamma` whose
     attributes are the pairs, so a bad pair raises :class:`SpecError`.  The
-    factor of pair (b, n) at t is exp(-n log(1 - b t) + eps t), on the log
-    bases of :func:`~conjlogit.gamma_kernels.gamma_log_bases`, bit for bit
-    what ``log_mgf`` gives for that pair alone.
+    factor of pair (b, n) at t is exp(-n log(1 - b t) + eps t), from one
+    :class:`~conjlogit.gamma_kernels.GammaTerm` whose b and n are the pairs'
+    columns: ``counts.axis_log_mgf`` broadcasts it over the pairs, bit for
+    bit what it gives for each pair alone.
     """
     tables = []
-    for p, t in enumerate(counts.t_axes):
+    for p in range(len(counts.t_axes)):
         b, n = zip(*product(grid.axes[2 * p].points(), grid.axes[2 * p + 1].points()))
-        log = gamma_log_bases(IndependentGamma(b, n, eps), t[:, None]) * -np.asarray(n)
-        if eps:
-            log += t[:, None] * eps
-        tables.append(np.exp(np.ascontiguousarray(log.T)))
+        spec = IndependentGamma(b, n, eps)  # checks every pair
+        pairs = GammaTerm(np.asarray(spec.b)[:, None], np.asarray(spec.n)[:, None], eps)
+        log = counts.axis_log_mgf(p, pairs)
+        tables.append(np.exp(log, out=log))
     return tables
 
 

@@ -28,10 +28,13 @@ from .data_model import (
 )
 
 
+# Subintervals scipy's adaptive quad may split a one-dimensional range into
+QUAD_LIMIT = 200
+
+
 @dataclass(frozen=True)
 class QuadConfig:
     rel_tol: float = 1e-8
-    max_subdivisions: int = 200
 
     def __post_init__(self):
         if self.rel_tol <= 0:
@@ -99,7 +102,7 @@ def cr_density(x1: float, x2: float, spec: CheriyanRamabhadran) -> float:
             * math.exp(y)
         )
 
-    inner, _ = integrate.quad(integrand, 0.0, m, limit=200, points=[0.0, m])
+    inner, _ = integrate.quad(integrand, 0.0, m, limit=QUAD_LIMIT, points=[0.0, m])
     return math.exp(-(x1 + x2) - _cr_logconst(spec)) * inner
 
 
@@ -141,8 +144,7 @@ def quadrature_h(h: Household, spec, qc: QuadConfig | None = None, x_scale: floa
 
         if P == 1:
             val, err = integrate.quad(
-                f_last, 0.0, 1.0, epsabs=0.0, epsrel=qc.rel_tol,
-                limit=qc.max_subdivisions,
+                f_last, 0.0, 1.0, epsabs=0.0, epsrel=qc.rel_tol, limit=QUAD_LIMIT
             )
         elif P == 2:
             val, err = integrate.dblquad(

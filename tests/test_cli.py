@@ -578,8 +578,12 @@ def test_config_value_is_parsed_by_the_flag_type(tmp_path, sim_csv, capsys):
     ('{"parity-check": true, "family": "gamma"}', "'parity-check', 'family'"),
     ('{"limit": 5}', "no subcommand has a flag for key(s) 'limit'"),
     ('{"newton": "yes"}', "true or false"),
+    # a null once reached the flag as the string "None", so eval exited 0
+    # and precompute wrote its caches into ./None
+    ('{"cache-dir": null}', "'cache-dir' is null"),
+    ('{"newton": null}', "'newton' is null"),
 ], ids=["missing", "not-json", "not-object", "unknown-keys", "removed-flags", "removed-limit",
-        "not-a-switch"])
+        "not-a-switch", "null-value", "null-switch"])
 def test_bad_config_exits_2_with_one_line(tmp_path, sim_csv, capsys, content, words):
     cfg = tmp_path / "cfg.json"
     if content is not None:

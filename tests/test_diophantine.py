@@ -293,6 +293,19 @@ class TestBatchedBuild:
         # over the cap, each signature is not, so each is built on its own
         assert [c.x_vectors for c in build_caches(sigs[:1] * 3, 6)] == sigs[:1] * 3
 
+    def test_a_batch_of_three_at_21_states_is_split_under_the_cap(self):
+        # three x = (1, 1) at R=6 hold 7 states each; under a cap of 20 they
+        # go in batches of two and one, and none is refused
+        sigs = [((1, 1),)] * 3
+        refused, sizes = refused_batches(sigs, 6)
+        assert sizes == [2, 1] and not refused
+
+    @given(signature_lists(), st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_only_a_lone_signature_meets_the_state_guard(self, sigs, R):
+        refused, _ = refused_batches(sigs, R)
+        assert all(n == 1 for n in refused)
+
     def test_state_bounds_of_the_benchmark_signatures(self):
         # P=2, M=2 on {1, 2, 3} at R=40: every shell's s+1 compositions are
         # apart; P=1, M=3 spanning 2 at R=100: the r range 2s+1 binds
@@ -369,6 +382,30 @@ class TestBatchedBuild:
             with pytest.raises(ValueError) as batch:
                 build_caches([((1, 2),), *order], 3)
             assert str(batch.value) == str(one.value)
+
+
+def refused_batches(sigs, R: int) -> tuple[list[int], list[int]]:
+    """``build_caches(sigs, R)`` under ``MAX_STATES`` = 20: the sizes of the
+    batches that raised BudgetError, and of every batch built."""
+    refused, sizes = [], []
+    build = diophantine._build_batch
+
+    def spy(X, xvs, R):
+        sizes.append(len(xvs))
+        try:
+            return build(X, xvs, R)
+        except BudgetError:
+            refused.append(len(xvs))
+            raise
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diophantine, "MAX_STATES", 20)
+        mp.setattr(diophantine, "_build_batch", spy)
+        try:
+            build_caches(sigs, R)
+        except BudgetError:
+            assert refused  # the budgets here keep every count within int64
+    return refused, sizes
 
 
 def state_bound(xv, R: int) -> int:
