@@ -238,17 +238,17 @@ def cmd_precompute(args) -> int:
     SeriesConfig(R=args.R)  # rejects a negative budget, dry run or not
     d = _load_data(args)
     cache_dir = _cache_dir(args)
-    plans = []
-    for xv, n_households in _signatures(group_households(d)[0]).items():
-        x_hash = fnv1a_x_vectors(xv)
-        plans.append((xv, x_hash))
-        print(f"signature {x_hash:016x}: {n_households} households, M={len(xv[0])}")
+    plans = [(xv, fnv1a_x_vectors(xv), n_households)
+             for xv, n_households in _signatures(group_households(d)[0]).items()]
+    # the whole list in one write
+    print("".join(f"signature {x_hash:016x}: {n_households} households, M={len(xv[0])}\n"
+                  for xv, x_hash, n_households in plans), end="")
     if args.dry_run:
         print("dry run: no caches built")
         return EXIT_OK
     built = reused = rebuilt = 0
     missing: dict[tuple, list] = {}  # canonical signature -> (xv, path) of files to write
-    for xv, x_hash in plans:
+    for xv, x_hash, _ in plans:
         path = _cache_path(cache_dir, x_hash, args.R)
         if os.path.exists(path):
             try:

@@ -31,9 +31,13 @@ evaluation and is persisted to disk.
 A cache is one read-only int64 array in the cache file's record layout,
 one row per reachable r-tuple (the r-tuple, its raw count, its shell-R and
 shell-(R-1) counts), from the builder to the file and back; building,
-saving and loading make no Python object per r-tuple.  The ``entries``,
-``final_shell`` and ``prev_shell`` dicts are built from it on first use,
-for tests and oracles."""
+saving and loading make no Python object per r-tuple.  :func:`load_cache`
+reads a file in one unbuffered read and checksums and wraps its record
+body where it lies in those bytes, without a copy.  Files are named and
+checked by :func:`fnv1a_x_vectors`, the 64-bit FNV-1a of the signature's
+packed bytes, computed a word at a time.  The ``entries``, ``final_shell``
+and ``prev_shell`` dicts are built from the array on first use, for tests
+and oracles."""
 
 from __future__ import annotations
 
@@ -68,7 +72,8 @@ MAX_STATES = 2**24
 # (_state_bounds, at least the states of any one DP column) add up to at
 # most this many, or MAX_STATES if that is lower, so a batch of two or more
 # never meets the state guard.  A build's temporaries then peak near 1 MB,
-# and no set-up of the benchmark's panels page-faults.  At 2**15 the larger
+# and no build of the benchmark's panels page-faults; that was measured on
+# builds alone, not on the file loads of a warm set-up.  At 2**15 the larger
 # arrays of a batch page-faulted 140-380 times (ru_minflt) per set-up, and
 # at 2**16 raised the peak RSS by about 2.5 MB, which cost more than the
 # numpy calls the larger batches saved.
@@ -78,8 +83,16 @@ BATCH_STATES = 2**14
 MAX_BOX_PER_ROW = 16
 
 _MAGIC = b"DIOC"
-_HEADER = "<HIIIQQ"  # version, M, P, R, x_vectors hash, record count
+# magic, version, M, P, R, x_vectors hash, record count
+_HEADER = struct.Struct("<4sHIIIQQ")
+_CRC = struct.Struct("<I")
 _I64_MAX = 2**63 - 1
+_U64 = 2**64 - 1
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+# the prime to the power of a word's width in bytes, mod 2**64
+_FNV_PRIME_U32 = pow(_FNV_PRIME, 4, 2**64)
+_FNV_PRIME_I64 = pow(_FNV_PRIME, 8, 2**64)
 
 
 def compositions_count(r: int, M: int) -> int:
@@ -97,14 +110,35 @@ def compositions_cum(R: int, M: int) -> int:
 
 
 def fnv1a_x_vectors(x_vectors: tuple[tuple[int, ...], ...]) -> int:
-    """64-bit FNV-1a hash of the covariate vectors (provenance guard)."""
-    h = 0xCBF29CE484222325
-    data = struct.pack("<II", len(x_vectors), len(x_vectors[0]) if x_vectors else 0)
+    """64-bit FNV-1a hash of the covariate vectors (provenance guard).
+
+    The hashed bytes are u32 P, u32 M and then every x_pm as i64, all
+    little-endian.  They are hashed a word at a time: an int word in 0..255
+    is its low byte followed by zero bytes, and FNV-1a's XOR with a zero
+    byte changes nothing, so the word costs one XOR and one multiply by the
+    prime to the word's width.  Any other word, negative ones included, is
+    hashed byte by byte from ``struct.pack``, which rejects a value outside
+    int64 as it always has.
+    """
+    h = _FNV_OFFSET
+    for word in (len(x_vectors), len(x_vectors[0]) if x_vectors else 0):
+        if word < 256:
+            h = ((h ^ word) * _FNV_PRIME_U32) & _U64
+        else:
+            h = _fnv1a_bytes(h, struct.pack("<I", word))
     for vec in x_vectors:
-        data += struct.pack(f"<{len(vec)}q", *vec)
+        for v in vec:
+            if type(v) is int and 0 <= v < 256:
+                h = ((h ^ v) * _FNV_PRIME_I64) & _U64
+            else:
+                h = _fnv1a_bytes(h, struct.pack("<q", v))
+    return h
+
+
+def _fnv1a_bytes(h: int, data: bytes) -> int:
     for byte in data:
         h ^= byte
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+        h = (h * _FNV_PRIME) & _U64
     return h
 
 
@@ -625,7 +659,7 @@ def tail_sum_direct(inp: TailBoundInput, rel_tol: float = 1e-16) -> float:
 # count i64, shell-R count i64, shell-(R-1) count i64) records, then u32
 # CRC32 of the record body.  The record block is also a DioCache's
 # in-memory store: save_cache writes ``records`` as it is, and load_cache
-# wraps the file's bytes.  Version 1 files lack both shell columns,
+# wraps the file's bytes in place.  Version 1 files lack both shell columns,
 # version 2 files the shell-(R-1) column, and version 3 files carry an
 # unused u64 k-tuple count before the record count; all are rejected.
 # ---------------------------------------------------------------------------
@@ -634,8 +668,8 @@ def save_cache(cache: DioCache, path: str) -> None:
     """Write ``cache`` to ``path`` through a temporary file in the same
     directory, which replaces ``path`` only once it is complete, so a write
     that fails or is interrupted leaves ``path`` as it was."""
-    header = _MAGIC + struct.pack(
-        _HEADER, CACHE_FORMAT_VERSION, cache.M, cache.P, cache.R, cache.x_hash,
+    header = _HEADER.pack(
+        _MAGIC, CACHE_FORMAT_VERSION, cache.M, cache.P, cache.R, cache.x_hash,
         len(cache.records),
     )
     xdata = struct.pack(f"<{cache.P * cache.M}q", *(v for vec in cache.x_vectors for v in vec))
@@ -646,7 +680,7 @@ def save_cache(cache: DioCache, path: str) -> None:
             f.write(header)
             f.write(xdata)
             f.write(body)
-            f.write(struct.pack("<I", zlib.crc32(body)))
+            f.write(_CRC.pack(zlib.crc32(body)))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -657,41 +691,45 @@ def save_cache(cache: DioCache, path: str) -> None:
 def load_cache(path: str, expect_x_vectors=None, expect_hash: int | None = None) -> DioCache:
     """Read a cache file, checking its magic, version, size, x_vectors hash and CRC.
 
+    The file is read in one unbuffered read, and its record body is
+    checksummed and wrapped where it lies in those bytes, not copied.
     With ``expect_x_vectors`` the file must hold those covariate vectors.
     ``expect_hash`` may pass ``fnv1a_x_vectors(expect_x_vectors)`` when the
     caller has it; the file's x_vectors are then hashed again only when they
     differ from the expected ones.
     """
-    with open(path, "rb") as f:
-        raw = f.read()
-    hdr_size = 4 + struct.calcsize(_HEADER)
-    if raw[:4] != _MAGIC[:len(raw)]:
+    with open(path, "rb", buffering=0) as f:
+        raw = f.readall()
+    size = len(raw)
+    if raw[:4] != _MAGIC[:size]:
         raise CacheFileError(f"{path}: not a cache file (bad magic)")
-    if len(raw) < hdr_size:  # cut inside the header
-        raise CacheFileError(f"{path}: truncated file ({len(raw)} bytes, "
-                             f"the header alone is {hdr_size})")
-    version, M, P, R, xh, n_rec = struct.unpack(_HEADER, raw[4:hdr_size])
+    if size < _HEADER.size:  # cut inside the header
+        raise CacheFileError(f"{path}: truncated file ({size} bytes, "
+                             f"the header alone is {_HEADER.size})")
+    _, version, M, P, R, xh, n_rec = _HEADER.unpack_from(raw)
     if version != CACHE_FORMAT_VERSION:
         raise CacheFileError(
             f"{path}: format version {version}, expected {CACHE_FORMAT_VERSION}"
         )
-    xlen = 8 * P * M
-    rec_size = 8 * (P + 3)
-    expected = hdr_size + xlen + n_rec * rec_size + 4
-    if len(raw) != expected:
-        raise CacheFileError(f"{path}: truncated file ({len(raw)} bytes, expected {expected})")
-    xflat = struct.unpack(f"<{P*M}q", raw[hdr_size:hdr_size + xlen])
-    xv = tuple(tuple(xflat[p * M:(p + 1) * M]) for p in range(P))
+    body_at = _HEADER.size + 8 * P * M
+    expected = body_at + n_rec * 8 * (P + 3) + _CRC.size
+    if size < expected:
+        raise CacheFileError(f"{path}: truncated file ({size} bytes, expected {expected})")
+    if size > expected:
+        raise CacheFileError(f"{path}: {size - expected} extra bytes after the checksum "
+                             f"({size} bytes, expected {expected})")
+    xflat = struct.unpack_from(f"<{P * M}q", raw, _HEADER.size)
+    xv = tuple([xflat[p * M:(p + 1) * M] for p in range(P)])
     exp = None
     if expect_x_vectors is not None:
-        exp = tuple(tuple(int(v) for v in vec) for vec in expect_x_vectors)
+        exp = tuple([tuple(map(int, vec)) for vec in expect_x_vectors])
     known = expect_hash if expect_hash is not None and exp == xv else fnv1a_x_vectors(xv)
     if known != xh:
         raise CacheFileError(f"{path}: x_vectors hash mismatch inside file")
     if exp is not None and exp != xv:
         raise CacheFileError(f"{path}: cache built for different x_vectors than requested")
-    body = raw[hdr_size + xlen:-4]
-    (crc,) = struct.unpack("<I", raw[-4:])
+    body = memoryview(raw)[body_at:-_CRC.size]
+    (crc,) = _CRC.unpack_from(raw, size - _CRC.size)
     if zlib.crc32(body) != crc:
         raise CacheFileError(f"{path}: checksum failure")
     # the records, sorted by (total, tuple), are the cache's read-only store

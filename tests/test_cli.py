@@ -263,7 +263,7 @@ class TestPrecompute:
             assert "MAX_STATES = 20" in error["message"]
             assert not cdir.exists()
 
-    @pytest.mark.parametrize("damage", ["v1", "v2", "v3", "truncated"])
+    @pytest.mark.parametrize("damage", ["v1", "v2", "v3", "truncated", "extra bytes"])
     def test_unreadable_cache_file_is_rebuilt(self, tmp_path, capsys, damage):
         hs = (Household("a", (Observation(1, (2,)),)), Household("b", (Observation(0, (1,)),)))
         p = tmp_path / "d.csv"
@@ -273,7 +273,7 @@ class TestPrecompute:
         assert run(argv, capsys)[0] == 0
         files = sorted(cdir.glob("*.bin"))
         good = files[0].read_bytes()
-        if damage != "truncated":
+        if damage.startswith("v"):
             # v1 records are (r-tuple, count) without the final-shell column,
             # v2 records (r-tuple, count, final-shell count) without shell R-1,
             # and v1 to v3 headers hold the k-tuple count C(R+M, M)
@@ -286,8 +286,10 @@ class TestPrecompute:
             xdata = struct.pack(f"<{c.M}q", *c.x_vectors[0])
             body = c.records[:, :c.P + version].astype("<i8").tobytes()
             files[0].write_bytes(header + xdata + body + struct.pack("<I", zlib.crc32(body)))
-        else:
+        elif damage == "truncated":
             files[0].write_bytes(good[:-10])
+        else:
+            files[0].write_bytes(good + b"\x00" * 8)
         code, out, err = run(argv, capsys)
         assert code == 0, err
         assert "built 1 cache(s), reused 1, rebuilt 1 unreadable" in out
@@ -498,6 +500,26 @@ def test_os_errors_exit_2_with_json_stderr(tmp_path, sim_csv, capsys, argv, erro
     assert code == 2
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert json.loads(err)["error"]["type"] == error
+
+
+@pytest.mark.parametrize("cache_dir", ["{file}", "{file}/sub"], ids=["is-a-file", "under-a-file"])
+def test_fit_with_a_file_for_cache_dir_builds_in_memory(tmp_path, sim_csv, capsys, monkeypatch,
+                                                         cache_dir):
+    # fit probes each cache file with os.path.exists, which reads a path
+    # under a regular file as absent, so it builds every cache in memory
+    (tmp_path / "file").write_text("")
+    fit = ["fit", "--data", str(sim_csv), "--grid", "2x2", "--spacing", "0.5",
+           "--center", "5,14", "--R", "10", "--cache-dir"]
+    code, fresh, err = run(fit + [str(tmp_path / "none")], capsys)
+    assert code == 0, err
+    built = built_signatures(monkeypatch)
+    code, out, err = run(fit + [cache_dir.format(file=tmp_path / "file")], capsys)
+    assert (code, err) == (0, "")
+    assert out == fresh
+    canon = {canonical_x_vectors(h.x_vectors(1)) for h in load_dataset(str(sim_csv)).households}
+    assert sorted(xv for xv, _ in built) == sorted(canon)
+    assert (tmp_path / "file").read_text() == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "file"]
 
 
 class TestPlotdataAndStudy:

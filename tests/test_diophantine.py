@@ -3,13 +3,14 @@ import errno
 import gc
 import itertools
 import math
+import re
 import struct
 import sys
 import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conjlogit import diophantine
 from conjlogit.diophantine import (
@@ -522,23 +523,32 @@ class TestPersistence:
         with pytest.raises(CacheFileError, match="bad magic"):
             load_cache(str(p))
 
-    def test_truncated_file(self, tmp_path):
-        c = self.make()
+    @pytest.mark.parametrize("change", [-10, 8], ids=["truncated", "extra-bytes"])
+    def test_file_of_the_wrong_length(self, tmp_path, change):
         p = tmp_path / "c.bin"
-        save_cache(c, str(p))
+        save_cache(self.make(), str(p))
         data = p.read_bytes()
-        p.write_bytes(data[:-10])
-        with pytest.raises(CacheFileError, match="truncated"):
+        p.write_bytes(data[:change] if change < 0 else data + b"\x00" * change)
+        message = (f"truncated file ({len(data) + change} bytes" if change < 0 else
+                   f"{change} extra bytes after the checksum ({len(data) + change} bytes, "
+                   f"expected {len(data)})")
+        with pytest.raises(CacheFileError, match=re.escape(message)):
             load_cache(str(p))
 
-    def test_corrupted_body_fails_checksum(self, tmp_path):
+    # the first and last byte of the record body, which load_cache checksums
+    # in place, and the stored CRC after it
+    @pytest.mark.parametrize("where", ["first body byte", "last body byte", "stored CRC"])
+    def test_corrupted_body_fails_checksum(self, tmp_path, where):
         c = self.make()
         p = tmp_path / "c.bin"
         save_cache(c, str(p))
         data = bytearray(p.read_bytes())
-        data[-12] ^= 0xFF  # flip a byte inside the record body
+        body_at = 34 + 8 * c.P * c.M
+        assert len(data) == body_at + c.records.nbytes + 4
+        at = {"first body byte": body_at, "last body byte": -5, "stored CRC": -1}[where]
+        data[at] ^= 0xFF
         p.write_bytes(bytes(data))
-        with pytest.raises(CacheFileError):
+        with pytest.raises(CacheFileError, match="checksum failure"):
             load_cache(str(p))
 
     def test_wrong_version(self, tmp_path):
@@ -609,6 +619,51 @@ class TestPersistence:
         a = fnv1a_x_vectors(((1, 2), (2, 1)))
         assert a == fnv1a_x_vectors(((1, 2), (2, 1)))
         assert a != fnv1a_x_vectors(((2, 1), (1, 2)))
+
+
+def fnv1a_bytewise(x_vectors) -> int:
+    """64-bit FNV-1a over the packed bytes, one byte at a time: the
+    reference that the word-at-a-time hash must match."""
+    data = struct.pack("<II", len(x_vectors), len(x_vectors[0]) if x_vectors else 0)
+    for vec in x_vectors:
+        data += struct.pack(f"<{len(vec)}q", *vec)
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) % 2**64
+    return h
+
+
+# words below 256 take the hash's one-multiply path; the rest go byte by byte
+WORDS = st.one_of(st.integers(0, 255), st.integers(256, 2**40), st.integers(-300, -1),
+                  st.sampled_from([-2**63, 2**63 - 1]), st.integers(-2**63, 2**63 - 1))
+SIGNATURES = st.integers(1, 4).flatmap(lambda P: st.integers(1, 12).flatmap(
+    lambda M: st.tuples(*[st.tuples(*[WORDS] * M)] * P)))
+
+
+class TestFnv1a:
+    """``fnv1a_x_vectors`` names every cache file and sits in its header, so
+    its value must never change."""
+
+    @pytest.mark.parametrize("x_vectors,expected", [
+        (((1, 2), (2, 3)), 0xd6b9c2c1fe004987),
+        (((1, 2, 3),), 0xa3b8ebc76f646f77),
+        ((), 0xa8c7f832281a39c5),
+    ])
+    def test_known_answers(self, x_vectors, expected):
+        assert fnv1a_x_vectors(x_vectors) == fnv1a_bytewise(x_vectors) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(SIGNATURES)
+    @example((tuple(range(300)), (7,) * 300))  # M past 255 is hashed byte by byte
+    def test_equals_the_bytewise_hash(self, x_vectors):
+        assert fnv1a_x_vectors(x_vectors) == fnv1a_bytewise(x_vectors)
+
+    @pytest.mark.parametrize("value", [2**63, -2**63 - 1, 2**64])
+    def test_value_outside_int64_raises_struct_error(self, value):
+        with pytest.raises(struct.error, match="argument out of range"):
+            fnv1a_bytewise(((1, value),))
+        with pytest.raises(struct.error, match="argument out of range"):
+            fnv1a_x_vectors(((1, value),))
 
 
 class TestRecordStore:
