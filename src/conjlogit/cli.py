@@ -240,7 +240,6 @@ def cmd_precompute(args) -> int:
     cache_dir = _cache_dir(args)
     plans = [(xv, fnv1a_x_vectors(xv), n_households)
              for xv, n_households in _signatures(group_households(d)[0]).items()]
-    # the whole list in one write
     print("".join(f"signature {x_hash:016x}: {n_households} households, M={len(xv[0])}\n"
                   for xv, x_hash, n_households in plans), end="")
     if args.dry_run:
