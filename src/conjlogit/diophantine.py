@@ -71,12 +71,16 @@ MAX_STATES = 2**24
 # Signatures of one shape are built together while their state bounds
 # (_state_bounds, at least the states of any one DP column) add up to at
 # most this many, or MAX_STATES if that is lower, so a batch of two or more
-# never meets the state guard.  A build's temporaries then peak near 1 MB,
-# and no build of the benchmark's panels page-faults; that was measured on
-# builds alone, not on the file loads of a warm set-up.  At 2**15 the larger
-# arrays of a batch page-faulted 140-380 times (ru_minflt) per set-up, and
-# at 2**16 raised the peak RSS by about 2.5 MB, which cost more than the
-# numpy calls the larger batches saved.
+# never meets the state guard.  A batch's temporaries then peak near
+# 0.75 MB on the benchmark's P=1 panel and 1.5 MB on its P=2 panel
+# (tracemalloc).  Whether they page-fault depends on the heap the rest of
+# the process left: glibc gives a freed heap top larger than its trim
+# threshold back to the system, and the next batch faults it in again.  In
+# the benchmark's processes a cold-start set-up faults about 200 times
+# (ru_minflt) and the other set-ups do not.  A cap of 3 * 2**12 removed
+# those faults but made mgf-families set-up about 3% and its fit about 7%
+# slower; 2**16 raised the peak RSS by about 2.5 MB, which cost more than
+# the numpy calls the larger batches saved.
 BATCH_STATES = 2**14
 # Above this many cells per row of data, a lookup table over the range of
 # the keys is too sparse, and _distinct sorts the keys instead.
@@ -411,7 +415,11 @@ def _build_batch(X: np.ndarray, xvs, R: int) -> list[DioCache]:
     holds their covariates (signature, p, m) and ``xvs`` their x_vectors."""
     G, P, M = X.shape
     g, s, r, signed = _shell_states(X, R)
-    signed *= 1 - ((s & 1) << 1)  # the parity sign (-1)^s
+    sign = s & 1  # the parity sign (-1)^s, in place: temporaries set the batch's peak
+    sign <<= 1
+    np.subtract(1, sign, out=sign)
+    signed *= sign
+    del sign
     # the rows of r_array, per signature: by r-total, then tuple, and the
     # total with all but the last r_p determines r
     keys = np.empty((P + 1, len(s)), dtype=np.int64)
@@ -468,32 +476,37 @@ def _shell_states(X: np.ndarray, R: int) -> tuple[np.ndarray, np.ndarray, np.nda
     for m in range(1, M):
         ends = np.empty((P + 1, len(s)), dtype=np.int64)
         ends[0] = g
-        np.multiply(X[g, :, m].T, R - s, out=ends[1:])
-        ends[1:] += r  # where each state's chain meets shell R
-        (g, *end), chain = _group(ends, dims)
-        del ends, r  # the states of column m-1 are freed as soon as they are used
-        s0 = np.full(len(g), R, dtype=np.int64)  # each chain's first shell
+        back = R - s
+        for p, r_p in enumerate(r):  # where each state's chain meets shell R
+            np.multiply(X[:, p, m][g], back, out=ends[p + 1])
+            ends[p + 1] += r_p
+        del back, r  # the states of column m-1 are freed as soon as they are used
+        (gc, *end), chain = _group(ends, dims)
+        del ends
+        s0 = np.full(len(gc), R, dtype=np.int64)  # each chain's first shell
         np.minimum.at(s0, chain, s)
         length = R - s0 + 1
         offset = np.cumsum(length) - length
         total = int(offset[-1] + length[-1])
         _check_states(total, m + 1, M, R)
         delta = np.zeros(total, dtype=np.int64)
-        delta[offset[chain] + s - s0[chain]] = n
-        del chain, s, n
+        at = (offset - s0)[chain]  # each state's place in its chain's run of delta
+        at += s
+        delta[at] = n
+        del at, chain, s, n
         n = np.cumsum(delta, out=delta)
         before = n[offset - 1]  # each chain's cumsum before its first state
         before[0] = 0
         n -= np.repeat(before, length)
         s = np.repeat(s0 - offset, length)
         s += np.arange(total)
-        g = np.repeat(g, length)
-        r = np.repeat(np.stack(end), length, axis=1)
-        back = R - s
+        g = np.repeat(gc, length)
+        # r = end - x_m (R - s) along a chain, from end - x_m R once per chain
+        r = np.repeat(np.stack(end) - R * X[gc, :, m].T, length, axis=1)
         for p, r_p in enumerate(r):
             step = X[:, p, m][g]
-            step *= back
-            r_p -= step
+            step *= s
+            r_p += step
     return g, s, r, n
 
 

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammaln
 
 from .data_model import (
     ArnoldStrauss,
@@ -58,40 +56,42 @@ def bernoulli_likelihood(h: Household, beta, x_scale: float = 1.0) -> float:
     return math.exp(logv)
 
 
-def _gamma_logpdf(z, b, n):
-    return (n - 1.0) * np.log(z) - z / b - n * math.log(b) - gammaln(n)
+def _gamma_logpdf(z, b, n, log_gamma_n):
+    return (n - 1.0) * np.log(z) - z / b - n * math.log(b) - log_gamma_n
 
 
 def _density_1d(spec, p: int):
+    from scipy.special import gammaln
+
     if isinstance(spec, IndependentGamma):
         b, n, eps = spec.b[p], spec.n[p], spec.eps
+        lg = gammaln(n)
 
         def pdf(z):
-            return math.exp(_gamma_logpdf(z - eps, b, n)) if z > eps else 0.0
+            return math.exp(_gamma_logpdf(z - eps, b, n, lg)) if z > eps else 0.0
 
         return pdf, eps, b * n + eps
     if isinstance(spec, GammaMixture):
-        comps = list(zip(spec.weights[p], spec.b[p], spec.n[p]))
+        comps = [(w, b, n, gammaln(n)) for w, b, n in zip(spec.weights[p], spec.b[p], spec.n[p])]
         eps = spec.eps
 
         def pdf(z):
             if z <= eps:
                 return 0.0
-            return sum(w * math.exp(_gamma_logpdf(z - eps, b, n)) for w, b, n in comps)
+            return sum(w * math.exp(_gamma_logpdf(z - eps, b, n, lg)) for w, b, n, lg in comps)
 
-        mean = sum(w * b * n for w, b, n in comps) + eps
+        mean = sum(w * b * n for w, b, n, _ in comps) + eps
         return pdf, eps, mean
     raise SpecError(f"no 1-d density for {type(spec).__name__}")
-
-
-def _cr_logconst(spec: CheriyanRamabhadran) -> float:
-    return gammaln(spec.theta0) + gammaln(spec.theta1) + gammaln(spec.theta2)
 
 
 def cr_density(x1: float, x2: float, spec: CheriyanRamabhadran) -> float:
     """Cheriyan-Ramabhadran bivariate Gamma density (inner integral by quadrature)."""
     if x1 <= 0 or x2 <= 0:
         return 0.0
+    from scipy import integrate
+    from scipy.special import gammaln
+
     m = min(x1, x2)
 
     def integrand(y):
@@ -103,7 +103,8 @@ def cr_density(x1: float, x2: float, spec: CheriyanRamabhadran) -> float:
         )
 
     inner, _ = integrate.quad(integrand, 0.0, m, limit=QUAD_LIMIT, points=[0.0, m])
-    return math.exp(-(x1 + x2) - _cr_logconst(spec)) * inner
+    log_const = gammaln(spec.theta0) + gammaln(spec.theta1) + gammaln(spec.theta2)
+    return math.exp(-(x1 + x2) - log_const) * inner
 
 
 def quadrature_h(h: Household, spec, qc: QuadConfig | None = None, x_scale: float = 1.0) -> float:
@@ -124,6 +125,8 @@ def quadrature_h(h: Household, spec, qc: QuadConfig | None = None, x_scale: floa
     if isinstance(spec, (IndependentGamma, GammaMixture)):
         if P > 3:
             raise SpecError("tensor quadrature supports P <= 3")
+        from scipy import integrate
+
         pdfs, epss, means = zip(*(_density_1d(spec, p) for p in range(P)))
         scales = [max(m, 1e-6) for m in means]
 
@@ -170,7 +173,7 @@ def _cr_quadrature(
     exactly, leaving only the smooth bounded likelihood to resolve.  The
     error is estimated by comparing two rule orders.
     """
-    from scipy.special import roots_genlaguerre
+    from scipy.special import gammaln, roots_genlaguerre
 
     thetas = (spec.theta0, spec.theta1, spec.theta2)
     X = np.array([obs.x for obs in h.observations], dtype=float) * x_scale

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
-from scipy import stats
 
 from .data_model import Dataset, IndependentGamma
 from .optimizer import GridSpec, grid_fit
@@ -130,7 +129,9 @@ class SimReport:
 
 def bonferroni_crit(alpha: float, n_tests: int, df: int) -> float:
     """Two-sided t critical value at family-wise level alpha over n_tests."""
-    return float(stats.t.ppf(1.0 - alpha / (2.0 * n_tests), df))
+    from scipy.special import stdtrit  # the function scipy.stats.t.ppf calls
+
+    return float(stdtrit(df, 1.0 - alpha / (2.0 * n_tests)))
 
 
 def check_study(design: SimDesign, n_tests: int | None = None) -> None:

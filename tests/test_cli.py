@@ -242,8 +242,10 @@ class TestPrecompute:
     def test_state_cap_exit_3(self, tmp_path, capsys, monkeypatch):
         # at R=9 the one-observation signature needs 10 states, x = (1, 1, 1)
         # 10 per column, and x = (1, 2, 3) 55 in its second column; under a cap
-        # of 20 the last is refused, though it shares a batch with (1, 1, 1),
-        # and precompute writes nothing, not even the other files
+        # of 20 the last is refused: its state bound of 100 is over the batch
+        # cap of min(2**14, 20), so it is built alone, not in a batch with
+        # (1, 1, 1), whose bound is 10, and precompute writes nothing, not
+        # even the other files
         hs = (Household("a", (Observation(1, (2,)),)),
               Household("c", tuple(Observation(1, (1,)) for _ in range(3))),
               Household("b", tuple(Observation(0, (v,)) for v in (1, 2, 3))))

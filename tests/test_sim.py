@@ -86,6 +86,16 @@ class TestBonferroniCrit:
     def test_monotone_in_tests(self):
         assert bonferroni_crit(0.05, 12, 24) > bonferroni_crit(0.05, 2, 24)
 
+    def test_equals_scipy_stats_t_ppf_bit_for_bit(self):
+        from scipy import stats
+
+        for alpha in (1e-4, 0.001, 0.01, 0.05, 0.1, 0.2, 0.5, 0.9):
+            for n_tests in (1, 2, 3, 5, 12, 30, 100, 1000):
+                for df in (*range(1, 31), 40, 60, 99, 120, 500, 10**4, 10**6):
+                    want = float(stats.t.ppf(1.0 - alpha / (2.0 * n_tests), df))
+                    got = bonferroni_crit(alpha, n_tests, df)
+                    assert got.hex() == want.hex(), (alpha, n_tests, df)
+
 
 class TestRunStudy:
     def test_smoke_and_report_shape(self, tmp_path):
