@@ -11,7 +11,8 @@ point-mass, Freund and Arnold-Strauss ones); ``log_mgf`` is that sum, and
 the series evaluates each marginal only on its attribute's few distinct t_p
 and the joint at a dataset's distinct t = -x_scale * K.  Gamma-type factors
 are evaluated in log space, e.g. (1 - b*t)^(-n) as exp(-n * log1p(-b*t)),
-so large shapes do not overflow.
+so large shapes do not overflow.  :func:`gamma_jet` adds the parameter
+derivatives of one such factor, for Newton's gradient and Hessian.
 """
 
 from __future__ import annotations
@@ -233,3 +234,19 @@ def term_log_mgf(spec, t) -> np.ndarray:
     a_0 = spec.lam1 * spec.lam2 / spec.lam12
     return log_scaled_e1(a_t) - log_scaled_e1(a_0)[()]
 
+
+def gamma_jet(term: GammaTerm, t) -> np.ndarray:
+    """A Gamma factor m and its derivatives in (b, n) to second order, at
+    every entry of the 1-D ``t``: six rows m, m_b, m_n, m_bb, m_bn, m_nn.
+
+    m is exp(:func:`term_log_mgf`).  With f = log m, f_b = n a and f_n =
+    -log1p(-b t), where a = t / (1 - b t); f_bb = n a^2, f_bn = a and f_nn =
+    0.  So m_b = m f_b, m_n = m f_n, m_bb = m f_b (f_b + a), m_bn =
+    m (f_b f_n + a) and m_nn = m f_n^2.  The translation eps is free of
+    (b, n) and rides along in m.
+    """
+    m = np.exp(term_log_mgf(term, t))
+    a = t / (1.0 - term.b * t)
+    f_b = term.n * a
+    f_n = -np.log1p(-term.b * t)
+    return m * np.stack([np.ones_like(m), f_b, f_n, f_b * (f_b + a), f_b * f_n + a, f_n * f_n])

@@ -9,7 +9,9 @@ time: one sparse product with the last attribute's factors, then one dense
 batched product per other attribute.  Newton's method
 with the closed-form gradient and Hessian of the series is available as an
 opt-in refiner; the likelihood surface can be flat and multi-modal, so it
-is best seeded from a grid optimum.
+is best seeded from a grid optimum.  The gradient and Hessian go through
+the same contraction: each attribute's factor and its derivatives in
+(b_p, n_p) take the place of the grid's factor tables.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from itertools import product
 import numpy as np
 
 from .data_model import IndependentGamma, SpecError
-from .gamma_kernels import GammaTerm
+from .gamma_kernels import GammaTerm, gamma_jet, mgf_split, term_log_mgf
 from .series import CountMatrix, FactoredCounts, PreparedDataset, TruncationFailure, group_spread
 
 
@@ -140,15 +142,15 @@ def gamma_factor_tables(counts: CountMatrix, grid: GridSpec, eps: float) -> list
     attributes are the pairs, so a bad pair raises :class:`SpecError`.  The
     factor of pair (b, n) at t is exp(-n log(1 - b t) + eps t), from one
     :class:`~conjlogit.gamma_kernels.GammaTerm` whose b and n are the pairs'
-    columns: ``counts.axis_log_mgf`` broadcasts it over the pairs, bit for
-    bit what it gives for each pair alone.
+    columns: :func:`~conjlogit.gamma_kernels.term_log_mgf` broadcasts it
+    over the pairs, bit for bit what it gives for each pair alone.
     """
     tables = []
     for p in range(len(counts.t_axes)):
         b, n = zip(*product(grid.axes[2 * p].points(), grid.axes[2 * p + 1].points()))
         spec = IndependentGamma(b, n, eps)  # checks every pair
         pairs = GammaTerm(np.asarray(spec.b)[:, None], np.asarray(spec.n)[:, None], eps)
-        log = counts.axis_log_mgf(p, pairs)
+        log = term_log_mgf(pairs, counts.t_axes[p])
         tables.append(np.exp(log, out=log))
     return tables
 
@@ -218,70 +220,46 @@ def grid_fit(prep: PreparedDataset, grid: GridSpec, eps: float = 0.0) -> FitResu
     )
 
 
-# ---------------------------------------------------------------------------
-# Analytic derivatives of the grouped series (independent-Gamma family)
-# ---------------------------------------------------------------------------
-
-def _weight_columns(K: np.ndarray, spec: IndependentGamma, w: np.ndarray) -> np.ndarray:
-    """Each r-tuple's kernel weight w and its parameter derivatives, as columns.
-
-    ``K`` holds scaled K tuples, one per row, and ``w`` the prior's MGF at
-    -K (``CountMatrix.mgf``).  With log w = f(theta) and D
-    the gradient of f in (b_1, n_1, ..., b_P, n_P), the columns are w,
-    w * D_i and w * (D_i D_j + d2f/di dj) for i <= j: summed against the
-    signed counts they give H_i, its gradient and its Hessian.  f is
-    -eps*sum(K) - sum_p n_p log1p(b_p K_p), so D is (-n_p A_p, -L_p) with
-    A = K / (1 + b K) and L = log1p(b K), and the only non-zero second
-    derivatives of f are n_p A_p^2 (b_p twice) and -A_p (b_p with n_p).  The
-    translation factor exp(-K*eps) is parameter-free and simply rides along.
-    """
-    P = spec.P
-    b = np.asarray(spec.b)
-    n = np.asarray(spec.n)
-    A = K / (1.0 + b * K)
-    D = np.empty((K.shape[0], 2 * P))
-    D[:, 0::2] = -n * A
-    D[:, 1::2] = -np.log1p(b * K)
-    i, j = np.triu_indices(2 * P)
-    second = D[:, i] * D[:, j]
-    column = {pair: k for k, pair in enumerate(zip(i.tolist(), j.tolist()))}
-    for p in range(P):
-        second[:, column[2 * p, 2 * p]] += n[p] * A[:, p] ** 2
-        second[:, column[2 * p, 2 * p + 1]] -= A[:, p]
-    return w[:, None] * np.hstack([np.ones((K.shape[0], 1)), D, second])
-
-
-def _unpack(S: np.ndarray, P: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # rows of summed weight columns -> H (g,), gradient (g, 2P), upper triangle
-    return S[:, 0], S[:, 1:2 * P + 1], S[:, 2 * P + 1:]
-
-
-def _symmetric(tri: np.ndarray, P: int) -> np.ndarray:
-    out = np.empty((2 * P, 2 * P))
-    i, j = np.triu_indices(2 * P)
-    out[i, j] = tri
-    out[j, i] = tri
-    return out
-
-
 def loglik_grad_hess(
     prep: PreparedDataset, spec: IndependentGamma
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Log marginal likelihood with gradient and Hessian over all households.
+    """Log marginal likelihood with its gradient and Hessian in (b_1, n_1,
+    ..., b_P, n_P), over all households.
 
-    One sparse product of the prepared count matrix with the weight columns
-    of the distinct K tuples gives every group's H_i and its derivatives.
+    Each attribute's Gamma factor and its derivatives in (b_p, n_p) are six
+    rows over its distinct t_p (:func:`~conjlogit.gamma_kernels.gamma_jet`),
+    and :class:`FactoredCounts` contracts them as :func:`grid_logliks`
+    contracts its factor tables: every group's sum over each combination of
+    one row per attribute, 6^P columns with the last attribute's row
+    fastest.  Rows 0 everywhere give H_i; row 1 (b_p) or 2 (n_p) at one
+    attribute, a first derivative; rows 3-5 at one attribute, or rows 1-2 at
+    two, a second derivative.  Entries (i, j) and (j, i) read one column,
+    and the groups are summed entry by entry, so the Hessian is exactly
+    symmetric.  :class:`SpecError` if the prior is not an
+    :class:`IndependentGamma`, or its dimension is not the panel's.
     """
+    if not isinstance(spec, IndependentGamma):
+        raise SpecError("loglik_grad_hess supports the independent-Gamma family only, "
+                        f"not {type(spec).__name__}")
     counts = prep.counts
-    H, grad, tri = _unpack(
-        counts.C @ _weight_columns(-counts.T, spec, counts.mgf(spec)), spec.P
-    )
+    if counts.C.shape[0] == 0:  # no households: log 1 everywhere
+        return 0.0, np.zeros(2 * spec.P), np.zeros((2 * spec.P, 2 * spec.P))
+    counts.check_dimension(spec)
+    jets = [gamma_jet(m, t) for m, t in zip(mgf_split(spec)[0], counts.t_axes)]
+    S = FactoredCounts.build(counts).h(jets, jets[-1].T)
+    H = S[:, 0].copy()
     prep.raise_on_truncation(H)
-    g = grad / H[:, None]  # gradient of log H_i
-    i, j = np.triu_indices(2 * spec.P)
-    ll = float(counts.mult @ np.log(H))
-    hess = counts.mult @ (tri / H[:, None] - g[:, i] * g[:, j])
-    return ll, counts.mult @ g, _symmetric(hess, spec.P)
+    S /= H[:, None]  # every group's derivatives of H_i over H_i
+    # rows (k_0, ..., k_{P-1}) are column sum_p k_p 6^(P-1-p); parameter
+    # 2p + a (a = 0 for b_p, 1 for n_p) is row 1 + a at attribute p, and two
+    # parameters of one attribute are row 3 + a + a' there
+    weight = np.repeat(6 ** np.arange(spec.P - 1, -1, -1), 2)  # of each parameter's attribute
+    first = weight * np.tile([1, 2], spec.P)
+    second = np.add.outer(first, first) + np.where(np.equal.outer(weight, weight), weight, 0)
+    g = S[:, first]  # every group's gradient of log H_i
+    hess = S[:, second] - g[:, :, None] * g[:, None, :]
+    mult = counts.mult
+    return float(mult @ np.log(H)), mult @ g, (mult[:, None, None] * hess).sum(axis=0)
 
 
 POSITIVITY_FLOOR = 1e-6
@@ -297,15 +275,14 @@ def newton_fit(
     the gradient sup-norm drops below ``tol``.  The result carries the
     parity spread at the final point.
     """
+    ll, g, Hm = loglik_grad_hess(prep, spec0)  # checks the prior first
     P = prep.P
     theta = np.empty(2 * P)
     theta[0::2] = spec0.b
     theta[1::2] = spec0.n
     eps = spec0.eps
 
-    trace: list[tuple[tuple[float, ...], float]] = []
-    ll, g, Hm = loglik_grad_hess(prep, params_to_spec(theta, P, eps))
-    trace.append((tuple(theta), ll))
+    trace = [(tuple(theta), ll)]
     converged = np.max(np.abs(g)) < tol
     iters = 0
     while not converged and iters < max_iters:

@@ -232,10 +232,11 @@ class CountMatrix:
             np.stack(t_index, dtype=np.intp),
         )
 
-    def axis_log_mgf(self, p: int, marginal) -> np.ndarray:
-        """log M of the one-attribute prior ``marginal`` at attribute p's
-        distinct t_p, ``t_axes[p]``."""
-        return term_log_mgf(marginal, self.t_axes[p])
+    def check_dimension(self, spec) -> None:
+        """:class:`SpecError` if the prior's dimension is not the panel's."""
+        if spec.P != len(self.t_axes):
+            raise SpecError(f"prior has P={spec.P} attributes but the panel has "
+                            f"P={len(self.t_axes)}")
 
     def mgf(self, spec) -> np.ndarray:
         """The prior's MGF at every column's argument T.
@@ -251,12 +252,10 @@ class CountMatrix:
         """
         if self.C.shape[0] == 0:
             return np.zeros(0)
-        if spec.P != self.T.shape[1]:
-            raise SpecError(f"prior has P={spec.P} attributes but the panel has "
-                            f"P={self.T.shape[1]}")
+        self.check_dimension(spec)
         marginals, joint = mgf_split(spec)
-        terms = [self.axis_log_mgf(p, m).take(index)
-                 for p, (m, index) in enumerate(zip(marginals, self.t_index, strict=True))
+        terms = [term_log_mgf(m, axis).take(index)
+                 for m, axis, index in zip(marginals, self.t_axes, self.t_index, strict=True)
                  if m is not None]
         if joint is not None:
             terms.append(term_log_mgf(joint, self.T))
@@ -277,8 +276,8 @@ class FactoredCounts:
     P = 1 that is ``C`` itself.  For 0 < p < P-1, ``scatter[p-1]`` is the
     slot of R_{p-1} that each row of R_p fills.  :meth:`h` contracts the
     last attribute through ``B`` and every other attribute with a dense
-    batched product.  Only ``optimizer.grid_logliks`` builds one, for the
-    length of its call.
+    batched product.  ``optimizer.grid_logliks`` and
+    ``optimizer.loglik_grad_hess`` build one, for the length of their call.
     """
 
     B: sparse.spmatrix              # slots of R_{P-2} x distinct K_{P-1}

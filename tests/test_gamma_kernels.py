@@ -20,10 +20,12 @@ from conjlogit.gamma_kernels import (
     GammaFactors,
     GammaTerm,
     MixtureTerm,
+    gamma_jet,
     gmv_gamma_covariance,
     log_mgf,
     log_scaled_e1,
     mgf_split,
+    term_log_mgf,
 )
 
 
@@ -341,3 +343,26 @@ class TestMgfSplit:
             assert mgf_split(spec) == ((None, None), spec)
         with pytest.raises(SpecError, match="no MGF for str"):
             mgf_split("gamma")
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.02])
+def test_gamma_jet_matches_finite_differences(eps):
+    # rows m, m_b, m_n, m_bb, m_bn, m_nn against central differences of m
+    t = -0.05 * np.arange(40.0)
+    b, n, h = 1.3, 2.4, 1e-4
+
+    def m(db=0.0, dn=0.0):
+        return np.exp(term_log_mgf(GammaTerm(b + db, n + dn, eps), t))
+
+    jet = gamma_jet(GammaTerm(b, n, eps), t)
+    assert jet.shape == (6, len(t))
+    assert jet[0].tobytes() == m().tobytes()
+    want = [
+        (m(db=h) - m(db=-h)) / (2 * h),
+        (m(dn=h) - m(dn=-h)) / (2 * h),
+        (m(db=h) - 2 * m() + m(db=-h)) / h**2,
+        (m(h, h) - m(h, -h) - m(-h, h) + m(-h, -h)) / (4 * h**2),
+        (m(dn=h) - 2 * m() + m(dn=-h)) / h**2,
+    ]
+    for row, fd in zip(jet[1:], want):
+        np.testing.assert_allclose(row, fd, rtol=1e-5, atol=1e-8)

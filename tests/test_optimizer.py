@@ -5,7 +5,16 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conjlogit.data_model import Dataset, Household, IndependentGamma, Observation, SpecError
+from conjlogit.data_model import (
+    Dataset,
+    GammaMixture,
+    GeneralizedMVGamma,
+    Household,
+    IndependentGamma,
+    Observation,
+    PointMassGamma,
+    SpecError,
+)
 from conjlogit.optimizer import (
     FitError,
     GridAxis,
@@ -19,9 +28,8 @@ from conjlogit.optimizer import (
     params_to_spec,
 )
 from conjlogit import optimizer
-from conjlogit.gamma_kernels import GammaTerm, log_mgf
+from conjlogit.gamma_kernels import GammaTerm, log_mgf, term_log_mgf
 from conjlogit.series import (
-    CountMatrix,
     FactoredCounts,
     SeriesConfig,
     TruncationFailure,
@@ -255,7 +263,7 @@ class TestGridLogliks:
         # each attribute's factor table, bit for bit what term_log_mgf gives one pair at a time
         for p, table in enumerate(gamma_factor_tables(prep.counts, grid, eps)):
             pairs = product(grid.axes[2 * p].points(), grid.axes[2 * p + 1].points())
-            one_at_a_time = np.exp([prep.counts.axis_log_mgf(p, GammaTerm(b, n, eps))
+            one_at_a_time = np.exp([term_log_mgf(GammaTerm(b, n, eps), prep.counts.t_axes[p])
                                     for b, n in pairs])
             assert table.tobytes() == one_at_a_time.tobytes()
         # NaN exactly where the per-point route raises TruncationFailure
@@ -293,7 +301,7 @@ class TestGridLogliks:
                 np.testing.assert_allclose(grid_logliks(prep, grid, eps), whole, rtol=1e-14)
             monkeypatch.undo()
 
-    def test_only_the_grid_builds_the_factored_view(self, monkeypatch):
+    def test_only_the_grid_and_the_derivatives_build_the_factored_view(self, monkeypatch):
         make, R, grid, eps = GRID_CASES["P2-eps"]
         prep = prepare_dataset(make(), SeriesConfig(R=R))
         spec = params_to_spec(next(iter(grid.points())), prep.P, eps)
@@ -303,13 +311,16 @@ class TestGridLogliks:
             raise AssertionError("the factored view was built")
 
         monkeypatch.setattr(FactoredCounts, "build", refuse)
+        group_h(prep, spec)
         log_marginal_prepared(prep, spec)
         group_spread(prep, spec)
-        loglik_grad_hess(prep, spec)
         with pytest.raises(AssertionError, match="factored view"):
             grid_logliks(prep, grid, eps)
+        with pytest.raises(AssertionError, match="factored view"):
+            loglik_grad_hess(prep, spec)
         monkeypatch.setattr(FactoredCounts, "build", build)
         assert np.isfinite(grid_logliks(prep, grid, eps)).any()
+        assert np.isfinite(loglik_grad_hess(prep, spec)[0])
 
     @pytest.mark.parametrize("case", ["P1-even-axis", "P2-eps", "P3-eps"])
     def test_factored_view_holds_the_counts(self, case):
@@ -387,48 +398,118 @@ def fd_hessian(f, theta, h=3e-4):
     return H
 
 
+def per_k_loglik_grad_hess(prep, spec):
+    """The log likelihood, gradient and Hessian from weight columns built
+    over every distinct K, with the prior's MGF from ``log_mgf``.
+
+    With log w = f(theta) and D the gradient of f in (b_1, n_1, ..., b_P,
+    n_P), the columns are w, w D_i and w (D_i D_j + d2f/di dj): summed
+    against the signed counts they give H_i, its gradient and its Hessian.
+    f is -eps sum(K) - sum_p n_p log1p(b_p K_p), so D is (-n_p A_p, -L_p)
+    with A = K / (1 + b K) and L = log1p(b K), and the only non-zero second
+    derivatives of f are n_p A_p^2 (b_p twice) and -A_p (b_p with n_p).
+    """
+    counts, P = prep.counts, spec.P
+    K = -counts.T
+    b, n = np.asarray(spec.b), np.asarray(spec.n)
+    A = K / (1.0 + b * K)
+    D = np.empty((K.shape[0], 2 * P))
+    D[:, 0::2] = -n * A
+    D[:, 1::2] = -np.log1p(b * K)
+    second = D[:, :, None] * D[:, None, :]
+    for p in range(P):
+        second[:, 2 * p, 2 * p] += n[p] * A[:, p] ** 2
+        second[:, 2 * p, 2 * p + 1] -= A[:, p]
+        second[:, 2 * p + 1, 2 * p] -= A[:, p]
+    w = np.exp(log_mgf(spec, counts.T))
+    H = counts.C @ w
+    g = counts.C @ (w[:, None] * D) / H[:, None]
+    S = (counts.C @ (w[:, None] * second.reshape(len(w), -1))).reshape(-1, 2 * P, 2 * P)
+    hess = S / H[:, None, None] - g[:, :, None] * g[:, None, :]
+    return counts.mult @ np.log(H), counts.mult @ g, np.einsum("g,gij->ij", counts.mult, hess)
+
+
+DERIVATIVE_CASES = {
+    # P: (dataset, R, b, n)
+    1: (study_dataset, 60, (1.2,), (2.0,)),
+    2: (two_attribute_dataset, 20, (1.2, 0.7), (2.0, 1.5)),
+    3: (three_attribute_dataset, 12, (1.2, 0.7, 0.9), (2.0, 1.5, 1.1)),
+}
+
+
 class TestDerivatives:
-    def make_prep(self):
-        h = Household(
-            "a",
-            (
-                Observation(1, (1, 2)),
-                Observation(0, (2, 1)),
-                Observation(1, (3, 3)),
-            ),
-        )
-        d = Dataset((h,), P=2, x_scale=0.05)
+    def make_prep(self, P=2):
+        rows = ((1, (1, 2, 1)), (0, (2, 1, 3)), (1, (3, 3, 2)))
+        h = Household("a", tuple(Observation(y, x[:P]) for y, x in rows))
+        d = Dataset((h,), P=P, x_scale=0.05)
         return prepare_dataset(d, SeriesConfig(R=30))
 
-    def test_gradient_and_hessian_match_finite_differences(self):
-        prep = self.make_prep()
+    @pytest.mark.parametrize("P", [1, 2, 3])
+    def test_gradient_and_hessian_match_finite_differences(self, P):
+        prep = self.make_prep(P)
 
         def f(t):
-            return loglik_grad_hess(prep, params_to_spec(t, 2, 0.0))[0]
+            return loglik_grad_hess(prep, params_to_spec(t, P, 0.0))[0]
 
         rng = np.random.default_rng(17)
         for _ in range(5):
-            theta = rng.uniform(0.5, 3.0, size=4)
-            _, g, H = loglik_grad_hess(prep, params_to_spec(theta, 2, 0.0))
+            theta = rng.uniform(0.5, 3.0, size=2 * P)
+            _, g, H = loglik_grad_hess(prep, params_to_spec(theta, P, 0.0))
             g_fd = fd_gradient(f, theta)
             H_fd = fd_hessian(f, theta)
             assert np.max(np.abs(g - g_fd) / np.maximum(np.abs(g_fd), 1e-10)) < 1e-6
             assert np.max(np.abs(H - H_fd) / np.maximum(np.abs(H_fd), 1e-6)) < 1e-4
 
     @pytest.mark.parametrize("eps", [0.0, 0.02])
-    def test_matches_the_joint_mgf(self, eps, monkeypatch):
-        prep = self.make_prep()
-        spec = IndependentGamma((1.2, 0.7), (2.0, 1.5), eps)
+    @pytest.mark.parametrize("P", [1, 2, 3])
+    def test_matches_the_per_k_columns(self, P, eps):
+        make, R, b, n = DERIVATIVE_CASES[P]
+        prep = prepare_dataset(make(), SeriesConfig(R=R))
+        assert prep.counts.C.shape[0] > 1
+        spec = IndependentGamma(b, n, eps)
         got = loglik_grad_hess(prep, spec)
-        monkeypatch.setattr(CountMatrix, "mgf", lambda self, s: np.exp(log_mgf(s, self.T)))
-        want = loglik_grad_hess(prep, spec)
+        want = per_k_loglik_grad_hess(prep, spec)
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.max(np.abs(w)))
 
-    def test_hessian_exactly_symmetric(self):
+    @pytest.mark.parametrize("P", [1, 2, 3])
+    def test_hessian_exactly_symmetric(self, P):
+        make, R, b, n = DERIVATIVE_CASES[P]
+        prep = prepare_dataset(make(), SeriesConfig(R=R))
+        _, _, H = loglik_grad_hess(prep, IndependentGamma(b, n, 0.01))
+        assert np.array_equal(H, H.T)
+
+    @pytest.mark.parametrize("spec", [
+        GammaMixture(((0.4, 0.6),) * 2, ((1.0, 2.0),) * 2, ((1.0, 3.0),) * 2),
+        GeneralizedMVGamma(((1.0,), (1.0,)), (2.0, 2.0), (2.0,), (3.0, 3.0)),
+        PointMassGamma(0.3, IndependentGamma((1.2, 0.7), (2.0, 1.5))),
+    ], ids=lambda spec: type(spec).__name__)
+    def test_other_families_are_a_spec_error(self, spec):
         prep = self.make_prep()
-        _, _, H = loglik_grad_hess(prep, params_to_spec([1.1, 2.2, 0.9, 1.7], 2, 0.0))
-        assert np.max(np.abs(H - H.T)) == 0.0
+        for fit in (loglik_grad_hess, newton_fit):
+            with pytest.raises(SpecError, match=f"independent-Gamma family only, "
+                                                f"not {type(spec).__name__}"):
+                fit(prep, spec)
+
+    @pytest.mark.parametrize("P", [1, 3])
+    def test_prior_dimension_must_match_the_panel(self, P):
+        prep = self.make_prep()
+        spec = IndependentGamma((1.2,) * P, (2.0,) * P)
+        with pytest.raises(SpecError) as mgf_error:
+            prep.counts.mgf(spec)
+        assert "the panel has P=2" in str(mgf_error.value)
+        for fit in (loglik_grad_hess, newton_fit):
+            with pytest.raises(SpecError) as error:
+                fit(prep, spec)
+            assert str(error.value) == str(mgf_error.value)
+
+    def test_no_households_is_flat(self):
+        prep = prepare_dataset(Dataset((), P=2), SeriesConfig(R=3))
+        spec = IndependentGamma((1.2, 0.7), (2.0, 1.5))
+        ll, g, H = loglik_grad_hess(prep, spec)
+        assert (ll, g.tolist(), H.tolist()) == (0.0, [0.0] * 4, [[0.0] * 4] * 4)
+        res = newton_fit(prep, spec)
+        assert (res.omega_hat, res.loglik, res.newton_iters) == ((1.2, 2.0, 0.7, 1.5), 0.0, 0)
 
     def test_translated_prior_derivatives(self):
         prep = self.make_prep()
