@@ -6,7 +6,8 @@ Each attribute's MGF factor is computed once per grid pair at that
 attribute's few distinct arguments.  Both the factors and the grid are
 products over attributes, so the counts are contracted one attribute at a
 time: one sparse product with the last attribute's factors, then one dense
-batched product per other attribute.  Newton's method
+batched product per other attribute, through a layout of the counts
+built once per prepared dataset.  Newton's method
 with the closed-form gradient and Hessian of the series is available as an
 opt-in refiner; the likelihood surface can be flat and multi-modal, so it
 is best seeded from a grid optimum.  The gradient and Hessian go through
@@ -25,7 +26,7 @@ import numpy as np
 
 from .data_model import IndependentGamma, SpecError
 from .gamma_kernels import GammaTerm, gamma_jet, mgf_split, term_log_mgf
-from .series import CountMatrix, FactoredCounts, PreparedDataset, TruncationFailure, group_spread
+from .series import CountMatrix, PreparedDataset, TruncationFailure, group_spread
 
 
 class FitError(RuntimeError):
@@ -129,7 +130,7 @@ def params_to_spec(params, P: int, eps: float = 0.0) -> IndependentGamma:
 
 
 # Cells of the largest array one block of grid points makes
-# (``FactoredCounts.cells``); the only bound on the grid's memory.
+# (``CountMatrix.cells``); the only bound on the grid's memory.
 BLOCK_CELLS = 1 << 16
 
 
@@ -164,7 +165,7 @@ def grid_logliks(prep: PreparedDataset, grid: GridSpec, eps: float = 0.0) -> np.
     attributes, and so is the grid, so each attribute's factor is computed
     once per (b_p, n_p) pair, and only at that attribute's distinct t_p
     (:func:`gamma_factor_tables`).  The sum over K is contracted one
-    attribute at a time (:class:`FactoredCounts`): one sparse product takes
+    attribute at a time (:meth:`CountMatrix.h`): one sparse product takes
     the counts to the last attribute's pairs, and a dense batched product
     per other attribute takes in its pairs.  The last attribute's pairs go
     in blocks whose largest array has at most ``BLOCK_CELLS`` cells, or one
@@ -178,11 +179,10 @@ def grid_logliks(prep: PreparedDataset, grid: GridSpec, eps: float = 0.0) -> np.
         return out  # no households: every point is log 1
     factors = gamma_factor_tables(counts, grid, eps)
     last = np.ascontiguousarray(factors[-1].T)  # (distinct t, pairs) of the last attribute
-    view = FactoredCounts.build(counts)
-    step = max(1, BLOCK_CELLS // view.cells([len(f) for f in factors]))
+    step = max(1, BLOCK_CELLS // counts.cells([len(f) for f in factors]))
     table = out.reshape(-1, last.shape[1])  # the last attribute's pair varies fastest
     for start in range(0, last.shape[1], step):
-        H = view.h(factors, last[:, start:start + step])
+        H = counts.h(factors, last[:, start:start + step])
         ok = ((H > 0.0) & (H < np.inf)).all(axis=0)  # NaN fails both
         with np.errstate(divide="ignore", invalid="ignore"):
             ll = counts.mult @ np.log(H)
@@ -228,7 +228,7 @@ def loglik_grad_hess(
 
     Each attribute's Gamma factor and its derivatives in (b_p, n_p) are six
     rows over its distinct t_p (:func:`~conjlogit.gamma_kernels.gamma_jet`),
-    and :class:`FactoredCounts` contracts them as :func:`grid_logliks`
+    and :meth:`CountMatrix.h` contracts them as :func:`grid_logliks`
     contracts its factor tables: every group's sum over each combination of
     one row per attribute, 6^P columns with the last attribute's row
     fastest.  Rows 0 everywhere give H_i; row 1 (b_p) or 2 (n_p) at one
@@ -246,7 +246,7 @@ def loglik_grad_hess(
         return 0.0, np.zeros(2 * spec.P), np.zeros((2 * spec.P, 2 * spec.P))
     counts.check_dimension(spec)
     jets = [gamma_jet(m, t) for m, t in zip(mgf_split(spec)[0], counts.t_axes)]
-    S = FactoredCounts.build(counts).h(jets, jets[-1].T)
+    S = counts.h(jets, jets[-1].T)
     H = S[:, 0].copy()
     prep.raise_on_truncation(H)
     S /= H[:, None]  # every group's derivatives of H_i over H_i

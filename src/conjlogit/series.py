@@ -10,7 +10,9 @@ group's H_i is one sparse mat-vec (:func:`group_h`), and
 :func:`log_marginal_prepared` sums their logs.  Every prior's MGF is split
 into factors of one attribute each, evaluated on that attribute's few
 distinct t_p, and at most one joint term, evaluated at each distinct t
-(:func:`~conjlogit.gamma_kernels.mgf_split`).  The one
+(:func:`~conjlogit.gamma_kernels.mgf_split`).  A product over attributes,
+such as the optimizer's grid, is contracted one attribute at a time
+(:meth:`CountMatrix.h`).  The one
 exception is :func:`h_naive`, which enumerates the k-tuples of the same
 budget simplex k.1 <= R directly for the independent-Gamma family; it is
 kept as the brute-force oracle that the count sums are checked against.
@@ -174,19 +176,19 @@ class CountMatrix:
     """Every group's signed counts over the dataset's distinct K = r + Y.
 
     Row g of the sparse matrix ``C`` holds group g's ``count_array`` in the
-    columns of its K tuples, and row j of ``T`` is the MGF argument
-    t = -x_scale * K of column j.  Neither depends on the prior, so one
+    columns of its K tuples.  The counts do not depend on the prior, so one
     evaluation of all the groups' H_i is a single mat-vec,
     H = C @ mgf(spec) (:func:`group_h`), over far fewer columns than there
-    are (group, r) rows.  ``T`` is also kept factored by attribute: column
-    j's t_p is ``t_axes[p][t_index[p, j]]``.  :meth:`mgf` evaluates each
-    factor of one attribute (:func:`~conjlogit.gamma_kernels.mgf_split`)
-    only at that attribute's few distinct t_p and gathers it through
-    ``t_index``; only a prior's joint term is evaluated on every row of ``T``.
+    are (group, r) rows.  Column j's MGF argument t = -x_scale * K is kept
+    factored by attribute: its t_p is ``t_axes[p][t_index[p, j]]``.
+    :meth:`mgf` evaluates each factor of one attribute
+    (:func:`~conjlogit.gamma_kernels.mgf_split`) only at that attribute's
+    few distinct t_p and gathers it through ``t_index``; only a prior's
+    joint term is evaluated on every row of ``T``.  ``T`` and the
+    ``layout`` of :meth:`h` are built on first use and kept.
     """
 
     C: sparse.csr_matrix  # groups x distinct K
-    T: np.ndarray         # -x_scale * K, one row per distinct K
     mult: np.ndarray      # households per group
     terms: int            # sum over groups of mult * stored r-tuples
     t_axes: tuple[np.ndarray, ...]  # per attribute, its distinct t_p in order
@@ -197,8 +199,8 @@ class CountMatrix:
         cls, groups: list[tuple[HouseholdSums, int]], caches: dict, x_scale: float
     ) -> "CountMatrix":
         if not groups:
-            return cls(sparse.csr_matrix((0, 0)), np.zeros((0, 0)), np.zeros(0), 0,
-                       (), np.zeros((0, 0), dtype=np.intp))
+            return cls(sparse.csr_matrix((0, 0)), np.zeros(0), 0, (),
+                       np.zeros((0, 0), dtype=np.intp))
         blocks = [caches[sums.x_vectors] for sums, _ in groups]
         mult = np.array([m for _, m in groups], dtype=np.int64)
         lens = np.array([len(c.count_array) for c in blocks], dtype=np.int64)
@@ -219,18 +221,25 @@ class CountMatrix:
         dims = K.max(axis=1) - lo + 1
         K -= lo[:, None]  # in place: past here K is only its offsets
         offsets, indices = _group(K, dims)
-        distinct_K = np.stack(offsets, axis=1) + lo
         # each attribute's distinct K_p, and every column's index among them
         axes, t_index = zip(*(_distinct(o, int(n), len(data)) for o, n in zip(offsets, dims)))
         C = sparse.csr_matrix(
             (data, indices.astype(np.int32, copy=False), indptr),
-            shape=(len(blocks), len(distinct_K)),
+            shape=(len(blocks), len(offsets[0])),
         )
         return cls(
-            C, -x_scale * distinct_K, mult.astype(np.float64), int(mult @ lens),
+            C, mult.astype(np.float64), int(mult @ lens),
             tuple(-x_scale * (a + l) for a, l in zip(axes, lo.tolist())),
             np.stack(t_index, dtype=np.intp),
         )
+
+    @cached_property
+    def T(self) -> np.ndarray:
+        """-x_scale * K, one row per distinct K, gathered from ``t_axes``."""
+        T = np.empty(self.t_index.shape[::-1])
+        for p, (axis, index) in enumerate(zip(self.t_axes, self.t_index)):
+            T[:, p] = axis[index]
+        return T
 
     def check_dimension(self, spec) -> None:
         """:class:`SpecError` if the prior's dimension is not the panel's."""
@@ -259,40 +268,29 @@ class CountMatrix:
                  if m is not None]
         if joint is not None:
             terms.append(term_log_mgf(joint, self.T))
-        v = add_logs(terms, len(self.T))
+        v = add_logs(terms, self.t_index.shape[1])
         return np.exp(v, out=v)
 
+    @cached_property
+    def layout(self) -> tuple[sparse.spmatrix, tuple[int, ...], tuple[np.ndarray, ...]]:
+        """``(B, rows, scatter)``: the counts regrouped so that a product
+        over attributes is contracted one attribute at a time.
 
-@dataclass(frozen=True)
-class FactoredCounts:
-    """The count matrix regrouped so that a grid of product-form priors is
-    scored one attribute at a time.
-
-    With attributes p = 0..P-1, let R_p be the distinct (group, K_0, ...,
-    K_{p-1}) among the entries of ``C``; R_0 is the groups.  A slot of R_p
-    is a row of R_p and an index into ``t_axes[p]``.  Row s of ``B`` is the
-    slot s of R_{P-2}, and an entry's column is its index into the last
-    attribute's axis, so ``B`` holds the counts of ``C`` regrouped; when
-    P = 1 that is ``C`` itself.  For 0 < p < P-1, ``scatter[p-1]`` is the
-    slot of R_{p-1} that each row of R_p fills.  :meth:`h` contracts the
-    last attribute through ``B`` and every other attribute with a dense
-    batched product.  ``optimizer.grid_logliks`` and
-    ``optimizer.loglik_grad_hess`` build one, for the length of their call.
-    """
-
-    B: sparse.spmatrix              # slots of R_{P-2} x distinct K_{P-1}
-    sizes: tuple[int, ...]          # len(t_axes[p]) per attribute
-    rows: tuple[int, ...]           # |R_p| for p < P-1
-    scatter: tuple[np.ndarray, ...]
-
-    @classmethod
-    def build(cls, counts: CountMatrix) -> "FactoredCounts":
-        C = counts.C
-        sizes = tuple(len(a) for a in counts.t_axes)
+        With attributes p = 0..P-1, let R_p be the distinct (group, K_0, ...,
+        K_{p-1}) among the entries of ``C``; R_0 is the groups.  A slot of
+        R_p is a row of R_p and an index into ``t_axes[p]``.  Row s of ``B``
+        is the slot s of R_{P-2}, and an entry's column is its index into
+        the last attribute's axis, so ``B`` holds the counts of ``C``
+        regrouped; when P = 1 that is ``C`` itself.  ``rows[p]`` is |R_p|
+        for p < P-1, and for 0 < p < P-1, ``scatter[p-1]`` is the slot of
+        R_{p-1} that each row of R_p fills.
+        """
+        C = self.C
+        sizes = [len(a) for a in self.t_axes]
         if len(sizes) == 1:  # C's columns are the one attribute's axis, in order
-            return cls(C, sizes, (), ())
+            return C, (), ()
         columns = C.indices
-        t_index = counts.t_index.astype(np.int32)  # as narrow as C's own indices
+        t_index = self.t_index.astype(np.int32)  # as narrow as C's own indices
         n = C.shape[0]
         row = np.repeat(np.arange(n, dtype=np.int32), np.diff(C.indptr))  # each entry's row of R_0
         rows, scatter = [], []
@@ -310,16 +308,17 @@ class FactoredCounts:
         # B keeps C's entries in C's order and shares C's data, so only its
         # two index arrays are new
         B = sparse.coo_matrix((C.data, (row, t_index[-1][columns])), shape=(n, sizes[-1]))
-        return cls(B, sizes, tuple(rows), tuple(scatter))
+        return B, tuple(rows), tuple(scatter)
 
     def cells(self, pairs) -> int:
         """Cells of the largest array :meth:`h` makes per column of the last
         factor table, when attribute p's table has ``pairs[p]`` rows."""
-        cells, width = self.B.shape[0], 1
-        for p in reversed(range(len(self.rows))):
+        B, rows, _ = self.layout
+        cells, width = B.shape[0], 1
+        for p in reversed(range(len(rows))):
             width *= pairs[p]
-            cells = max(cells, self.rows[p] * width,
-                        self.rows[p - 1] * self.sizes[p - 1] * width if p else 0)
+            cells = max(cells, rows[p] * width,
+                        rows[p - 1] * len(self.t_axes[p - 1]) * width if p else 0)
         return cells
 
     def h(self, factors, last_columns) -> np.ndarray:
@@ -330,13 +329,14 @@ class FactoredCounts:
         the columns ``last_columns`` of the block.  The points run in
         lexicographic order of their pairs, the last attribute's fastest.
         """
-        Z = self.B @ last_columns  # (slots of R_{P-2}, block)
-        for p in reversed(range(len(self.rows))):
-            Z = np.matmul(factors[p], Z.reshape(-1, self.sizes[p], Z.shape[1]))
-            Z = Z.reshape(self.rows[p], -1)  # one row per row of R_p
+        B, rows, scatter = self.layout
+        Z = B @ last_columns  # (slots of R_{P-2}, block)
+        for p in reversed(range(len(rows))):
+            Z = np.matmul(factors[p], Z.reshape(-1, len(self.t_axes[p]), Z.shape[1]))
+            Z = Z.reshape(rows[p], -1)  # one row per row of R_p
             if p:
-                D = np.zeros((self.rows[p - 1] * self.sizes[p - 1], Z.shape[1]))
-                D[self.scatter[p - 1]] = Z
+                D = np.zeros((rows[p - 1] * len(self.t_axes[p - 1]), Z.shape[1]))
+                D[scatter[p - 1]] = Z
                 Z = D
         return Z
 

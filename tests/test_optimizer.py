@@ -30,7 +30,7 @@ from conjlogit.optimizer import (
 from conjlogit import optimizer
 from conjlogit.gamma_kernels import GammaTerm, log_mgf, term_log_mgf
 from conjlogit.series import (
-    FactoredCounts,
+    CountMatrix,
     SeriesConfig,
     TruncationFailure,
     group_h,
@@ -294,56 +294,61 @@ class TestGridLogliks:
             whole = grid_logliks(prep, grid, eps)
             pairs = [a.count * b.count for a, b in zip(grid.axes[0::2], grid.axes[1::2])]
             assert pairs[-1] == 6
-            per_pair = FactoredCounts.build(prep.counts).cells(pairs)
+            per_pair = prep.counts.cells(pairs)
             # blocks of one pair of the last attribute, and of four with a remainder
             for cells in (1, 4 * per_pair):
                 monkeypatch.setattr(optimizer, "BLOCK_CELLS", cells)
                 np.testing.assert_allclose(grid_logliks(prep, grid, eps), whole, rtol=1e-14)
             monkeypatch.undo()
 
-    def test_only_the_grid_and_the_derivatives_build_the_factored_view(self, monkeypatch):
-        make, R, grid, eps = GRID_CASES["P2-eps"]
-        prep = prepare_dataset(make(), SeriesConfig(R=R))
-        spec = params_to_spec(next(iter(grid.points())), prep.P, eps)
-        build = FactoredCounts.build
+    def test_the_first_contraction_builds_the_layout_once(self, monkeypatch):
+        truth = IndependentGamma((5.0, 5.0), (14.0, 14.0))
+        design = SimDesign(I=200, J=1, N=2, P=2, true_spec=truth,
+                           grid=GridSpec((GridAxis(5.0, 1, 1.0),) * 4), R=20, c=0.01, seed=2)
+        prep = prepare_dataset(simulate_dataset(design, 0), SeriesConfig(R=20))
+        grid = axes(*[(5.0, 3, 0.5), (14.0, 3, 0.5)] * 2)
+        spec = params_to_spec((4.5, 13.0, 4.5, 13.0), 2)
+        built, build = [], CountMatrix.layout.func
 
-        def refuse(counts):
-            raise AssertionError("the factored view was built")
+        def counted(counts):
+            built.append(counts)
+            return build(counts)
 
-        monkeypatch.setattr(FactoredCounts, "build", refuse)
+        monkeypatch.setattr(CountMatrix.layout, "func", counted)
         group_h(prep, spec)
         log_marginal_prepared(prep, spec)
         group_spread(prep, spec)
-        with pytest.raises(AssertionError, match="factored view"):
-            grid_logliks(prep, grid, eps)
-        with pytest.raises(AssertionError, match="factored view"):
-            loglik_grad_hess(prep, spec)
-        monkeypatch.setattr(FactoredCounts, "build", build)
-        assert np.isfinite(grid_logliks(prep, grid, eps)).any()
+        assert built == [] and "layout" not in vars(prep.counts)
+        assert np.isfinite(grid_logliks(prep, grid)).all()
         assert np.isfinite(loglik_grad_hess(prep, spec)[0])
+        assert newton_fit(prep, spec, max_iters=6).newton_iters == 6
+        assert len(built) == 1 and built[0] is prep.counts
 
     @pytest.mark.parametrize("case", ["P1-even-axis", "P2-eps", "P3-eps"])
-    def test_factored_view_holds_the_counts(self, case):
+    def test_layout_holds_the_counts(self, case):
         # B's rows, read back through the slots, are C's rows over (K_0..K_{P-1})
         make, R, _, _ = GRID_CASES[case]
         counts = prepare_dataset(make(), SeriesConfig(R=R)).counts
-        view = FactoredCounts.build(counts)
-        row, coords = np.arange(view.B.shape[0]), []
-        for p in reversed(range(len(view.rows))):
-            row, a = np.divmod(row, view.sizes[p])  # a slot of R_p: a row of R_p, a K_p
+        B, rows, scatter = counts.layout
+        sizes = tuple(len(a) for a in counts.t_axes)
+        row, coords = np.arange(B.shape[0]), []
+        for p in reversed(range(len(rows))):
+            row, a = np.divmod(row, sizes[p])  # a slot of R_p: a row of R_p, a K_p
             coords.insert(0, a)
             if p:
-                row = view.scatter[p - 1][row]
-        dense = np.zeros((counts.C.shape[0],) + view.sizes)
-        B = view.B.tocoo()
-        index = tuple(c[B.row] for c in [row] + coords)
-        dense[index + (B.col,)] = B.data
+                row = scatter[p - 1][row]
+        dense = np.zeros((counts.C.shape[0],) + sizes)
+        coo = B.tocoo()
+        index = tuple(c[coo.row] for c in [row] + coords)
+        dense[index + (coo.col,)] = coo.data
         want = np.zeros_like(dense)
         C = counts.C.tocoo()
         want[(C.row,) + tuple(counts.t_index[:, C.col])] = C.data
-        assert view.B.nnz == counts.C.nnz
-        if len(view.sizes) > 1:  # B's two index arrays are new, and as narrow as C's
-            assert view.B.row.dtype == view.B.col.dtype == np.int32
+        assert B.nnz == counts.C.nnz
+        if len(sizes) > 1:  # B's two index arrays are new, and as narrow as C's
+            assert B.row.dtype == B.col.dtype == np.int32
+        else:
+            assert B is counts.C
         np.testing.assert_array_equal(dense, want)
 
     def test_no_households_scores_zero_everywhere(self):

@@ -374,6 +374,27 @@ class TestCountMatrixKernel:
             assert np.array_equal(axis, np.unique(counts.T[:, p])[::-1])
             assert np.array_equal(axis[index], counts.T[:, p])
 
+    @pytest.mark.parametrize("P", [1, 2, 3])
+    def test_T_is_the_distinct_K_scaled(self, P):
+        rows = [((1, (1, 2, 1)), (0, (2, 1, 3))), ((0, (3, 1, 2)),),
+                ((1, (1, 1, 2)), (1, (2, 3, 1)), (0, (1, 2, 2))), ((0, (2, 2, 1)),)]
+        d = Dataset(tuple(Household(f"h{i}", tuple(Observation(y, x[:P]) for y, x in obs))
+                          for i, obs in enumerate(rows)), P=P, x_scale=0.05)
+        prep = prepare_dataset(d, SeriesConfig(R=6))
+        # every group's K = r + Y straight from its cache, not from t_axes
+        K = np.concatenate([prep.caches[sums.x_vectors].r_array + sums.Y
+                            for sums, _ in prep.groups])
+        want = -d.x_scale * np.unique(K, axis=0)  # lexicographic, as C's columns
+        assert len(want) == prep.counts.C.shape[1] < len(K)
+        assert prep.counts.T.shape == want.shape
+        assert prep.counts.T.tobytes() == want.tobytes()
+
+    def test_no_households_has_an_empty_T(self):
+        d = Dataset((), P=2)
+        assert prepare_dataset(d, SeriesConfig(R=4)).counts.T.shape == (0, 0)
+        assert log_marginal(d, IndependentGamma((1.0, 2.0), (3.0, 1.5)),
+                            SeriesConfig(R=4)).value == 0.0
+
     @pytest.mark.parametrize("route, prior", [
         (route, prior) for route, P in ROUTE_P.items() for prior in FAMILIES_FOR_P
         if P == 2 or prior not in BIVARIATE
