@@ -345,10 +345,11 @@ def load_dataset(path: str) -> Dataset:
     might read otherwise than Python's ``csv`` and ``int`` do, is read by
     the ``csv`` module and one ``int`` pass over the y and x cells instead
     (see :func:`_tokenized`), so both routes load the same dataset and a bad
-    value raises the same DataError naming its line.  A household's rows,
-    which may be interleaved with other households' in the file, are
-    gathered in file order.  A file that is not UTF-8 text raises DataError
-    naming the line of its first bad byte.
+    value raises the same DataError naming its line.  Households are found
+    as runs of rows with one id; where an id comes back after another
+    household's rows, each household's rows are gathered in file order.  A
+    leading UTF-8 byte-order mark is dropped, and a file that is not UTF-8
+    text raises DataError naming the line of its first bad byte.
     """
     try:
         return _load_dataset(path)
@@ -358,7 +359,7 @@ def load_dataset(path: str) -> Dataset:
 
 def _load_dataset(path: str) -> Dataset:
     x_scale = 1.0
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:  # a leading byte-order mark is dropped
         first = f.readline()
         lineno = 1
         if first.startswith("# x_scale="):
@@ -383,13 +384,21 @@ def _load_dataset(path: str) -> Dataset:
         body = f.read()
     rows = _tokenized(body, P)
     ids, cols = rows if rows is not None else _csv_rows(body, P, path, lineno)
-    index = dict.fromkeys(ids)  # household ids in order of first appearance
+    ids = np.asarray(ids, dtype=object)
+    head = np.ones(len(ids), dtype=bool)  # rows whose id differs from the row above
+    np.not_equal(ids[1:], ids[:-1], out=head[1:])
+    starts = np.append(np.flatnonzero(head), len(ids))
+    runs = ids[starts[:-1]].tolist()
+    index = dict.fromkeys(runs)  # household ids in order of first appearance
+    if len(index) == len(runs):  # each household's rows are one run
+        return Dataset.from_columns(runs, starts, cols[:, 0], cols[:, 1:], x_scale=x_scale)
+    # a household's rows are interleaved with others': gather them in file order
     index.update(zip(index, range(len(index))))
-    number = np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
+    number = np.repeat(np.fromiter(map(index.__getitem__, runs), np.int64, len(runs)),
+                       np.diff(starts))
     offsets = np.zeros(len(index) + 1, dtype=np.int64)
     np.cumsum(np.bincount(number, minlength=len(index)), out=offsets[1:])
-    if np.any(number[1:] < number[:-1]):  # interleaved households: gather their rows
-        cols = cols[np.argsort(number, kind="stable")]
+    cols = cols[np.argsort(number, kind="stable")]
     return Dataset.from_columns(index, offsets, cols[:, 0], cols[:, 1:], x_scale=x_scale)
 
 
@@ -414,40 +423,44 @@ def _not_utf8(path: str, e: UnicodeDecodeError) -> str:
 _UNTOKENIZED = "\0\x1c\x1d\x1e\x1f"
 
 
-def _tokenized(body: str, P: int) -> tuple[list[str], np.ndarray] | None:
+def _tokenized(body: str, P: int) -> tuple[np.ndarray, np.ndarray] | None:
     """The body's household id per row and its (n, P+1) y, x1..xP cells,
     read by numpy's C tokenizer; None where the ``csv`` route must read it.
 
-    The tokenizer's reading is taken only when it is the one the ``csv``
-    route would give: the body is ASCII with none of ``_UNTOKENIZED``, the
-    tokenizer raises no ValueError and no warning (numpy < 2 reads ``3.0``
-    as an int with a DeprecationWarning, and an empty body warns), and no
-    field is longer than ``csv.field_size_limit()``.  Every other body,
-    a bad one or one with cells only ``int`` reads (``1_0``, ``٣``), goes
-    to the ``csv`` route.  The warnings filter is process-wide, so the
-    call turns warnings into errors in every thread while numpy reads.
+    The tokenizer reads only the id, y and x columns, so it makes no string
+    for a category or an occasion.  Its reading is taken only when it is
+    the one the ``csv`` route would give: the body is ASCII with none of
+    ``_UNTOKENIZED``, the tokenizer raises no ValueError and no warning
+    (numpy < 2 reads ``3.0`` as an int with a DeprecationWarning, and an
+    empty body warns), every comma separates two of a row's 4 + P cells
+    (the tokenizer, told which columns to read, passes over a quoted comma
+    and a cell too many), and no field is longer than
+    ``csv.field_size_limit()``.  Every other body, a bad one or one with
+    cells only ``int`` reads (``1_0``, ``٣``), goes to the ``csv`` route.
+    The warnings filter is process-wide, so the call turns warnings into
+    errors in every thread while numpy reads.
     """
     if not body.isascii() or any(c in body for c in _UNTOKENIZED):
         return None
-    text = ("id", "category", "occasion")
-    dtype = [(k, object) for k in text] + [("values", np.int64, (P + 1,))]
+    dtype = [("id", object), ("values", np.int64, (P + 1,))]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",", quotechar='"',
-                              comments=None, ndmin=1)
+                              comments=None, ndmin=1, usecols=[0, *range(3, 4 + P)])
     except (ValueError, Warning):
+        return None
+    # each row has at least 3 + P commas, or the tokenizer would have raised
+    if body.count(",") != len(rows) * (3 + P):
         return None
     limit = csv.field_size_limit()
     if len(body) > limit:
-        # A cell numpy reads as an int holds no comma, so it is no longer
-        # than the body's longest stretch without one; a text field may
-        # hold commas inside quotes, so it is measured.
+        # every comma separates two cells, so no field is longer than the
+        # body's longest stretch without one
         commas = np.flatnonzero(np.frombuffer(body.encode("ascii"), np.uint8) == ord(","))
-        if (np.diff(commas, prepend=-1, append=len(body)).max() - 1 > limit
-                or any(max(map(len, rows[k].tolist())) > limit for k in text)):
+        if np.diff(commas, prepend=-1, append=len(body)).max() - 1 > limit:
             return None
-    return rows["id"].tolist(), rows["values"]
+    return rows["id"], rows["values"]
 
 
 def _csv_rows(body: str, P: int, path: str, header_line: int) -> tuple[list[str], np.ndarray]:

@@ -103,6 +103,7 @@ class FitResult:
     dropped: int = 0  # grid points that failed truncation, left out of a grid trace
 
     def to_json(self) -> str:
+        # one line: given an indent, json encodes in Python, not in C
         return json.dumps(
             {
                 "omega_hat": list(self.omega_hat),
@@ -116,7 +117,6 @@ class FitResult:
                     {"params": list(p), "loglik": v} for p, v in self.trace
                 ],
             },
-            indent=2,
         )
 
 

@@ -29,6 +29,7 @@ from conjlogit.diophantine import (
     load_cache,
     save_cache,
 )
+from conjlogit.optimizer import FitResult
 from conjlogit.series import (
     CountMatrix,
     SeriesConfig,
@@ -1002,6 +1003,39 @@ def test_fit_reports_dropped_grid_points(tmp_path, truncating_csv, sim_csv, caps
                        capsys)
     assert code == 0
     assert "dropped" not in out
+
+
+@pytest.mark.parametrize("case", ["grid", "dropped", "newton"])
+def test_fit_output_file_is_the_result(tmp_path, truncating_csv, sim_csv, capsys, monkeypatch,
+                                       case):
+    # one line of JSON holding every FitResult field, each float exact
+    written = []
+    to_json = FitResult.to_json
+    monkeypatch.setattr(FitResult, "to_json", lambda res: written.append(res) or to_json(res))
+    out = tmp_path / "fit.json"
+    if case == "dropped":
+        argv = ["--data", str(truncating_csv), "--grid", "1x3", "--spacing", "1,0.45",
+                "--center", "1,0.5", "--R", "1"]
+    else:
+        argv = ["--data", str(sim_csv), "--grid", "3x3", "--spacing", "0.5", "--center", "5,14",
+                "--R", "30"] + ["--newton"] * (case == "newton")
+    code, _, _ = run(["fit", *argv, "--cache-dir", str(tmp_path / "c"), "-o", str(out)], capsys)
+    assert code == 0
+    (res,) = written
+    assert (res.dropped > 0) is (case == "dropped")
+    assert (res.newton_iters > 0) is (case == "newton")
+    text = out.read_text()
+    assert "\n" not in text
+    assert json.loads(text) == {
+        "omega_hat": list(res.omega_hat),
+        "loglik": res.loglik,
+        "boundary_flag": res.boundary_flag,
+        "newton_iters": res.newton_iters,
+        "converged": res.converged,
+        "parity_spread": res.parity_spread,
+        "dropped": res.dropped,
+        "trace": [{"params": list(p), "loglik": v} for p, v in res.trace],
+    }
 
 
 def test_plotdata_writes_nan_where_truncation_fails(tmp_path, truncating_csv, capsys):

@@ -263,13 +263,28 @@ def test_bad_csv_names_line_and_value(tmp_path, text, message):
     # the chunk, not the file
     (b"household,category,occasion,y,x1\n" + b"a,1,1,0,1\n" * 1000 + b"b\xff,1,1,1,2\n",
      "d.csv:1002: not UTF-8 text (invalid start byte: byte 0xff)"),
-], ids=["header", "id", "past-8KB"])
+    # the line count is not moved by a byte-order mark
+    (b"\xef\xbb\xbfhousehold,category,occasion,y,x1\na,1,1,0,1\nb\xff,1,1,1,2\n",
+     "d.csv:3: not UTF-8 text (invalid start byte: byte 0xff)"),
+], ids=["header", "id", "past-8KB", "after-a-byte-order-mark"])
 def test_non_utf8_file_names_path_and_line(tmp_path, raw, message):
     p = tmp_path / "d.csv"
     p.write_bytes(raw)
     with pytest.raises(DataError) as e:
         load_dataset(str(p))
     assert str(e.value) == f"{p.parent}/{message}"
+
+
+@pytest.mark.parametrize("scale_line", ["", "# x_scale=0.5\n"])
+def test_a_byte_order_mark_is_dropped(tmp_path, scale_line):
+    # as a spreadsheet's "CSV UTF-8" export starts its file
+    text = scale_line + HEADER + "a,1,1,0,1\nb,1,1,1,2\na,1,2,0,3\n"
+    (tmp_path / "plain.csv").write_text(text, encoding="utf-8")
+    (tmp_path / "bom.csv").write_text(text, encoding="utf-8-sig")
+    assert (tmp_path / "bom.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+    got = load_dataset(str(tmp_path / "bom.csv"))
+    assert got == load_dataset(str(tmp_path / "plain.csv"))
+    assert got.columns().ids == ("a", "b")
 
 
 def test_crlf_signs_and_spaces_parse(tmp_path):
@@ -332,6 +347,20 @@ def csv_bodies(draw):
     return P, "".join(row() + kind for _ in range(draw(st.integers(1, 5))))
 
 
+def load_by_both_routes(path):
+    """``load_dataset``'s result, a Dataset or a DataError's message, by the
+    tokenizer route and by the ``csv`` route."""
+    def load():
+        try:
+            return load_dataset(str(path))
+        except DataError as e:
+            return str(e)
+
+    got = load()
+    with mock.patch.object(data_model, "_tokenized", lambda body, P: None):
+        return got, load()
+
+
 @given(csv_bodies())
 @settings(max_examples=150, deadline=None)
 def test_both_load_routes_read_a_body_alike(tmp_path_factory, panel_body):
@@ -341,16 +370,68 @@ def test_both_load_routes_read_a_body_alike(tmp_path_factory, panel_body):
     p = tmp_path_factory.getbasetemp() / "routes.csv"  # rewritten by each example
     header = "household,category,occasion,y," + ",".join(f"x{k + 1}" for k in range(P))
     p.write_text(header + "\n" + body, encoding="utf-8", newline="")
+    got, by_csv = load_by_both_routes(p)
+    assert got == by_csv
 
-    def load():
-        try:
-            return load_dataset(str(p))
-        except DataError as e:
-            return str(e)
 
-    got = load()
-    with mock.patch.object(data_model, "_tokenized", lambda body, P: None):
-        assert got == load()
+@pytest.mark.parametrize("body, tokenized, ids, X", [
+    ('"a,b",1,1,0,1\nc,1,1,1,2\n', False, ("a,b", "c"), [[1], [2]]),
+    ("a,1,1,0,1,5\nb,1,1,1\n", False, "d.csv:2: expected 5 columns, got 6", None),
+    ("a,1,1,0,1\nb,1,1,1,2,5\n", False, "d.csv:3: expected 5 columns, got 6", None),
+    ("a,1,1,0,1\nb,1,1,1,2\na,1,2,1,3\nb,1,2,0,4\nc,1,1,0,5\n", True, ("a", "b", "c"),
+     [[1], [3], [2], [4], [5]]),
+    ("a,1,1,0,1\n", True, ("a",), [[1]]),
+    ("a,1,1,0,1\n a,1,1,1,2\na ,1,1,0,3\n a,1,2,1,4\na,1,2,0,5\n", True,
+     ("a", " a", "a "), [[1], [5], [2], [4], [3]]),
+], ids=["quoted-comma-in-id", "long-and-short-rows-balance", "a-row-a-cell-long",
+        "id-comes-back", "one-row", "ids-differ-by-spaces"])
+def test_load_routes_agree_at_the_guard_and_the_run_index(tmp_path, body, tokenized, ids, X):
+    # a household whose id comes back later has its rows gathered, households
+    # in order of first appearance; the other bodies are runs, or errors
+    p = tmp_path / "d.csv"
+    p.write_text(HEADER + body, encoding="utf-8", newline="")
+    assert (data_model._tokenized(body, 1) is not None) is tokenized
+    got, by_csv = load_by_both_routes(p)
+    assert got == by_csv
+    if X is None:
+        assert got == f"{tmp_path}/{ids}"
+    else:
+        assert (got.columns().ids, got.columns().X.tolist()) == (ids, X)
+
+
+def saved_body(tmp_path, d: Dataset) -> str:
+    """The rows below the header of the file ``save_dataset`` writes."""
+    save_dataset(d, str(tmp_path / "saved.csv"))
+    with open(tmp_path / "saved.csv", encoding="utf-8", newline="") as f:
+        return f.read().split("\n", 2 if d.x_scale != 1.0 else 1)[-1]
+
+
+@pytest.mark.parametrize("P", [1, 2, 3])
+@pytest.mark.parametrize("x_scale", [1.0, 0.01])
+@pytest.mark.parametrize("I", [3, 4000])  # the larger body is past the csv field limit
+def test_saved_bodies_take_the_tokenizer_route(tmp_path, P, x_scale, I):
+    # a guard that sent every body to the csv route would keep every value
+    # right and lose the tokenizer's speed
+    rng = np.random.default_rng(P)
+    d = Dataset.from_columns([f"h{i}" for i in range(I)], np.arange(0, 3 * I + 1, 3),
+                             rng.integers(0, 2, 3 * I), rng.integers(0, 4, (3 * I, P)),
+                             x_scale=x_scale)
+    body = saved_body(tmp_path, d)
+    assert (len(body) > csv.field_size_limit()) is (I > 3)
+    assert data_model._tokenized(body, P) is not None
+    assert load_dataset(str(tmp_path / "saved.csv")) == d
+
+
+def test_a_body_in_the_benchmark_layout_takes_the_tokenizer_route():
+    # hNNNNN,1,t,y,x1..xP rows, as the benchmark writes its panels
+    rng = np.random.default_rng(1)
+    for P in (1, 2):
+        rows = [f"h{i:05d},1,{t + 1},{rng.integers(2)}," + ",".join(map(str, rng.integers(1, 4, P)))
+                for i in range(1000) for t in range(3)]
+        body = "\n".join(rows) + "\n"
+        got = data_model._tokenized(body, P)
+        assert got is not None
+        assert got[0].tolist() == [r.split(",", 1)[0] for r in rows]
 
 
 class TestHouseholdsView:
