@@ -12,21 +12,23 @@ than ``MAX_STATES`` of them raises :class:`BudgetError` before it is built.
 :func:`build_caches` runs that recurrence for many signatures of one shape
 at once: every state carries its signature, so a DP column and the final
 grouping by r cost a fixed number of numpy calls for the whole batch, and
-each cache's columns are sliced out at the end.  A batch holds as many
-signatures, in order, as keep the sum of their state bounds within
-``BATCH_STATES`` and ``MAX_STATES``; a signature's bound counts, shell by
-shell, the fewer of its compositions and of the r-tuples in the box its
-covariates span (:func:`_state_bounds`), not the C(R+M, M) k-tuples.  No DP
-column of a batch holds more states than the sum of its signatures' bounds,
-so only a signature built alone can meet the state guard.  Each grouping packs its keys into one int64 and
-reads them off a lookup table where the states are dense, or sorts them
-where they are sparse (:func:`_distinct`).
+the batch's records are one read-only block, of which each cache is a view
+of its own rows.  A batch holds as many signatures, in order, as keep the
+sum of their state bounds within ``BATCH_STATES`` and ``MAX_STATES``; a
+signature's bound counts, shell by shell, the fewer of its compositions and
+of the r-tuples in the box its covariates span (:func:`_state_bounds`), not
+the C(R+M, M) k-tuples.  No DP column of a batch holds more states than the
+sum of its signatures' bounds, so only a signature built alone can meet the
+state guard.  Each grouping packs its keys into one int64 and reads them
+off a lookup table where the states are dense, or puts them in a radix
+order over 16-bit digits where they are sparse (:func:`_distinct`).
 :func:`build_cache` is the batch of one.  The counts from the final shells
 k.1 == R and k.1 == R-1 are kept as well, so the series can return the Euler
 mean of its last two shell partial sums, and the same mean one budget lower
 for the parity spread, the error estimate that every reported value carries.
-The resulting cache is the parameter-independent half of the series
-evaluation and is persisted to disk.
+Every chain of the last DP column runs up to shell R, so these are read at
+the chains' ends.  The resulting cache is the parameter-independent half of
+the series evaluation and is persisted to disk.
 
 A cache is one read-only int64 array in the cache file's record layout,
 one row per reachable r-tuple (the r-tuple, its raw count, its shell-R and
@@ -72,19 +74,27 @@ MAX_STATES = 2**24
 # (_state_bounds, at least the states of any one DP column) add up to at
 # most this many, or MAX_STATES if that is lower, so a batch of two or more
 # never meets the state guard.  A batch's temporaries then peak near
-# 0.75 MB on the benchmark's P=1 panel and 1.5 MB on its P=2 panel
-# (tracemalloc).  Whether they page-fault depends on the heap the rest of
-# the process left: glibc gives a freed heap top larger than its trim
-# threshold back to the system, and the next batch faults it in again.  In
-# the benchmark's processes a cold-start set-up faults about 200 times
-# (ru_minflt) and the other set-ups do not.  A cap of 3 * 2**12 removed
-# those faults but made mgf-families set-up about 3% and its fit about 7%
-# slower; 2**16 raised the peak RSS by about 2.5 MB, which cost more than
-# the numpy calls the larger batches saved.
+# 0.75 MB on the benchmark's P=1 panel and 1.2 MB on its P=2 panel
+# (tracemalloc), and its caches are views of one record block of at most
+# 0.6 MB there, kept for as long as any of them is.  Whether the
+# temporaries page-fault depends on the heap the rest of the process left:
+# glibc gives a freed heap top larger than its trim threshold back to the
+# system, and the next batch faults it in again.  In the benchmark's
+# processes a cold-start set-up faults about 200 times (ru_minflt), and the
+# median mgf-families and warm-grid set-ups not once.  A cap of 3 * 2**12
+# removed those faults but made mgf-families set-up about 3% and its fit
+# about 7% slower; 2**16 raised the peak RSS by about 2.5 MB, which cost
+# more than the numpy calls the larger batches saved.
 BATCH_STATES = 2**14
 # Above this many cells per row of data, a lookup table over the range of
-# the keys is too sparse, and _distinct sorts the keys instead.
-MAX_BOX_PER_ROW = 16
+# the keys is too sparse, and _distinct sorts the keys instead.  Medians on
+# 1,000, 4,000 and 16,000 random keys, shuffled or sorted, on a 2-core x86
+# host: at 2 cells per key the table took 19-225 us and the radix sort
+# 21-375 us, at 3 they were even, and at 4 the sort was faster in every
+# case (16,000 keys: 346-539 against 186-283 us).  At 16 cells per key,
+# 16,000 shuffled keys took 0.36 ms in the radix order, 2.0 ms in the table
+# and 1.4 ms in the stable merge sort that the radix order replaced.
+MAX_BOX_PER_ROW = 3
 
 _MAGIC = b"DIOC"
 # magic, version, M, P, R, x_vectors hash, record count
@@ -168,7 +178,9 @@ class DioCache:
     alone.  ``entries`` (r -> c(r)), ``final_shell`` (r -> c_R(r)) and
     ``prev_shell`` (r -> c_{R-1}(r)), the last two over non-zero rows only,
     are read-only dicts built from it on first use.  A writable ``records``
-    is copied, so a cache never shares a block that can still change.
+    is copied, so a cache never shares a block that can still change; a
+    read-only one is kept as it is, so the caches of one build are views of
+    its block.
     ``entries``, if given, replaces the raw counts c(r) of the rows, whose
     r-tuples it must key exactly: ``dataclasses.replace(cache, entries=...)``
     then gives the cache with those counts edited.  Two caches are equal
@@ -414,15 +426,15 @@ def _build_batch(X: np.ndarray, xvs, R: int) -> list[DioCache]:
     """The caches of signatures of one shape, from one knapsack run: ``X``
     holds their covariates (signature, p, m) and ``xvs`` their x_vectors."""
     G, P, M = X.shape
-    g, s, r, signed = _shell_states(X, R)
+    g, s, r, signed, length = _shell_states(X, R)
     sign = s & 1  # the parity sign (-1)^s, in place: temporaries set the batch's peak
     sign <<= 1
     np.subtract(1, sign, out=sign)
     signed *= sign
-    del sign
+    del sign, s
     # the rows of r_array, per signature: by r-total, then tuple, and the
     # total with all but the last r_p determines r
-    keys = np.empty((P + 1, len(s)), dtype=np.int64)
+    keys = np.empty((P + 1, len(g)), dtype=np.int64)
     keys[0] = g
     r.sum(axis=0, out=keys[1])
     keys[2:] = r[:-1]
@@ -434,21 +446,25 @@ def _build_batch(X: np.ndarray, xvs, R: int) -> list[DioCache]:
     # count of 0: r_1..r_P, c(r), c_R(r), c_{R-1}(r), the file's record layout
     rec = np.zeros((len(g), P + 3), dtype=np.int64)
     np.add.at(rec[:, P], row, signed)
-    for col, shell in ((P + 1, R), (P + 2, R - 1)):
-        at = s == shell
-        rec[row[at], col] = signed[at]
-    del s, signed, row, at
+    # each chain's last state is of shell R, and the one before it of shell
+    # R-1 where the chain has two states or more
+    last = np.cumsum(length) - 1
+    prev = last[length > 1] - 1
+    rec[row[last], P + 1] = signed[last]
+    rec[row[prev], P + 2] = signed[prev]
+    del signed, row, last, prev
     rec[:, P - 1] = total
     for p, r_p in enumerate(head):
         rec[:, p] = r_p
         rec[:, P - 1] -= r_p
+    # every cache is a read-only view of its rows, so a cache that is kept
+    # keeps its batch's block alive, which BATCH_STATES bounds
+    rec.flags.writeable = False
     bounds = np.searchsorted(g, np.arange(G + 1)).tolist()
-    # DioCache copies each writable slice, so every cache owns its rows, as a
-    # one-at-a-time build's does, and none keeps the batch's block alive
     return [DioCache(xv, R, rec[a:b]) for xv, a, b in zip(xvs, bounds, bounds[1:])]
 
 
-def _shell_states(X: np.ndarray, R: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _shell_states(X: np.ndarray, R: int) -> tuple[np.ndarray, ...]:
     """Every reachable (shell s = k.1, r = k.x) of the budget-R simplex with its
     k-tuple count, for a batch of signatures of one shape.
 
@@ -463,8 +479,10 @@ def _shell_states(X: np.ndarray, R: int) -> tuple[np.ndarray, np.ndarray, np.nda
     shell R and takes one cumsum.  Only reachable states are stored, so the
     work grows with their number, not with the C(R+M, M) k-tuples they
     count; a column that would hold more than ``MAX_STATES`` raises
-    :class:`BudgetError` before it is allocated.  Returns (g, s, r, N), one
-    entry per state, with r of shape (P, states) and N > 0 everywhere.
+    :class:`BudgetError` before it is allocated.  Returns (g, s, r, N,
+    length): one entry per state, with r of shape (P, states) and N > 0
+    everywhere, and the states come in the last column's chains, a run of
+    ``length[c]`` states for chain c over the shells R-length[c]+1..R.
     """
     G, P, M = X.shape
     dims = [G, *(R * v + 1 for v in X.max(axis=(0, 2)).tolist())]  # bounds g and every r_p
@@ -473,6 +491,7 @@ def _shell_states(X: np.ndarray, R: int) -> tuple[np.ndarray, np.ndarray, np.nda
     s = np.tile(np.arange(R + 1, dtype=np.int64), G)
     r = X[g, :, 0].T * s
     n = np.ones(len(s), dtype=np.int64)
+    length = np.full(G, R + 1)
     for m in range(1, M):
         ends = np.empty((P + 1, len(s)), dtype=np.int64)
         ends[0] = g
@@ -507,7 +526,7 @@ def _shell_states(X: np.ndarray, R: int) -> tuple[np.ndarray, np.ndarray, np.nda
             step = X[:, p, m][g]
             step *= s
             r_p += step
-    return g, s, r, n
+    return g, s, r, n, length
 
 
 def _check_states(total: int, m: int, M: int, R: int) -> None:
@@ -525,17 +544,42 @@ def _distinct(keys: np.ndarray, size: int, rows: int) -> tuple[np.ndarray, np.nd
     Up to ``MAX_BOX_PER_ROW`` cells per row of the caller's data (``rows``),
     and at least 1024, a lookup table over 0..size-1 marks the values
     present, numbers them in order, and reads each key's number off the
-    table; past that the table would be too sparse and np.unique sorts the
-    keys instead.
+    table; past that the table would be too sparse, and the keys are put in
+    order by :func:`_radix_order` and numbered where they change, as
+    np.unique numbers them.
     """
     if size <= max(MAX_BOX_PER_ROW * rows, 1024):
         present = np.zeros(size, dtype=bool)
         present[keys] = True
         return np.flatnonzero(present), (np.cumsum(present, dtype=np.int32) - 1)[keys]
-    # return_index makes np.unique sort stably; its default quicksort is
-    # separate code that pages in about 0.3 MB in a process that uses no other
-    distinct, _, index = np.unique(keys, return_index=True, return_inverse=True)
-    return distinct, index
+    order = _radix_order(keys, size)
+    ordered = keys[order]
+    new = np.empty(len(keys), dtype=bool)  # where the ordered keys change
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    index = np.empty(len(keys), dtype=np.intp)
+    index[order] = np.cumsum(new) - 1
+    return ordered[new], index
+
+
+def _radix_order(keys: np.ndarray, size: int) -> np.ndarray:
+    """The stable sorting order of the non-negative integers ``keys``, all
+    below ``size``: a least-significant-digit radix order over 16-bit digits.
+
+    Each digit is ordered by np.argsort's stable kind, which sorts 16-bit
+    integers by radix, so keys below 2**32 cost two linear passes.  On the
+    builder's P=2 and P=3 batches of about 15,700 keys this took 0.23-0.25
+    ms, against 0.32-0.37 ms for a stable argsort of the int64 keys and
+    0.24-0.27 ms for a quicksort; on about 1,000 keys its passes over 2**16
+    buckets cost 20 us, against 8 us for the stable argsort.
+    """
+    order = np.argsort(keys.astype(np.uint16), kind="stable")  # the low digit
+    shift = 16
+    while (size - 1) >> shift:
+        digit = (keys >> shift).astype(np.uint16)
+        order = order[np.argsort(digit[order], kind="stable")]
+        shift += 16
+    return order
 
 
 def _group(cols: np.ndarray, dims) -> tuple[tuple[np.ndarray, ...], np.ndarray]:

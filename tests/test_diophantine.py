@@ -417,6 +417,125 @@ def state_bound(xv, R: int) -> int:
                for s in range(R + 1))
 
 
+@st.composite
+def keys_below_a_size(draw):
+    """A size of one to four 16-bit digits, past the lookup table's 1024
+    cells, and keys below it, size - 1 among them."""
+    digits = draw(st.integers(1, 4))
+    low, high = max(1025, 2 ** (16 * (digits - 1)) + 1), min(2 ** (16 * digits), 2**63)
+    size = draw(st.integers(low, high))
+    keys = draw(st.lists(st.one_of(st.integers(0, size - 1), st.integers(0, 40)),
+                         max_size=60))
+    return size, np.array(draw(st.permutations(keys + [size - 1])), dtype=np.int64)
+
+
+def random_signatures(rng, P: int, count: int) -> list:
+    """``count`` signatures of P attributes and one to three observations, on 0..3."""
+    sigs = []
+    while len(sigs) < count:
+        x = rng.integers(0, 4, size=(P, int(rng.integers(1, 4))))
+        if x.any(axis=0).all():
+            sigs.append(tuple(map(tuple, x.tolist())))
+    return sigs
+
+
+class TestGroupingRoutes:
+    """Sparse groupings are put in order by a radix order over 16-bit digits;
+    dense ones are read off a lookup table.  Both give np.unique's answer."""
+
+    @given(keys_below_a_size())
+    @example((2**16 - 1, np.array([0, 2**16 - 2, 5, 5, 2**16 - 2], dtype=np.int64)))
+    @example((2**16, np.array([2**16 - 1, 0, 2**16 - 1, 1], dtype=np.int64)))
+    @example((2**16 + 1, np.array([2**16, 2**16 - 1, 0, 2**16], dtype=np.int64)))
+    @example((2**32, np.array([2**32 - 1, 2**16, 2**16 - 1, 7, 2**32 - 1], dtype=np.int64)))
+    @example((2**32, np.array([], dtype=np.int64)))
+    @settings(max_examples=200, deadline=None)
+    def test_the_sort_route_gives_np_unique(self, size_keys):
+        size, keys = size_keys
+        order = diophantine._radix_order(keys, size)
+        assert np.array_equal(order, np.argsort(keys, kind="stable"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diophantine, "MAX_BOX_PER_ROW", 0)
+            mp.setattr(diophantine, "_radix_order", lambda keys, size: order)
+            distinct, index = diophantine._distinct(keys.copy(), size, len(keys))
+        want, want_index = np.unique(keys, return_inverse=True)
+        assert distinct.dtype == np.int64 and np.array_equal(distinct, want)
+        assert index.dtype == np.intp and np.array_equal(index, want_index.ravel())
+
+    @pytest.mark.parametrize("P,R", [(1, 60), (2, 12), (3, 6)])
+    def test_both_routes_build_the_same_records(self, monkeypatch, P, R):
+        sigs = random_signatures(np.random.default_rng(P), P, 12)
+        sorts = []
+        order = diophantine._radix_order
+        monkeypatch.setattr(diophantine, "_radix_order",
+                            lambda keys, size: sorts.append(size) or order(keys, size))
+        built = {}
+        for cap in (0, 2**40):  # every grouping sorts; every grouping reads a table
+            monkeypatch.setattr(diophantine, "MAX_BOX_PER_ROW", cap)
+            sorts.clear()
+            built[cap] = build_caches(sigs, R)
+            assert bool(sorts) == (cap == 0)
+        for sorted_, tabled, xv in zip(built[0], built[2**40], sigs):
+            assert sorted_.records.shape == tabled.records.shape
+            assert sorted_.records.tobytes() == tabled.records.tobytes()
+            assert sorted_.x_vectors == xv
+
+
+class TestSharedBlocks:
+    """A batch's caches are read-only views of one record block, and their
+    shell counts are read at the ends of the DP's last chains."""
+
+    SIGS = [((1, 2), (2, 1)), ((1, 3), (2, 2)), ((2, 3), (1, 1)), ((1, 1), (3, 3))]
+
+    def test_a_batch_is_views_of_one_read_only_block(self):
+        # the saved bytes of batched caches are checked in TestBatchedBuild
+        batch = build_caches(self.SIGS, 6)
+        block = batch[0].records.base
+        assert block is not None and not block.flags.writeable
+        for xv, cache in zip(self.SIGS, batch):
+            assert cache.records.base is block and np.shares_memory(block, cache.records)
+            with pytest.raises(ValueError):
+                cache.records.flags.writeable = True
+            assert cache == build_cache(xv, 6)
+            # a read-only block is kept as it is
+            assert DioCache(xv, 6, cache.records).records is cache.records
+        # neighbours' rows follow each other in the block
+        for a, b in zip(batch, batch[1:]):
+            end = a.records.__array_interface__["data"][0] + a.records.nbytes
+            assert b.records.__array_interface__["data"][0] == end
+        assert sum(len(c.records) for c in batch) == len(block)
+
+    @pytest.mark.parametrize("xv", [((2,),), ((1, 2, 2),), ((1, 2, 3), (2, 0, 1))],
+                             ids=["M1", "M3", "M3-P2"])
+    @pytest.mark.parametrize("R", [0, 1, 2])
+    def test_shells_are_differences_of_the_oracle(self, xv, R):
+        c = build_cache(xv, R)
+
+        def signed(r_t, budget):
+            if budget < 0:
+                return 0
+            kp, km = signed_count_oracle(xv, r_t, budget)
+            return kp - km
+
+        rows = list(c.entries)
+        final = {r: signed(r, R) - signed(r, R - 1) for r in rows}
+        prev = {r: signed(r, R - 1) - signed(r, R - 2) for r in rows}
+        assert c.final_shell == {r: v for r, v in final.items() if v}
+        assert c.prev_shell == {r: v for r, v in prev.items() if v}
+
+    def test_a_chain_of_one_state_has_no_previous_shell(self):
+        # x = (1, 2) at R = 1: the last column's chain through (s, r) = (1, 1)
+        # starts at shell R, after the chain (0, 0), (1, 2)
+        *_, length = diophantine._shell_states(np.array([((1, 2),)]), 1)
+        assert sorted(length.tolist()) == [1, 2]
+        c = build_cache(((1, 2),), 1)
+        assert c.final_shell == {(1,): -1, (2,): -1}
+        assert c.prev_shell == {(0,): 1}
+        # a chain of one state at R = 0, in the first column and past it
+        for xv in (((3,),), ((1, 2),)):
+            assert not build_cache(xv, 0).prev_shell
+
+
 class TestCanonicalSignatures:
     @given(st.integers(1, 3).flatmap(lambda P: st.lists(
         st.tuples(*[st.integers(0, 3)] * P).filter(any), min_size=1, max_size=4
@@ -767,6 +886,7 @@ class TestRecordStore:
         # a writable block is copied, so writing to it leaves the cache as it was
         mine = c.records.copy()
         own = DioCache(xv, R, mine)
+        assert not np.shares_memory(own.records, mine)
         mine[0, -3] += 1
         assert own == c and not own.records.flags.writeable
         wide = np.hstack([c.records, c.records[:, :1]])
